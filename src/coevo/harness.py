@@ -92,6 +92,25 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.target not in ("bilinear", "singleton"):
             raise ValueError(f"unknown target {self.target!r}")
+        if not isinstance(self.gamma0, (int, float)) or not 0.0 < self.gamma0 < 1.0:
+            raise ValueError(f"gamma0 must be a number in (0, 1), got {self.gamma0!r}")
+        object.__setattr__(self, "budget", _check_budget(self.budget))
+
+
+def _check_budget(budget):
+    """A positive generation count (integral floats such as 1e3 accepted),
+    "pilot" or "bound:<positive factor>"; rejected before any run starts."""
+    if budget == "pilot":
+        return budget
+    if isinstance(budget, str) and budget.startswith("bound:"):
+        factor = _parse_value(budget.split(":", 1)[1])
+        if isinstance(factor, (int, float)) and 0 < factor < math.inf:
+            return budget
+    elif (isinstance(budget, (int, float)) and not isinstance(budget, bool)
+          and 0 < budget < math.inf and budget == int(budget)):
+        return int(budget)
+    raise ValueError(f"budget must be a positive whole number of generations, 'pilot' "
+                     f"or 'bound:<positive factor>', got {budget!r}")
 
 
 @dataclass(frozen=True)
@@ -336,22 +355,22 @@ def pilot_budget(cell: Cell, spec: ExperimentSpec, cell_index: int,
     return max(1, int(math.ceil(10.0 * float(np.median(hit_gens)))))
 
 
+def _solvable_budget(cell: Cell, delta: float) -> theory.BoundValue:
+    """Closed-form solvable-regime interaction budget of one cell at slack delta."""
+    return theory.solvable_regime_budget(theory.BoundInputs(
+        m=1, lam=cell.lam, delta=delta, z=(), c_pp=1.000001, n=cell.n, chi=cell.chi,
+        alpha=cell.alpha, beta=cell.beta, epsilon=cell.epsilon, r=cell.r))
+
+
 def _budget_for(cell: Cell, spec: ExperimentSpec, cell_index: int) -> int:
     budget = spec.budget
     if isinstance(budget, int):
         return budget
     if budget == "pilot":
         return pilot_budget(cell, spec, cell_index)
-    if isinstance(budget, str) and budget.startswith("bound:"):
-        factor = float(budget.split(":", 1)[1])
-        inputs = theory.BoundInputs(
-            m=1, lam=cell.lam, delta=min(1.0, max(spec.delta, 1e-9)), z=(),
-            c_pp=1.000001, n=cell.n, chi=cell.chi, alpha=cell.alpha,
-            beta=cell.beta, epsilon=cell.epsilon, r=cell.r,
-        )
-        interactions = theory.solvable_regime_budget(inputs).value
-        return max(1, int(math.ceil(factor * interactions / cell.lam)))
-    raise ValueError(f"unknown budget rule {budget!r}")
+    factor = float(budget.split(":", 1)[1])
+    interactions = _solvable_budget(cell, min(1.0, max(spec.delta, 1e-9))).value
+    return max(1, int(math.ceil(factor * interactions / cell.lam)))
 
 
 def _run_unit(args):
@@ -459,13 +478,10 @@ def experiment_runtime_scaling(spec: ExperimentSpec, workers: int = 1):
 
     references = []
     for agg in aggs:
+        cell = Cell(agg["n"], agg["lambda"], agg["chi"], agg["alpha"], agg["beta"],
+                    agg["epsilon"], agg["r"], None)
         try:
-            inputs = theory.BoundInputs(
-                m=1, lam=agg["lambda"], delta=spec.delta, z=(), c_pp=1.000001,
-                n=agg["n"], chi=agg["chi"], alpha=agg["alpha"], beta=agg["beta"],
-                epsilon=agg["epsilon"], r=agg["r"],
-            )
-            ref = theory.solvable_regime_budget(inputs).value
+            ref = _solvable_budget(cell, spec.delta).value
         except ValueError:
             ref = None
         references.append({**{k: agg[k] for k in ("n", "lambda", "chi")},
@@ -485,8 +501,10 @@ def experiment_trajectory(spec: ExperimentSpec, workers: int = 1):
     """Per-generation population series with level and phase annotation.
 
     Phase 2 starts at the first generation where the predator fraction below
-    beta*n reaches gamma0.  Runs sequentially (the per-generation observer is
-    cheap next to the run itself).
+    beta*n reaches gamma0.  Runs sequentially: the per-generation level
+    observer is cheap next to the generation it observes, because it reads
+    every level's occupancy from prefix sums over the two one-count
+    histograms instead of counting members level by level.
     """
     cells = resolve_cells(spec)
     table = ResultTable(spec=spec)
@@ -557,10 +575,7 @@ def experiment_bound_table(spec: ExperimentSpec):
             "beta": cell.beta, "epsilon": cell.epsilon, "r": cell.r,
         }
         try:
-            bound = theory.solvable_regime_budget(theory.BoundInputs(
-                m=1, lam=cell.lam, delta=spec.delta, z=(), c_pp=1.000001,
-                n=cell.n, chi=cell.chi, alpha=cell.alpha, beta=cell.beta,
-                epsilon=cell.epsilon, r=cell.r))
+            bound = _solvable_budget(cell, spec.delta)
             row.update(budget_interactions=bound.value, budget_generations=bound.value / cell.lam,
                        slack=bound.terms["delta"], pop_term=bound.terms["pop_term"],
                        mutation_term=bound.terms["mutation_term"])

@@ -16,7 +16,7 @@ the process from above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -57,10 +57,28 @@ class LevelSequence:
     levels: tuple
     m1: int
     m2: int
+    _bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
         return len(self.levels)
+
+    def count_bounds(self, n: int):
+        """Integer (lo, hi) bounds of every level's intervals, for genomes of length n.
+
+        An integer count c satisfies lo <= c < hi exactly when
+        ceil(lo) <= c < ceil(hi).  Bounds are clipped to [0, n+1] and hi is
+        raised to at least lo, so an empty interval counts 0.  Returns the
+        predator and prey bounds as int arrays of shape (m, 2), cached per n.
+        """
+        bounds = self._bounds.get(n)
+        if bounds is None:
+            raw = np.array([[[a.lo, a.hi], [b.lo, b.hi]] for a, b in self.levels], dtype=float)
+            idx = np.clip(np.ceil(raw), 0, n + 1).astype(np.int64)
+            idx[..., 1] = np.maximum(idx[..., 1], idx[..., 0])
+            idx.setflags(write=False)
+            bounds = self._bounds[n] = (idx[:, 0], idx[:, 1])
+        return bounds
 
     def __getitem__(self, j: int):
         """Level at 1-based index j."""
@@ -107,16 +125,29 @@ def pairs_in_level(pops: PairedPopulations, level) -> int:
     return a.count(pops.predators.ones) * b.count(pops.prey.ones)
 
 
+def _interval_counts(ones: np.ndarray, bounds: np.ndarray, n: int) -> np.ndarray:
+    """Members inside each [lo, hi) bound pair, from one histogram prefix sum."""
+    below = np.zeros(n + 2, dtype=np.int64)  # below[k] = #{members with c < k}
+    np.cumsum(np.bincount(ones, minlength=n + 1), out=below[1:])
+    inside = below[bounds]
+    return inside[:, 1] - inside[:, 0]
+
+
 def current_level(pops: PairedPopulations, seq: LevelSequence, gamma0: float) -> int:
-    """Largest 1-based j whose level holds at least gamma0 * lambda^2 pairs."""
+    """Largest 1-based j whose level holds at least gamma0 * lambda^2 pairs.
+
+    Every level's pair count is (#P in A_j) * (#Q in B_j); both factors come
+    from prefix sums over the one-count histograms, O(n + m) numpy work.
+    """
     if not 0.0 < gamma0 < 1.0:
         raise ValueError(f"gamma0 must be in (0, 1), got {gamma0}")
     threshold = gamma0 * pops.lam**2
-    best = 1
-    for j in range(1, seq.m + 1):
-        if pairs_in_level(pops, seq[j]) >= threshold:
-            best = j
-    return best
+    n = pops.n
+    pred_bounds, prey_bounds = seq.count_bounds(n)
+    pairs = (_interval_counts(pops.predators.ones, pred_bounds, n)
+             * _interval_counts(pops.prey.ones, prey_bounds, n))
+    held = np.flatnonzero(pairs >= threshold)
+    return int(held[-1]) + 1 if held.size else 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from coevo import BilinearParams, PdcoeaConfig, run_trial
+from coevo import BilinearParams, PdcoeaConfig, harness, run_trial
+from coevo.cli import main
 from coevo.core import derive_seed
 from coevo.harness import (
     ExperimentSpec,
@@ -80,6 +82,33 @@ class TestSpecParsing:
         cfg.write_text("n = 10\n")
         with pytest.raises(ValueError):
             parse_spec_file(str(cfg))
+
+    def test_integral_float_budget_is_a_generation_count(self, tmp_path):
+        cfg = tmp_path / "spec.txt"
+        cfg.write_text("kind = runtime-scaling\nn = 15\nlambda = 10\nchi = 0.5\nbudget = 1e2\n")
+        spec = parse_spec_file(str(cfg))
+        assert spec.budget == 100 and isinstance(spec.budget, int)
+        assert run_experiment(replace(spec, trials=1)).rows[0]["generations"] <= 100
+
+    @pytest.mark.parametrize("value", ["12.5", "0", "-3", "0.0", "inf", "bound:x", "bound:-1"])
+    def test_bad_budget_rejected_at_parse(self, tmp_path, value):
+        cfg = tmp_path / "spec.txt"
+        cfg.write_text(f"kind = runtime-scaling\nbudget = {value}\n")
+        with pytest.raises(ValueError, match="budget"):
+            parse_spec_file(str(cfg))
+
+    @pytest.mark.parametrize("value", ["1.5", "0", "abc"])
+    def test_bad_gamma0_fails_before_any_run(self, tmp_path, monkeypatch, capsys, value):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args, **kw: calls.append(args))
+        cfg = tmp_path / "traj.txt"
+        cfg.write_text("kind = trajectory\nn = 20\nlambda = 20\nchi = auto\n"
+                       f"budget = pilot\ngamma0 = {value}\n")
+        with pytest.raises(ValueError, match="gamma0"):
+            parse_spec_file(str(cfg))
+        assert main(["trajectory", "--config", str(cfg)]) == 1
+        assert "gamma0" in capsys.readouterr().err
+        assert calls == []
 
     def test_auto_chi_resolution(self):
         spec = tiny_spec(chi=("auto",), delta=0.01)

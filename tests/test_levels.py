@@ -8,8 +8,11 @@ import scipy.stats
 from coevo import (
     BilinearGame,
     BilinearParams,
+    CountInterval,
     EnumerationCapError,
     LevelFunctionParams,
+    LevelSequence,
+    PdcoeaConfig,
     build_bilinear_levels,
     check_growth_lemmas,
     current_level,
@@ -19,13 +22,15 @@ from coevo import (
     half_prob_conditionals,
     ones,
     pairs_in_level,
+    recipe_mutation_rate,
     reference_g1_g2,
+    run_trial,
     selection_slot_rates,
     spawn_stream,
     target_hit,
     validate_level_function,
 )
-from coevo.core import PairedPopulations, Population
+from coevo.core import PairedPopulations, Population, derive_seed
 from coevo.harness import GROWTH_CHECK_CONFIGS, paired_from_counts
 from coevo.pdcoea import _select_slots
 
@@ -136,6 +141,80 @@ class TestCurrentLevel:
             current_level(pops, seq, 0.0)
         with pytest.raises(ValueError):
             current_level(pops, seq, 1.0)
+
+    def test_matches_brute_scan_at_desk_scale(self):
+        rng = spawn_stream(54, 0)
+        for n in (10, 50, 100):
+            seq = build_bilinear_levels(BilinearParams(n=n, alpha=0.9, beta=0.05, epsilon=0.1))
+            reached = set()
+            for lam in (1, 7, 40, 100):
+                for concentrated in (False, True):
+                    if concentrated:
+                        # a few adjacent counts around centres on the level path
+                        pred = np.clip(rng.integers(0, n + 1) + rng.integers(-2, 3, size=lam), 0, n)
+                        prey = np.clip(rng.integers(0, int(0.9 * n) + 1)
+                                       + rng.integers(-2, 3, size=lam), 0, n)
+                    else:
+                        pred = rng.integers(0, n + 1, size=lam)
+                        prey = rng.integers(0, n + 1, size=lam)
+                    pops = paired_from_counts(pred, prey, n)
+                    for gamma0 in (0.05, 9.0 / 25.0, 0.9):
+                        level = current_level(pops, seq, gamma0)
+                        assert level == self.brute_scan(pops, seq, gamma0)
+                        reached.add(level)
+            assert len(reached) > 2
+
+    def test_threshold_tie_counts_as_held(self):
+        # gamma0 * lambda^2 equals the last level's pair count exactly
+        seq = build_bilinear_levels(BilinearParams(n=10, alpha=0.9, beta=0.05, epsilon=0.1))
+        for lam, in_a, in_b in ((4, 2, 2), (8, 4, 4), (10, 6, 6), (16, 12, 3)):
+            pops = paired_from_counts([0] * in_a + [10] * (lam - in_a),
+                                      [8] * in_b + [0] * (lam - in_b), 10)
+            tie = in_a * in_b / lam**2
+            assert tie * lam**2 == pairs_in_level(pops, seq[seq.m])
+            assert current_level(pops, seq, tie) == self.brute_scan(pops, seq, tie) == seq.m
+            above = float(np.nextafter(tie, 1.0))
+            assert current_level(pops, seq, above) == self.brute_scan(pops, seq, above) < seq.m
+
+    def test_empty_and_out_of_range_intervals(self):
+        full = CountInterval(0.0, 11.0)
+        seq = LevelSequence((
+            (full, full),
+            (CountInterval(0.0, 6.0), CountInterval(-3.0, 4.5)),        # lo below 0
+            (CountInterval(5.0, 5.0), full),                            # empty: lo == hi
+            (CountInterval(7.5, 2.0), CountInterval(0.0, 4.0)),         # inverted
+            (CountInterval(0.0, math.inf), CountInterval(2.0, 40.0)),   # hi beyond n + 1
+        ), m1=2, m2=3)
+        pred_bounds, prey_bounds = seq.count_bounds(10)
+        assert (pred_bounds >= 0).all() and (pred_bounds <= 11).all()
+        assert (pred_bounds[:, 1] >= pred_bounds[:, 0]).all()
+        assert (prey_bounds[:, 1] >= prey_bounds[:, 0]).all()
+        rng = spawn_stream(55, 0)
+        for _ in range(40):
+            pops = paired_from_counts(
+                rng.integers(0, 11, size=6), rng.integers(0, 11, size=6), 10)
+            for gamma0 in (0.01, 0.3, 0.8):
+                level = current_level(pops, seq, gamma0)
+                assert level == self.brute_scan(pops, seq, gamma0)
+                assert level not in (3, 4)  # empty levels hold no pair
+        crowded = paired_from_counts([5] * 4, [5] * 4, 10)  # everyone on the empty [5, 5)
+        assert current_level(crowded, seq, 0.5) == 5
+
+    def test_matches_brute_scan_along_a_seeded_run(self):
+        params = BilinearParams(n=50, alpha=0.9, beta=0.05, epsilon=0.1)
+        seq = build_bilinear_levels(params)
+        states = []
+        cfg = PdcoeaConfig(lam=20, chi=recipe_mutation_rate(0.01), n=50,
+                           seed=derive_seed(56, 0), budget_generations=5000, game=params,
+                           record_trajectory=False)
+        record = run_trial(cfg, observer=states.append)
+        assert record.hit
+        levels = []
+        for pops in states[:: max(1, len(states) // 60)] + states[-1:]:
+            level = current_level(pops, seq, 9.0 / 25.0)
+            assert level == self.brute_scan(pops, seq, 9.0 / 25.0)
+            levels.append(level)
+        assert levels[-1] > seq.m1 and len(set(levels)) > 5  # reached the ascent phase
 
 
 class TestFractionStats:
