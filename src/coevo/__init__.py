@@ -54,14 +54,10 @@ from .levels import (
     validate_level_function,
 )
 from .pdcoea import (
-    InteractionDistribution,
     PdcoeaConfig,
     PdcoeaDistribution,
     TrialRecord,
-    mutate,
-    pdcoea_interaction,
     run_trial,
-    select_pair,
     singleton_target,
     step_generation,
 )

@@ -4,7 +4,8 @@ Subcommands: run (single trial), sweep (experiment from a config file),
 threshold / scaling / trajectory (named experiments), bound (calculators),
 check (verification suites), emit-plots (long-format data for plotting).
 
-Exit codes: 0 success, 1 usage error, 2 check-suite failure, 3 I/O error.
+Exit codes: 0 success, 1 usage error, 2 check-suite failure, 3 I/O error,
+4 pilot failure (too few pilot runs of a `budget = pilot` cell hit).
 """
 
 from __future__ import annotations
@@ -249,6 +250,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except harness.PilotError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

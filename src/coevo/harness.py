@@ -18,7 +18,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -57,7 +57,9 @@ CSV_COLUMNS = (
     "trial", "seed", "hit", "T_interactions", "generations", "wall_ms",
 )
 
-EXPERIMENT_KINDS = ("runtime-scaling", "error-threshold", "trajectory", "lemma-checks", "bound-table")
+EXPERIMENT_KINDS = (
+    "sweep", "runtime-scaling", "error-threshold", "trajectory", "lemma-checks", "bound-table",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +88,28 @@ class ExperimentSpec:
     out: str | None = None
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS and self.kind != "sweep":
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if self.kind not in EXPERIMENT_KINDS:
+            raise ValueError(f"unknown experiment kind {self.kind!r}; "
+                             f"choose from {', '.join(EXPERIMENT_KINDS)}")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not _is_int(self.master_seed):
+            raise ValueError(f"seed must be an integer, got {self.master_seed!r}")
+        if not _is_number(self.delta):
+            raise ValueError(f"delta must be a number, got {self.delta!r}")
         if self.target not in ("bilinear", "singleton"):
             raise ValueError(f"unknown target {self.target!r}")
-        if not isinstance(self.gamma0, (int, float)) or not 0.0 < self.gamma0 < 1.0:
+        if not _is_number(self.gamma0) or not 0.0 < self.gamma0 < 1.0:
             raise ValueError(f"gamma0 must be a number in (0, 1), got {self.gamma0!r}")
         object.__setattr__(self, "budget", _check_budget(self.budget))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_budget(budget):
@@ -104,10 +119,9 @@ def _check_budget(budget):
         return budget
     if isinstance(budget, str) and budget.startswith("bound:"):
         factor = _parse_value(budget.split(":", 1)[1])
-        if isinstance(factor, (int, float)) and 0 < factor < math.inf:
+        if _is_number(factor) and 0 < factor < math.inf:
             return budget
-    elif (isinstance(budget, (int, float)) and not isinstance(budget, bool)
-          and 0 < budget < math.inf and budget == int(budget)):
+    elif _is_number(budget) and 0 < budget < math.inf and budget == int(budget):
         return int(budget)
     raise ValueError(f"budget must be a positive whole number of generations, 'pilot' "
                      f"or 'bound:<positive factor>', got {budget!r}")
@@ -331,14 +345,18 @@ def _cell_config(cell: Cell, spec: ExperimentSpec, seed: int, budget: int,
     )
 
 
+class PilotError(RuntimeError):
+    """Too few pilot runs of a cell hit for a pilot budget to be meaningful."""
+
+
 def pilot_budget(cell: Cell, spec: ExperimentSpec, cell_index: int,
                  pilots: int = 10, cap_factor: int = 200) -> int:
     """Budget procedure: 10x the median hit time of `pilots` pilot runs.
 
     Pilot runs use a generous cap of cap_factor * n generations and draw
     their seeds from a reserved stream block, so they never share randomness
-    with the measured trials.  Raises if fewer than six pilots hit, since a
-    median of censored values would not be meaningful.
+    with the measured trials.  Raises PilotError if fewer than six pilots hit,
+    since a median of censored values would not be meaningful.
     """
     cap = cap_factor * cell.n
     hit_gens = []
@@ -348,7 +366,7 @@ def pilot_budget(cell: Cell, spec: ExperimentSpec, cell_index: int,
         if record.hit:
             hit_gens.append(record.generations_run)
     if len(hit_gens) < 6:
-        raise RuntimeError(
+        raise PilotError(
             f"pilot procedure failed for cell {cell}: only {len(hit_gens)}/{pilots} "
             f"pilots hit within {cap} generations"
         )
@@ -373,42 +391,47 @@ def _budget_for(cell: Cell, spec: ExperimentSpec, cell_index: int) -> int:
     return max(1, int(math.ceil(factor * interactions / cell.lam)))
 
 
-def _run_unit(args):
-    cell, spec, trial, seed, budget = args
-    record = run_trial(_cell_config(cell, spec, seed, budget))
+def _plan_units(spec: ExperimentSpec) -> list[tuple]:
+    """Every (cell, trial, seed, budget) unit of a run experiment.
+
+    Every cell's config is built (and so validated) before the first pilot
+    runs, and every cell's budget is resolved before the first trial runs.
+    Unit (cell_index, trial) gets seed derive_seed(master_seed, unit_index)
+    with unit_index = cell_index * trials + trial.
+    """
+    cells = resolve_cells(spec)
+    for cell in cells:
+        _cell_config(cell, spec, 0, 1)
+    budgets = [_budget_for(cell, spec, ci) for ci, cell in enumerate(cells)]
+    return [
+        (cell, trial, derive_seed(spec.master_seed, ci * spec.trials + trial), budget)
+        for ci, (cell, budget) in enumerate(zip(cells, budgets))
+        for trial in range(spec.trials)
+    ]
+
+
+def _result_row(spec: ExperimentSpec, cell: Cell, trial: int, record) -> dict:
     return {
-        "kind": spec.kind,
-        "n": cell.n,
-        "lambda": cell.lam,
-        "chi": cell.chi,
-        "alpha": cell.alpha,
-        "beta": cell.beta,
-        "epsilon": cell.epsilon,
-        "delta": cell.delta,
-        "r": cell.r,
-        "trial": trial,
-        "seed": seed,
-        "hit": record.hit,
-        "T_interactions": record.T_interactions,
-        "generations": record.generations_run,
-        "wall_ms": record.wall_ms,
+        "kind": spec.kind, "n": cell.n, "lambda": cell.lam, "chi": cell.chi,
+        "alpha": cell.alpha, "beta": cell.beta, "epsilon": cell.epsilon,
+        "delta": cell.delta, "r": cell.r, "trial": trial, "seed": record.seed,
+        "hit": record.hit, "T_interactions": record.T_interactions,
+        "generations": record.generations_run, "wall_ms": record.wall_ms,
     }
+
+
+def _run_unit(args):
+    spec, cell, trial, seed, budget = args
+    return _result_row(spec, cell, trial, run_trial(_cell_config(cell, spec, seed, budget)))
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     """Execute all cells x trials; rows come back canonically sorted.
 
-    Unit (cell_index, trial) gets seed derive_seed(master_seed, unit_index)
-    with unit_index = cell_index * trials + trial, so the table is identical
-    for any worker count and any scheduling order.
+    Seeds depend only on the unit index (see `_plan_units`), so the table is
+    identical for any worker count and any scheduling order.
     """
-    cells = resolve_cells(spec)
-    units = []
-    for ci, cell in enumerate(cells):
-        budget = _budget_for(cell, spec, ci)
-        for trial in range(spec.trials):
-            seed = derive_seed(spec.master_seed, ci * spec.trials + trial)
-            units.append((cell, spec, trial, seed, budget))
+    units = [(spec, *unit) for unit in _plan_units(spec)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_unit, units, chunksize=1))
@@ -506,38 +529,26 @@ def experiment_trajectory(spec: ExperimentSpec, workers: int = 1):
     every level's occupancy from prefix sums over the two one-count
     histograms instead of counting members level by level.
     """
-    cells = resolve_cells(spec)
     table = ResultTable(spec=spec)
     series = []
-    for ci, cell in enumerate(cells):
-        budget = _budget_for(cell, spec, ci)
-        game = BilinearParams(n=cell.n, alpha=cell.alpha, beta=cell.beta, epsilon=cell.epsilon)
-        seq = build_bilinear_levels(game)
-
-        def observer(pops):
-            return current_level(pops, seq, spec.gamma0)
-
-        for trial in range(spec.trials):
-            seed = derive_seed(spec.master_seed, ci * spec.trials + trial)
-            cfg = replace(_cell_config(cell, spec, seed, budget), record_trajectory=True)
-            record = run_trial(cfg, observer=observer)
-            table.rows.append({
-                "kind": spec.kind, "n": cell.n, "lambda": cell.lam, "chi": cell.chi,
-                "alpha": cell.alpha, "beta": cell.beta, "epsilon": cell.epsilon,
-                "delta": cell.delta, "r": cell.r, "trial": trial, "seed": seed,
-                "hit": record.hit, "T_interactions": record.T_interactions,
-                "generations": record.generations_run, "wall_ms": record.wall_ms,
-            })
-            phase = 1
-            for row, level in zip(record.trajectory, record.observed):
-                if phase == 1 and row["p0"] >= spec.gamma0:
-                    phase = 2
-                series.append((
-                    cell.n, cell.lam, cell.chi, trial, int(row["generation"]),
-                    float(row["pred_mean"]), float(row["prey_mean"]),
-                    float(row["p0"]), float(row["q0"]), int(row["prey_in_s0"]),
-                    int(level), phase,
-                ))
+    levels = {}
+    for cell, trial, seed, budget in _plan_units(spec):
+        cfg = _cell_config(cell, spec, seed, budget, record_trajectory=True)
+        if cell not in levels:
+            levels[cell] = build_bilinear_levels(cfg.game)
+        seq = levels[cell]
+        record = run_trial(cfg, observer=lambda pops: current_level(pops, seq, spec.gamma0))
+        table.rows.append(_result_row(spec, cell, trial, record))
+        phase = 1
+        for row, level in zip(record.trajectory, record.observed):
+            if phase == 1 and row["p0"] >= spec.gamma0:
+                phase = 2
+            series.append((
+                cell.n, cell.lam, cell.chi, trial, int(row["generation"]),
+                float(row["pred_mean"]), float(row["prey_mean"]),
+                float(row["p0"]), float(row["q0"]), int(row["prey_in_s0"]),
+                int(level), phase,
+            ))
     table.sort()
     table.extra["series_columns"] = list(SERIES_COLUMNS)
     return table, series

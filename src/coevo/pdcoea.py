@@ -1,10 +1,10 @@
 """Two-population co-evolution driver.
 
-The generic process repeatedly replaces both populations with lambda
-offspring pairs drawn i.i.d. from an interaction distribution conditioned on
-the current state.  The pairwise-dominance instance draws two uniform
-predator-prey pairs, keeps the dominating one (second pair on failure), and
-mutates both members by independent bit flips with probability chi/n.
+Each generation replaces both populations with lambda offspring pairs drawn
+i.i.d. given the current state: each pair comes from two uniform
+predator-prey pairs, keeping the dominating one (second pair on failure),
+and mutating both members by independent bit flips with probability chi/n.
+`step_generation` is the only sampler; it draws all lambda pairs at once.
 
 Runtime is counted in interactions: a run that first satisfies the target
 predicate at generation t reports T = t * lambda, and the predicate is
@@ -26,7 +26,6 @@ from .core import (
     Population,
     RandomStream,
     paired_uniform,
-    popcount_rows,
     spawn_stream,
 )
 
@@ -68,39 +67,9 @@ def _select_slots(pops: PairedPopulations, oracle, rng: RandomStream, count: int
     return pred_slots, prey_slots
 
 
-def select_pair(pops: PairedPopulations, oracle, rng: RandomStream):
-    """One pairwise-dominance selection.
-
-    Draws (x1, y1) and (x2, y2) independently uniform over P x Q (four
-    independent uniform slot indices, drawn in that order) and returns
-    (x1, y1) if it dominates (x2, y2), otherwise (x2, y2).
-    """
-    pred_slots, prey_slots = _select_slots(pops, oracle, rng, 1)
-    return pops.predators.member(pred_slots[0]), pops.prey.member(prey_slots[0])
-
-
 # ---------------------------------------------------------------------------
 # Mutation
 # ---------------------------------------------------------------------------
-
-def mutate(v: BitVector, chi: float, rng: RandomStream) -> BitVector:
-    """Flip each bit of v independently with probability chi/n.
-
-    Implemented as a binomial flip count followed by a uniform choice of that
-    many distinct positions, which has exactly the per-bit product law.
-    """
-    n = v.n
-    if not 0.0 <= chi <= n:
-        raise ValueError(f"chi must be in [0, n] = [0, {n}], got {chi}")
-    k = int(rng.binomial(n, chi / n))
-    words = v.words.copy()
-    if k:
-        positions = rng.permutation(n)[:k]
-        np.bitwise_xor.at(
-            words, positions >> 6, _U64(1) << (positions & 63).astype(_U64)
-        )
-    return BitVector(words, n)
-
 
 def _mutate_rows(words: np.ndarray, n: int, chi: float, rng: RandomStream) -> np.ndarray:
     """Batch mutation of a writable (rows, nwords) word matrix, in place.
@@ -126,63 +95,36 @@ def _mutate_rows(words: np.ndarray, n: int, chi: float, rng: RandomStream) -> np
 
 
 # ---------------------------------------------------------------------------
-# Interaction distributions
+# Generations
 # ---------------------------------------------------------------------------
 
-class InteractionDistribution:
-    """Sampling capability: one offspring pair from the current populations.
-
-    Subclasses implement `sample`.  `sample_generation` must produce lambda
-    i.i.d. samples; the default loops over `sample`, and implementations with
-    a vectorised path (same law, batched draws) should override it.
-    """
-
-    def sample(self, pops: PairedPopulations, rng: RandomStream):
-        raise NotImplementedError
-
-    def sample_generation(self, pops: PairedPopulations, rng: RandomStream):
-        pairs = [self.sample(pops, rng) for _ in range(pops.lam)]
-        predators = Population.from_bitvectors([x for x, _ in pairs])
-        prey = Population.from_bitvectors([y for _, y in pairs])
-        return predators, prey
-
-
-class PdcoeaDistribution(InteractionDistribution):
+@dataclass(frozen=True)
+class PdcoeaDistribution:
     """Pairwise-dominance selection followed by independent bitwise mutation."""
 
-    def __init__(self, oracle, chi: float):
-        self.oracle = oracle
-        self.chi = float(chi)
-
-    def sample(self, pops: PairedPopulations, rng: RandomStream):
-        x, y = select_pair(pops, self.oracle, rng)
-        return mutate(x, self.chi, rng), mutate(y, self.chi, rng)
-
-    def sample_generation(self, pops: PairedPopulations, rng: RandomStream):
-        pred_slots, prey_slots = _select_slots(pops, self.oracle, rng, pops.lam)
-        pred_words = pops.predators.words[pred_slots].copy()
-        prey_words = pops.prey.words[prey_slots].copy()
-        _mutate_rows(pred_words, pops.n, self.chi, rng)
-        _mutate_rows(prey_words, pops.n, self.chi, rng)
-        return Population(pred_words, pops.n), Population(prey_words, pops.n)
+    oracle: object
+    chi: float
 
 
-def pdcoea_interaction(pops: PairedPopulations, oracle, chi: float, rng: RandomStream):
-    """One offspring pair under the pairwise-dominance distribution."""
-    return PdcoeaDistribution(oracle, chi).sample(pops, rng)
-
-
-def step_generation(pops: PairedPopulations, dist: InteractionDistribution,
+def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
                     rng: RandomStream) -> PairedPopulations:
     """Replace both populations with lambda i.i.d. offspring pairs.
 
     Offspring slot i of the predator and prey populations come from the same
     interaction (they may be dependent); distinct slots are independent.
+    Draw order: the 4*lambda selection slots, then the predators' mutation
+    draws, then the prey's.
     """
-    predators, prey = dist.sample_generation(pops, rng)
-    if predators.lam != pops.lam or prey.lam != pops.lam:
-        raise ValueError("interaction distribution changed the population size")
-    return PairedPopulations(predators, prey, generation=pops.generation + 1)
+    n = pops.n
+    if not 0.0 <= dist.chi <= n:
+        raise ValueError(f"chi must be in [0, n] = [0, {n}], got {dist.chi}")
+    pred_slots, prey_slots = _select_slots(pops, dist.oracle, rng, pops.lam)
+    pred_words = pops.predators.words[pred_slots].copy()
+    prey_words = pops.prey.words[prey_slots].copy()
+    _mutate_rows(pred_words, n, dist.chi, rng)
+    _mutate_rows(prey_words, n, dist.chi, rng)
+    return PairedPopulations(Population(pred_words, n), Population(prey_words, n),
+                             generation=pops.generation + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -38,14 +38,14 @@ from coevo import (
     validate_level_function,
 )
 from coevo.harness import (
-    GROWTH_CHECK_CONFIGS,
     ExperimentSpec,
+    check_dominance_equivalence,
+    check_growth_suite,
     paired_from_counts,
     pilot_budget,
     resolve_cells,
     run_experiment,
 )
-from coevo.levels import check_growth_lemmas
 from coevo.pdcoea import _select_slots, singleton_target
 from coevo.theory import BoundInputs, check_exp_lower_bound, check_product_mgf, check_sqrt_bound
 
@@ -64,22 +64,11 @@ def criterion(num, description):
 
 def test_criterion_01_dominance_equivalence_exhaustive():
     with criterion(1, "dominance routes agree on all 11^4 quadruples, three games, < 1 s"):
-        n = 10
-        vectors = [count_vector(c, n) for c in range(n + 1)]
         start = time.perf_counter()
-        mismatches = 0
-        for alpha, beta in ((0.4, 0.6), (0.9, 0.05), (0.0, 1.0)):
-            params = BilinearParams(n=n, alpha=alpha, beta=beta, epsilon=0.1)
-            for cx1 in range(n + 1):
-                for cy1 in range(n + 1):
-                    for cx2 in range(n + 1):
-                        for cy2 in range(n + 1):
-                            a = dominates(vectors[cx1], vectors[cy1],
-                                          vectors[cx2], vectors[cy2], params)
-                            b = dominates_by_onecounts(cx1, cy1, cx2, cy2, params)
-                            mismatches += a != b
+        result = check_dominance_equivalence()  # n = 10, epsilon = 1/n
         elapsed = time.perf_counter() - start
-        assert mismatches == 0
+        assert result.passed, result.detail
+        assert "43923 quadruples verified across 3 games, 0 mismatches" in result.detail
         assert elapsed < 1.0, f"exhaustive check took {elapsed:.2f} s"
 
 
@@ -162,14 +151,9 @@ def test_criterion_05_selection_distribution_monte_carlo():
 
 def test_criterion_06_growth_inequalities_exact():
     with criterion(6, "selection growth inequalities hold by exact enumeration (cases 15-19)"):
-        params = BilinearParams(n=10, alpha=0.4, beta=0.6, epsilon=0.1)
-        for case, cfg in sorted(GROWTH_CHECK_CONFIGS.items()):
-            pops = paired_from_counts(cfg["pred"], cfg["prey"], 10)
-            report = check_growth_lemmas(
-                case, pops, params, k=cfg["k"], l=cfg["l"],
-                delta1=cfg.get("delta1"), rho=cfg.get("rho"))
-            assert report.hypotheses_met, (case, report.note)
-            assert report.passed, (case, report.ratio, report.bound)
+        result = check_growth_suite()  # n = 10, alpha = 0.4, beta = 0.6, epsilon = 0.1
+        assert result.passed, result.detail
+        assert result.detail.count("ratio=") == 5, result.detail
 
 
 def test_criterion_07_inequality_suite():

@@ -152,6 +152,14 @@ class TestSweepAndPlots:
         assert code == 0
         assert (tmp_path / "long.csv").exists()
 
+    def test_pilot_failure_exits_four(self, capsys, tmp_path):
+        # beta = 0 empties the target region, so no pilot run can hit
+        spec = self.write_spec(tmp_path, n=5, **{"lambda": 2}, beta=0.0, budget="pilot")
+        code, out, err = run_cli(capsys, "sweep", "--config", spec)
+        assert code == 4
+        assert err.startswith("error: pilot procedure failed")
+        assert "Traceback" not in err and out == ""
+
     def test_emit_plots_missing_input_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "emit-plots", "--in", str(tmp_path / "absent.csv"),

@@ -97,18 +97,48 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="budget"):
             parse_spec_file(str(cfg))
 
-    @pytest.mark.parametrize("value", ["1.5", "0", "abc"])
-    def test_bad_gamma0_fails_before_any_run(self, tmp_path, monkeypatch, capsys, value):
+    @pytest.mark.parametrize("lines, key, at_parse", [
+        pytest.param("gamma0 = 1.5", "gamma0", True, id="1.5"),
+        pytest.param("gamma0 = 0", "gamma0", True, id="0"),
+        pytest.param("gamma0 = abc", "gamma0", True, id="abc"),
+        pytest.param("trials = x", "trials", True, id="trials-x"),
+        pytest.param("trials = 2.5", "trials", True, id="trials-2.5"),
+        pytest.param("seed = x", "seed", True, id="seed-x"),
+        pytest.param("seed = 2.5", "seed", True, id="seed-2.5"),
+        pytest.param("delta = abc", "delta", True, id="delta-abc"),
+        # the first cell is valid, so its pilots would run before chi = 25 > n = 20
+        pytest.param("n = 20,30\nchi = 0.4,25", "chi", False, id="chi-above-n"),
+        pytest.param("beta = 0.05,1.5", "beta", False, id="beta-above-1"),
+        # a valid config, but no closed-form budget: the first cell's trials would run
+        pytest.param("chi = auto,0.3\nbudget = bound:1e-6", "chi", False, id="chi-without-bound"),
+    ])
+    def test_bad_gamma0_fails_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                             lines, key, at_parse):
         calls = []
         monkeypatch.setattr(harness, "run_trial", lambda *args, **kw: calls.append(args))
         cfg = tmp_path / "traj.txt"
         cfg.write_text("kind = trajectory\nn = 20\nlambda = 20\nchi = auto\n"
-                       f"budget = pilot\ngamma0 = {value}\n")
-        with pytest.raises(ValueError, match="gamma0"):
-            parse_spec_file(str(cfg))
+                       f"budget = pilot\n{lines}\n")
+        if at_parse:
+            with pytest.raises(ValueError, match=key):
+                parse_spec_file(str(cfg))
         assert main(["trajectory", "--config", str(cfg)]) == 1
-        assert "gamma0" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", True), ("trials", 2.5), ("master_seed", False), ("master_seed", "7"),
+        ("delta", None), ("delta", True),
+    ])
+    def test_non_numeric_scalars_rejected(self, field, value):
+        key = "seed" if field == "master_seed" else field
+        with pytest.raises(ValueError, match=key):
+            tiny_spec(**{field: value})
+
+    def test_unknown_kind_lists_the_kinds(self):
+        with pytest.raises(ValueError, match="sweep, runtime-scaling"):
+            tiny_spec(kind="scalingg")
+        assert tiny_spec(kind="sweep").kind == "sweep"
 
     def test_auto_chi_resolution(self):
         spec = tiny_spec(chi=("auto",), delta=0.01)

@@ -6,24 +6,20 @@ from coevo import (
     BilinearGame,
     BilinearParams,
     BitVector,
-    InteractionDistribution,
     PairedPopulations,
     PdcoeaConfig,
     PdcoeaDistribution,
     Population,
-    hamming,
-    mutate,
     ones,
-    pdcoea_interaction,
     run_trial,
-    select_pair,
     selection_slot_rates,
     singleton_target,
     spawn_stream,
     step_generation,
 )
+from coevo.core import popcount_rows
 from coevo.harness import paired_from_counts
-from coevo.pdcoea import _select_slots
+from coevo.pdcoea import _mutate_rows, _select_slots
 
 from conftest import count_vector
 
@@ -45,29 +41,62 @@ def game(fig_params):
     return BilinearGame(fig_params)
 
 
+def clones(v, lam):
+    """lam copies of v on both sides: selection is then the identity, so one
+    generation gives lam i.i.d. mutants of v per side."""
+    words = np.repeat(v.words[None, :], lam, axis=0)
+    return PairedPopulations(Population(words, v.n), Population(words, v.n))
+
+
+def dist_for(n, chi):
+    game = BilinearGame(BilinearParams(n=n, alpha=0.5, beta=0.5, epsilon=1.0 / n))
+    return PdcoeaDistribution(game, chi)
+
+
+def mutants(v, chi, rng, draws):
+    """The predator offspring of one generation over `draws` clones of v."""
+    return step_generation(clones(v, draws), dist_for(v.n, chi), rng).predators
+
+
+def convolution_pvalue(counts, n, a, chi):
+    """Chi-square p-value of offspring one-counts against the two-stage law
+    ones' = a - Bin(a, p) + Bin(n-a, p), p = chi/n."""
+    p = chi / n
+    draws = counts.size
+    observed = np.bincount(counts, minlength=n + 1)
+    pmf = np.zeros(n + 1)
+    for d1 in range(a + 1):
+        for d0 in range(n - a + 1):
+            pmf[a - d1 + d0] += (
+                scipy.stats.binom.pmf(d1, a, p) * scipy.stats.binom.pmf(d0, n - a, p))
+    keep = pmf * draws >= 5
+    obs = np.concatenate([observed[keep], [observed[~keep].sum()]])
+    exp = np.concatenate([pmf[keep], [pmf[~keep].sum()]]) * draws
+    _, pvalue = scipy.stats.chisquare(obs, exp * obs.sum() / exp.sum())
+    return pvalue
+
+
 class TestSelectPair:
     def test_identical_population_returns_the_clone(self, fig_params, game):
         member = count_vector(4, 10)
-        pops = PairedPopulations(
-            Population.from_bitvectors([member] * 5),
-            Population.from_bitvectors([member] * 5),
-        )
+        pops = clones(member, 5)
         rng = spawn_stream(31, 0)
         for _ in range(10):
-            x, y = select_pair(pops, game, rng)
-            assert x == member and y == member
+            pred_slots, prey_slots = _select_slots(pops, game, rng, 1)
+            assert pops.predators.member(pred_slots[0]) == member
+            assert pops.prey.member(prey_slots[0]) == member
 
     def test_forced_draws_first_pair_dominates(self, fig_params, game):
         # slots: predators (7, 8) ones, prey (2, 3) ones; (7,2) dominates (8,3)
         pops = paired_from_counts([7, 8], [2, 3], 10)
-        x, y = select_pair(pops, game, FakeRng([[0, 0, 1, 1]]))
-        assert (ones(x), ones(y)) == (7, 2)
+        pred_slots, prey_slots = _select_slots(pops, game, FakeRng([[0, 0, 1, 1]]), 1)
+        assert (pops.predators.ones[pred_slots[0]], pops.prey.ones[prey_slots[0]]) == (7, 2)
 
     def test_forced_draws_dominance_fails_second_wins(self, fig_params, game):
         # (7,2) does not dominate (8,1): the second pair wins the tie rule
         pops = paired_from_counts([7, 8], [2, 1], 10)
-        x, y = select_pair(pops, game, FakeRng([[0, 0, 1, 1]]))
-        assert (ones(x), ones(y)) == (8, 1)
+        pred_slots, prey_slots = _select_slots(pops, game, FakeRng([[0, 0, 1, 1]]), 1)
+        assert (pops.predators.ones[pred_slots[0]], pops.prey.ones[prey_slots[0]]) == (8, 1)
 
     def test_generic_oracle_path_matches_counts_path(self, fig_params, game):
         class PairOracle:
@@ -89,96 +118,73 @@ class TestSelectPair:
 class TestMutate:
     def test_chi_zero_is_identity(self):
         v = count_vector(5, 12)
-        assert mutate(v, 0.0, spawn_stream(32, 0)) == v
+        assert np.array_equal(mutants(v, 0.0, spawn_stream(32, 0), 20).words,
+                              clones(v, 20).predators.words)
 
     def test_chi_n_is_complement(self):
         v = count_vector(5, 12)
-        assert mutate(v, 12.0, spawn_stream(32, 1)) == v.complement()
+        assert np.array_equal(mutants(v, 12.0, spawn_stream(32, 1), 20).words,
+                              clones(v.complement(), 20).predators.words)
 
     def test_input_unmodified(self):
         v = count_vector(5, 12)
-        before = v.words.copy()
-        mutate(v, 6.0, spawn_stream(32, 2))
-        assert np.array_equal(v.words, before)
+        pops = clones(v, 20)
+        before = pops.predators.words.copy(), pops.prey.words.copy()
+        step_generation(pops, dist_for(12, 6.0), spawn_stream(32, 2))
+        assert np.array_equal(pops.predators.words, before[0])
+        assert np.array_equal(pops.prey.words, before[1])
 
     def test_chi_out_of_range(self):
-        with pytest.raises(ValueError):
-            mutate(count_vector(1, 4), 4.5, spawn_stream(1, 0))
+        with pytest.raises(ValueError, match="chi"):
+            mutants(count_vector(1, 4), 4.5, spawn_stream(1, 0), 3)
+        with pytest.raises(ValueError, match="chi"):
+            mutants(count_vector(1, 4), -0.5, spawn_stream(1, 0), 3)
 
     def test_mean_flip_count_chi_one(self):
         n, draws = 100, 10**5
-        rng = spawn_stream(33, 0)
         parent = count_vector(40, n)
-        total = sum(hamming(parent, mutate(parent, 1.0, rng)) for _ in range(draws))
-        assert 0.97 <= total / draws <= 1.03
+        children = mutants(parent, 1.0, spawn_stream(33, 0), draws)
+        flips = popcount_rows(children.words ^ parent.words[None, :])
+        assert 0.97 <= flips.mean() <= 1.03
 
     def test_offspring_count_distribution_matches_convolution(self):
-        # two-stage law: ones' = a - Bin(a, p) + Bin(n-a, p)
         n, a, chi, draws = 10, 4, 2.0, 10**5
-        p = chi / n
-        rng = spawn_stream(34, 0)
-        parent = count_vector(a, n)
-        observed = np.bincount(
-            [ones(mutate(parent, chi, rng)) for _ in range(draws)], minlength=n + 1)
-        pmf = np.zeros(n + 1)
-        for d1 in range(a + 1):
-            for d0 in range(n - a + 1):
-                pmf[a - d1 + d0] += (
-                    scipy.stats.binom.pmf(d1, a, p) * scipy.stats.binom.pmf(d0, n - a, p))
-        keep = pmf * draws >= 5
-        obs = np.concatenate([observed[keep], [observed[~keep].sum()]])
-        exp = np.concatenate([pmf[keep], [pmf[~keep].sum()]]) * draws
-        _, pvalue = scipy.stats.chisquare(obs, exp * obs.sum() / exp.sum())
-        assert pvalue >= 1e-3
+        children = mutants(count_vector(a, n), chi, spawn_stream(34, 0), draws)
+        assert convolution_pvalue(children.ones, n, a, chi) >= 1e-3
 
 
 class TestInteraction:
     def test_chi_zero_singletons_fixed_point(self, fig_params, game):
         pops = paired_from_counts([3], [7], 10)
-        x, y = pdcoea_interaction(pops, game, 0.0, spawn_stream(35, 0))
-        assert ones(x) == 3 and ones(y) == 7
+        child = step_generation(pops, PdcoeaDistribution(game, 0.0), spawn_stream(35, 0))
+        assert child.predators.ones[0] == 3 and child.prey.ones[0] == 7
 
     def test_deterministic_given_stream(self, fig_params, game):
         pops = paired_from_counts([3, 6, 2], [7, 1, 5], 10)
-        a = pdcoea_interaction(pops, game, 0.8, spawn_stream(36, 4))
-        b = pdcoea_interaction(pops, game, 0.8, spawn_stream(36, 4))
-        assert a[0] == b[0] and a[1] == b[1]
+        dist = PdcoeaDistribution(game, 0.8)
+        a = step_generation(pops, dist, spawn_stream(36, 4))
+        b = step_generation(pops, dist, spawn_stream(36, 4))
+        assert np.array_equal(a.predators.words, b.predators.words)
+        assert np.array_equal(a.prey.words, b.prey.words)
 
-    def test_singleton_offspring_law_through_interaction(self, fig_params, game):
-        # selection is the identity on singletons; offspring counts follow the
-        # same two-stage binomial convolution as mutate
+    def test_singleton_offspring_law_through_interaction(self):
+        # selection is the identity on clones; offspring counts follow the
+        # two-stage binomial convolution
         n, a, chi, draws = 8, 3, 1.5, 4 * 10**4
-        params = BilinearParams(n=n, alpha=0.5, beta=0.5, epsilon=0.125)
-        pops = paired_from_counts([a], [a], n)
-        rng = spawn_stream(37, 0)
-        p = chi / n
-        observed = np.zeros(n + 1)
-        for _ in range(draws):
-            x, _ = pdcoea_interaction(pops, BilinearGame(params), chi, rng)
-            observed[ones(x)] += 1
-        pmf = np.zeros(n + 1)
-        for d1 in range(a + 1):
-            for d0 in range(n - a + 1):
-                pmf[a - d1 + d0] += (
-                    scipy.stats.binom.pmf(d1, a, p) * scipy.stats.binom.pmf(d0, n - a, p))
-        keep = pmf * draws >= 5
-        obs = np.concatenate([observed[keep], [observed[~keep].sum()]])
-        exp = np.concatenate([pmf[keep], [pmf[~keep].sum()]]) * draws
-        _, pvalue = scipy.stats.chisquare(obs, exp * obs.sum() / exp.sum())
-        assert pvalue >= 1e-3
-
-
-class IdentityDistribution(InteractionDistribution):
-    def sample(self, pops, rng):
-        return pops.predators.member(0), pops.prey.member(0)
+        children = mutants(count_vector(a, n), chi, spawn_stream(37, 0), draws)
+        assert convolution_pvalue(children.ones, n, a, chi) >= 1e-3
 
 
 class TestStepGeneration:
-    def test_identity_distribution_keeps_singletons(self, fig_params):
-        pops = paired_from_counts([4], [9], 10)
-        child = step_generation(pops, IdentityDistribution(), spawn_stream(38, 0))
-        assert child.predators.member(0) == pops.predators.member(0)
-        assert child.prey.member(0) == pops.prey.member(0)
+    def test_draw_order_slots_then_predator_then_prey_mutation(self, fig_params, game):
+        pops = paired_from_counts([3, 6, 2, 9], [7, 1, 5, 0], 10)
+        child = step_generation(pops, PdcoeaDistribution(game, 1.5), spawn_stream(38, 0))
+        rng = spawn_stream(38, 0)
+        pred_slots, prey_slots = _select_slots(pops, game, rng, pops.lam)
+        pred = _mutate_rows(pops.predators.words[pred_slots].copy(), 10, 1.5, rng)
+        prey = _mutate_rows(pops.prey.words[prey_slots].copy(), 10, 1.5, rng)
+        assert np.array_equal(child.predators.words, pred)
+        assert np.array_equal(child.prey.words, prey)
 
     def test_generation_increments(self, fig_params, game):
         pops = paired_from_counts([4, 5], [9, 2], 10)
