@@ -169,28 +169,40 @@ def uniform_bitvector(n: int, rng: RandomStream) -> BitVector:
 
 
 class Population:
-    """An array of lambda genomes of common length n.
+    """An array of lambda members of common genome length n.
 
-    Stores the packed word matrix plus cached per-member one-counts; both
-    arrays are read-only, so populations are safe to share across threads.
+    The state is the read-only vector of per-member one-counts, which is all
+    the bilinear game and the shipped targets depend on.  A population built
+    from bits (`uniform`, `from_bitvectors`, a word matrix) also keeps the
+    packed read-only word matrix; a count-only population, built as
+    `Population(None, n, counts)`, has `words = None` and no genomes.
     """
 
     __slots__ = ("words", "ones", "n", "lam")
 
-    def __init__(self, words: np.ndarray, n: int, ones_counts=None):
-        words = np.asarray(words, dtype=_U64)
-        if words.ndim != 2 or words.shape[0] < 1:
-            raise ValueError("population needs a (lambda, nwords) word matrix with lambda >= 1")
-        if words.shape[1] != words_for(n):
-            raise ValueError(f"expected {words_for(n)} words per member for n={n}")
-        words = np.ascontiguousarray(words)
-        words.setflags(write=False)
-        self.words = words
-        self.n = int(n)
-        self.lam = int(words.shape[0])
-        counts = popcount_rows(words) if ones_counts is None else np.asarray(ones_counts, dtype=np.int64)
+    def __init__(self, words, n: int, ones_counts=None):
+        if words is None:
+            if ones_counts is None:
+                raise ValueError("a count-only population needs its one-counts")
+            counts = np.asarray(ones_counts, dtype=np.int64)
+            if counts.ndim != 1 or counts.shape[0] < 1:
+                raise ValueError("population needs a 1-d one-count vector with lambda >= 1")
+        else:
+            if ones_counts is not None:
+                raise ValueError("give a word matrix or one-counts, not both")
+            words = np.asarray(words, dtype=_U64)
+            if words.ndim != 2 or words.shape[0] < 1:
+                raise ValueError("population needs a (lambda, nwords) word matrix with lambda >= 1")
+            if words.shape[1] != words_for(n):
+                raise ValueError(f"expected {words_for(n)} words per member for n={n}")
+            words = np.ascontiguousarray(words)
+            words.setflags(write=False)
+            counts = popcount_rows(words)
         counts.setflags(write=False)
+        self.words = words
         self.ones = counts
+        self.n = int(n)
+        self.lam = int(counts.shape[0])
 
     @classmethod
     def uniform(cls, lam: int, n: int, rng: RandomStream) -> "Population":
@@ -210,6 +222,8 @@ class Population:
         return cls(np.stack([m.words for m in members]), n)
 
     def member(self, i: int) -> BitVector:
+        if self.words is None:
+            raise ValueError("count-only population: member genomes are not stored")
         return BitVector(self.words[i], self.n)
 
     def __len__(self):

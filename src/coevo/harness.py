@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -56,6 +57,10 @@ CSV_COLUMNS = (
     "kind", "n", "lambda", "chi", "alpha", "beta", "epsilon", "delta", "r",
     "trial", "seed", "hit", "T_interactions", "generations", "wall_ms",
 )
+
+# spec-file key -> ExperimentSpec field of every grid
+SPEC_GRIDS = {"n": "n", "lambda": "lam", "chi": "chi", "alpha": "alpha",
+              "beta": "beta", "epsilon": "epsilon", "r": "r"}
 
 EXPERIMENT_KINDS = (
     "sweep", "runtime-scaling", "error-threshold", "trajectory", "lemma-checks", "bound-table",
@@ -101,6 +106,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown target {self.target!r}")
         if not _is_number(self.gamma0) or not 0.0 < self.gamma0 < 1.0:
             raise ValueError(f"gamma0 must be a number in (0, 1), got {self.gamma0!r}")
+        for key, attr in SPEC_GRIDS.items():
+            _check_grid(key, getattr(self, attr))
         object.__setattr__(self, "budget", _check_budget(self.budget))
 
 
@@ -109,7 +116,20 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_grid(key: str, values) -> None:
+    """Grid values are numbers (chi may be "auto"); n and lambda are whole
+    numbers, so `n = 20.7` is rejected rather than run as n = 20."""
+    for value in values:
+        if key == "chi" and value == "auto":
+            continue
+        if not _is_number(value):
+            expected = "a number or 'auto'" if key == "chi" else "a number"
+            raise ValueError(f"{key} must be {expected}, got {value!r}")
+        if key in ("n", "lambda") and not (math.isfinite(value) and value == int(value)):
+            raise ValueError(f"{key} must be a whole number, got {value!r}")
 
 
 def _check_budget(budget):
@@ -173,8 +193,6 @@ def parse_spec_file(path: str) -> ExperimentSpec:
     Keys: kind, n, lambda, chi, delta, alpha, beta, epsilon, r, trials,
     seed, budget, target, gamma0, out.
     """
-    grids = {"n": "n", "lambda": "lam", "chi": "chi", "alpha": "alpha",
-             "beta": "beta", "epsilon": "epsilon", "r": "r"}
     scalars = {"kind": "kind", "delta": "delta", "trials": "trials",
                "seed": "master_seed", "target": "target", "gamma0": "gamma0", "out": "out"}
     kwargs = {}
@@ -186,8 +204,8 @@ def parse_spec_file(path: str) -> ExperimentSpec:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key in grids:
-                kwargs[grids[key]] = tuple(_parse_value(v) for v in value.split(","))
+            if key in SPEC_GRIDS:
+                kwargs[SPEC_GRIDS[key]] = tuple(_parse_value(v) for v in value.split(","))
             elif key in scalars:
                 kwargs[scalars[key]] = _parse_value(value)
             elif key == "budget":

@@ -5,6 +5,10 @@ i.i.d. given the current state: each pair comes from two uniform
 predator-prey pairs, keeping the dominating one (second pair on failure),
 and mutating both members by independent bit flips with probability chi/n.
 `step_generation` is the only sampler; it draws all lambda pairs at once.
+Since the payoff, the dominance relation and the shipped targets see a
+genome only through its one-count, the engine evolves one-counts: the pair
+of one-count vectors is an exact lumping of the process, and mutation moves
+a count by the exact law of the bit flips.
 
 Runtime is counted in interactions: a run that first satisfies the target
 predicate at generation t reports T = t * lambda, and the predicate is
@@ -13,6 +17,7 @@ checked before any offspring are produced, so T = 0 hits are possible.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -25,11 +30,10 @@ from .core import (
     PairedPopulations,
     Population,
     RandomStream,
+    ones,
     paired_uniform,
     spawn_stream,
 )
-
-_U64 = np.uint64
 
 
 # ---------------------------------------------------------------------------
@@ -71,27 +75,64 @@ def _select_slots(pops: PairedPopulations, oracle, rng: RandomStream, count: int
 # Mutation
 # ---------------------------------------------------------------------------
 
-def _mutate_rows(words: np.ndarray, n: int, chi: float, rng: RandomStream) -> np.ndarray:
-    """Batch mutation of a writable (rows, nwords) word matrix, in place.
+# The offspring law is tabulated as (n+1)^2 int64 thresholds (34 MB at
+# MAX_N); a uniform's 53 random bits give the sampler exact integers on
+# [0, _SCALE), and every table entry stays below (MAX_N + 1) * _SCALE < 2**63.
+MAX_N = 2048
+_SCALE = 1 << 50
 
-    Per row: flip count ~ Binomial(n, chi/n), positions = the count smallest
-    of n i.i.d. uniforms (a uniform random subset of that size).  The draw
-    order is fixed (counts, then one uniform block) so runs are reproducible.
+
+def _offspring_cdf(n: int, chi: float) -> np.ndarray:
+    """(n+1, n+1) table whose row c is the CDF of the offspring one-count.
+
+    Flipping each of n bits with probability p = chi/n takes a parent with c
+    ones to c - Bin(c, p) + Bin(n - c, p) ones.  Binomial pmf rows come from
+    the Pascal recurrence; each offspring row is one convolution of the
+    reversed loss pmf with the gain pmf.  Rows are normalised so they end at
+    exactly 1.
     """
-    rows = words.shape[0]
-    counts = rng.binomial(n, chi / n, size=rows)
-    nz = np.nonzero(counts)[0]
-    if nz.size:
-        u = rng.random((nz.size, n))
-        order = np.argsort(u, axis=1)
-        take = counts[nz]
-        keep = np.arange(n) < take[:, None]
-        flat_rows = np.repeat(nz, take)
-        flat_pos = order[keep]
-        np.bitwise_xor.at(
-            words, (flat_rows, flat_pos >> 6), _U64(1) << (flat_pos & 63).astype(_U64)
-        )
-    return words
+    p = chi / n
+    binom = np.zeros((n + 1, n + 1))  # binom[k, j] = P(Bin(k, p) = j)
+    binom[0, 0] = 1.0
+    for k in range(1, n + 1):
+        binom[k, : k + 1] = (1.0 - p) * binom[k - 1, : k + 1]
+        binom[k, 1 : k + 1] += p * binom[k - 1, :k]
+    pmf = np.array([np.convolve(binom[c, c::-1], binom[n - c, : n - c + 1])
+                    for c in range(n + 1)])
+    cdf = np.cumsum(pmf, axis=1)
+    return cdf / cdf[:, -1:]
+
+
+@functools.lru_cache(maxsize=8)
+def _offspring_table(n: int, chi: float) -> np.ndarray:
+    """The offspring law as one sorted, read-only int64 array.
+
+    Entry c*(n+1) + j is c*_SCALE + round(_SCALE * CDF_c(j)).  For a parent
+    count c and an integer r uniform on [0, _SCALE), the first entry above
+    c*_SCALE + r lies in row c, at column j = the offspring count:
+    inverse-CDF sampling of every row through one `searchsorted`.  A count
+    whose probability rounds to zero, in particular an impossible one, has
+    the threshold of its predecessor and is never drawn.
+    """
+    if n > MAX_N:
+        raise ValueError(f"n must be <= MAX_N = {MAX_N} (the offspring table has "
+                         f"(n+1)^2 entries), got {n}")
+    thresholds = np.rint(_offspring_cdf(n, chi) * _SCALE).astype(np.int64)
+    table = (thresholds + np.arange(n + 1, dtype=np.int64)[:, None] * _SCALE).ravel()
+    table.setflags(write=False)
+    return table
+
+
+def _mutate_counts(counts: np.ndarray, n: int, chi: float, rng: RandomStream) -> np.ndarray:
+    """Offspring one-counts of `counts` under bitwise mutation at rate chi/n.
+
+    One uniform per entry, in order: a uniform is k / 2**53 for a uniform
+    integer k, so truncating its product with _SCALE = 2**50 is an exact
+    uniform integer on [0, _SCALE).
+    """
+    draws = (rng.random(counts.shape[0]) * _SCALE).astype(np.int64)
+    keys = counts * _SCALE + draws
+    return np.searchsorted(_offspring_table(n, chi), keys, side="right") % (n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -112,18 +153,25 @@ def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
 
     Offspring slot i of the predator and prey populations come from the same
     interaction (they may be dependent); distinct slots are independent.
-    Draw order: the 4*lambda selection slots, then the predators' mutation
-    draws, then the prey's.
+    The offspring are count-only populations: mutation moves each selected
+    one-count by the exact law of independent bit flips (`_offspring_table`),
+    which is exact for any oracle and target that see genomes only through
+    their one-counts, so the oracle must provide `dominates_counts`.
+    Draw order: the 4*lambda selection slots, then 2*lambda mutation draws,
+    the predators' first.
     """
     n = pops.n
     if not 0.0 <= dist.chi <= n:
         raise ValueError(f"chi must be in [0, n] = [0, {n}], got {dist.chi}")
-    pred_slots, prey_slots = _select_slots(pops, dist.oracle, rng, pops.lam)
-    pred_words = pops.predators.words[pred_slots].copy()
-    prey_words = pops.prey.words[prey_slots].copy()
-    _mutate_rows(pred_words, n, dist.chi, rng)
-    _mutate_rows(prey_words, n, dist.chi, rng)
-    return PairedPopulations(Population(pred_words, n), Population(prey_words, n),
+    if not hasattr(dist.oracle, "dominates_counts"):
+        raise TypeError("step_generation evolves one-counts only and needs an oracle "
+                        "with dominates_counts(cx1, cy1, cx2, cy2)")
+    lam = pops.lam
+    pred_slots, prey_slots = _select_slots(pops, dist.oracle, rng, lam)
+    parents = np.concatenate((pops.predators.ones[pred_slots], pops.prey.ones[prey_slots]))
+    children = _mutate_counts(parents, n, dist.chi, rng)
+    return PairedPopulations(Population(None, n, children[:lam]),
+                             Population(None, n, children[lam:]),
                              generation=pops.generation + 1)
 
 
@@ -132,11 +180,24 @@ def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
 # ---------------------------------------------------------------------------
 
 def singleton_target(x_star: BitVector, y_star: BitVector):
-    """Predicate: both populations contain the given genomes exactly."""
+    """Predicate: both populations contain the given genomes exactly.
+
+    When both genomes are all-zeros or all-ones the predicate compares
+    one-counts, which is exact since a count of 0 or n names one genome; any
+    other target needs genomes and rejects a count-only population.
+    """
+    by_count = all(ones(v) in (0, v.n) for v in (x_star, y_star))
+    cx_star, cy_star = ones(x_star), ones(y_star)
 
     def predicate(pops: PairedPopulations) -> bool:
         if pops.n != x_star.n or pops.n != y_star.n:
             raise ValueError("target genome length does not match populations")
+        if by_count:
+            pred_hit = bool((pops.predators.ones == cx_star).any())
+            return pred_hit and bool((pops.prey.ones == cy_star).any())
+        if pops.predators.words is None or pops.prey.words is None:
+            raise ValueError("singleton target other than all-zeros/all-ones needs genomes, "
+                             "but the population is count-only")
         pred_hit = bool(np.all(pops.predators.words == x_star.words, axis=1).any())
         return pred_hit and bool(np.all(pops.prey.words == y_star.words, axis=1).any())
 
@@ -185,6 +246,9 @@ class PdcoeaConfig:
     def __post_init__(self):
         if self.lam < 1:
             raise ValueError(f"lambda must be >= 1, got {self.lam}")
+        if self.n > MAX_N:
+            raise ValueError(f"n must be <= MAX_N = {MAX_N} (the offspring table has "
+                             f"(n+1)^2 entries), got {self.n}")
         if not 0.0 < self.chi <= self.n:
             raise ValueError(f"chi must be in (0, n] = (0, {self.n}], got {self.chi}")
         if self.budget_generations < 1:

@@ -160,6 +160,22 @@ class TestSweepAndPlots:
         assert err.startswith("error: pilot procedure failed")
         assert "Traceback" not in err and out == ""
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", "20.7"), ("lambda", "10.5"), ("n", "15,abc"), ("n", "abc"),
+        ("chi", "x"), ("alpha", "y"), ("n", "15,3000"),
+    ])
+    def test_bad_grid_value_fails_before_any_run(self, capsys, tmp_path, monkeypatch,
+                                                 key, value):
+        from coevo import harness
+
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args, **kw: calls.append(args))
+        spec = self.write_spec(tmp_path, budget="pilot", **{key: value})
+        code, out, err = run_cli(capsys, "sweep", "--config", spec)
+        assert code == 1
+        assert err.startswith(f"error: {key} must be") and "Traceback" not in err
+        assert out == "" and calls == []
+
     def test_emit_plots_missing_input_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "emit-plots", "--in", str(tmp_path / "absent.csv"),

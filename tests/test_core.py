@@ -168,6 +168,17 @@ class TestPopulations:
         recomputed = [int(pop.member(i).bits().sum()) for i in range(9)]
         assert list(pop.ones) == recomputed
 
+    def test_count_only_population(self):
+        pop = Population(None, 10, [3, 0, 10])
+        assert pop.words is None and pop.lam == 3 and list(pop.ones) == [3, 0, 10]
+        assert not pop.ones.flags.writeable
+        with pytest.raises(ValueError, match="count-only"):
+            pop.member(0)
+        with pytest.raises(ValueError):
+            Population(None, 10)
+        with pytest.raises(ValueError):
+            Population(None, 10, [])
+
     def test_from_bitvectors_length_mismatch(self):
         with pytest.raises(ValueError):
             Population.from_bitvectors([BitVector.zeros(4), BitVector.zeros(5)])

@@ -103,8 +103,8 @@ class TestCurrentLevel:
         best = 1
         for j in range(1, seq.m + 1):
             a, b = seq[j]
-            in_a = sum(a.contains(ones(pops.predators.member(i))) for i in range(pops.lam))
-            in_b = sum(b.contains(ones(pops.prey.member(i))) for i in range(pops.lam))
+            in_a = sum(a.contains(pops.predators.ones[i]) for i in range(pops.lam))
+            in_b = sum(b.contains(pops.prey.ones[i]) for i in range(pops.lam))
             if in_a * in_b >= gamma0 * pops.lam**2:
                 best = j
         return best

@@ -10,6 +10,8 @@ from coevo import (
     PdcoeaConfig,
     PdcoeaDistribution,
     Population,
+    bilinear_target,
+    derive_seed,
     ones,
     run_trial,
     selection_slot_rates,
@@ -17,10 +19,10 @@ from coevo import (
     spawn_stream,
     step_generation,
 )
-from coevo.core import popcount_rows
 from coevo.harness import paired_from_counts
-from coevo.pdcoea import _mutate_rows, _select_slots
+from coevo.pdcoea import _SCALE, MAX_N, _offspring_cdf, _offspring_table, _select_slots
 
+from bit_reference import reference_hit_generation
 from conftest import count_vector
 
 
@@ -118,13 +120,11 @@ class TestSelectPair:
 class TestMutate:
     def test_chi_zero_is_identity(self):
         v = count_vector(5, 12)
-        assert np.array_equal(mutants(v, 0.0, spawn_stream(32, 0), 20).words,
-                              clones(v, 20).predators.words)
+        assert np.array_equal(mutants(v, 0.0, spawn_stream(32, 0), 20).ones, np.full(20, 5))
 
     def test_chi_n_is_complement(self):
         v = count_vector(5, 12)
-        assert np.array_equal(mutants(v, 12.0, spawn_stream(32, 1), 20).words,
-                              clones(v.complement(), 20).predators.words)
+        assert np.array_equal(mutants(v, 12.0, spawn_stream(32, 1), 20).ones, np.full(20, 12 - 5))
 
     def test_input_unmodified(self):
         v = count_vector(5, 12)
@@ -141,11 +141,10 @@ class TestMutate:
             mutants(count_vector(1, 4), -0.5, spawn_stream(1, 0), 3)
 
     def test_mean_flip_count_chi_one(self):
-        n, draws = 100, 10**5
-        parent = count_vector(40, n)
-        children = mutants(parent, 1.0, spawn_stream(33, 0), draws)
-        flips = popcount_rows(children.words ^ parent.words[None, :])
-        assert 0.97 <= flips.mean() <= 1.03
+        # E[c'] = c + chi*(n - 2c)/n = 40.2; the bound is about 10 standard errors
+        n, draws, chi = 100, 10**5, 1.0
+        children = mutants(count_vector(40, n), chi, spawn_stream(33, 0), draws)
+        assert abs(children.ones.mean() - (40 + chi * (n - 2 * 40) / n)) <= 0.03
 
     def test_offspring_count_distribution_matches_convolution(self):
         n, a, chi, draws = 10, 4, 2.0, 10**5
@@ -164,8 +163,8 @@ class TestInteraction:
         dist = PdcoeaDistribution(game, 0.8)
         a = step_generation(pops, dist, spawn_stream(36, 4))
         b = step_generation(pops, dist, spawn_stream(36, 4))
-        assert np.array_equal(a.predators.words, b.predators.words)
-        assert np.array_equal(a.prey.words, b.prey.words)
+        assert np.array_equal(a.predators.ones, b.predators.ones)
+        assert np.array_equal(a.prey.ones, b.prey.ones)
 
     def test_singleton_offspring_law_through_interaction(self):
         # selection is the identity on clones; offspring counts follow the
@@ -177,20 +176,41 @@ class TestInteraction:
 
 class TestStepGeneration:
     def test_draw_order_slots_then_predator_then_prey_mutation(self, fig_params, game):
+        # 4*lambda slot integers, then one uniform per offspring (predators
+        # first), each read through its parent's row of the tabulated CDF
         pops = paired_from_counts([3, 6, 2, 9], [7, 1, 5, 0], 10)
-        child = step_generation(pops, PdcoeaDistribution(game, 1.5), spawn_stream(38, 0))
+        stream = spawn_stream(38, 0)
+        child = step_generation(pops, PdcoeaDistribution(game, 1.5), stream)
         rng = spawn_stream(38, 0)
         pred_slots, prey_slots = _select_slots(pops, game, rng, pops.lam)
-        pred = _mutate_rows(pops.predators.words[pred_slots].copy(), 10, 1.5, rng)
-        prey = _mutate_rows(pops.prey.words[prey_slots].copy(), 10, 1.5, rng)
-        assert np.array_equal(child.predators.words, pred)
-        assert np.array_equal(child.prey.words, prey)
+        rows = _offspring_table(10, 1.5).reshape(11, 11) - np.arange(11)[:, None] * _SCALE
+        draws = (rng.random(2 * pops.lam) * _SCALE).astype(np.int64)
+        parents = list(pops.predators.ones[pred_slots]) + list(pops.prey.ones[prey_slots])
+        expected = [int(np.searchsorted(rows[c], r, side="right")) for c, r in zip(parents, draws)]
+        assert list(child.predators.ones) + list(child.prey.ones) == expected
+        assert stream.integers(0, 2**62) == rng.integers(0, 2**62)  # no further draws
 
     def test_generation_increments(self, fig_params, game):
         pops = paired_from_counts([4, 5], [9, 2], 10)
         child = step_generation(pops, PdcoeaDistribution(game, 0.5), spawn_stream(38, 1))
         assert child.generation == pops.generation + 1
         assert child.lam == pops.lam and child.n == pops.n
+
+    def test_oracle_without_counts_route_rejected(self, fig_params):
+        class PairOracle:
+            def dominates(self, x1, y1, x2, y2):
+                return True
+
+        pops = paired_from_counts([4, 5], [9, 2], 10)
+        with pytest.raises(TypeError, match="dominates_counts"):
+            step_generation(pops, PdcoeaDistribution(PairOracle(), 0.5), spawn_stream(38, 2))
+
+    def test_offspring_are_count_only(self, fig_params, game):
+        pops = paired_from_counts([4, 5], [9, 2], 10)
+        child = step_generation(pops, PdcoeaDistribution(game, 0.5), spawn_stream(38, 3))
+        assert child.predators.words is None and child.prey.words is None
+        with pytest.raises(ValueError, match="count-only"):
+            child.predators.member(0)
 
     def test_offspring_fraction_matches_exact_enumeration(self, fig_params, game):
         # chi = 0 and two clone blocks, one strictly dominating: the offspring
@@ -232,7 +252,8 @@ class TestStepGeneration:
         pops = paired_from_counts([0, 10, 5], [5, 0, 10], 10)
         for chi in (0.01, 1.0, 9.5, 10.0):
             child = step_generation(pops, PdcoeaDistribution(game, chi), spawn_stream(41, 0))
-            assert child.n == 10 and child.predators.words.shape == pops.predators.words.shape
+            assert child.n == 10 and child.predators.ones.shape == pops.predators.ones.shape
+            assert child.prey.ones.shape == pops.prey.ones.shape
 
 
 class TestReproductiveRate:
@@ -342,3 +363,74 @@ class TestSingletonTarget:
         target = singleton_target(count_vector(1, 5), count_vector(1, 5))
         with pytest.raises(ValueError):
             target(paired_from_counts([1], [1], 6))
+
+    def test_all_zeros_and_all_ones_compare_counts(self):
+        # a count of 0 or n names one genome, so count-only states are exact
+        target = singleton_target(BitVector.zeros(6), BitVector.all_ones(6))
+        counts = lambda pred, prey: PairedPopulations(
+            Population(None, 6, pred), Population(None, 6, prey))
+        assert target(counts([3, 0], [6, 2]))
+        assert not target(counts([3, 1], [6, 2]))
+        assert not target(counts([0, 0], [5, 0]))
+        assert target(paired_from_counts([0, 4], [2, 6], 6))
+
+    def test_other_targets_need_genomes(self):
+        target = singleton_target(count_vector(2, 6), count_vector(4, 6))
+        with pytest.raises(ValueError, match="count-only"):
+            target(PairedPopulations(Population(None, 6, [2, 5]), Population(None, 6, [4, 0])))
+
+
+def scipy_offspring_cdf(n, c, chi):
+    """CDF of c - Bin(c, p) + Bin(n - c, p), p = chi/n, by scipy convolution."""
+    p = chi / n
+    loss = scipy.stats.binom.pmf(np.arange(c + 1), c, p)
+    gain = scipy.stats.binom.pmf(np.arange(n - c + 1), n - c, p)
+    return np.cumsum(np.convolve(loss[::-1], gain))
+
+
+class TestOffspringLaw:
+    @pytest.mark.parametrize("n", [8, 50, 100])
+    def test_tabulated_cdf_rows_match_scipy(self, n):
+        for chi in (0.0, 0.05, 1.4, float(n)):
+            table = _offspring_table(n, chi).reshape(n + 1, n + 1)
+            sampled = (table - np.arange(n + 1)[:, None] * _SCALE) / _SCALE
+            cdf = _offspring_cdf(n, chi)
+            for c in range(n + 1):
+                want = scipy_offspring_cdf(n, c, chi)
+                assert np.abs(cdf[c] - want).max() <= 1e-12, (n, chi, c)
+                assert np.abs(sampled[c] - want).max() <= 1e-12, (n, chi, c)
+
+    def test_table_is_sorted_and_cached_read_only(self):
+        table = _offspring_table(50, 0.7)
+        assert np.all(np.diff(table) >= 0) and table[-1] == 51 * _SCALE
+        assert (MAX_N + 1) * _SCALE < 2**63 and _SCALE <= 2**53
+        assert not table.flags.writeable
+        assert _offspring_table(50, 0.7) is table
+
+    def test_genome_length_above_the_table_limit_rejected(self):
+        # checked before any allocation, so no large table is built here
+        with pytest.raises(ValueError, match="MAX_N"):
+            _offspring_table(MAX_N + 1, 1.0)
+
+    @pytest.mark.parametrize("cell", ["bilinear", "singleton"])
+    def test_hit_times_match_bit_level_reference(self, cell):
+        # the one-count engine against the bit-level reference engine: two
+        # independent samples of hit generations, Kolmogorov-Smirnov
+        if cell == "bilinear":
+            game = BilinearParams(n=20, alpha=0.9, beta=0.2, epsilon=0.1)
+            lam, chi, target = 10, 0.5, bilinear_target(game)
+        else:
+            game = BilinearParams(n=8, alpha=1.0, beta=0.125, epsilon=0.125)
+            lam, chi = 20, 0.2
+            target = singleton_target(BitVector.zeros(8), BitVector.all_ones(8))
+        budget, trials = 3000, 200
+
+        def cfg(seed):
+            return PdcoeaConfig(lam=lam, chi=chi, n=game.n, seed=seed, budget_generations=budget,
+                                game=game, target=target, record_trajectory=False)
+
+        engine = [run_trial(cfg(derive_seed(61, i))).generations_run for i in range(trials)]
+        reference = [reference_hit_generation(cfg(derive_seed(62, i)), target)
+                     for i in range(trials)]
+        reference = [budget if g is None else g for g in reference]
+        assert scipy.stats.ks_2samp(engine, reference).pvalue >= 1e-3
