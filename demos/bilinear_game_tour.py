@@ -12,12 +12,12 @@ import numpy as np
 
 from coevo import (
     BilinearParams,
+    BitVector,
     dominates_by_onecounts,
     intransitivity_witness,
     payoff_by_onecounts,
     worst_case_f,
 )
-from coevo.harness import population_from_counts
 
 params = BilinearParams(n=10, alpha=0.4, beta=0.6, epsilon=0.1)
 print(f"game: n={params.n}, alpha={params.alpha}, beta={params.beta}")
@@ -29,10 +29,10 @@ for cx in range(params.n + 1):
     print("  " + " ".join(f"{v:6.0f}" for v in row))
 
 print("\nworst-case value f(x) = min_y payoff(x, y) by predator one-count:")
-pop = population_from_counts(range(params.n + 1), params.n)
 for c in range(params.n + 1):
-    bar = "#" * int((worst_case_f(pop.member(c), params) + 60) / 3)
-    print(f"  ||x||={c:2d}  f={worst_case_f(pop.member(c), params):7.1f}  {bar}")
+    f = worst_case_f(BitVector.from_bits([1] * c + [0] * (params.n - c)), params)
+    bar = "#" * int((f + 60) / 3)
+    print(f"  ||x||={c:2d}  f={f:7.1f}  {bar}")
 print("the curve peaks at ||x|| = beta*n: the predator's maximin play.\n")
 
 print("dominance verdicts ((x1,y1) vs (x2,y2), one-counts):")

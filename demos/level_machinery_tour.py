@@ -25,7 +25,6 @@ from coevo import (
     eta_window,
     exact_selection_distribution,
     fraction_stats,
-    ones,
     reference_g1_g2,
     run_trial,
     level_process_bound,
@@ -58,7 +57,7 @@ pops = paired_from_counts([0, 1, 16, 19], [2, 3, 17, 18], 20)
 game = BilinearGame(params)
 stats = fraction_stats(pops, k=0, l=0, params=params)
 print(f"  p0={stats.p0} (predators below beta*n), q0={stats.q0} (prey at alpha*n or above)")
-prob = exact_selection_distribution(pops, game, lambda x, y: ones(x) < params.beta_n)
+prob = exact_selection_distribution(pops, game, lambda cx, cy: cx < params.beta_n)
 print(f"  P(selected predator lands below beta*n) = {prob} = {float(prob):.4f}")
 print("  (enumerates all lambda^4 = 256 equally likely draw outcomes)")
 

@@ -135,18 +135,15 @@ def _dominates_counts_arrays(cx1, cy1, cx2, cy2, params: BilinearParams):
 
 
 class BilinearGame:
-    """Dominance oracle for the bilinear payoff, pluggable into the engine.
+    """Dominance oracle for the bilinear payoff, as the engine calls it.
 
-    `dominates_counts` is the vectorised fast path the engine prefers when a
-    game's payoff is one-count determined; `dominates` is the generic pair
-    interface.
+    `dominates_counts` decides dominance for whole arrays of one-count
+    quadruples at once; the engine and the exact selection oracle need
+    nothing else, since populations store one-counts only.
     """
 
     def __init__(self, params: BilinearParams):
         self.params = params
-
-    def dominates(self, x1, y1, x2, y2) -> bool:
-        return dominates(x1, y1, x2, y2, self.params)
 
     def dominates_counts(self, cx1, cy1, cx2, cy2):
         return _dominates_counts_arrays(cx1, cy1, cx2, cy2, self.params)

@@ -1,8 +1,10 @@
 """Bit-vector strategies, populations, and deterministic stream splitting.
 
-Genomes are fixed-length bitstrings packed into 64-bit words (bit i of the
-genome lives in word i // 64 at position i % 64), with one-counts cached at
-construction so the game layer never touches raw bits in its inner loops.
+A single genome (`BitVector`) is a fixed-length bitstring packed into 64-bit
+words (bit i of the genome lives in word i // 64 at position i % 64), with
+its one-count cached at construction.  A population stores only its
+members' one-counts: the bilinear game and the shipped targets see a genome
+through nothing else.
 
 Randomness flows through ``numpy.random.Generator`` instances backed by the
 PCG64 bit generator.  Child streams are derived from a (seed, index) pair via
@@ -171,60 +173,31 @@ def uniform_bitvector(n: int, rng: RandomStream) -> BitVector:
 class Population:
     """An array of lambda members of common genome length n.
 
-    The state is the read-only vector of per-member one-counts, which is all
-    the bilinear game and the shipped targets depend on.  A population built
-    from bits (`uniform`, `from_bitvectors`, a word matrix) also keeps the
-    packed read-only word matrix; a count-only population, built as
-    `Population(None, n, counts)`, has `words = None` and no genomes.
+    The state is the read-only int64 vector of per-member one-counts, which
+    is all the bilinear game and the shipped targets depend on.  An int64
+    array is taken over without a copy and made read-only.  Counts are
+    stored as given: callers that take counts from outside the program
+    check them first (`harness.paired_from_counts`).
     """
 
-    __slots__ = ("words", "ones", "n", "lam")
+    __slots__ = ("ones", "n", "lam")
 
-    def __init__(self, words, n: int, ones_counts=None):
-        if words is None:
-            if ones_counts is None:
-                raise ValueError("a count-only population needs its one-counts")
-            counts = np.asarray(ones_counts, dtype=np.int64)
-            if counts.ndim != 1 or counts.shape[0] < 1:
-                raise ValueError("population needs a 1-d one-count vector with lambda >= 1")
-        else:
-            if ones_counts is not None:
-                raise ValueError("give a word matrix or one-counts, not both")
-            words = np.asarray(words, dtype=_U64)
-            if words.ndim != 2 or words.shape[0] < 1:
-                raise ValueError("population needs a (lambda, nwords) word matrix with lambda >= 1")
-            if words.shape[1] != words_for(n):
-                raise ValueError(f"expected {words_for(n)} words per member for n={n}")
-            words = np.ascontiguousarray(words)
-            words.setflags(write=False)
-            counts = popcount_rows(words)
+    def __init__(self, n: int, ones):
+        counts = np.asarray(ones, dtype=np.int64)
+        if counts.ndim != 1 or counts.shape[0] < 1:
+            raise ValueError("population needs a 1-d one-count vector with lambda >= 1")
         counts.setflags(write=False)
-        self.words = words
         self.ones = counts
         self.n = int(n)
         self.lam = int(counts.shape[0])
 
     @classmethod
     def uniform(cls, lam: int, n: int, rng: RandomStream) -> "Population":
+        """lambda genomes with i.i.d. fair bits, stored as their one-counts."""
         if lam < 1:
             raise ValueError(f"population size must be >= 1, got {lam}")
         bits = rng.integers(0, 2, size=(lam, n), dtype=np.uint8)
-        return cls(pack_bits(bits), n)
-
-    @classmethod
-    def from_bitvectors(cls, members) -> "Population":
-        members = list(members)
-        if not members:
-            raise ValueError("population must have at least one member")
-        n = members[0].n
-        if any(m.n != n for m in members):
-            raise ValueError("all members must share one genome length")
-        return cls(np.stack([m.words for m in members]), n)
-
-    def member(self, i: int) -> BitVector:
-        if self.words is None:
-            raise ValueError("count-only population: member genomes are not stored")
-        return BitVector(self.words[i], self.n)
+        return cls(n, bits.sum(axis=1, dtype=np.int64))
 
     def __len__(self):
         return self.lam

@@ -652,21 +652,21 @@ def emit_plot_data(in_csv: str, out_csv: str) -> str:
 # Check suites
 # ---------------------------------------------------------------------------
 
-def population_from_counts(counts, n: int) -> Population:
-    """Canonical genomes (first c bits set) realising a one-count multiset."""
-    rows = []
-    for c in counts:
-        bits = np.zeros(n, dtype=np.uint8)
-        bits[: int(c)] = 1
-        rows.append(bits)
-    return Population.from_bitvectors([BitVector.from_bits(b) for b in rows])
-
-
 def paired_from_counts(pred_counts, prey_counts, n: int) -> PairedPopulations:
-    return PairedPopulations(
-        population_from_counts(pred_counts, n),
-        population_from_counts(prey_counts, n),
-    )
+    """Predator and prey populations with the given one-counts.
+
+    Every count must be a whole number in [0, n]; anything else raises a
+    `ValueError` naming n.
+    """
+    sides = []
+    for counts in (pred_counts, prey_counts):
+        given = np.asarray(counts)
+        exact = given.astype(np.int64)
+        if ((exact != given) | (exact < 0) | (exact > n)).any():
+            raise ValueError(f"one-counts must be whole numbers in [0, n] = [0, {n}], "
+                             f"got {given.tolist()}")
+        sides.append(Population(n, exact))
+    return PairedPopulations(*sides)
 
 
 DOMINANCE_CHECK_GAMES = ((0.4, 0.6), (0.9, 0.05), (0.0, 1.0))

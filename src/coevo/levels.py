@@ -212,17 +212,16 @@ def exact_selection_distribution(pops: PairedPopulations, oracle, member,
                                  cap: int = ENUMERATION_CAP) -> Fraction:
     """Exact probability that one pairwise-dominance selection lands in a set.
 
-    `member(x, y)` decides membership of a (predator, prey) pair.  All
-    lambda^2 x lambda^2 ordered draw combinations are enumerated with equal
-    weight, applying the selection tie rule (second pair wins when the first
-    does not dominate); the result is an exact rational.
+    `member(cx, cy)` decides membership of a (predator, prey) pair from
+    their one-counts.  All lambda^2 x lambda^2 ordered draw combinations are
+    enumerated with equal weight, applying the selection tie rule (second
+    pair wins when the first does not dominate); the result is an exact
+    rational.
     """
     lam = pops.lam
     pred_slots, prey_slots = _enumerate_winners(pops, oracle, cap)
-    member_grid = np.array(
-        [[bool(member(pops.predators.member(i), pops.prey.member(k))) for k in range(lam)]
-         for i in range(lam)]
-    )
+    cx, cy = pops.predators.ones.tolist(), pops.prey.ones.tolist()
+    member_grid = np.array([[bool(member(a, b)) for b in cy] for a in cx])
     hits = int(member_grid[pred_slots, prey_slots].sum())
     return Fraction(hits, lam**4)
 

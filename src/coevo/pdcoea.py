@@ -46,19 +46,10 @@ def _winner_mask(pops: PairedPopulations, oracle, idx: np.ndarray) -> np.ndarray
     idx has shape (count, 4) with columns (i1, k1, i2, k2): predator and prey
     slots of the first pair, then of the second.
     """
-    if hasattr(oracle, "dominates_counts"):
-        cx = pops.predators.ones
-        cy = pops.prey.ones
-        return np.asarray(
-            oracle.dominates_counts(cx[idx[:, 0]], cy[idx[:, 1]], cx[idx[:, 2]], cy[idx[:, 3]])
-        )
-    pred, prey = pops.predators, pops.prey
-    return np.array(
-        [
-            oracle.dominates(pred.member(i1), prey.member(k1), pred.member(i2), prey.member(k2))
-            for i1, k1, i2, k2 in idx
-        ],
-        dtype=bool,
+    cx = pops.predators.ones
+    cy = pops.prey.ones
+    return np.asarray(
+        oracle.dominates_counts(cx[idx[:, 0]], cy[idx[:, 1]], cx[idx[:, 2]], cy[idx[:, 3]])
     )
 
 
@@ -153,10 +144,10 @@ def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
 
     Offspring slot i of the predator and prey populations come from the same
     interaction (they may be dependent); distinct slots are independent.
-    The offspring are count-only populations: mutation moves each selected
-    one-count by the exact law of independent bit flips (`_offspring_table`),
-    which is exact for any oracle and target that see genomes only through
-    their one-counts, so the oracle must provide `dominates_counts`.
+    Mutation moves each selected one-count by the exact law of independent
+    bit flips (`_offspring_table`), which is exact for any oracle and target
+    that see genomes only through their one-counts, so the oracle must
+    provide `dominates_counts`.
     Draw order: the 4*lambda selection slots, then 2*lambda mutation draws,
     the predators' first.
     """
@@ -170,8 +161,8 @@ def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
     pred_slots, prey_slots = _select_slots(pops, dist.oracle, rng, lam)
     parents = np.concatenate((pops.predators.ones[pred_slots], pops.prey.ones[prey_slots]))
     children = _mutate_counts(parents, n, dist.chi, rng)
-    return PairedPopulations(Population(None, n, children[:lam]),
-                             Population(None, n, children[lam:]),
+    return PairedPopulations(Population(n, children[:lam]),
+                             Population(n, children[lam:]),
                              generation=pops.generation + 1)
 
 
@@ -182,24 +173,22 @@ def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
 def singleton_target(x_star: BitVector, y_star: BitVector):
     """Predicate: both populations contain the given genomes exactly.
 
-    When both genomes are all-zeros or all-ones the predicate compares
-    one-counts, which is exact since a count of 0 or n names one genome; any
-    other target needs genomes and rejects a count-only population.
+    Each target genome must be all-zeros or all-ones: a one-count of 0 or n
+    names one genome, so the predicate compares one-counts and is exact.
+    Any other genome shares its one-count with other genomes and is rejected.
     """
-    by_count = all(ones(v) in (0, v.n) for v in (x_star, y_star))
+    if x_star.n != y_star.n:
+        raise ValueError(f"target genome lengths differ: {x_star.n} != {y_star.n}")
     cx_star, cy_star = ones(x_star), ones(y_star)
+    if any(c not in (0, x_star.n) for c in (cx_star, cy_star)):
+        raise ValueError("singleton target genomes must be all-zeros or all-ones; a population "
+                         "stores one-counts, which name no other genome")
 
     def predicate(pops: PairedPopulations) -> bool:
-        if pops.n != x_star.n or pops.n != y_star.n:
+        if pops.n != x_star.n:
             raise ValueError("target genome length does not match populations")
-        if by_count:
-            pred_hit = bool((pops.predators.ones == cx_star).any())
-            return pred_hit and bool((pops.prey.ones == cy_star).any())
-        if pops.predators.words is None or pops.prey.words is None:
-            raise ValueError("singleton target other than all-zeros/all-ones needs genomes, "
-                             "but the population is count-only")
-        pred_hit = bool(np.all(pops.predators.words == x_star.words, axis=1).any())
-        return pred_hit and bool(np.all(pops.prey.words == y_star.words, axis=1).any())
+        pred_hit = bool((pops.predators.ones == cx_star).any())
+        return pred_hit and bool((pops.prey.ones == cy_star).any())
 
     predicate.__name__ = "singleton_target"
     return predicate

@@ -1,10 +1,23 @@
 """The bit-level PDCoEA: the slow reference side of the one-count engine's
-equivalence tests.  Nothing outside the tests uses it."""
+equivalence tests.  Nothing outside the tests uses it.
+
+The reference keeps every genome as a row of a packed (lambda, nwords) word
+matrix and flips bits; selection and the target see the rows' popcounts.
+"""
 
 import numpy as np
 
-from coevo import BilinearGame, PairedPopulations, Population, paired_uniform, spawn_stream
+from coevo import BilinearGame, PairedPopulations, Population, spawn_stream
+from coevo.core import pack_bits, popcount_rows
 from coevo.pdcoea import _select_slots
+
+
+def initial_words(lam, n, rng):
+    """Generation 0 as packed genomes: the bit draws of `paired_uniform`,
+    predators first."""
+    pred = pack_bits(rng.integers(0, 2, size=(lam, n), dtype=np.uint8))
+    prey = pack_bits(rng.integers(0, 2, size=(lam, n), dtype=np.uint8))
+    return pred, prey
 
 
 def mutate_words(words, n, chi, rng):
@@ -22,23 +35,23 @@ def mutate_words(words, n, chi, rng):
     return words
 
 
-def reference_step(pops, oracle, chi, rng):
-    """One generation on genomes: selection, then bit flips of every offspring."""
-    pred_slots, prey_slots = _select_slots(pops, oracle, rng, pops.lam)
-    pred = mutate_words(pops.predators.words[pred_slots].copy(), pops.n, chi, rng)
-    prey = mutate_words(pops.prey.words[prey_slots].copy(), pops.n, chi, rng)
-    return PairedPopulations(Population(pred, pops.n), Population(prey, pops.n),
-                             generation=pops.generation + 1)
+def counted(pred, prey, n, generation):
+    """The count state that selection and the target see for packed genomes."""
+    return PairedPopulations(Population(n, popcount_rows(pred)),
+                             Population(n, popcount_rows(prey)), generation=generation)
 
 
 def reference_hit_generation(cfg, target):
     """`run_trial`'s loop on the bit-level engine: first hit generation, or
     None when the budget runs out."""
     rng = spawn_stream(cfg.seed, 0)
-    pops = paired_uniform(cfg.lam, cfg.n, rng)
+    pred, prey = initial_words(cfg.lam, cfg.n, rng)
     oracle = BilinearGame(cfg.game)
     for t in range(cfg.budget_generations):
+        pops = counted(pred, prey, cfg.n, t)
         if target(pops):
             return t
-        pops = reference_step(pops, oracle, cfg.chi, rng)
+        pred_slots, prey_slots = _select_slots(pops, oracle, rng, cfg.lam)
+        pred = mutate_words(pred[pred_slots], cfg.n, cfg.chi, rng)
+        prey = mutate_words(prey[prey_slots], cfg.n, cfg.chi, rng)
     return None

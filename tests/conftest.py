@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coevo import BilinearParams, BitVector
-from coevo.harness import paired_from_counts, population_from_counts
+from coevo.harness import paired_from_counts
 
 
 @pytest.fixture
@@ -18,4 +18,4 @@ def count_vector(c, n):
     return BitVector.from_bits(bits)
 
 
-__all__ = ["count_vector", "paired_from_counts", "population_from_counts"]
+__all__ = ["count_vector", "paired_from_counts"]

@@ -28,7 +28,6 @@ from coevo import (
     exact_selection_distribution,
     half_prob_conditionals,
     intransitivity_witness,
-    ones,
     reference_g1_g2,
     run_trial,
     spawn_stream,
@@ -139,7 +138,7 @@ def test_criterion_05_selection_distribution_monte_carlo():
             pops = paired_from_counts(
                 rng.integers(0, n + 1, size=lam), rng.integers(0, n + 1, size=lam), n)
             l = int(rng.integers(0, max(1, math.floor(params.alpha_n))))
-            member = lambda x, y: ones(x) < params.beta_n and l <= ones(y) < params.alpha_n
+            member = lambda cx, cy: cx < params.beta_n and l <= cy < params.alpha_n
             exact = float(exact_selection_distribution(pops, game, member))
             pred_slots, prey_slots = _select_slots(pops, game, rng, draws)
             cx = pops.predators.ones[pred_slots]

@@ -165,23 +165,18 @@ class TestPopulations:
     def test_uniform_shapes_and_cached_counts(self):
         pop = Population.uniform(9, 100, spawn_stream(6, 0))
         assert len(pop) == 9 and pop.n == 100
-        recomputed = [int(pop.member(i).bits().sum()) for i in range(9)]
-        assert list(pop.ones) == recomputed
+        bits = spawn_stream(6, 0).integers(0, 2, size=(9, 100), dtype=np.uint8)
+        assert list(pop.ones) == [int(row.sum()) for row in bits]
 
     def test_count_only_population(self):
-        pop = Population(None, 10, [3, 0, 10])
-        assert pop.words is None and pop.lam == 3 and list(pop.ones) == [3, 0, 10]
-        assert not pop.ones.flags.writeable
-        with pytest.raises(ValueError, match="count-only"):
-            pop.member(0)
+        pop = Population(10, [3, 0, 10])
+        assert pop.lam == 3 and pop.n == 10 and list(pop.ones) == [3, 0, 10]
+        assert pop.ones.dtype == np.int64 and not pop.ones.flags.writeable
+        assert not hasattr(pop, "words") and not hasattr(pop, "member")
         with pytest.raises(ValueError):
-            Population(None, 10)
+            Population(10, [])
         with pytest.raises(ValueError):
-            Population(None, 10, [])
-
-    def test_from_bitvectors_length_mismatch(self):
-        with pytest.raises(ValueError):
-            Population.from_bitvectors([BitVector.zeros(4), BitVector.zeros(5)])
+            Population(10, [[1, 2], [3, 4]])
 
     def test_paired_validation(self):
         a = Population.uniform(3, 10, spawn_stream(1, 0))

@@ -17,7 +17,6 @@ from coevo.harness import (
     parse_spec_file,
     paired_from_counts,
     pilot_budget,
-    population_from_counts,
     read_result_csv,
     resolve_cells,
     run_checks,
@@ -375,8 +374,17 @@ class TestEmitPlots:
 
 class TestPopulationsFromCounts:
     def test_counts_realised(self):
-        pop = population_from_counts([0, 3, 10], 10)
-        assert list(pop.ones) == [0, 3, 10]
+        pops = paired_from_counts([0, 3, 10], np.array([10, 0, 5]), 10)
+        assert list(pops.predators.ones) == [0, 3, 10]
+        assert list(pops.prey.ones) == [10, 0, 5]
+
+    @pytest.mark.parametrize("bad", [11, -1, 2.5])
+    def test_counts_outside_zero_to_n_rejected(self, bad):
+        # rejected, never clamped or truncated to some other count
+        with pytest.raises(ValueError, match=r"\[0, n\] = \[0, 10\]"):
+            paired_from_counts([bad, 3], [1, 2], 10)
+        with pytest.raises(ValueError, match=r"\[0, n\] = \[0, 10\]"):
+            paired_from_counts([1, 2], [3, bad], 10)
 
     def test_paired(self):
         pops = paired_from_counts([1, 2], [3, 4], 8)

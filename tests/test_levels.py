@@ -20,7 +20,6 @@ from coevo import (
     exact_selection_distribution,
     fraction_stats,
     half_prob_conditionals,
-    ones,
     pairs_in_level,
     recipe_mutation_rate,
     reference_g1_g2,
@@ -260,13 +259,13 @@ class TestFractionStats:
 class TestExactSelection:
     def test_full_space_probability_one(self, fig_params):
         pops = paired_from_counts([1, 5, 9], [2, 4, 8], 10)
-        prob = exact_selection_distribution(pops, BilinearGame(fig_params), lambda x, y: True)
+        prob = exact_selection_distribution(pops, BilinearGame(fig_params), lambda cx, cy: True)
         assert prob == 1
 
     def test_singleton_population(self, fig_params):
         pops = paired_from_counts([3], [7], 10)
         prob = exact_selection_distribution(
-            pops, BilinearGame(fig_params), lambda x, y: ones(x) == 3 and ones(y) == 7)
+            pops, BilinearGame(fig_params), lambda cx, cy: cx == 3 and cy == 7)
         assert prob == 1
 
     def test_hand_enumerated_sixteenth(self, fig_params):
@@ -274,7 +273,7 @@ class TestExactSelection:
         # selected only by the reflexive draw ((1,0),(1,0)), 1 case of 16
         pops = paired_from_counts([0, 1], [0, 1], 10)
         prob = exact_selection_distribution(
-            pops, BilinearGame(fig_params), lambda x, y: (ones(x), ones(y)) == (1, 0))
+            pops, BilinearGame(fig_params), lambda cx, cy: (cx, cy) == (1, 0))
         assert prob == Fraction(1, 16)
 
     def test_sums_to_one_over_partition(self, fig_params):
@@ -282,7 +281,7 @@ class TestExactSelection:
         game = BilinearGame(fig_params)
         total = sum(
             exact_selection_distribution(
-                pops, game, lambda x, y, cx=cx, cy=cy: (ones(x), ones(y)) == (cx, cy))
+                pops, game, lambda a, b, cx=cx, cy=cy: (a, b) == (cx, cy))
             for cx in (1, 5, 9)
             for cy in (2, 4, 8, 0)
         )
@@ -291,7 +290,7 @@ class TestExactSelection:
     def test_cap_error(self, fig_params):
         pops = paired_from_counts([0] * 13, [0] * 13, 10)
         with pytest.raises(EnumerationCapError):
-            exact_selection_distribution(pops, BilinearGame(fig_params), lambda x, y: True)
+            exact_selection_distribution(pops, BilinearGame(fig_params), lambda cx, cy: True)
 
     def test_slot_rates_sum_to_one(self, fig_params):
         pops = paired_from_counts([1, 5, 9], [2, 4, 8], 10)
@@ -306,7 +305,7 @@ class TestExactSelection:
             lam = int(rng.integers(2, 7))
             pops = paired_from_counts(
                 rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam), 10)
-            region = lambda x, y: ones(x) < fig_params.beta_n and ones(y) < fig_params.alpha_n
+            region = lambda cx, cy: cx < fig_params.beta_n and cy < fig_params.alpha_n
             exact = float(exact_selection_distribution(pops, game, region))
             pred_slots, prey_slots = _select_slots(pops, game, rng, draws)
             cx = pops.predators.ones[pred_slots]

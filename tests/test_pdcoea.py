@@ -12,17 +12,18 @@ from coevo import (
     Population,
     bilinear_target,
     derive_seed,
-    ones,
+    paired_uniform,
     run_trial,
     selection_slot_rates,
     singleton_target,
     spawn_stream,
     step_generation,
 )
+from coevo.core import pack_bits, popcount_rows
 from coevo.harness import paired_from_counts
 from coevo.pdcoea import _SCALE, MAX_N, _offspring_cdf, _offspring_table, _select_slots
 
-from bit_reference import reference_hit_generation
+from bit_reference import initial_words, reference_hit_generation
 from conftest import count_vector
 
 
@@ -43,11 +44,10 @@ def game(fig_params):
     return BilinearGame(fig_params)
 
 
-def clones(v, lam):
-    """lam copies of v on both sides: selection is then the identity, so one
-    generation gives lam i.i.d. mutants of v per side."""
-    words = np.repeat(v.words[None, :], lam, axis=0)
-    return PairedPopulations(Population(words, v.n), Population(words, v.n))
+def clones(c, n, lam):
+    """lam members with c ones on both sides: selection is then the identity,
+    so one generation gives lam i.i.d. mutants of a c-ones parent per side."""
+    return paired_from_counts([c] * lam, [c] * lam, n)
 
 
 def dist_for(n, chi):
@@ -55,9 +55,10 @@ def dist_for(n, chi):
     return PdcoeaDistribution(game, chi)
 
 
-def mutants(v, chi, rng, draws):
-    """The predator offspring of one generation over `draws` clones of v."""
-    return step_generation(clones(v, draws), dist_for(v.n, chi), rng).predators
+def mutants(c, n, chi, rng, draws):
+    """The predator offspring of one generation over `draws` clones of a
+    parent with c ones."""
+    return step_generation(clones(c, n, draws), dist_for(n, chi), rng).predators
 
 
 def convolution_pvalue(counts, n, a, chi):
@@ -80,13 +81,12 @@ def convolution_pvalue(counts, n, a, chi):
 
 class TestSelectPair:
     def test_identical_population_returns_the_clone(self, fig_params, game):
-        member = count_vector(4, 10)
-        pops = clones(member, 5)
+        pops = clones(4, 10, 5)
         rng = spawn_stream(31, 0)
         for _ in range(10):
             pred_slots, prey_slots = _select_slots(pops, game, rng, 1)
-            assert pops.predators.member(pred_slots[0]) == member
-            assert pops.prey.member(prey_slots[0]) == member
+            assert pops.predators.ones[pred_slots[0]] == 4
+            assert pops.prey.ones[prey_slots[0]] == 4
 
     def test_forced_draws_first_pair_dominates(self, fig_params, game):
         # slots: predators (7, 8) ones, prey (2, 3) ones; (7,2) dominates (8,3)
@@ -100,55 +100,36 @@ class TestSelectPair:
         pred_slots, prey_slots = _select_slots(pops, game, FakeRng([[0, 0, 1, 1]]), 1)
         assert (pops.predators.ones[pred_slots[0]], pops.prey.ones[prey_slots[0]]) == (8, 1)
 
-    def test_generic_oracle_path_matches_counts_path(self, fig_params, game):
-        class PairOracle:
-            def __init__(self, params):
-                self.params = params
-
-            def dominates(self, x1, y1, x2, y2):
-                from coevo import dominates
-                return dominates(x1, y1, x2, y2, self.params)
-
-        pops = paired_from_counts([7, 8, 2, 5], [2, 1, 3, 0], 10)
-        draws = [[i1, k1, i2, k2]
-                 for i1 in range(4) for k1 in range(4) for i2 in range(4) for k2 in range(4)]
-        fast = _select_slots(pops, game, FakeRng(list(draws)), len(draws))
-        slow = _select_slots(pops, PairOracle(fig_params), FakeRng(list(draws)), len(draws))
-        assert np.array_equal(fast[0], slow[0]) and np.array_equal(fast[1], slow[1])
-
 
 class TestMutate:
     def test_chi_zero_is_identity(self):
-        v = count_vector(5, 12)
-        assert np.array_equal(mutants(v, 0.0, spawn_stream(32, 0), 20).ones, np.full(20, 5))
+        assert np.array_equal(mutants(5, 12, 0.0, spawn_stream(32, 0), 20).ones, np.full(20, 5))
 
     def test_chi_n_is_complement(self):
-        v = count_vector(5, 12)
-        assert np.array_equal(mutants(v, 12.0, spawn_stream(32, 1), 20).ones, np.full(20, 12 - 5))
+        assert np.array_equal(mutants(5, 12, 12.0, spawn_stream(32, 1), 20).ones,
+                              np.full(20, 12 - 5))
 
     def test_input_unmodified(self):
-        v = count_vector(5, 12)
-        pops = clones(v, 20)
-        before = pops.predators.words.copy(), pops.prey.words.copy()
+        pops = clones(5, 12, 20)
         step_generation(pops, dist_for(12, 6.0), spawn_stream(32, 2))
-        assert np.array_equal(pops.predators.words, before[0])
-        assert np.array_equal(pops.prey.words, before[1])
+        assert np.array_equal(pops.predators.ones, np.full(20, 5))
+        assert np.array_equal(pops.prey.ones, np.full(20, 5))
 
     def test_chi_out_of_range(self):
         with pytest.raises(ValueError, match="chi"):
-            mutants(count_vector(1, 4), 4.5, spawn_stream(1, 0), 3)
+            mutants(1, 4, 4.5, spawn_stream(1, 0), 3)
         with pytest.raises(ValueError, match="chi"):
-            mutants(count_vector(1, 4), -0.5, spawn_stream(1, 0), 3)
+            mutants(1, 4, -0.5, spawn_stream(1, 0), 3)
 
     def test_mean_flip_count_chi_one(self):
         # E[c'] = c + chi*(n - 2c)/n = 40.2; the bound is about 10 standard errors
         n, draws, chi = 100, 10**5, 1.0
-        children = mutants(count_vector(40, n), chi, spawn_stream(33, 0), draws)
+        children = mutants(40, n, chi, spawn_stream(33, 0), draws)
         assert abs(children.ones.mean() - (40 + chi * (n - 2 * 40) / n)) <= 0.03
 
     def test_offspring_count_distribution_matches_convolution(self):
         n, a, chi, draws = 10, 4, 2.0, 10**5
-        children = mutants(count_vector(a, n), chi, spawn_stream(34, 0), draws)
+        children = mutants(a, n, chi, spawn_stream(34, 0), draws)
         assert convolution_pvalue(children.ones, n, a, chi) >= 1e-3
 
 
@@ -170,7 +151,7 @@ class TestInteraction:
         # selection is the identity on clones; offspring counts follow the
         # two-stage binomial convolution
         n, a, chi, draws = 8, 3, 1.5, 4 * 10**4
-        children = mutants(count_vector(a, n), chi, spawn_stream(37, 0), draws)
+        children = mutants(a, n, chi, spawn_stream(37, 0), draws)
         assert convolution_pvalue(children.ones, n, a, chi) >= 1e-3
 
 
@@ -208,9 +189,9 @@ class TestStepGeneration:
     def test_offspring_are_count_only(self, fig_params, game):
         pops = paired_from_counts([4, 5], [9, 2], 10)
         child = step_generation(pops, PdcoeaDistribution(game, 0.5), spawn_stream(38, 3))
-        assert child.predators.words is None and child.prey.words is None
-        with pytest.raises(ValueError, match="count-only"):
-            child.predators.member(0)
+        for side in (child.predators, child.prey):
+            assert side.ones.dtype == np.int64 and not side.ones.flags.writeable
+            assert side.ones.min() >= 0 and side.ones.max() <= 10
 
     def test_offspring_fraction_matches_exact_enumeration(self, fig_params, game):
         # chi = 0 and two clone blocks, one strictly dominating: the offspring
@@ -220,7 +201,7 @@ class TestStepGeneration:
         lam = 6
         pops = paired_from_counts([2] * 3 + [8] * 3, [1] * 3 + [9] * 3, 10)
         exact = exact_selection_distribution(
-            pops, game, lambda x, y: (ones(x), ones(y)) == (2, 1))
+            pops, game, lambda cx, cy: (cx, cy) == (2, 1))
         dist = PdcoeaDistribution(game, 0.0)
         rng = spawn_stream(39, 0)
         reps = 2000
@@ -350,34 +331,43 @@ class TestRunTrial:
 
 class TestSingletonTarget:
     def test_exact_membership(self):
-        target = singleton_target(count_vector(2, 6), count_vector(4, 6))
-        hit = paired_from_counts([2, 5], [4, 0], 6)
-        assert target(hit)
-        # same one-counts, different genomes: no hit
-        shifted_pred = Population.from_bitvectors(
-            [BitVector.from_bits([0, 0, 0, 0, 1, 1]), count_vector(5, 6)])
-        miss = PairedPopulations(shifted_pred, hit.prey)
-        assert not target(miss)
+        # a hit needs the all-zeros predator and the all-ones prey, in any slots
+        target = singleton_target(BitVector.zeros(6), BitVector.all_ones(6))
+        for cx in range(7):
+            for cy in range(7):
+                assert target(paired_from_counts([cx], [cy], 6)) == ((cx, cy) == (0, 6))
+        swapped = singleton_target(BitVector.all_ones(6), BitVector.zeros(6))
+        assert swapped(paired_from_counts([2, 6], [0, 3], 6))
+        assert not swapped(paired_from_counts([0, 5], [0, 3], 6))
+
+    def test_non_extreme_target_rejected_at_construction(self):
+        # rejected where it is written, before any run could reach generation 1
+        with pytest.raises(ValueError, match="all-zeros or all-ones"):
+            singleton_target(count_vector(2, 6), count_vector(4, 6))
 
     def test_length_mismatch(self):
-        target = singleton_target(count_vector(1, 5), count_vector(1, 5))
+        target = singleton_target(BitVector.zeros(5), BitVector.all_ones(5))
         with pytest.raises(ValueError):
-            target(paired_from_counts([1], [1], 6))
+            target(paired_from_counts([0], [5], 6))
+        with pytest.raises(ValueError, match="lengths differ"):
+            singleton_target(BitVector.zeros(5), BitVector.all_ones(6))
 
     def test_all_zeros_and_all_ones_compare_counts(self):
-        # a count of 0 or n names one genome, so count-only states are exact
+        # a count of 0 or n names one genome, so count states are exact
         target = singleton_target(BitVector.zeros(6), BitVector.all_ones(6))
-        counts = lambda pred, prey: PairedPopulations(
-            Population(None, 6, pred), Population(None, 6, prey))
+        counts = lambda pred, prey: PairedPopulations(Population(6, pred), Population(6, prey))
         assert target(counts([3, 0], [6, 2]))
         assert not target(counts([3, 1], [6, 2]))
         assert not target(counts([0, 0], [5, 0]))
         assert target(paired_from_counts([0, 4], [2, 6], 6))
 
     def test_other_targets_need_genomes(self):
-        target = singleton_target(count_vector(2, 6), count_vector(4, 6))
-        with pytest.raises(ValueError, match="count-only"):
-            target(PairedPopulations(Population(None, 6, [2, 5]), Population(None, 6, [4, 0])))
+        # every genome with 0 < c < n ones shares its count with other genomes
+        extreme = (BitVector.zeros(6), BitVector.all_ones(6))
+        for c in range(1, 6):
+            for pair in ((count_vector(c, 6), extreme[1]), (extreme[0], count_vector(c, 6))):
+                with pytest.raises(ValueError, match="all-zeros or all-ones"):
+                    singleton_target(*pair)
 
 
 def scipy_offspring_cdf(n, c, chi):
@@ -411,6 +401,18 @@ class TestOffspringLaw:
         # checked before any allocation, so no large table is built here
         with pytest.raises(ValueError, match="MAX_N"):
             _offspring_table(MAX_N + 1, 1.0)
+
+    def test_generation_zero_matches_bit_level_reference(self):
+        # both engines start from the same draws: the counts of generation 0
+        # are the popcounts of the reference's packed genomes
+        for lam, n in ((10, 20), (20, 8), (3, 130)):
+            pops = paired_uniform(lam, n, spawn_stream(61, 0))
+            pred, prey = initial_words(lam, n, spawn_stream(61, 0))
+            assert np.array_equal(pops.predators.ones, popcount_rows(pred))
+            assert np.array_equal(pops.prey.ones, popcount_rows(prey))
+            solo = Population.uniform(lam, n, spawn_stream(62, 0))
+            assert np.array_equal(solo.ones, popcount_rows(pack_bits(
+                spawn_stream(62, 0).integers(0, 2, size=(lam, n), dtype=np.uint8))))
 
     @pytest.mark.parametrize("cell", ["bilinear", "singleton"])
     def test_hit_times_match_bit_level_reference(self, cell):
