@@ -4,8 +4,8 @@ Levels are nested product sets (A_j x B_j) the populations should sweep
 through; the current level is the deepest one holding at least a gamma0
 fraction of the lambda^2 population pairs.  This script builds the two-phase
 level sequence for a small game, tracks the current level along a real run,
-computes exact selection probabilities by enumerating all lambda^4 draw
-outcomes, checks one of the selection growth inequalities, validates the
+computes exact selection probabilities from the closed-form winner law over
+the two one-count histograms, checks one of the selection growth inequalities, validates the
 reference drift potential, and prices the generic runtime bound.
 
 Run:  python3 demos/level_machinery_tour.py
@@ -59,7 +59,8 @@ stats = fraction_stats(pops, k=0, l=0, params=params)
 print(f"  p0={stats.p0} (predators below beta*n), q0={stats.q0} (prey at alpha*n or above)")
 prob = exact_selection_distribution(pops, game, lambda cx, cy: cx < params.beta_n)
 print(f"  P(selected predator lands below beta*n) = {prob} = {float(prob):.4f}")
-print("  (enumerates all lambda^4 = 256 equally likely draw outcomes)")
+print("  (counts the lambda^4 = 256 equally likely draw outcomes in closed form,\n"
+      "   from the two one-count histograms alone)")
 
 print("\none selection growth inequality, checked exactly (case 17):")
 small = BilinearParams(n=10, alpha=0.4, beta=0.6, epsilon=0.1)

@@ -1,11 +1,12 @@
 """Run every verification suite and print the report.
 
 The suites cover: exhaustive agreement of the two dominance routes, the
-dominance relation's structure (reflexive, antisymmetric, intransitive),
-exact conditional selection probabilities, the selection growth
-inequalities by full enumeration, the level-function validator and its
-reference potential, the standalone numeric inequalities, and the
-product-occupancy drift statements checked by Monte Carlo.
+dominance relation's structure (reflexive and antisymmetric on the full
+one-count grid, intransitive), exact conditional selection probabilities,
+the selection growth inequalities from the exact selection law, the
+level-function validator and its reference potential, the standalone
+numeric inequalities (grids and an exact binomial sum), and the
+product-occupancy drift statements checked by Monte Carlo on the engine.
 
 Equivalent to `coevo check`; a nonzero exit means some suite failed.
 

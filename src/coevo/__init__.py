@@ -36,7 +36,6 @@ from .core import (
 )
 from .levels import (
     CountInterval,
-    EnumerationCapError,
     FractionStats,
     GrowthLemmaReport,
     LevelFunctionParams,

@@ -30,9 +30,9 @@ from .core import BitVector, PairedPopulations, ones
 def _snap(x: float) -> float:
     """Snap near-integer products like alpha*n to the intended integer.
 
-    The harness keeps alpha, beta, epsilon on the 1/n grid so these products
-    are mathematically integral; snapping removes float noise that would
-    otherwise flip strict region comparisons.
+    Nothing keeps alpha, beta, epsilon on the 1/n grid; off-grid products
+    stay as they are.  Snapping removes float noise that would otherwise
+    flip strict region comparisons.
     """
     r = round(x)
     return float(r) if abs(x - r) < 1e-9 else float(x)
@@ -102,7 +102,11 @@ def worst_case_f(x: BitVector, params: BilinearParams) -> float:
 
 def dominates(x1: BitVector, y1: BitVector, x2: BitVector, y2: BitVector,
               params: BilinearParams) -> bool:
-    """Pair (x1, y1) dominates (x2, y2): both payoff inequalities, ties allowed."""
+    """Pair (x1, y1) dominates (x2, y2): both payoff inequalities, ties allowed.
+
+    Float payoffs decide ties exactly only for dyadic alpha*n and beta*n (as
+    in every dominance-equivalence game); this route is the cross-check.
+    """
     g12 = payoff(x1, y2, params)
     g11 = payoff(x1, y1, params)
     g21 = payoff(x2, y1, params)
@@ -111,35 +115,34 @@ def dominates(x1: BitVector, y1: BitVector, x2: BitVector, y2: BitVector,
 
 def dominates_by_onecounts(cx1: int, cy1: int, cx2: int, cy2: int,
                            params: BilinearParams) -> bool:
-    """Dominance evaluated directly on one-counts.
+    """Dominance evaluated directly on one-counts, for any alpha and beta.
 
-    Equivalent to `dominates` for all inputs; this route factors the payoff
-    differences instead of evaluating payoffs, so the two functions serve as
-    independent cross-checks of each other.
+    Evaluates the factored form of `_dominates_counts_arrays`; `dominates`
+    evaluates payoffs instead, so the two serve as independent cross-checks.
     """
     n = params.n
     for c in (cx1, cy1, cx2, cy2):
         if not 0 <= c <= n:
             raise ValueError(f"one-count {c} out of range [0, {n}]")
-    first = cy2 * (cx1 - params.beta_n) >= cy1 * (cx1 - params.beta_n)
-    second = cx1 * (cy1 - params.alpha_n) >= cx2 * (cy1 - params.alpha_n)
-    return bool(first and second)
+    return bool(_dominates_counts_arrays(cx1, cy1, cx2, cy2, params))
 
 
 def _dominates_counts_arrays(cx1, cy1, cx2, cy2, params: BilinearParams):
-    """Vectorised Definition-2 dominance on one-count arrays (no validation)."""
-    g12 = payoff_by_onecounts(cx1, cy2, params)
-    g11 = payoff_by_onecounts(cx1, cy1, params)
-    g21 = payoff_by_onecounts(cx2, cy1, params)
-    return (g12 >= g11) & (g11 >= g21)
+    """Vectorised Definition-2 dominance on one-count arrays (no validation).
+
+    g12 - g11 = (cx1 - beta*n)(cy2 - cy1) and g11 - g21 = (cy1 - alpha*n)(cx1 - cx2);
+    each sign is exact, so ties are decided exactly for any alpha and beta.
+    """
+    beta_n, alpha_n = params.beta_n, params.alpha_n
+    return ((cx1 - beta_n) * (cy2 - cy1) >= 0) & ((cy1 - alpha_n) * (cx1 - cx2) >= 0)
 
 
 class BilinearGame:
     """Dominance oracle for the bilinear payoff, as the engine calls it.
 
     `dominates_counts` decides dominance for whole arrays of one-count
-    quadruples at once; the engine and the exact selection oracle need
-    nothing else, since populations store one-counts only.
+    quadruples at once; the engine needs nothing else, since populations
+    store one-counts only, and the exact selection law reads `params`.
     """
 
     def __init__(self, params: BilinearParams):

@@ -672,7 +672,7 @@ def paired_from_counts(pred_counts, prey_counts, n: int) -> PairedPopulations:
 DOMINANCE_CHECK_GAMES = ((0.4, 0.6), (0.9, 0.05), (0.0, 1.0))
 
 # Hypothesis-satisfying one-count populations for the exact growth checks
-# (n=10, alpha=0.4, beta=0.6); found by search, verified by enumeration.
+# (n=10, alpha=0.4, beta=0.6); found by search, verified by the exact law.
 GROWTH_CHECK_CONFIGS = {
     15: dict(pred=(2, 2, 2, 7, 7, 7), prey=(3, 3, 2, 1, 1, 0), k=0, l=2,
              delta1=Fraction(2, 5)),
@@ -711,28 +711,23 @@ def check_dominance_equivalence(n: int = 10, games=DOMINANCE_CHECK_GAMES) -> Che
     )
 
 
-def check_dominance_structure(seed: int = theory.DEFAULT_CHECK_SEED) -> CheckResult:
-    """Reflexivity on the full one-count grid plus an antisymmetry spot check."""
+def check_dominance_structure() -> CheckResult:
+    """Reflexivity and antisymmetry over all 11^4 one-count quadruples:
+    every pair dominates itself, and two pairs dominate each other only
+    when all four payoffs tie."""
     n = 10
     params = BilinearParams(n=n, alpha=0.4, beta=0.6, epsilon=0.1)
-    bad = 0
-    for cx in range(n + 1):
-        for cy in range(n + 1):
-            bad += not dominates_by_onecounts(cx, cy, cx, cy, params)
-    rng = spawn_stream(seed, 0)
-    for _ in range(10_000):
-        cx1, cy1, cx2, cy2 = rng.integers(0, n + 1, size=4)
-        fwd = dominates_by_onecounts(cx1, cy1, cx2, cy2, params)
-        bwd = dominates_by_onecounts(cx2, cy2, cx1, cy1, params)
-        if fwd and bwd:
-            values = {
-                payoff_by_onecounts(cx1, cy2, params),
-                payoff_by_onecounts(cx1, cy1, params),
-                payoff_by_onecounts(cx2, cy1, params),
-                payoff_by_onecounts(cx2, cy2, params),
-            }
-            bad += len(values) != 1  # mutual dominance only when all payoffs tie
-    return CheckResult("dominance-structure", bad == 0, f"{bad} violations")
+    c = np.arange(n + 1)
+    cx1, cy1, cx2, cy2 = np.meshgrid(c, c, c, c, indexing="ij")
+    game = BilinearGame(params)
+    mutual = game.dominates_counts(cx1, cy1, cx2, cy2) & game.dominates_counts(cx2, cy2, cx1, cy1)
+    g11 = payoff_by_onecounts(cx1, cy1, params)
+    tie = np.all([payoff_by_onecounts(x, y, params) == g11
+                  for x, y in ((cx1, cy2), (cx2, cy1), (cx2, cy2))], axis=0)
+    bad = int((~mutual[c[:, None], c[None, :], c[:, None], c[None, :]]).sum())
+    bad += int((mutual & ~tie).sum())
+    return CheckResult("dominance-structure", bad == 0,
+                       f"{(n + 1) ** 2} pairs and {(n + 1) ** 4} quadruples, {bad} violations")
 
 
 def check_intransitivity(n: int = 20, alpha: float = 0.4, beta: float = 0.6) -> CheckResult:
@@ -829,8 +824,8 @@ def check_product_space(reps: int = 4000, seed: int = theory.DEFAULT_CHECK_SEED)
     """Monte Carlo check of the product-occupancy drift and upgrade bounds.
 
     Uses the dominance engine with chi = 0 on a fixed population so the
-    offspring marginals p = P(x in A), q = P(y in B) are exactly computable
-    by enumeration; verifies, within 6 standard errors:
+    offspring marginals p = P(x in A), q = P(y in B) are exact selection
+    probabilities (`_psel_counts`); verifies, within 6 standard errors:
 
       1. E[Z'] >= lambda*(lambda-1)*(1+delta)*gamma where Z' is the product
          occupancy of the offspring and gamma = p*q/(1+delta),
@@ -846,8 +841,8 @@ def check_product_space(reps: int = 4000, seed: int = theory.DEFAULT_CHECK_SEED)
         [2] * 10 + [7] * 10, [3] * 7 + [2] * 6 + [1] * 4 + [0] * 3, n)
     in_a = lambda c: c < params.beta_n          # predators in R0
     in_b = lambda c: c < 2                       # prey below 2 ones
-    p = _psel_counts(pops, params, pred_x=in_a, cap=lam)
-    q = _psel_counts(pops, params, pred_y=in_b, cap=lam)
+    p = _psel_counts(pops, params, pred_x=in_a)
+    q = _psel_counts(pops, params, pred_y=in_b)
     delta = 0.2
     gamma = float(p * q) / (1.0 + delta)
 

@@ -6,9 +6,10 @@ state is the largest index holding at least a gamma0 fraction of the lambda^2
 population pairs.  Level 1 is always the full product space, so the current
 level is well defined.
 
-This module also houses the exact selection-distribution oracle (full
-enumeration of the lambda^4 equally likely draw combinations), the fraction
-statistics p0 / p(k) / q0 / q(l), exact checkers for the selection growth
+This module also houses the exact selection law for any lambda (a closed
+form over the two one-count histograms, counting the lambda^4 equally
+likely draw combinations without enumerating them), the fraction statistics
+p0 / p(k) / q0 / q(l), exact checkers for the selection growth
 inequalities, and the reference drift-potential construction used to bound
 the process from above.
 """
@@ -21,16 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bilinear import BilinearGame, BilinearParams, _dominates_counts_arrays
+from .bilinear import BilinearParams
 from .core import PairedPopulations
-from .pdcoea import _winner_mask
-
-ENUMERATION_CAP = 12
-
-
-class EnumerationCapError(ValueError):
-    """Raised when a population is too large for exact lambda^4 enumeration."""
-
 
 # ---------------------------------------------------------------------------
 # Level sequences
@@ -187,60 +180,83 @@ def fraction_stats(pops: PairedPopulations, k: int, l: int,
 # ---------------------------------------------------------------------------
 # Exact selection distribution
 # ---------------------------------------------------------------------------
+# A selection's law depends only on the two one-count histograms, counted
+# exactly out of the lambda^4 equally likely draws.  Count c has sign class
+# 3 * (sign(c - pivot) + 1) + sign(c - r) + 1 against a count r of its side
+# (pivot beta*n for predators, alpha*n for prey); pair (c, d) dominates
+# (r, s) iff _DOMINATES[class of c, class of d], by the factored form.
 
-def _draw_grids(lam: int):
-    """All lambda^4 ordered draw combinations as flat index arrays."""
-    i1, k1, i2, k2 = np.meshgrid(*([np.arange(lam)] * 4), indexing="ij")
-    return np.stack([i1.ravel(), k1.ravel(), i2.ravel(), k2.ravel()], axis=1)
-
-
-def _enumerate_winners(pops: PairedPopulations, oracle, cap: int):
-    lam = pops.lam
-    if lam > cap:
-        raise EnumerationCapError(
-            f"lambda={lam} exceeds the exact enumeration cap {cap} "
-            f"({lam}^4 = {lam**4} outcomes); fall back to Monte Carlo"
-        )
-    idx = _draw_grids(lam)
-    win1 = _winner_mask(pops, oracle, idx)
-    pred_slots = np.where(win1, idx[:, 0], idx[:, 2])
-    prey_slots = np.where(win1, idx[:, 1], idx[:, 3])
-    return pred_slots, prey_slots
+_SIGNS = np.arange(3) - 1
+_PIVOT_SIGN, _REF_SIGN = np.repeat(_SIGNS, 3), np.tile(_SIGNS, 3)
+_DOMINATES = ((np.outer(_PIVOT_SIGN, _REF_SIGN) <= 0)
+              & (np.outer(_REF_SIGN, _PIVOT_SIGN) >= 0)).astype(np.int64)
 
 
-def exact_selection_distribution(pops: PairedPopulations, oracle, member,
-                                 cap: int = ENUMERATION_CAP) -> Fraction:
+def _class_pairs(ones: np.ndarray, n: int, pivot: float):
+    """Sign of each count 0..n against the pivot, and the (n+1, 9) int64 table
+    whose entry [r, k] counts the ordered member pairs (c, r) of one side
+    with c in sign class k against r."""
+    if ones.size**4 >= 2**63:
+        raise ValueError(f"lambda={ones.size}: lambda^4 draws overflow int64 (lambda <= 55108)")
+    hist = np.bincount(ones, minlength=n + 1)
+    sign = np.sign(np.arange(n + 1) - pivot).astype(np.int64)
+    members = hist * (sign == _SIGNS[:, None])                    # (3, n+1)
+    below = np.cumsum(members, axis=1) - members                  # c < r
+    above = members.sum(axis=1, keepdims=True) - below - members  # c > r
+    table = np.stack([below, members, above], axis=-1).transpose(1, 0, 2)
+    return sign, hist[:, None] * table.reshape(n + 1, 9)
+
+
+def winner_table(pops: PairedPopulations, params: BilinearParams) -> np.ndarray:
+    """Exact winner law of one selection as an (n+1, n+1) int64 table.
+
+    Entry [a, b] counts the draws, out of lambda^4, won by one-counts (a, b):
+    hx[a] * hy[b] * (A + lambda^2 - B), with A the pairs that (a, b)
+    dominates as first draw (a predator count times a prey count, since each
+    condition involves one side) and B the pairs that dominate it as second
+    (the sign-class contraction).  Every intermediate stays within lambda^4.
+    """
+    x_sign, px = _class_pairs(pops.predators.ones, pops.n, params.beta_n)
+    y_sign, py = _class_pairs(pops.prey.ones, pops.n, params.alpha_n)
+    # pairs (c, a) with sign(b - alpha*n) * sign(a - c) >= 0, by that first sign
+    beaten_x = px.reshape(-1, 3, 3).sum(axis=1) @ (np.outer(_SIGNS, _SIGNS) <= 0)
+    # pairs (d, b) with sign(a - beta*n) * sign(d - b) >= 0, by that first sign
+    beaten_y = py.reshape(-1, 3, 3).sum(axis=1) @ (np.outer(_SIGNS, _SIGNS) >= 0)
+    wins = beaten_x[:, y_sign + 1] * beaten_y[:, x_sign + 1].T - px @ _DOMINATES @ py.T
+    return wins + np.outer(px.sum(axis=1), py.sum(axis=1))  # (lambda hx) (lambda hy)
+
+
+def exact_selection_distribution(pops: PairedPopulations, oracle, member) -> Fraction:
     """Exact probability that one pairwise-dominance selection lands in a set.
 
     `member(cx, cy)` decides membership of a (predator, prey) pair from
-    their one-counts.  All lambda^2 x lambda^2 ordered draw combinations are
-    enumerated with equal weight, applying the selection tie rule (second
-    pair wins when the first does not dominate); the result is an exact
-    rational.
+    their one-counts.  `oracle` is the `BilinearGame`; the result is an exact
+    rational read off `winner_table`.
     """
-    lam = pops.lam
-    pred_slots, prey_slots = _enumerate_winners(pops, oracle, cap)
-    cx, cy = pops.predators.ones.tolist(), pops.prey.ones.tolist()
-    member_grid = np.array([[bool(member(a, b)) for b in cy] for a in cx])
-    hits = int(member_grid[pred_slots, prey_slots].sum())
-    return Fraction(hits, lam**4)
+    table = winner_table(pops, oracle.params)
+    xs = np.unique(pops.predators.ones).tolist()
+    ys = np.unique(pops.prey.ones).tolist()
+    inside = np.array([[bool(member(a, b)) for b in ys] for a in xs])
+    return Fraction(int(table[np.ix_(xs, ys)][inside].sum()), pops.lam**4)
 
 
-def selection_slot_rates(pops: PairedPopulations, oracle, cap: int = ENUMERATION_CAP):
+def selection_slot_rates(pops: PairedPopulations, oracle):
     """Exact per-slot selection probabilities (predator slots, prey slots).
 
-    The per-generation reproductive rate of slot i is lambda times its entry.
+    A slot's rate is its count's `winner_table` marginal over the count's
+    multiplicity.  The per-generation reproductive rate of slot i is lambda
+    times its entry.
     """
-    lam = pops.lam
-    pred_slots, prey_slots = _enumerate_winners(pops, oracle, cap)
-    total = lam**4
-    pred = tuple(Fraction(int(c), total) for c in np.bincount(pred_slots, minlength=lam))
-    prey = tuple(Fraction(int(c), total) for c in np.bincount(prey_slots, minlength=lam))
-    return pred, prey
+    table = winner_table(pops, oracle.params)
+    rates = []
+    for ones, marginal in ((pops.predators.ones, table.sum(axis=1)),
+                           (pops.prey.ones, table.sum(axis=0))):
+        share = marginal // np.bincount(ones, minlength=marginal.size).clip(1)
+        rates.append(tuple(Fraction(int(c), pops.lam**4) for c in share[ones]))
+    return tuple(rates)
 
 
-def half_prob_conditionals(pops: PairedPopulations, params: BilinearParams,
-                           cap: int = ENUMERATION_CAP):
+def half_prob_conditionals(pops: PairedPopulations, params: BilinearParams):
     """The four conditional dominance probabilities, exactly.
 
     Conditions on the two uniform draws (x1, y1), (x2, y2):
@@ -250,30 +266,25 @@ def half_prob_conditionals(pops: PairedPopulations, params: BilinearParams,
       3. ||x1|| >= ||x2||, ||y1|| > alpha*n, ||y2|| > alpha*n
       4. ||x1|| <= ||x2||, ||y1|| < alpha*n, ||y2|| < alpha*n
 
+    Each event is a set of predator pairs times a set of prey pairs, both
+    picked by sign class and row, so its dominating draws are a contraction.
+
     Returns a 4-tuple of Fractions (probability that the first pair dominates
     given the condition), with None where the conditioning event is null.
     Each non-null entry is at least 1/2.
     """
-    lam = pops.lam
-    if lam > cap:
-        raise EnumerationCapError(f"lambda={lam} exceeds the exact enumeration cap {cap}")
-    idx = _draw_grids(lam)
-    cx1 = pops.predators.ones[idx[:, 0]]
-    cy1 = pops.prey.ones[idx[:, 1]]
-    cx2 = pops.predators.ones[idx[:, 2]]
-    cy2 = pops.prey.ones[idx[:, 3]]
-    dom = _dominates_counts_arrays(cx1, cy1, cx2, cy2, params)
-    bn, an = params.beta_n, params.alpha_n
+    x_sign, px = _class_pairs(pops.predators.ones, pops.n, params.beta_n)
+    y_sign, py = _class_pairs(pops.prey.ones, pops.n, params.alpha_n)
     events = (
-        (cy1 <= cy2) & (cx1 > bn) & (cx2 > bn),
-        (cy1 >= cy2) & (cx1 < bn) & (cx2 < bn),
-        (cx1 >= cx2) & (cy1 > an) & (cy2 > an),
-        (cx1 <= cx2) & (cy1 < an) & (cy2 < an),
+        (px[x_sign > 0].sum(0) * (_PIVOT_SIGN > 0), py.sum(0) * (_REF_SIGN <= 0)),
+        (px[x_sign < 0].sum(0) * (_PIVOT_SIGN < 0), py.sum(0) * (_REF_SIGN >= 0)),
+        (px.sum(0) * (_REF_SIGN >= 0), py[y_sign > 0].sum(0) * (_PIVOT_SIGN > 0)),
+        (px.sum(0) * (_REF_SIGN <= 0), py[y_sign < 0].sum(0) * (_PIVOT_SIGN < 0)),
     )
     out = []
-    for event in events:
-        denom = int(event.sum())
-        out.append(Fraction(int((dom & event).sum()), denom) if denom else None)
+    for x_pairs, y_pairs in events:
+        denom = int(x_pairs.sum()) * int(y_pairs.sum())
+        out.append(Fraction(int(x_pairs @ _DOMINATES @ y_pairs), denom) if denom else None)
     return tuple(out)
 
 
@@ -293,21 +304,20 @@ class GrowthLemmaReport:
     passed: bool | None = None
 
 
-def _psel_counts(pops, params, pred_x=None, pred_y=None, cap=ENUMERATION_CAP) -> Fraction:
-    """Exact selection probability of a one-count-defined region product."""
-    lam = pops.lam
-    pred_slots, prey_slots = _enumerate_winners(pops, BilinearGame(params), cap)
-    ok = np.ones(pred_slots.shape, dtype=bool)
+def _psel_counts(pops, params, pred_x=None, pred_y=None) -> Fraction:
+    """Exact selection probability of a region product given by vectorised
+    one-count predicates (None admits every count)."""
+    table = winner_table(pops, params)
+    counts = np.arange(pops.n + 1)
     if pred_x is not None:
-        ok &= pred_x(pops.predators.ones[pred_slots])
+        table = table[pred_x(counts)]
     if pred_y is not None:
-        ok &= pred_y(pops.prey.ones[prey_slots])
-    return Fraction(int(ok.sum()), lam**4)
+        table = table[:, pred_y(counts)]
+    return Fraction(int(table.sum()), pops.lam**4)
 
 
 def check_growth_lemmas(case: int, pops: PairedPopulations, params: BilinearParams,
-                        k: int = 0, l: int = 0, delta1=None, rho=None,
-                        cap: int = ENUMERATION_CAP) -> GrowthLemmaReport:
+                        k: int = 0, l: int = 0, delta1=None, rho=None) -> GrowthLemmaReport:
     """Exact check of one selection growth inequality (cases 15 through 19).
 
     The measured quantity is a ratio of selection probability to uniform
@@ -332,10 +342,10 @@ def check_growth_lemmas(case: int, pops: PairedPopulations, params: BilinearPara
     in_r01 = lambda c: c < n - k
 
     def ratio_r0():
-        return _psel_counts(pops, params, pred_x=in_r0, cap=cap) / p0
+        return _psel_counts(pops, params, pred_x=in_r0) / p0
 
     def ratio_s1():
-        return _psel_counts(pops, params, pred_y=in_s1, cap=cap) / q
+        return _psel_counts(pops, params, pred_y=in_s1) / q
 
     if case == 15:
         d1 = Fraction(delta1)
@@ -371,7 +381,7 @@ def check_growth_lemmas(case: int, pops: PairedPopulations, params: BilinearPara
             return GrowthLemmaReport(19, False, f"needs q0 <= sqrt(2(1-rho))-1, got q0={q0}")
         if p0 + p == 0:
             return GrowthLemmaReport(19, False, "needs p0 + p(k) > 0")
-        ratio = _psel_counts(pops, params, pred_x=in_r01, cap=cap) / (p0 + p)
+        ratio = _psel_counts(pops, params, pred_x=in_r01) / (p0 + p)
         bound = 1 + r * (1 - p - p0)
 
     return GrowthLemmaReport(case, True, "", ratio=ratio, bound=bound, passed=ratio >= bound)

@@ -14,8 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from .core import spawn_stream
-
 DEFAULT_CHECK_SEED = 20260808
 
 
@@ -177,12 +175,12 @@ def check_exp_lower_bound(points: int = 400) -> CheckResult:
     return CheckResult("exp-lower-bound", bad == 0, f"{total} comparisons, {bad} violations")
 
 
-def check_product_mgf(samples: int = 1_000_000, seed: int = DEFAULT_CHECK_SEED) -> CheckResult:
-    """Monte Carlo check of E[exp(-eta X Y)] <= exp(-eta z lambda^2).
+def check_product_mgf() -> CheckResult:
+    """Exact check of E[exp(-eta X Y)] <= exp(-eta z lambda^2).
 
     X, Y are independent binomials with p*q >= (1+sigma)^2 z and eta at its
-    admissible maximum sigma/((1+sigma)*lambda); a configuration fails only
-    if the empirical mean exceeds the bound by more than 6 standard errors.
+    admissible maximum sigma/((1+sigma)*lambda); the expectation is the
+    (lambda+1)^2-term sum over the two binomial pmfs.
     """
     configs = [
         (20, 0.9, 0.9, 0.5),
@@ -192,27 +190,19 @@ def check_product_mgf(samples: int = 1_000_000, seed: int = DEFAULT_CHECK_SEED) 
     ]
     lines = []
     ok = True
-    for i, (lam, p, q, z) in enumerate(configs):
-        rng = spawn_stream(seed, i)
+    for lam, p, q, z in configs:
         sigma = math.sqrt(p * q / z) - 1.0
         eta = sigma / ((1.0 + sigma) * lam)
-        x = rng.binomial(lam, p, size=samples)
-        y = rng.binomial(lam, q, size=samples)
-        vals = np.exp(-eta * x.astype(np.float64) * y)
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(samples))
+        k = np.arange(lam + 1)
+        comb = np.array([math.comb(lam, i) for i in k], dtype=np.float64)
+        pmf = lambda r: comb * r**k * (1.0 - r) ** (lam - k)
+        mgf = float(pmf(p) @ np.exp(-eta * np.outer(k, k)) @ pmf(q))
         bound = math.exp(-eta * z * lam * lam)
-        good = mean <= bound + 6.0 * se
-        ok &= good
-        lines.append(f"lam={lam} p={p} q={q} z={z}: mean={mean:.6g} bound={bound:.6g} se={se:.2g}")
+        ok &= mgf <= bound + _FLOAT_SLACK
+        lines.append(f"lam={lam} p={p} q={q} z={z}: exact={mgf:.6g} bound={bound:.6g}")
     return CheckResult("product-mgf", ok, "; ".join(lines))
 
 
-def check_inequality_lemmas(samples: int = 1_000_000,
-                            seed: int = DEFAULT_CHECK_SEED) -> list[CheckResult]:
+def check_inequality_lemmas() -> list[CheckResult]:
     """Run the full standalone-inequality suite; any violation is reported."""
-    return [
-        check_sqrt_bound(),
-        check_exp_lower_bound(),
-        check_product_mgf(samples=samples, seed=seed),
-    ]
+    return [check_sqrt_bound(), check_exp_lower_bound(), check_product_mgf()]

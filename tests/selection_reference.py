@@ -1,0 +1,73 @@
+"""Exact selection by enumerating all lambda^4 draws: the slow reference side
+of the closed-form selection law's equivalence tests.  Nothing outside the
+tests uses it.
+
+Every ordered draw (i1, k1, i2, k2) of predator and prey slots is equally
+likely; the engine's own tie rule (`_winner_mask`, the second pair wins when
+the first does not dominate) picks the winner of each.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from coevo import BilinearGame
+from coevo.pdcoea import _winner_mask
+
+
+def draw_grid(lam):
+    """All lambda^4 ordered draws as a (lambda^4, 4) slot-index array."""
+    grids = np.meshgrid(*([np.arange(lam)] * 4), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def enumerate_winners(pops, params):
+    """Winning (predator slot, prey slot) of every draw."""
+    idx = draw_grid(pops.lam)
+    win1 = _winner_mask(pops, BilinearGame(params), idx)
+    return np.where(win1, idx[:, 0], idx[:, 2]), np.where(win1, idx[:, 1], idx[:, 3])
+
+
+def winner_table(pops, params):
+    """Draws (out of lambda^4) won by each (predator count, prey count)."""
+    pred_slots, prey_slots = enumerate_winners(pops, params)
+    table = np.zeros((pops.n + 1, pops.n + 1), dtype=np.int64)
+    np.add.at(table, (pops.predators.ones[pred_slots], pops.prey.ones[prey_slots]), 1)
+    return table
+
+
+def slot_rates(pops, params):
+    """Per-slot selection probabilities, predators then prey."""
+    pred_slots, prey_slots = enumerate_winners(pops, params)
+    total = pops.lam**4
+    return tuple(tuple(Fraction(int(c), total) for c in np.bincount(slots, minlength=pops.lam))
+                 for slots in (pred_slots, prey_slots))
+
+
+def region_probability(pops, params, pred_x=None, pred_y=None):
+    """Probability that the winner's counts satisfy both vectorised predicates."""
+    pred_slots, prey_slots = enumerate_winners(pops, params)
+    ok = np.ones(pred_slots.shape, dtype=bool)
+    if pred_x is not None:
+        ok &= pred_x(pops.predators.ones[pred_slots])
+    if pred_y is not None:
+        ok &= pred_y(pops.prey.ones[prey_slots])
+    return Fraction(int(ok.sum()), pops.lam**4)
+
+
+def half_prob_conditionals(pops, params):
+    """The four conditional dominance probabilities of `coevo.levels`, by
+    counting the dominating draws inside each conditioning event."""
+    idx = draw_grid(pops.lam)
+    cx, cy = pops.predators.ones, pops.prey.ones
+    cx1, cy1, cx2, cy2 = cx[idx[:, 0]], cy[idx[:, 1]], cx[idx[:, 2]], cy[idx[:, 3]]
+    dom = BilinearGame(params).dominates_counts(cx1, cy1, cx2, cy2)
+    bn, an = params.beta_n, params.alpha_n
+    events = (
+        (cy1 <= cy2) & (cx1 > bn) & (cx2 > bn),
+        (cy1 >= cy2) & (cx1 < bn) & (cx2 < bn),
+        (cx1 >= cx2) & (cy1 > an) & (cy2 > an),
+        (cx1 <= cx2) & (cy1 < an) & (cy2 < an),
+    )
+    return tuple(Fraction(int((dom & e).sum()), int(e.sum())) if e.any() else None
+                 for e in events)

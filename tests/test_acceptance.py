@@ -156,13 +156,13 @@ def test_criterion_06_growth_inequalities_exact():
 
 
 def test_criterion_07_inequality_suite():
-    with criterion(7, "sqrt sandwich (1000x1000), exp chain grid, product-mgf MC at 6 SE"):
+    with criterion(7, "sqrt sandwich (1000x1000), exp chain grid, exact product-mgf sum"):
         sqrt_result = check_sqrt_bound(points=1000)
         assert sqrt_result.passed, sqrt_result.detail
         assert "1000000 grid points, 0 violations" in sqrt_result.detail
         exp_result = check_exp_lower_bound()
         assert exp_result.passed, exp_result.detail
-        mgf_result = check_product_mgf(samples=10**6)
+        mgf_result = check_product_mgf()
         assert mgf_result.passed, mgf_result.detail
 
 

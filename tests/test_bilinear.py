@@ -1,7 +1,11 @@
+from fractions import Fraction
+from itertools import product
+
 import numpy as np
 import pytest
 
 from coevo import (
+    BilinearGame,
     BilinearParams,
     BitVector,
     classify_predator,
@@ -184,6 +188,42 @@ class TestDominance:
                 }
                 assert len(values) == 1
         assert both > 0  # ties do occur, and only ties
+
+
+def exact_dominates(cx1, cy1, cx2, cy2, params):
+    """Definition-2 dominance in rational arithmetic on the games' own
+    alpha*n and beta*n: the three payoffs carry no rounding."""
+    beta_n, alpha_n = Fraction(params.beta_n), Fraction(params.alpha_n)
+    g = lambda cx, cy: cy * (cx - beta_n) - alpha_n * cx
+    return g(cx1, cy2) >= g(cx1, cy1) >= g(cx2, cy1)
+
+
+class TestDominanceTies:
+    """Ties count as dominance whatever alpha*n and beta*n are.  Float
+    payoffs lose such ties when one product is an integer and the other is
+    not dyadic; the engine's dominance must not."""
+
+    @pytest.mark.parametrize("n, alpha, beta, quad", [
+        (4, 1.0, 0.1, (0, 4, 2, 0)),       # g11 = g21 = -1.6 exactly
+        (100, 1.0, 0.033, (0, 100, 36, 0)),
+    ])
+    def test_named_tie_quadruples(self, n, alpha, beta, quad):
+        params = BilinearParams(n=n, alpha=alpha, beta=beta, epsilon=1.0)
+        assert exact_dominates(*quad, params)
+        assert bool(BilinearGame(params).dominates_counts(*(np.array([c]) for c in quad))[0])
+        assert dominates_by_onecounts(*quad, params)
+
+    def test_engine_dominance_exact_on_all_small_quadruples(self):
+        mismatches = 0
+        for n in range(1, 7):
+            counts = np.arange(n + 1)
+            quads = np.stack(np.meshgrid(counts, counts, counts, counts, indexing="ij")).reshape(4, -1)
+            for alpha, beta in product((1.0, 0.5), (0.1, 0.3, 0.033)):
+                params = BilinearParams(n=n, alpha=alpha, beta=beta, epsilon=1.0)
+                engine = BilinearGame(params).dominates_counts(*quads)
+                exact = [exact_dominates(*map(int, q), params) for q in quads.T]
+                mismatches += int((engine != np.array(exact)).sum())
+        assert mismatches == 0
 
 
 class TestRegions:

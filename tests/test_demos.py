@@ -1,4 +1,5 @@
-"""Smoke test of the quick demos: each runs as a script and prints something.
+"""Smoke test of the quick demos: each runs as a script and prints something,
+and the verification suite (= `coevo check`) reports every check passed.
 
 The two sweep demos (`error_threshold_sweep.py`, `runtime_scaling_sweep.py`)
 take several seconds each and are left out.
@@ -13,13 +14,24 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize(
-    "demo", ["bilinear_game_tour", "level_machinery_tour", "single_run_walkthrough"])
-def test_demo_runs(demo):
+def run_demo(demo):
     src = os.path.join(ROOT, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", f"{demo}.py")],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
+    assert done.returncode == 0, done.stdout + done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize(
+    "demo", ["bilinear_game_tour", "level_machinery_tour", "single_run_walkthrough"])
+def test_demo_runs(demo):
+    assert run_demo(demo).strip()
+
+
+def test_verification_suite_passes():
+    lines = run_demo("verification_suite").strip().splitlines()
+    results = lines[: lines.index("")]
+    assert results and all(line.startswith("[PASS] ") for line in results), lines
+    assert lines[-1].startswith(f"{len(results)}/{len(results)} suites passed")

@@ -405,3 +405,14 @@ class TestCheckRegistry:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_checks("nope")
+
+    @pytest.mark.parametrize("verdict, violations", [(True, 14641 - 341), (False, 121)])
+    def test_dominance_structure_flags_a_broken_relation(self, monkeypatch, verdict, violations):
+        # an always-true relation breaks antisymmetry on every quadruple but
+        # the 341 whose four payoffs tie; an always-false one breaks
+        # reflexivity on all 121 pairs
+        monkeypatch.setattr(harness.BilinearGame, "dominates_counts",
+                            lambda self, cx1, *_: np.full(np.shape(cx1), verdict))
+        result = harness.check_dominance_structure()
+        assert not result.passed
+        assert result.detail.endswith(f"{violations} violations")

@@ -9,7 +9,6 @@ from coevo import (
     BilinearGame,
     BilinearParams,
     CountInterval,
-    EnumerationCapError,
     LevelFunctionParams,
     LevelSequence,
     PdcoeaConfig,
@@ -31,7 +30,10 @@ from coevo import (
 )
 from coevo.core import PairedPopulations, Population, derive_seed
 from coevo.harness import GROWTH_CHECK_CONFIGS, paired_from_counts
+from coevo.levels import _psel_counts, winner_table
 from coevo.pdcoea import _select_slots
+
+import selection_reference as reference
 
 
 @pytest.fixture
@@ -287,10 +289,49 @@ class TestExactSelection:
         )
         assert total == 1
 
-    def test_cap_error(self, fig_params):
-        pops = paired_from_counts([0] * 13, [0] * 13, 10)
-        with pytest.raises(EnumerationCapError):
-            exact_selection_distribution(pops, BilinearGame(fig_params), lambda cx, cy: True)
+    @pytest.mark.parametrize("lam", [13, 40])
+    def test_large_lambda_sums_to_one_over_partition(self, fig_params, lam):
+        rng = spawn_stream(57, lam)
+        pops = paired_from_counts(rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam), 10)
+        game = BilinearGame(fig_params)
+        cells = [(in_r0, below_alpha) for in_r0 in (True, False) for below_alpha in (True, False)]
+        total = sum(
+            exact_selection_distribution(
+                pops, game, lambda a, b, cell=cell: (a < fig_params.beta_n,
+                                                     b < fig_params.alpha_n) == cell)
+            for cell in cells)
+        assert total == 1
+
+    def test_lambda_40_matches_monte_carlo(self, fig_params):
+        # beyond any enumeration: the closed form against the engine's draws
+        game = BilinearGame(fig_params)
+        rng = spawn_stream(58, 0)
+        lam, draws = 40, 10**5
+        pops = paired_from_counts(rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam), 10)
+        table = winner_table(pops, fig_params)
+        assert table.sum() == lam**4
+        pred_slots, prey_slots = _select_slots(pops, game, rng, draws)
+        freq = np.zeros((11, 11))
+        np.add.at(freq, (pops.predators.ones[pred_slots], pops.prey.ones[prey_slots]), 1.0 / draws)
+        exact = table / lam**4
+        se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / draws)
+        assert (np.abs(freq - exact) <= 6 * se).all()
+        region = lambda cx, cy: cx < fig_params.beta_n and cy < fig_params.alpha_n
+        prob = float(exact_selection_distribution(pops, game, region))
+        hit = float(freq[: int(fig_params.beta_n), : int(fig_params.alpha_n)].sum())
+        assert abs(hit - prob) <= 6 * math.sqrt(prob * (1 - prob) / draws)
+
+    def test_lambda_beyond_int64_rejected(self, fig_params):
+        # lambda^4 < 2^63 holds up to lambda = 55108
+        for lam, ok in ((55108, True), (55109, False)):
+            pops = paired_from_counts(np.zeros(lam, dtype=np.int64), np.zeros(lam, dtype=np.int64), 10)
+            if ok:
+                assert winner_table(pops, fig_params)[0, 0] == lam**4
+            else:
+                with pytest.raises(ValueError, match="overflow"):
+                    winner_table(pops, fig_params)
+                with pytest.raises(ValueError, match="overflow"):
+                    half_prob_conditionals(pops, fig_params)
 
     def test_slot_rates_sum_to_one(self, fig_params):
         pops = paired_from_counts([1, 5, 9], [2, 4, 8], 10)
@@ -313,6 +354,54 @@ class TestExactSelection:
             freq = float(((cx < fig_params.beta_n) & (cy < fig_params.alpha_n)).mean())
             se = math.sqrt(max(exact * (1 - exact), 1e-12) / draws)
             assert abs(freq - exact) <= 6 * se
+
+
+def random_states(seed, count):
+    """Random small states over n 2-12, lambda 1-8, with alpha and beta at 0,
+    at 1, on the 1/n grid, or anywhere in [0, 1]."""
+    rng = spawn_stream(seed, 0)
+    for _ in range(count):
+        n = int(rng.integers(2, 13))
+        lam = int(rng.integers(1, 9))
+        alpha, beta = (float(rng.choice([0.0, 1.0, rng.integers(0, n + 1) / n, rng.random()]))
+                       for _ in range(2))
+        params = BilinearParams(n=n, alpha=alpha, beta=beta, epsilon=1.0)
+        pops = paired_from_counts(
+            rng.integers(0, n + 1, size=lam), rng.integers(0, n + 1, size=lam), n)
+        yield pops, params, int(rng.integers(0, n + 1))
+
+
+class TestClosedFormAgainstEnumeration:
+    """The closed-form selection law equals the lambda^4 enumeration exactly."""
+
+    STATES = 500
+
+    def test_winner_table(self):
+        for pops, params, _ in random_states(60, self.STATES):
+            table = winner_table(pops, params)
+            assert table.dtype == np.int64 and table.sum() == pops.lam**4
+            assert np.array_equal(table, reference.winner_table(pops, params))
+
+    def test_slot_rates(self):
+        for pops, params, _ in random_states(61, self.STATES):
+            assert selection_slot_rates(pops, BilinearGame(params)) == \
+                reference.slot_rates(pops, params)
+
+    def test_region_probabilities(self):
+        for pops, params, l in random_states(62, self.STATES):
+            in_r0 = lambda c: c < params.beta_n
+            in_band = lambda c: (c >= l) & (c < params.alpha_n)
+            for pred_x, pred_y in ((in_r0, None), (None, in_band), (in_r0, in_band)):
+                assert _psel_counts(pops, params, pred_x, pred_y) == \
+                    reference.region_probability(pops, params, pred_x, pred_y)
+
+    def test_half_prob_conditionals(self):
+        non_null = 0
+        for pops, params, _ in random_states(63, self.STATES):
+            probs = half_prob_conditionals(pops, params)
+            assert probs == reference.half_prob_conditionals(pops, params)
+            non_null += sum(p is not None for p in probs)
+        assert non_null > self.STATES
 
 
 class TestHalfProbConditionals:

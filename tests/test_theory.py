@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from coevo import (
     BoundInputs,
@@ -171,9 +172,22 @@ class TestInequalityCheckers:
         assert result.passed, result.detail
 
     def test_product_mgf_monte_carlo(self):
-        result = check_product_mgf(samples=200_000)
+        # the check is an exact binomial sum: compare its first configuration
+        # with scipy's pmf and with a Monte Carlo estimate
+        result = check_product_mgf()
         assert result.passed, result.detail
+        lam, p, q, z = 20, 0.9, 0.9, 0.5
+        sigma = math.sqrt(p * q / z) - 1.0
+        eta = sigma / ((1.0 + sigma) * lam)
+        k = np.arange(lam + 1)
+        exact = scipy.stats.binom.pmf(k, lam, p) @ np.exp(-eta * np.outer(k, k)) \
+            @ scipy.stats.binom.pmf(k, lam, q)
+        reported = float(result.detail.split("exact=")[1].split()[0])
+        assert reported == pytest.approx(exact, rel=1e-5)
+        rng = spawn_stream(5, 0)
+        vals = np.exp(-eta * rng.binomial(lam, p, 10**5) * rng.binomial(lam, q, 10**5))
+        assert abs(vals.mean() - exact) <= 6 * vals.std() / math.sqrt(10**5)
 
     def test_suite_wrapper(self):
-        results = check_inequality_lemmas(samples=100_000)
+        results = check_inequality_lemmas()
         assert len(results) == 3 and all(r.passed for r in results)
