@@ -104,21 +104,29 @@ def dominates(x1: BitVector, y1: BitVector, x2: BitVector, y2: BitVector,
               params: BilinearParams) -> bool:
     """Pair (x1, y1) dominates (x2, y2): both payoff inequalities, ties allowed.
 
-    Float payoffs decide ties exactly only for dyadic alpha*n and beta*n (as
-    in every dominance-equivalence game); this route is the cross-check.
+    Evaluates the three payoffs of the definition in exact integers: alpha*n
+    and beta*n are floats, hence dyadic, so each payoff times their common
+    power-of-two denominator d is an integer, and ties are decided exactly
+    for any alpha and beta.  This route is the cross-check of the factored
+    form that `dominates_by_onecounts` and the engine evaluate.
     """
-    g12 = payoff(x1, y2, params)
-    g11 = payoff(x1, y1, params)
-    g21 = payoff(x2, y1, params)
-    return g12 >= g11 >= g21
+    for v in (x1, y1, x2, y2):
+        if v.n != params.n:
+            raise ValueError(f"genome length {v.n} does not match game n={params.n}")
+    alpha_n, beta_n = params.alpha_n, params.beta_n
+    d = max(alpha_n.as_integer_ratio()[1], beta_n.as_integer_ratio()[1])
+    a, b = int(alpha_n * d), int(beta_n * d)  # exact: d is a power of two
+    g = lambda x, y: ones(y) * (ones(x) * d - b) - a * ones(x)  # d * payoff(x, y)
+    return g(x1, y2) >= g(x1, y1) >= g(x2, y1)
 
 
 def dominates_by_onecounts(cx1: int, cy1: int, cx2: int, cy2: int,
                            params: BilinearParams) -> bool:
-    """Dominance evaluated directly on one-counts, for any alpha and beta.
+    """Dominance evaluated directly on one-counts, exact for any alpha and beta.
 
-    Evaluates the factored form of `_dominates_counts_arrays`; `dominates`
-    evaluates payoffs instead, so the two serve as independent cross-checks.
+    Evaluates the factored sign form of `_dominates_counts_arrays`;
+    `dominates` evaluates the payoffs of the definition in exact integers
+    instead, so the two serve as independent cross-checks.
     """
     n = params.n
     for c in (cx1, cy1, cx2, cy2):

@@ -180,9 +180,8 @@ def _cmd_bound(args) -> int:
         _require(args, ("lam", "n", "alpha", "beta", "epsilon"))
         chi = args.chi if args.chi is not None else theory.recipe_mutation_rate(args.delta or 0.01)
         bound = theory.solvable_regime_budget(theory.BoundInputs(
-            m=1, lam=args.lam, delta=args.delta or 0.01, z=(), c_pp=args.cpp,
-            n=args.n, chi=chi, alpha=args.alpha, beta=args.beta,
-            epsilon=args.epsilon, r=args.r))
+            m=1, lam=args.lam, c_pp=args.cpp, n=args.n, chi=chi, alpha=args.alpha,
+            beta=args.beta, epsilon=args.epsilon, r=args.r))
     print(f"value = {bound.value!r}")
     print(f"prefactor = {bound.prefactor!r}")
     for name, term in bound.terms.items():

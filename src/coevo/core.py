@@ -1,7 +1,6 @@
 """Bit-vector strategies, populations, and deterministic stream splitting.
 
-A single genome (`BitVector`) is a fixed-length bitstring packed into 64-bit
-words (bit i of the genome lives in word i // 64 at position i % 64), with
+A single genome (`BitVector`) is its n bits, a read-only uint8 array, with
 its one-count cached at construction.  A population stores only its
 members' one-counts: the bilinear game and the shipped targets see a genome
 through nothing else.
@@ -21,9 +20,6 @@ import numpy as np
 
 # A RandomStream is simply a numpy Generator; the alias names the contract.
 RandomStream = np.random.Generator
-
-_WORD_BITS = 64
-_U64 = np.uint64
 
 
 def spawn_stream(seed: int, index: int = 0) -> RandomStream:
@@ -45,108 +41,57 @@ def derive_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def words_for(n: int) -> int:
-    return (n + _WORD_BITS - 1) // _WORD_BITS
-
-
-def pack_bits(bits) -> np.ndarray:
-    """Pack a (rows, n) or (n,) array of 0/1 values into uint64 words.
-
-    The bit order is fixed by arithmetic (bit i -> word i//64, shift i%64),
-    not by memory layout, so packed values are endian independent.
-    """
-    arr = np.asarray(bits, dtype=_U64)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[None, :]
-    rows, n = arr.shape
-    nwords = words_for(n)
-    padded = np.zeros((rows, nwords * _WORD_BITS), dtype=_U64)
-    padded[:, :n] = arr
-    shifts = np.arange(_WORD_BITS, dtype=_U64)
-    # disjoint bits per term, so the sum is an exact bitwise OR
-    words = (padded.reshape(rows, nwords, _WORD_BITS) << shifts).sum(axis=2, dtype=_U64)
-    return words[0] if squeeze else words
-
-
-def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of pack_bits; returns uint8 bits of shape (..., n)."""
-    arr = np.atleast_2d(np.asarray(words, dtype=_U64))
-    shifts = np.arange(_WORD_BITS, dtype=_U64)
-    bits = ((arr[:, :, None] >> shifts) & _U64(1)).astype(np.uint8)
-    bits = bits.reshape(arr.shape[0], -1)[:, :n]
-    return bits[0] if np.asarray(words).ndim == 1 else bits
-
-
-def popcount_rows(words: np.ndarray) -> np.ndarray:
-    """Number of set bits per row of a (rows, nwords) uint64 array."""
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-
-
-def _tail_mask(n: int) -> np.ndarray:
-    """Word mask with exactly the first n bit positions set."""
-    nwords = words_for(n)
-    mask = np.full(nwords, ~_U64(0), dtype=_U64)
-    rem = n % _WORD_BITS
-    if rem:
-        mask[-1] = (_U64(1) << _U64(rem)) - _U64(1)
-    return mask
+def popcount_rows(bits) -> np.ndarray:
+    """Number of ones in each row (the last axis) of a 0/1 array."""
+    return np.asarray(bits).sum(axis=-1, dtype=np.int64)
 
 
 class BitVector:
-    """Immutable fixed-length binary strategy.
+    """Immutable fixed-length binary strategy: a read-only uint8 array of its
+    n bits, with its one-count cached at construction.
 
-    Bits beyond position n-1 in the last word are always zero, which makes
-    word-level equality, XOR and popcount exact.
+    The constructor takes any 1-d sequence of 0/1 values and copies it.
     """
 
-    __slots__ = ("words", "n", "_ones")
+    __slots__ = ("_bits", "n", "_ones")
 
-    def __init__(self, words: np.ndarray, n: int):
-        if n < 1:
-            raise ValueError(f"bit vector length must be >= 1, got {n}")
-        words = np.asarray(words, dtype=_U64)
-        if words.shape != (words_for(n),):
-            raise ValueError(f"expected {words_for(n)} words for n={n}, got shape {words.shape}")
-        words = words.copy()
-        words.setflags(write=False)
-        self.words = words
-        self.n = int(n)
-        self._ones = int(popcount_rows(words[None, :])[0])
+    def __init__(self, bits):
+        arr = np.asarray(bits if isinstance(bits, np.ndarray) else list(bits))
+        if arr.ndim != 1 or arr.size < 1 or not np.isin(arr, (0, 1)).all():
+            raise ValueError("bits must be a non-empty 1-d sequence of 0/1 values")
+        arr = arr.astype(np.uint8)
+        arr.setflags(write=False)
+        self._bits = arr
+        self.n = int(arr.size)
+        self._ones = int(popcount_rows(arr))
 
     @classmethod
     def from_bits(cls, bits) -> "BitVector":
-        bits = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits)
-        if bits.ndim != 1 or not np.isin(bits, (0, 1)).all():
-            raise ValueError("bits must be a 1-d sequence of 0/1 values")
-        return cls(pack_bits(bits), bits.size)
+        return cls(bits)
 
     @classmethod
     def zeros(cls, n: int) -> "BitVector":
-        return cls(np.zeros(words_for(n), dtype=_U64), n)
+        return cls(np.zeros(n, dtype=np.uint8))
 
     @classmethod
     def all_ones(cls, n: int) -> "BitVector":
-        return cls(_tail_mask(n), n)
+        return cls(np.ones(n, dtype=np.uint8))
 
     def complement(self) -> "BitVector":
-        return BitVector(self.words ^ _tail_mask(self.n), self.n)
+        return BitVector(1 - self._bits)
 
     def bits(self) -> np.ndarray:
-        return unpack_bits(self.words, self.n)
+        """The read-only uint8 array of the n bits."""
+        return self._bits
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitVector)
-            and self.n == other.n
-            and bool(np.array_equal(self.words, other.words))
-        )
+        return isinstance(other, BitVector) and bool(np.array_equal(self._bits, other._bits))
 
     def __hash__(self):
-        return hash((self.n, self.words.tobytes()))
+        return hash((self.n, self._bits.tobytes()))
 
     def __repr__(self):
-        body = "".join(map(str, self.bits())) if self.n <= 64 else f"<{self.n} bits, {self._ones} ones>"
+        body = "".join(map(str, self._bits)) if self.n <= 64 else f"<{self.n} bits, {self._ones} ones>"
         return f"BitVector({body})"
 
 
@@ -159,15 +104,12 @@ def hamming(u: BitVector, v: BitVector) -> int:
     """Number of positions where u and v disagree."""
     if u.n != v.n:
         raise ValueError(f"length mismatch: {u.n} != {v.n}")
-    return int(popcount_rows((u.words ^ v.words)[None, :])[0])
+    return int(np.count_nonzero(u._bits != v._bits))
 
 
 def uniform_bitvector(n: int, rng: RandomStream) -> BitVector:
-    """Draw each bit independently with probability 1/2."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-    return BitVector(pack_bits(bits), n)
+    """Draw each bit independently with probability 1/2 (n >= 1)."""
+    return BitVector(rng.integers(0, 2, size=n, dtype=np.uint8))
 
 
 class Population:

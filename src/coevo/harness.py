@@ -289,12 +289,9 @@ class ResultTable:
 
     def write(self, prefix: str) -> tuple[str, str]:
         """Write `<prefix>.csv` and the `<prefix>.aggregates.json` sidecar."""
-        directory = os.path.dirname(prefix)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
         csv_path = prefix + ".csv"
         json_path = prefix + ".aggregates.json"
-        with open(csv_path, "w", encoding="utf-8") as fh:
+        with _create(csv_path) as fh:
             fh.write(self.to_csv())
         sidecar = {
             "schema": SCHEMA_VERSION,
@@ -302,10 +299,18 @@ class ResultTable:
             "aggregates": self.aggregates(),
             **self.extra,
         }
-        with open(json_path, "w", encoding="utf-8") as fh:
+        with _create(json_path) as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return csv_path, json_path
+
+
+def _create(path: str):
+    """Open `path` for writing as UTF-8 text, creating its directory first."""
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    return open(path, "w", encoding="utf-8")
 
 
 def read_result_csv(path: str):
@@ -391,10 +396,10 @@ def pilot_budget(cell: Cell, spec: ExperimentSpec, cell_index: int,
     return max(1, int(math.ceil(10.0 * float(np.median(hit_gens)))))
 
 
-def _solvable_budget(cell: Cell, delta: float) -> theory.BoundValue:
-    """Closed-form solvable-regime interaction budget of one cell at slack delta."""
+def _solvable_budget(cell: Cell) -> theory.BoundValue:
+    """Closed-form solvable-regime interaction budget of one cell (slack from chi)."""
     return theory.solvable_regime_budget(theory.BoundInputs(
-        m=1, lam=cell.lam, delta=delta, z=(), c_pp=1.000001, n=cell.n, chi=cell.chi,
+        m=1, lam=cell.lam, c_pp=1.000001, n=cell.n, chi=cell.chi,
         alpha=cell.alpha, beta=cell.beta, epsilon=cell.epsilon, r=cell.r))
 
 
@@ -405,7 +410,7 @@ def _budget_for(cell: Cell, spec: ExperimentSpec, cell_index: int) -> int:
     if budget == "pilot":
         return pilot_budget(cell, spec, cell_index)
     factor = float(budget.split(":", 1)[1])
-    interactions = _solvable_budget(cell, min(1.0, max(spec.delta, 1e-9))).value
+    interactions = _solvable_budget(cell).value
     return max(1, int(math.ceil(factor * interactions / cell.lam)))
 
 
@@ -522,7 +527,7 @@ def experiment_runtime_scaling(spec: ExperimentSpec, workers: int = 1):
         cell = Cell(agg["n"], agg["lambda"], agg["chi"], agg["alpha"], agg["beta"],
                     agg["epsilon"], agg["r"], None)
         try:
-            ref = _solvable_budget(cell, spec.delta).value
+            ref = _solvable_budget(cell).value
         except ValueError:
             ref = None
         references.append({**{k: agg[k] for k in ("n", "lambda", "chi")},
@@ -581,10 +586,7 @@ def experiment_lemma_checks(spec: ExperimentSpec):
         "all_passed": bool(all(r.passed for r in results)),
     }
     if spec.out:
-        directory = os.path.dirname(spec.out)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(spec.out + ".checks.json", "w", encoding="utf-8") as fh:
+        with _create(spec.out + ".checks.json") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return results, report
@@ -604,7 +606,7 @@ def experiment_bound_table(spec: ExperimentSpec):
             "beta": cell.beta, "epsilon": cell.epsilon, "r": cell.r,
         }
         try:
-            bound = _solvable_budget(cell, spec.delta)
+            bound = _solvable_budget(cell)
             row.update(budget_interactions=bound.value, budget_generations=bound.value / cell.lam,
                        slack=bound.terms["delta"], pop_term=bound.terms["pop_term"],
                        mutation_term=bound.terms["mutation_term"])
@@ -612,20 +614,14 @@ def experiment_bound_table(spec: ExperimentSpec):
             row.update(budget_interactions=None, note=str(exc))
         rows.append(row)
     if spec.out:
-        directory = os.path.dirname(spec.out)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(spec.out + ".bounds.json", "w", encoding="utf-8") as fh:
+        with _create(spec.out + ".bounds.json") as fh:
             json.dump(rows, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return rows
 
 
 def write_series(series, path: str):
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         fh.write(",".join(SERIES_COLUMNS) + "\n")
         for row in series:
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
@@ -636,10 +632,7 @@ def emit_plot_data(in_csv: str, out_csv: str) -> str:
     """Rewrite a results CSV as tidy long-format (one metric per row)."""
     _, rows = read_result_csv(in_csv)
     keys = ("kind", "n", "lambda", "chi", "alpha", "beta", "epsilon", "delta", "r", "trial")
-    directory = os.path.dirname(out_csv)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(out_csv, "w", encoding="utf-8") as fh:
+    with _create(out_csv) as fh:
         fh.write(",".join(keys) + ",metric,value\n")
         for row in rows:
             prefix = ",".join("" if row[k] is None else str(row[k]) for k in keys)

@@ -394,15 +394,17 @@ def check_growth_lemmas(case: int, pops: PairedPopulations, params: BilinearPara
 def validate_level_function(g, lam: int, m: int) -> bool:
     """Exhaustive check of the three level-function conditions on the grid.
 
-    g must be total on [0..lambda^2] x [1..m].  Conditions: non-increasing in
-    the level index, non-increasing in the count, and g(lambda^2, j) >=
-    g(0, j+1) so levels glue together.
+    g is called once, on broadcast integer arrays k = 0..lambda^2 of shape
+    (lambda^2+1, 1) and j = 1..m of shape (1, m); its result is broadcast to
+    that grid.  Conditions: non-increasing in the level index, non-increasing
+    in the count, and g(lambda^2, j) >= g(0, j+1) so levels glue together.
     """
     top = lam * lam
-    grid = np.array([[float(g(k, j)) for j in range(1, m + 1)] for k in range(top + 1)])
-    cond1 = bool((grid[:, :-1] >= grid[:, 1:]).all()) if m > 1 else True
-    cond2 = bool((grid[:-1, :] >= grid[1:, :]).all()) if top > 0 else True
-    cond3 = bool((grid[top, :-1] >= grid[0, 1:]).all()) if m > 1 else True
+    k, j = np.arange(top + 1)[:, None], np.arange(1, m + 1)[None, :]
+    grid = np.broadcast_to(np.asarray(g(k, j), dtype=float), (top + 1, m))
+    cond1 = bool((grid[:, :-1] >= grid[:, 1:]).all())
+    cond2 = bool((grid[:-1, :] >= grid[1:, :]).all())
+    cond3 = bool((grid[top, :-1] >= grid[0, 1:]).all())
     return cond1 and cond2 and cond3
 
 
@@ -450,21 +452,23 @@ def reference_g1_g2(params: LevelFunctionParams):
     g1(lambda^2, j) = g1(0, j+1); g2 adds an exponential pull toward
     occupying the next level, with the empty-sum convention at j = m-1 and
     g2(., m) = 0 (the process distance is zero at the target level).
-    Their sum is a valid level function.
+    Their sum is a valid level function.  Both accept integer scalars or
+    broadcastable integer arrays k in [0, lambda^2], j in [1, m], and return
+    a float or a float array of the broadcast shape.
     """
     eta, phi, lam, m = params.eta, params.phi, params.lam, params.m
     lam2 = lam * lam
-    q = params.q
-    inv = np.array([1.0 / qi for qi in q])
-    csum = np.concatenate([[0.0], np.cumsum(inv)])  # csum[t] = sum of inv[:t]
+    csum = np.concatenate([[0.0], np.cumsum([1.0 / qi for qi in params.q])])
+    # q[j-1] and tail[j] = sum of 1/q_i over levels j+1 .. m-1 (empty at
+    # j = m-1), both padded at j = m, where g2 is 0 whatever they hold
+    q = np.array(params.q + (1.0,))
+    tail = np.append(csum[-1] - csum, 0.0)
 
     def g1(k, j):
         return eta / (1.0 + eta) * ((m - j) * lam2 - k)
 
     def g2(k, j):
-        if j >= m:
-            return 0.0
-        # tail sum over levels j+1 .. m-1 (1-based), empty at j = m-1
-        return phi * (math.exp(-eta * k) / q[j - 1] + (csum[m - 1] - csum[j]))
+        pull = phi * (np.exp(-eta * k) / q[j - 1] + tail[j])
+        return np.where(j < m, pull, 0.0)[()]
 
     return g1, g2

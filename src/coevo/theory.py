@@ -22,12 +22,13 @@ class BoundInputs:
     """Inputs to the bound calculators.
 
     m, lam, delta, z, c_pp feed the generic level-process bound; the
-    remaining fields are needed only for the concrete bilinear budget.
+    remaining fields are needed only for the concrete bilinear budget, which
+    derives its slack from chi and takes no delta.
     """
 
     m: int
     lam: int
-    delta: float
+    delta: Optional[float] = None
     z: tuple = ()
     c_pp: float = 1.000001
     n: Optional[int] = None
@@ -40,7 +41,7 @@ class BoundInputs:
     def __post_init__(self):
         if self.m < 1 or self.lam < 1:
             raise ValueError("m and lambda must be positive integers")
-        if not 0.0 < self.delta <= 1.0:
+        if self.delta is not None and not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
         if self.c_pp <= 1.0:
             raise ValueError(f"c'' must exceed 1, got {self.c_pp}")
@@ -61,6 +62,8 @@ def level_process_bound(b: BoundInputs) -> BoundValue:
     z must hold the m-1 per-level floors (empty for m = 1, where the bound
     collapses to c''*lambda^3/delta).
     """
+    if b.delta is None:
+        raise ValueError("level_process_bound needs field 'delta'")
     if len(b.z) != b.m - 1:
         raise ValueError(f"need m-1 = {b.m - 1} z values, got {len(b.z)}")
     if any(zi <= 0 for zi in b.z):

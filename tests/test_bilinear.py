@@ -118,6 +118,12 @@ class TestDominance:
             x, y = uniform_bitvector(10, rng), uniform_bitvector(10, rng)
             assert dominates(x, y, x, y, fig_params)
 
+    def test_genome_length_checked(self, fig_params):
+        v, short = count_vector(3, 10), count_vector(3, 9)
+        for quad in ((short, v, v, v), (v, short, v, v), (v, v, short, v), (v, v, v, short)):
+            with pytest.raises(ValueError, match="does not match game n=10"):
+                dominates(*quad, fig_params)
+
     def test_hand_checked_true_case(self, fig_params):
         # 3*(7-6) >= 2*(7-6) and 7*(2-4) >= 8*(2-4)
         assert dominates(
@@ -201,7 +207,7 @@ def exact_dominates(cx1, cy1, cx2, cy2, params):
 class TestDominanceTies:
     """Ties count as dominance whatever alpha*n and beta*n are.  Float
     payoffs lose such ties when one product is an integer and the other is
-    not dyadic; the engine's dominance must not."""
+    not dyadic; neither the engine's dominance nor the payoff route may."""
 
     @pytest.mark.parametrize("n, alpha, beta, quad", [
         (4, 1.0, 0.1, (0, 4, 2, 0)),       # g11 = g21 = -1.6 exactly
@@ -212,6 +218,7 @@ class TestDominanceTies:
         assert exact_dominates(*quad, params)
         assert bool(BilinearGame(params).dominates_counts(*(np.array([c]) for c in quad))[0])
         assert dominates_by_onecounts(*quad, params)
+        assert dominates(*(count_vector(c, n) for c in quad), params)
 
     def test_engine_dominance_exact_on_all_small_quadruples(self):
         mismatches = 0
@@ -223,6 +230,17 @@ class TestDominanceTies:
                 engine = BilinearGame(params).dominates_counts(*quads)
                 exact = [exact_dominates(*map(int, q), params) for q in quads.T]
                 mismatches += int((engine != np.array(exact)).sum())
+        assert mismatches == 0
+
+    def test_payoff_route_exact_on_all_small_quadruples(self):
+        mismatches = 0
+        for n in range(1, 7):
+            vectors = [count_vector(c, n) for c in range(n + 1)]
+            for alpha, beta in product((1.0, 0.5), (0.1, 0.3, 0.033)):
+                params = BilinearParams(n=n, alpha=alpha, beta=beta, epsilon=1.0)
+                for quad in product(range(n + 1), repeat=4):
+                    got = dominates(*(vectors[c] for c in quad), params)
+                    mismatches += got != exact_dominates(*quad, params)
         assert mismatches == 0
 
 

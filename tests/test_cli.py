@@ -34,6 +34,30 @@ class TestBound:
         assert code == 0
         assert "value =" in out and "mutation_term" in out
 
+    def test_solvable_budget_ignores_delta_with_explicit_chi(self, capsys):
+        # the budget's slack comes from chi, so --delta is read only for a
+        # recipe chi and is not range-checked otherwise
+        argv = ["bound", "--theorem", "9", "--n", "100", "--lambda", "100", "--chi", "0.005",
+                "--alpha", "0.9", "--beta", "0.05", "--epsilon", "0.1"]
+        code, out, err = run_cli(capsys, *argv, "--delta", "5")
+        assert code == 0, err
+        assert out == run_cli(capsys, *argv, "--delta", "0.01")[1] == run_cli(capsys, *argv)[1]
+
+    def test_bound_table_ignores_delta_with_explicit_chi(self, capsys, tmp_path):
+        def rows(delta):
+            path = tmp_path / f"bounds_{delta}.txt"
+            path.write_text("kind = bound-table\nn = 50,100\nlambda = 20\nchi = 0.005\n"
+                            "alpha = 0.9\nbeta = 0.05\nepsilon = 0.1\n"
+                            f"delta = {delta}\n")
+            code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+            assert code == 0, err
+            return [json.loads(line) for line in out.splitlines()]
+
+        at_zero = rows(0)
+        assert len(at_zero) == 2
+        assert all(row["budget_interactions"] is not None for row in at_zero)
+        assert at_zero == rows(0.01)
+
     def test_chi_and_threshold(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--theorem", "chi", "--delta", "0.01")
         assert code == 0 and "chi = " in out

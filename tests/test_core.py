@@ -16,7 +16,6 @@ from coevo import (
     spawn_stream,
     uniform_bitvector,
 )
-from coevo.core import pack_bits, unpack_bits
 
 from conftest import count_vector
 
@@ -144,15 +143,20 @@ class TestSpawnStream:
 
 
 class TestPacking:
-    def test_roundtrip(self):
-        rng = spawn_stream(5, 0)
-        for n in (1, 8, 63, 64, 65, 128, 130):
-            bits = rng.integers(0, 2, size=(4, n), dtype=np.uint8)
-            assert np.array_equal(unpack_bits(pack_bits(bits), n), bits)
-
     def test_from_bits_rejects_non_binary(self):
         with pytest.raises(ValueError):
             BitVector.from_bits([0, 1, 2])
+
+    def test_bits_are_a_read_only_uint8_copy(self):
+        source = np.array([1, 0, 1, 1], dtype=np.int64)
+        v = BitVector(source)
+        source[0] = 0
+        assert v.bits().dtype == np.uint8 and list(v.bits()) == [1, 0, 1, 1]
+        assert not v.bits().flags.writeable and v.n == 4 and ones(v) == 3
+        assert BitVector.from_bits(iter([1, 0])) == BitVector([True, False])
+        for bad in ([], [[0, 1]], [0, 1, -1]):
+            with pytest.raises(ValueError):
+                BitVector(bad)
 
     def test_equality_and_hash(self):
         a = count_vector(3, 70)

@@ -460,6 +460,11 @@ class TestLevelFunctions:
     def test_level_increasing_function_fails(self):
         assert not validate_level_function(lambda k, j: j, 4, 5)
 
+    def test_levels_that_do_not_glue_fail(self):
+        # monotone in k and in j, but g(lambda^2, j) = 3 - j < g(0, j+1) = 4 - j
+        assert not validate_level_function(lambda k, j: (5 - j) - 2 * k / 16, 4, 5)
+        assert validate_level_function(lambda k, j: (5 - j) - k / 16, 4, 5)
+
     def test_reference_potential_validates(self):
         for lam, m in ((6, 3), (12, 6), (20, 10)):
             for delta in (0.3, 0.9):
@@ -470,6 +475,26 @@ class TestLevelFunctions:
                 assert validate_level_function(g1, lam, m)
                 assert validate_level_function(g2, lam, m)
                 assert validate_level_function(lambda k, j: g1(k, j) + g2(k, j), lam, m)
+
+    def test_array_evaluation_matches_scalar_forms(self):
+        # g1, g2 on broadcast integer grids against the scalar formulas in
+        # math.exp; np.exp may differ from math.exp by an ulp
+        for lam, m in ((6, 1), (6, 3), (15, 6), (28, 10)):
+            z = tuple(0.1 + 0.8 * ((i * 7) % (m + 1)) / (m + 1) for i in range(m - 1))
+            lo, hi = eta_window(0.8, lam)
+            params = LevelFunctionParams(eta=(lo + hi) / 2, phi=0.5, z=z, lam=lam, m=m)
+            eta, q = params.eta, params.q
+            g1, g2 = reference_g1_g2(params)
+            k, j = np.arange(lam * lam + 1)[:, None], np.arange(1, m + 1)[None, :]
+            want1 = [[eta / (1 + eta) * ((m - jj) * lam * lam - kk) for jj in range(1, m + 1)]
+                     for kk in range(lam * lam + 1)]
+            want2 = [[0.0 if jj == m else 0.5 * (math.exp(-eta * kk) / q[jj - 1]
+                                                 + sum(1 / qi for qi in q[jj:]))
+                      for jj in range(1, m + 1)] for kk in range(lam * lam + 1)]
+            assert np.array_equal(g1(k, j), want1)
+            assert np.allclose(np.broadcast_to(g2(k, j), (lam * lam + 1, m)), want2,
+                               rtol=1e-12, atol=0.0)
+            assert g2(3, m) == 0.0 and g2(0, 1) == pytest.approx(want2[0][0], rel=1e-12)
 
     def test_g1_glue_identity_exact(self):
         params = LevelFunctionParams(eta=0.01, phi=0.5, z=(0.5,) * 9, lam=20, m=10)

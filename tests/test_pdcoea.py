@@ -19,11 +19,11 @@ from coevo import (
     spawn_stream,
     step_generation,
 )
-from coevo.core import pack_bits, popcount_rows
+from coevo.core import popcount_rows
 from coevo.harness import paired_from_counts
 from coevo.pdcoea import _SCALE, MAX_N, _offspring_cdf, _offspring_table, _select_slots
 
-from bit_reference import initial_words, reference_hit_generation
+from bit_reference import initial_bits, reference_hit_generation
 from conftest import count_vector
 
 
@@ -404,15 +404,15 @@ class TestOffspringLaw:
 
     def test_generation_zero_matches_bit_level_reference(self):
         # both engines start from the same draws: the counts of generation 0
-        # are the popcounts of the reference's packed genomes
+        # are the one-counts of the reference's bit matrices
         for lam, n in ((10, 20), (20, 8), (3, 130)):
             pops = paired_uniform(lam, n, spawn_stream(61, 0))
-            pred, prey = initial_words(lam, n, spawn_stream(61, 0))
+            pred, prey = initial_bits(lam, n, spawn_stream(61, 0))
             assert np.array_equal(pops.predators.ones, popcount_rows(pred))
             assert np.array_equal(pops.prey.ones, popcount_rows(prey))
             solo = Population.uniform(lam, n, spawn_stream(62, 0))
-            assert np.array_equal(solo.ones, popcount_rows(pack_bits(
-                spawn_stream(62, 0).integers(0, 2, size=(lam, n), dtype=np.uint8))))
+            assert np.array_equal(solo.ones, popcount_rows(
+                spawn_stream(62, 0).integers(0, 2, size=(lam, n), dtype=np.uint8)))
 
     @pytest.mark.parametrize("cell", ["bilinear", "singleton"])
     def test_hit_times_match_bit_level_reference(self, cell):

@@ -52,6 +52,8 @@ class TestLevelProcessBound:
             BoundInputs(m=2, lam=10, delta=1.4, z=(0.5,), c_pp=2.0)
         with pytest.raises(ValueError):
             BoundInputs(m=2, lam=10, delta=0.4, z=(0.5,), c_pp=1.0)
+        with pytest.raises(ValueError, match="delta"):
+            level_process_bound(BoundInputs(m=2, lam=10, z=(0.5,), c_pp=2.0))
 
 
 class TestChiRecipe:
@@ -103,6 +105,11 @@ class TestSolvableRegimeBudget:
         assert lo.terms["mutation_term"] > hi.terms["mutation_term"]
         assert lo.terms["mutation_term"] == pytest.approx(
             hi.terms["mutation_term"] * 0.012 / 0.002, rel=1e-12)
+
+    def test_takes_no_delta(self):
+        # the slack is derived from chi: a missing delta changes nothing
+        base = solvable_regime_budget(self.make())
+        assert solvable_regime_budget(self.make(delta=None)) == base
 
     def test_requires_bilinear_fields(self):
         with pytest.raises(ValueError):
