@@ -38,12 +38,12 @@ seq = build_bilinear_levels(params)
 print(f"level sequence for n={params.n}: {seq.m1} descent levels + {seq.m2} ascent levels "
       f"= {seq.m} <= 2(n+1) = {2 * (params.n + 1)}")
 for j in (1, 2, seq.m1, seq.m1 + 1, seq.m):
-    a, b = seq[j]
-    print(f"  level {j:2d}: predators in [{a.lo:.0f}, {a.hi:.0f}) ones, prey in [{b.lo:.0f}, {b.hi:.0f})")
+    (a_lo, a_hi), (b_lo, b_hi) = seq[j]
+    print(f"  level {j:2d}: predators in [{a_lo}, {a_hi}) ones, prey in [{b_lo}, {b_hi})")
 
 print("\ncurrent level along a run (gamma0 = 9/25):")
 gamma0 = 9 / 25
-cfg = PdcoeaConfig(lam=30, chi=recipe_mutation_rate(0.01), n=20, seed=7,
+cfg = PdcoeaConfig(lam=30, chi=recipe_mutation_rate(0.01), seed=7,
                    budget_generations=20_000, game=params)
 record = run_trial(cfg, observer=lambda pops: current_level(pops, seq, gamma0))
 marks = sorted(set([0, 1, 2, 5] + list(range(0, len(record.observed), max(1, len(record.observed) // 10)))))

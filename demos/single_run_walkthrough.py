@@ -9,14 +9,13 @@ interactions (generations times lambda).
 Run:  python3 demos/single_run_walkthrough.py
 """
 
-from coevo import BilinearParams, PdcoeaConfig, run_trial, recipe_mutation_rate
+from coevo import BilinearParams, PdcoeaConfig, recipe_mutation_rate, run_trial, trajectory_row
 
 delta = 0.01
 game = BilinearParams(n=60, alpha=0.9, beta=0.05, epsilon=0.1)
 cfg = PdcoeaConfig(
     lam=80,
     chi=recipe_mutation_rate(delta),
-    n=60,
     seed=20260808,
     budget_generations=50_000,
     game=game,
@@ -26,18 +25,18 @@ print(f"n={cfg.n}, lambda={cfg.lam}, chi={cfg.chi:.6f} (recipe at slack {delta})
 print(f"target: some predator below {game.beta_n:.0f} ones and some prey in "
       f"[{game.target_lo:.0f}, {game.alpha_n:.0f}) ones\n")
 
-record = run_trial(cfg)
+record = run_trial(cfg, observer=lambda pops: trajectory_row(pops, game))
 print(f"hit={record.hit}  T={record.T_interactions} interactions "
       f"({record.generations_run} generations x lambda={cfg.lam})\n")
 
 print("  gen   pred mean [min,max]   prey mean [min,max]    p0      q0")
-rows = record.trajectory
+rows = record.observed
 marks = sorted({0, 1, 2, 5, 10, len(rows) - 1} | {i for i in range(0, len(rows), max(1, len(rows) // 12))})
 for i in marks:
     r = rows[i]
-    print(f"  {int(r['generation']):5d}   {r['pred_mean']:6.2f} [{int(r['pred_min']):3d},{int(r['pred_max']):3d}]"
-          f"      {r['prey_mean']:6.2f} [{int(r['prey_min']):3d},{int(r['prey_max']):3d}]"
-          f"   {r['p0']:5.2f}   {r['q0']:5.2f}")
+    print(f"  {r.generation:5d}   {r.pred_mean:6.2f} [{r.pred_min:3d},{r.pred_max:3d}]"
+          f"      {r.prey_mean:6.2f} [{r.prey_min:3d},{r.prey_max:3d}]"
+          f"   {r.p0:5.2f}   {r.q0:5.2f}")
 
 print("\np0 is the predator fraction below beta*n; once it saturates, the")
 print("prey population turns around and ascends toward alpha*n, and the")

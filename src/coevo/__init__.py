@@ -35,7 +35,6 @@ from .core import (
     uniform_bitvector,
 )
 from .levels import (
-    CountInterval,
     FractionStats,
     GrowthLemmaReport,
     LevelFunctionParams,
@@ -47,7 +46,7 @@ from .levels import (
     exact_selection_distribution,
     fraction_stats,
     half_prob_conditionals,
-    pairs_in_level,
+    level_pair_counts,
     reference_g1_g2,
     selection_slot_rates,
     validate_level_function,
@@ -55,10 +54,12 @@ from .levels import (
 from .pdcoea import (
     PdcoeaConfig,
     PdcoeaDistribution,
+    TrajectoryRow,
     TrialRecord,
     run_trial,
     singleton_target,
     step_generation,
+    trajectory_row,
 )
 from .theory import (
     BoundInputs,

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from . import harness, theory
 from .bilinear import BilinearParams
-from .pdcoea import PdcoeaConfig, run_trial
+from .pdcoea import PdcoeaConfig, run_trial, trajectory_row
 
 
 class UsageError(Exception):
@@ -45,19 +45,16 @@ def _add_run(sub):
 
 def _cmd_run(args) -> int:
     game = BilinearParams(n=args.n, alpha=args.alpha, beta=args.beta, epsilon=args.epsilon)
-    cfg = PdcoeaConfig(
-        lam=args.lam, chi=args.chi, n=args.n, seed=args.seed,
-        budget_generations=args.budget, game=game,
-        target=harness._target_for(args.target, args.n),
-    )
-    record = run_trial(cfg)
+    cfg = PdcoeaConfig(lam=args.lam, chi=args.chi, seed=args.seed, budget_generations=args.budget,
+                       game=game, target=harness._target_for(args.target, args.n))
+    record = run_trial(cfg, observer=lambda pops: trajectory_row(pops, game))
     if args.json:
         payload = {
             "hit": record.hit,
             "T_interactions": record.T_interactions,
             "generations_run": record.generations_run,
             "seed": record.seed,
-            "trajectory": [tuple(float(v) for v in row) for row in record.trajectory],
+            "trajectory": [tuple(float(v) for v in row) for row in record.observed],
             "wall_ms": record.wall_ms,
         }
         print(json.dumps(payload))
@@ -66,14 +63,12 @@ def _cmd_run(args) -> int:
     print(f"T_interactions = {record.T_interactions}")
     print(f"generations_run = {record.generations_run}")
     print(f"seed = {record.seed}")
-    if record.trajectory is not None and len(record.trajectory):
-        first, last = record.trajectory[0], record.trajectory[-1]
-        for label, row in (("initial", first), ("final", last)):
-            print(
-                f"{label}: gen={int(row['generation'])} "
-                f"pred_mean={row['pred_mean']:.3f} prey_mean={row['prey_mean']:.3f} "
-                f"p0={row['p0']:.4f} q0={row['q0']:.4f} prey_in_s0={int(row['prey_in_s0'])}"
-            )
+    for label, row in (("initial", record.observed[0]), ("final", record.observed[-1])):
+        print(
+            f"{label}: gen={row.generation} "
+            f"pred_mean={row.pred_mean:.3f} prey_mean={row.prey_mean:.3f} "
+            f"p0={row.p0:.4f} q0={row.q0:.4f} prey_in_s0={row.prey_in_s0}"
+        )
     print(f"wall_ms = {record.wall_ms:.3f}")
     return 0
 
@@ -84,7 +79,8 @@ def _add_experiment(sub, name, help_text):
     p.add_argument("--out", default=None, help="output prefix (overrides the spec)")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes (trajectory runs in one process)")
 
 
 def _load_spec(args, kind=None) -> harness.ExperimentSpec:
@@ -125,7 +121,7 @@ def _cmd_sweep_with_spec(spec, workers) -> int:
         table, summary = harness.experiment_runtime_scaling(spec, workers=workers)
         print(json.dumps(summary, indent=2, sort_keys=True))
     elif spec.kind == "trajectory":
-        table, series = harness.experiment_trajectory(spec, workers=workers)
+        table, series = harness.experiment_trajectory(spec)
         if spec.out:
             print(f"wrote {harness.write_series(series, spec.out + '.series.csv')}")
     else:
@@ -178,7 +174,8 @@ def _cmd_bound(args) -> int:
             theory.BoundInputs(m=args.m, lam=args.lam, delta=args.delta, z=z, c_pp=args.cpp))
     else:
         _require(args, ("lam", "n", "alpha", "beta", "epsilon"))
-        chi = args.chi if args.chi is not None else theory.recipe_mutation_rate(args.delta or 0.01)
+        chi = args.chi if args.chi is not None else theory.recipe_mutation_rate(
+            0.01 if args.delta is None else args.delta)
         bound = theory.solvable_regime_budget(theory.BoundInputs(
             m=1, lam=args.lam, c_pp=args.cpp, n=args.n, chi=chi, alpha=args.alpha,
             beta=args.beta, epsilon=args.epsilon, r=args.r))

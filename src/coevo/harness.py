@@ -46,7 +46,14 @@ from .levels import (
     validate_level_function,
     _psel_counts,
 )
-from .pdcoea import PdcoeaConfig, PdcoeaDistribution, run_trial, singleton_target, step_generation
+from .pdcoea import (
+    PdcoeaConfig,
+    PdcoeaDistribution,
+    run_trial,
+    singleton_target,
+    step_generation,
+    trajectory_row,
+)
 from .theory import CheckResult
 
 SCHEMA_VERSION = 1
@@ -353,19 +360,10 @@ def _target_for(kind: str, n: int):
     return singleton_target(BitVector.zeros(n), BitVector.all_ones(n))
 
 
-def _cell_config(cell: Cell, spec: ExperimentSpec, seed: int, budget: int,
-                 record_trajectory: bool = False) -> PdcoeaConfig:
+def _cell_config(cell: Cell, spec: ExperimentSpec, seed: int, budget: int) -> PdcoeaConfig:
     game = BilinearParams(n=cell.n, alpha=cell.alpha, beta=cell.beta, epsilon=cell.epsilon)
-    return PdcoeaConfig(
-        lam=cell.lam,
-        chi=cell.chi,
-        n=cell.n,
-        seed=seed,
-        budget_generations=budget,
-        game=game,
-        target=_target_for(spec.target, cell.n),
-        record_trajectory=record_trajectory,
-    )
+    return PdcoeaConfig(lam=cell.lam, chi=cell.chi, seed=seed, budget_generations=budget,
+                        game=game, target=_target_for(spec.target, cell.n))
 
 
 class PilotError(RuntimeError):
@@ -543,35 +541,32 @@ SERIES_COLUMNS = (
 )
 
 
-def experiment_trajectory(spec: ExperimentSpec, workers: int = 1):
+def experiment_trajectory(spec: ExperimentSpec):
     """Per-generation population series with level and phase annotation.
 
     Phase 2 starts at the first generation where the predator fraction below
-    beta*n reaches gamma0.  Runs sequentially: the per-generation level
-    observer is cheap next to the generation it observes, because it reads
-    every level's occupancy from prefix sums over the two one-count
-    histograms instead of counting members level by level.
+    beta*n reaches gamma0.  Runs in one process: the observer records each
+    generation's `trajectory_row` and current level, which is cheap next to
+    the generation it observes because it reads every level's occupancy from
+    prefix sums over the two one-count histograms.
     """
     table = ResultTable(spec=spec)
     series = []
     levels = {}
     for cell, trial, seed, budget in _plan_units(spec):
-        cfg = _cell_config(cell, spec, seed, budget, record_trajectory=True)
+        cfg = _cell_config(cell, spec, seed, budget)
         if cell not in levels:
             levels[cell] = build_bilinear_levels(cfg.game)
         seq = levels[cell]
-        record = run_trial(cfg, observer=lambda pops: current_level(pops, seq, spec.gamma0))
+        record = run_trial(cfg, observer=lambda pops: (
+            trajectory_row(pops, cfg.game), current_level(pops, seq, spec.gamma0)))
         table.rows.append(_result_row(spec, cell, trial, record))
         phase = 1
-        for row, level in zip(record.trajectory, record.observed):
-            if phase == 1 and row["p0"] >= spec.gamma0:
+        for row, level in record.observed:
+            if phase == 1 and row.p0 >= spec.gamma0:
                 phase = 2
-            series.append((
-                cell.n, cell.lam, cell.chi, trial, int(row["generation"]),
-                float(row["pred_mean"]), float(row["prey_mean"]),
-                float(row["p0"]), float(row["q0"]), int(row["prey_in_s0"]),
-                int(level), phase,
-            ))
+            series.append((cell.n, cell.lam, cell.chi, trial, row.generation, row.pred_mean,
+                           row.prey_mean, row.p0, row.q0, row.prey_in_s0, level, phase))
     table.sort()
     table.extra["series_columns"] = list(SERIES_COLUMNS)
     return table, series

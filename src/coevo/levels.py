@@ -1,6 +1,6 @@
 """Level structure over the product of the two populations.
 
-A level is a pair (A_j, B_j) of one-count interval predicates; the occupancy
+A level is a pair (A_j, B_j) of integer one-count ranges; the occupancy
 statistic of a level is |(P x Q) cap (A_j x B_j)|, and the current level of a
 state is the largest index holding at least a gamma0 fraction of the lambda^2
 population pairs.  Level 1 is always the full product space, so the current
@@ -17,7 +17,7 @@ the process from above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,55 +29,45 @@ from .core import PairedPopulations
 # Level sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CountInterval:
-    """Half-open one-count interval [lo, hi); decides membership from ones()."""
-
-    lo: float
-    hi: float
-
-    def contains(self, c) -> bool:
-        return bool(self.lo <= c < self.hi)
-
-    def count(self, ones_array: np.ndarray) -> int:
-        return int(((ones_array >= self.lo) & (ones_array < self.hi)).sum())
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelSequence:
-    """Ordered levels (A_j, B_j), 1-based; level 1 covers everything."""
+    """Ordered levels A_j x B_j for genomes of length n, 1-based.
 
-    levels: tuple
+    A level is its integer one-count ranges: row j-1 of `predators` is the
+    range [lo, hi) of A_j and row j-1 of `prey` that of B_j, read-only int64
+    (m, 2) arrays with 0 <= lo <= hi <= n+1 (lo == hi is an empty range).
+    Level 1 should cover everything.
+    """
+
+    n: int
+    predators: np.ndarray
+    prey: np.ndarray
     m1: int
     m2: int
-    _bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for side in ("predators", "prey"):
+            ranges = np.asarray(getattr(self, side))
+            if (ranges.dtype.kind not in "iu" or ranges.ndim != 2 or ranges.shape[1] != 2
+                    or ranges.shape[0] < 1 or (ranges < 0).any() or (ranges > self.n + 1).any()
+                    or (ranges[:, 1] < ranges[:, 0]).any()):
+                raise ValueError(f"{side} ranges must be an integer (m, 2) array of [lo, hi) "
+                                 f"with 0 <= lo <= hi <= n+1 = {self.n + 1}, got {ranges.tolist()}")
+            ranges = ranges.astype(np.int64)
+            ranges.setflags(write=False)
+            object.__setattr__(self, side, ranges)
+        if self.predators.shape != self.prey.shape:
+            raise ValueError(f"{self.m} predator ranges but {len(self.prey)} prey ranges")
 
     @property
     def m(self) -> int:
-        return len(self.levels)
-
-    def count_bounds(self, n: int):
-        """Integer (lo, hi) bounds of every level's intervals, for genomes of length n.
-
-        An integer count c satisfies lo <= c < hi exactly when
-        ceil(lo) <= c < ceil(hi).  Bounds are clipped to [0, n+1] and hi is
-        raised to at least lo, so an empty interval counts 0.  Returns the
-        predator and prey bounds as int arrays of shape (m, 2), cached per n.
-        """
-        bounds = self._bounds.get(n)
-        if bounds is None:
-            raw = np.array([[[a.lo, a.hi], [b.lo, b.hi]] for a, b in self.levels], dtype=float)
-            idx = np.clip(np.ceil(raw), 0, n + 1).astype(np.int64)
-            idx[..., 1] = np.maximum(idx[..., 1], idx[..., 0])
-            idx.setflags(write=False)
-            bounds = self._bounds[n] = (idx[:, 0], idx[:, 1])
-        return bounds
+        return len(self.predators)
 
     def __getitem__(self, j: int):
-        """Level at 1-based index j."""
+        """Level at 1-based index j, as ((lo, hi) of A_j, (lo, hi) of B_j)."""
         if not 1 <= j <= self.m:
             raise IndexError(f"level index {j} outside [1, {self.m}]")
-        return self.levels[j - 1]
+        return tuple(self.predators[j - 1].tolist()), tuple(self.prey[j - 1].tolist())
 
 
 def build_bilinear_levels(params: BilinearParams) -> LevelSequence:
@@ -86,10 +76,11 @@ def build_bilinear_levels(params: BilinearParams) -> LevelSequence:
     Level 1 is the full product space.  The descent phase tightens the
     predator one-count ceiling one step per level while prey stay below the
     target band; the ascent phase keeps predators below beta*n and raises the
-    prey floor to the target band.  The final level's prey floor uses the
-    exact value (alpha - epsilon)*n so that membership in the last level is
-    the same predicate as the run target; interior floors use the integer
-    grid (the thresholds coincide whenever the products are integral).
+    prey floor to the target band.  The final level's prey floor is
+    (alpha - epsilon)*n so that membership in the last level is the same
+    predicate as the run target; interior floors are the integers.  Edges
+    are the snapped products, rounded up: an integer count c satisfies
+    c < x iff c < ceil(x), and c >= x iff c >= ceil(x).
     """
     n = params.n
     if params.target_lo < 0:
@@ -98,48 +89,41 @@ def build_bilinear_levels(params: BilinearParams) -> LevelSequence:
         raise ValueError("alpha*n must be positive to define prey levels")
     m1 = int(math.floor(n - params.beta_n)) + 1
     m2 = int(math.floor(params.target_lo)) + 1
+    band_lo, r0_hi = math.ceil(params.target_lo), math.ceil(params.beta_n)
+    s0_lo = math.ceil(params.alpha_n)
 
-    full = CountInterval(0.0, float(n + 1))
-    below_band = CountInterval(0.0, params.target_lo)
-    in_r0 = CountInterval(0.0, params.beta_n)
-
-    levels = [(full, full)]
-    for j in range(1, m1):
-        levels.append((CountInterval(0.0, float(n - j)), below_band))
-    for j in range(m2):
-        lo = params.target_lo if j == m2 - 1 else float(j)
-        levels.append((in_r0, CountInterval(lo, params.alpha_n)))
-    return LevelSequence(tuple(levels), m1=m1, m2=m2)
+    predators = [(0, n + 1)] + [(0, n - j) for j in range(1, m1)] + [(0, r0_hi)] * m2
+    prey = ([(0, n + 1)] + [(0, band_lo)] * (m1 - 1)
+            + [(j, s0_lo) for j in range(m2 - 1)] + [(band_lo, s0_lo)])
+    return LevelSequence(n, np.array(predators), np.array(prey), m1=m1, m2=m2)
 
 
-def pairs_in_level(pops: PairedPopulations, level) -> int:
-    """|(P x Q) cap (A x B)| = (#P in A) * (#Q in B); ranges [0, lambda^2]."""
-    a, b = level
-    return a.count(pops.predators.ones) * b.count(pops.prey.ones)
-
-
-def _interval_counts(ones: np.ndarray, bounds: np.ndarray, n: int) -> np.ndarray:
-    """Members inside each [lo, hi) bound pair, from one histogram prefix sum."""
+def _range_counts(ones: np.ndarray, ranges: np.ndarray, n: int) -> np.ndarray:
+    """Members inside each [lo, hi) range, from one histogram prefix sum."""
     below = np.zeros(n + 2, dtype=np.int64)  # below[k] = #{members with c < k}
     np.cumsum(np.bincount(ones, minlength=n + 1), out=below[1:])
-    inside = below[bounds]
+    inside = below[ranges]
     return inside[:, 1] - inside[:, 0]
 
 
-def current_level(pops: PairedPopulations, seq: LevelSequence, gamma0: float) -> int:
-    """Largest 1-based j whose level holds at least gamma0 * lambda^2 pairs.
+def level_pair_counts(pops: PairedPopulations, seq: LevelSequence) -> np.ndarray:
+    """|(P x Q) cap (A_j x B_j)| = (#P in A_j) * (#Q in B_j) for every level.
 
-    Every level's pair count is (#P in A_j) * (#Q in B_j); both factors come
-    from prefix sums over the one-count histograms, O(n + m) numpy work.
+    Returns an int64 array of length m; both factors come from prefix sums
+    over the one-count histograms, O(n + m) numpy work.
     """
+    if seq.n != pops.n:
+        raise ValueError(f"level sequence is for n={seq.n}, populations have n={pops.n}")
+    return (_range_counts(pops.predators.ones, seq.predators, seq.n)
+            * _range_counts(pops.prey.ones, seq.prey, seq.n))
+
+
+def current_level(pops: PairedPopulations, seq: LevelSequence, gamma0: float) -> int:
+    """Largest 1-based j whose level holds at least gamma0 * lambda^2 pairs,
+    by `level_pair_counts`."""
     if not 0.0 < gamma0 < 1.0:
         raise ValueError(f"gamma0 must be in (0, 1), got {gamma0}")
-    threshold = gamma0 * pops.lam**2
-    n = pops.n
-    pred_bounds, prey_bounds = seq.count_bounds(n)
-    pairs = (_interval_counts(pops.predators.ones, pred_bounds, n)
-             * _interval_counts(pops.prey.ones, prey_bounds, n))
-    held = np.flatnonzero(pairs >= threshold)
+    held = np.flatnonzero(level_pair_counts(pops, seq) >= gamma0 * pops.lam**2)
     return int(held[-1]) + 1 if held.size else 1
 
 

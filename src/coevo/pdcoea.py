@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -198,39 +198,25 @@ def singleton_target(x_star: BitVector, y_star: BitVector):
 # Trials
 # ---------------------------------------------------------------------------
 
-_TRAJECTORY_DTYPE = np.dtype(
-    [
-        ("generation", np.int64),
-        ("pred_mean", np.float64),
-        ("pred_min", np.int64),
-        ("pred_max", np.int64),
-        ("prey_mean", np.float64),
-        ("prey_min", np.int64),
-        ("prey_max", np.int64),
-        ("prey_in_s0", np.int64),
-        ("p0", np.float64),
-        ("q0", np.float64),
-    ]
-)
-
-
 @dataclass(frozen=True)
 class PdcoeaConfig:
     """One run of the pairwise-dominance process.
 
     `target` defaults to the game's epsilon-approximation predicate; pass
     another predicate (e.g. `singleton_target`) for different solution
-    concepts.  `record_trajectory` can be disabled for bulk sweeps.
+    concepts.  The genome length is the game's, `n`.
     """
 
     lam: int
     chi: float
-    n: int
     seed: int
     budget_generations: int
     game: BilinearParams
     target: Optional[Callable[[PairedPopulations], bool]] = None
-    record_trajectory: bool = True
+
+    @property
+    def n(self) -> int:
+        return self.game.n
 
     def __post_init__(self):
         if self.lam < 1:
@@ -242,8 +228,6 @@ class PdcoeaConfig:
             raise ValueError(f"chi must be in (0, n] = (0, {self.n}], got {self.chi}")
         if self.budget_generations < 1:
             raise ValueError(f"budget must be >= 1 generation, got {self.budget_generations}")
-        if self.game.n != self.n:
-            raise ValueError(f"game n={self.game.n} does not match config n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -252,45 +236,44 @@ class TrialRecord:
 
     T_interactions is t * lambda at the first hit (a multiple of lambda by
     construction) or budget * lambda on timeout; timeouts are censored lower
-    bounds, flagged by hit=False.
+    bounds, flagged by hit=False.  `observed` holds the observer's returns,
+    one per evaluated generation, or None when the run had no observer.
+    Records compare equal when everything but wall_ms agrees.
     """
 
     hit: bool
     T_interactions: int
     generations_run: int
     seed: int
-    trajectory: Optional[np.ndarray] = None
     observed: Optional[tuple] = None
     wall_ms: float = field(default=0.0, compare=False)
 
-    def __eq__(self, other):
-        if not isinstance(other, TrialRecord):
-            return NotImplemented
-        same_traj = (
-            self.trajectory is None
-            and other.trajectory is None
-            or (
-                self.trajectory is not None
-                and other.trajectory is not None
-                and np.array_equal(self.trajectory, other.trajectory)
-            )
-        )
-        return (
-            same_traj
-            and self.hit == other.hit
-            and self.T_interactions == other.T_interactions
-            and self.generations_run == other.generations_run
-            and self.seed == other.seed
-            and self.observed == other.observed
-        )
+
+class TrajectoryRow(NamedTuple):
+    """Summary of one evaluated generation: one-count statistics of both
+    populations, the prey at or above alpha*n (S0), and the fractions p0 of
+    predators below beta*n and q0 of prey in S0."""
+
+    generation: int
+    pred_mean: float
+    pred_min: int
+    pred_max: int
+    prey_mean: float
+    prey_min: int
+    prey_max: int
+    prey_in_s0: int
+    p0: float
+    q0: float
 
 
-def _trajectory_row(pops: PairedPopulations, params: BilinearParams):
+def trajectory_row(pops: PairedPopulations, params: BilinearParams) -> TrajectoryRow:
+    """The trajectory row of a state; an observer for `run_trial` once bound
+    to the game, e.g. `lambda pops: trajectory_row(pops, cfg.game)`."""
     cx = pops.predators.ones
     cy = pops.prey.ones
     lam = pops.lam
     in_s0 = int((cy >= params.alpha_n).sum())
-    return (
+    return TrajectoryRow(
         pops.generation,
         float(cx.mean()),
         int(cx.min()),
@@ -308,10 +291,11 @@ def run_trial(cfg: PdcoeaConfig, observer=None) -> TrialRecord:
     """Run one seeded trial until the target is hit or the budget expires.
 
     The target is evaluated at t = 0, 1, 2, ... before offspring are
-    produced.  Trajectory rows (one per evaluated generation, including the
-    hit generation) are recorded when `record_trajectory` is set; `observer`,
-    if given, is called on each evaluated state and its returns are collected
-    into `observed`.
+    produced.  `observer`, if given, is called on each evaluated state
+    (including the hit generation) before the target is, and its returns
+    are collected into `observed`; `trajectory_row` gives the per-generation
+    population summary.  This is the only per-generation hook: without an
+    observer, nothing is recorded.
 
     Identical (seed, config) pairs produce identical records on every
     platform; wall_ms is the only nondeterministic field.
@@ -321,15 +305,11 @@ def run_trial(cfg: PdcoeaConfig, observer=None) -> TrialRecord:
     pops = paired_uniform(cfg.lam, cfg.n, rng)
     dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
     target = cfg.target if cfg.target is not None else bilinear_target(cfg.game)
-
-    rows = [] if cfg.record_trajectory else None
     seen = [] if observer is not None else None
 
     hit = False
     generations = cfg.budget_generations
     for t in range(cfg.budget_generations):
-        if rows is not None:
-            rows.append(_trajectory_row(pops, cfg.game))
         if seen is not None:
             seen.append(observer(pops))
         if target(pops):
@@ -338,20 +318,11 @@ def run_trial(cfg: PdcoeaConfig, observer=None) -> TrialRecord:
             break
         pops = step_generation(pops, dist, rng)
 
-    trajectory = None
-    if rows is not None:
-        trajectory = np.array(rows[: generations + 1] if hit else rows, dtype=_TRAJECTORY_DTYPE)
-        trajectory.setflags(write=False)
-    observed = None
-    if seen is not None:
-        observed = tuple(seen[: generations + 1] if hit else seen)
-
     return TrialRecord(
         hit=hit,
         T_interactions=generations * cfg.lam,
         generations_run=generations,
         seed=cfg.seed,
-        trajectory=trajectory,
-        observed=observed,
+        observed=tuple(seen) if seen is not None else None,
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )

@@ -45,7 +45,7 @@ from coevo.harness import (
     resolve_cells,
     run_experiment,
 )
-from coevo.pdcoea import _select_slots, singleton_target
+from coevo.pdcoea import _select_slots, singleton_target, trajectory_row
 from coevo.theory import BoundInputs, check_exp_lower_bound, check_product_mgf, check_sqrt_bound
 
 from conftest import count_vector
@@ -226,9 +226,9 @@ def prey_ceiling_runs():
 
     for trial in range(30):
         cfg = PdcoeaConfig(
-            lam=100, chi=cell.chi, n=100, seed=derive_seed(2024, trial),
-            budget_generations=budget, game=game, record_trajectory=True)
-        records.append(run_trial(cfg))
+            lam=100, chi=cell.chi, seed=derive_seed(2024, trial),
+            budget_generations=budget, game=game)
+        records.append(run_trial(cfg, observer=lambda pops: trajectory_row(pops, game)))
     return records
 
 
@@ -239,9 +239,9 @@ def test_criterion_10_prey_rarely_cross_the_ceiling(prey_ceiling_runs):
         empty = 0
         total = 0
         for record in hits:
-            pre_hit = record.trajectory[:-1]  # rows strictly before the hit generation
+            pre_hit = record.observed[:-1]  # rows strictly before the hit generation
             total += len(pre_hit)
-            empty += int((pre_hit["prey_in_s0"] == 0).sum())
+            empty += sum(row.prey_in_s0 == 0 for row in pre_hit)
         assert total > 0
         assert empty / total >= 0.99, f"fraction {empty / total:.4f}"
 

@@ -43,6 +43,16 @@ class TestBound:
         assert code == 0, err
         assert out == run_cli(capsys, *argv, "--delta", "0.01")[1] == run_cli(capsys, *argv)[1]
 
+    def test_solvable_budget_rejects_zero_delta(self, capsys):
+        # a recipe chi at --delta 0 is rejected like `--theorem chi --delta 0`,
+        # not priced at the default slack 0.01
+        argv = ["bound", "--theorem", "9", "--n", "100", "--lambda", "100",
+                "--alpha", "0.9", "--beta", "0.05", "--epsilon", "0.1"]
+        code, out, err = run_cli(capsys, *argv, "--delta", "0")
+        assert code == 1 and "error" in err and out == ""
+        assert run_cli(capsys, "bound", "--theorem", "chi", "--delta", "0")[0] == 1
+        assert run_cli(capsys, *argv)[1] == run_cli(capsys, *argv, "--delta", "0.01")[1]
+
     def test_bound_table_ignores_delta_with_explicit_chi(self, capsys, tmp_path):
         def rows(delta):
             path = tmp_path / f"bounds_{delta}.txt"
@@ -83,6 +93,7 @@ class TestRun:
         assert code1 == code2 == 0
         assert strip_wall_lines(out1) == strip_wall_lines(out2)
         assert "T_interactions" in out1
+        assert "initial: gen=0 " in out1 and "final: gen=" in out1
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(
@@ -93,6 +104,10 @@ class TestRun:
         payload = json.loads(out)
         assert set(payload) >= {"hit", "T_interactions", "generations_run", "trajectory"}
         assert payload["T_interactions"] % 8 == 0
+        rows = payload["trajectory"]
+        assert len(rows) == payload["generations_run"] + payload["hit"]
+        assert all(len(row) == 10 for row in rows)
+        assert [row[0] for row in rows] == list(range(len(rows)))
 
 
 class TestCheck:

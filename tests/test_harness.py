@@ -23,7 +23,7 @@ from coevo.harness import (
     run_experiment,
     write_series,
 )
-from coevo.pdcoea import singleton_target
+from coevo.pdcoea import singleton_target, trajectory_row
 from coevo.core import BitVector
 
 
@@ -157,9 +157,8 @@ class TestRunExperiment:
         assert len(table.rows) == 1
         row = table.rows[0]
         cfg = PdcoeaConfig(
-            lam=10, chi=0.5, n=15, seed=derive_seed(77, 0), budget_generations=300,
+            lam=10, chi=0.5, seed=derive_seed(77, 0), budget_generations=300,
             game=BilinearParams(n=15, alpha=0.9, beta=0.05, epsilon=0.2),
-            record_trajectory=False,
         )
         record = run_trial(cfg)
         assert row["hit"] == record.hit
@@ -327,14 +326,14 @@ class TestPhaseOneDescent:
         hits = 0
         for trial in range(spec.trials):
             cfg = PdcoeaConfig(
-                lam=50, chi=cell.chi, n=50, seed=derive_seed(303, trial),
-                budget_generations=budget, game=game, record_trajectory=True)
-            record = run_trial(cfg)
+                lam=50, chi=cell.chi, seed=derive_seed(303, trial),
+                budget_generations=budget, game=game)
+            record = run_trial(cfg, observer=lambda pops: trajectory_row(pops, game))
             if not record.hit:
                 continue
             hits += 1
-            first, last = record.trajectory[0], record.trajectory[-1]
-            descended += last["pred_mean"] < game.beta_n + first["pred_mean"] / 2
+            first, last = record.observed[0], record.observed[-1]
+            descended += last.pred_mean < game.beta_n + first.pred_mean / 2
         assert hits >= 9
         assert descended / hits >= 0.9
 

@@ -8,7 +8,6 @@ import scipy.stats
 from coevo import (
     BilinearGame,
     BilinearParams,
-    CountInterval,
     LevelFunctionParams,
     LevelSequence,
     PdcoeaConfig,
@@ -19,7 +18,7 @@ from coevo import (
     exact_selection_distribution,
     fraction_stats,
     half_prob_conditionals,
-    pairs_in_level,
+    level_pair_counts,
     recipe_mutation_rate,
     reference_g1_g2,
     run_trial,
@@ -41,13 +40,49 @@ def solvable_params():
     return BilinearParams(n=10, alpha=0.9, beta=0.05, epsilon=0.1)
 
 
+def float_levels(params):
+    """The bilinear levels as float predicates on one-counts, from their
+    definitions: level 1 admits everything; descent level j has predators
+    c < n - j and prey c < (alpha - epsilon)*n; ascent level j has predators
+    c < beta*n and prey j <= c < alpha*n, with floor (alpha - epsilon)*n on
+    the last level."""
+    n, bn, an, lo = params.n, params.beta_n, params.alpha_n, params.target_lo
+    levels = [(lambda c: True, lambda c: True)]
+    for j in range(1, math.floor(n - bn) + 1):
+        levels.append((lambda c, j=j: c < n - j, lambda c: c < lo))
+    m2 = math.floor(lo) + 1
+    for j in range(m2):
+        floor = lo if j == m2 - 1 else j
+        levels.append((lambda c: c < bn, lambda c, floor=floor: floor <= c < an))
+    return levels
+
+
 class TestBuildLevels:
     def test_first_level_is_full_space(self, solvable_params):
         seq = build_bilinear_levels(BilinearParams(n=8, alpha=0.75, beta=0.25, epsilon=0.125))
-        a, b = seq[1]
-        for cx in range(9):
-            for cy in range(9):
-                assert a.contains(cx) and b.contains(cy)
+        assert seq[1] == ((0, 9), (0, 9))
+        pops = paired_from_counts(range(9), range(9), 8)
+        assert level_pair_counts(pops, seq)[0] == 81
+
+    @pytest.mark.parametrize("n, alpha, beta, epsilon", [
+        (10, 0.9, 0.05, 0.1),      # on the grid but beta*n = 0.5
+        (20, 0.9, 0.05, 0.1),      # every product integral
+        (10, 0.85, 0.33, 0.12),    # beta*n = 3.3000000000000003, alpha*n = 8.5, band from 7.3
+        (7, 0.6, 0.3, 0.2),        # products 4.2, 2.1, 2.8 off the grid
+        (50, 0.5, 0.5, 0.2),
+    ])
+    def test_integer_ranges_match_float_definitions(self, n, alpha, beta, epsilon):
+        params = BilinearParams(n=n, alpha=alpha, beta=beta, epsilon=epsilon)
+        seq = build_bilinear_levels(params)
+        levels = float_levels(params)
+        assert seq.m == len(levels) == seq.m1 + seq.m2
+        assert seq.predators.dtype == seq.prey.dtype == np.int64
+        assert not (seq.predators.flags.writeable or seq.prey.flags.writeable)
+        for j, (in_a, in_b) in enumerate(levels, start=1):
+            (a_lo, a_hi), (b_lo, b_hi) = seq[j]
+            for c in range(n + 1):
+                assert (a_lo <= c < a_hi) == bool(in_a(c)), (j, c)
+                assert (b_lo <= c < b_hi) == bool(in_b(c)), (j, c)
 
     def test_last_level_membership_is_the_target(self, solvable_params):
         seq = build_bilinear_levels(solvable_params)
@@ -55,7 +90,7 @@ class TestBuildLevels:
         for _ in range(100):
             pops = paired_from_counts(
                 rng.integers(0, 11, size=4), rng.integers(0, 11, size=4), 10)
-            assert (pairs_in_level(pops, seq[seq.m]) > 0) == target_hit(pops, solvable_params)
+            assert (level_pair_counts(pops, seq)[-1] > 0) == target_hit(pops, solvable_params)
 
     def test_level_count_bound(self):
         for n in (8, 10, 20, 50):
@@ -81,32 +116,31 @@ class TestPairsInLevel:
     def test_full_level_counts_all_pairs(self, solvable_params):
         seq = build_bilinear_levels(solvable_params)
         pops = paired_from_counts([0, 5, 10], [0, 5, 10], 10)
-        assert pairs_in_level(pops, seq[1]) == 9
+        assert level_pair_counts(pops, seq)[0] == 9
 
     def test_empty_intersection(self, solvable_params):
         seq = build_bilinear_levels(solvable_params)
         pops = paired_from_counts([10, 10, 10], [0, 0, 0], 10)  # nobody in R0
-        assert pairs_in_level(pops, seq[seq.m]) == 0
+        assert level_pair_counts(pops, seq)[-1] == 0
 
     def test_product_count(self, solvable_params):
         # 2 predators in A x 1 prey in B
         seq = build_bilinear_levels(solvable_params)
-        a, b = seq[seq.m]  # R0 x [8, 9)
+        assert seq[seq.m] == ((0, 1), (8, 9))  # R0 x [8, 9)
         pops = paired_from_counts([0, 0, 9], [8, 0, 0], 10)
-        assert a.count(pops.predators.ones) == 2
-        assert b.count(pops.prey.ones) == 1
-        assert pairs_in_level(pops, (a, b)) == 2
+        pairs = level_pair_counts(pops, seq)
+        assert pairs.dtype == np.int64 and pairs.shape == (seq.m,)
+        assert pairs[-1] == 2
 
 
 class TestCurrentLevel:
-    def brute_scan(self, pops, seq, gamma0):
-        # independent oracle: per-member interval membership, linear scan
+    def brute_scan(self, pops, params, gamma0):
+        # independent oracle: per-member float membership, linear scan
         best = 1
-        for j in range(1, seq.m + 1):
-            a, b = seq[j]
-            in_a = sum(a.contains(pops.predators.ones[i]) for i in range(pops.lam))
-            in_b = sum(b.contains(pops.prey.ones[i]) for i in range(pops.lam))
-            if in_a * in_b >= gamma0 * pops.lam**2:
+        for j, (in_a, in_b) in enumerate(float_levels(params), start=1):
+            count_a = sum(bool(in_a(c)) for c in pops.predators.ones.tolist())
+            count_b = sum(bool(in_b(c)) for c in pops.prey.ones.tolist())
+            if count_a * count_b >= gamma0 * pops.lam**2:
                 best = j
         return best
 
@@ -117,7 +151,8 @@ class TestCurrentLevel:
             pops = paired_from_counts(
                 rng.integers(0, 11, size=5), rng.integers(0, 11, size=5), 10)
             for gamma0 in (0.1, 9.0 / 25.0, 0.99):
-                assert current_level(pops, seq, gamma0) == self.brute_scan(pops, seq, gamma0)
+                assert (current_level(pops, seq, gamma0)
+                        == self.brute_scan(pops, solvable_params, gamma0))
 
     def test_always_defined_and_monotone_in_gamma0(self, solvable_params):
         seq = build_bilinear_levels(solvable_params)
@@ -146,7 +181,8 @@ class TestCurrentLevel:
     def test_matches_brute_scan_at_desk_scale(self):
         rng = spawn_stream(54, 0)
         for n in (10, 50, 100):
-            seq = build_bilinear_levels(BilinearParams(n=n, alpha=0.9, beta=0.05, epsilon=0.1))
+            params = BilinearParams(n=n, alpha=0.9, beta=0.05, epsilon=0.1)
+            seq = build_bilinear_levels(params)
             reached = set()
             for lam in (1, 7, 40, 100):
                 for concentrated in (False, True):
@@ -161,59 +197,62 @@ class TestCurrentLevel:
                     pops = paired_from_counts(pred, prey, n)
                     for gamma0 in (0.05, 9.0 / 25.0, 0.9):
                         level = current_level(pops, seq, gamma0)
-                        assert level == self.brute_scan(pops, seq, gamma0)
+                        assert level == self.brute_scan(pops, params, gamma0)
                         reached.add(level)
             assert len(reached) > 2
 
-    def test_threshold_tie_counts_as_held(self):
+    def test_threshold_tie_counts_as_held(self, solvable_params):
         # gamma0 * lambda^2 equals the last level's pair count exactly
-        seq = build_bilinear_levels(BilinearParams(n=10, alpha=0.9, beta=0.05, epsilon=0.1))
+        seq = build_bilinear_levels(solvable_params)
         for lam, in_a, in_b in ((4, 2, 2), (8, 4, 4), (10, 6, 6), (16, 12, 3)):
             pops = paired_from_counts([0] * in_a + [10] * (lam - in_a),
                                       [8] * in_b + [0] * (lam - in_b), 10)
             tie = in_a * in_b / lam**2
-            assert tie * lam**2 == pairs_in_level(pops, seq[seq.m])
-            assert current_level(pops, seq, tie) == self.brute_scan(pops, seq, tie) == seq.m
+            assert tie * lam**2 == level_pair_counts(pops, seq)[-1]
+            assert (current_level(pops, seq, tie) == self.brute_scan(pops, solvable_params, tie)
+                    == seq.m)
             above = float(np.nextafter(tie, 1.0))
-            assert current_level(pops, seq, above) == self.brute_scan(pops, seq, above) < seq.m
+            assert (current_level(pops, seq, above)
+                    == self.brute_scan(pops, solvable_params, above) < seq.m)
 
-    def test_empty_and_out_of_range_intervals(self):
-        full = CountInterval(0.0, 11.0)
-        seq = LevelSequence((
-            (full, full),
-            (CountInterval(0.0, 6.0), CountInterval(-3.0, 4.5)),        # lo below 0
-            (CountInterval(5.0, 5.0), full),                            # empty: lo == hi
-            (CountInterval(7.5, 2.0), CountInterval(0.0, 4.0)),         # inverted
-            (CountInterval(0.0, math.inf), CountInterval(2.0, 40.0)),   # hi beyond n + 1
-        ), m1=2, m2=3)
-        pred_bounds, prey_bounds = seq.count_bounds(10)
-        assert (pred_bounds >= 0).all() and (pred_bounds <= 11).all()
-        assert (pred_bounds[:, 1] >= pred_bounds[:, 0]).all()
-        assert (prey_bounds[:, 1] >= prey_bounds[:, 0]).all()
-        rng = spawn_stream(55, 0)
-        for _ in range(40):
-            pops = paired_from_counts(
-                rng.integers(0, 11, size=6), rng.integers(0, 11, size=6), 10)
-            for gamma0 in (0.01, 0.3, 0.8):
-                level = current_level(pops, seq, gamma0)
-                assert level == self.brute_scan(pops, seq, gamma0)
-                assert level not in (3, 4)  # empty levels hold no pair
-        crowded = paired_from_counts([5] * 4, [5] * 4, 10)  # everyone on the empty [5, 5)
-        assert current_level(crowded, seq, 0.5) == 5
+    def test_level_sequence_rejects_bad_ranges(self):
+        full = [0, 11]
+        good = np.array([full, [0, 6], [5, 5]])  # [5, 5) is an empty range
+        seq = LevelSequence(10, good, good, m1=2, m2=1)
+        crowded = paired_from_counts([5] * 4, [5] * 4, 10)
+        assert level_pair_counts(crowded, seq).tolist() == [16, 16, 0]
+        assert current_level(crowded, seq, 0.5) == 2
+        for bad in ([full, [-1, 6]],            # lo below 0
+                    [full, [0, 12]],            # hi beyond n + 1
+                    [full, [7, 2]],             # hi < lo
+                    [[0.0, 11.0], [0.5, 6.0]],  # not integers
+                    [0, 11]):                   # not an (m, 2) array
+            with pytest.raises(ValueError):
+                LevelSequence(10, np.array(bad), np.array([full, full]), m1=1, m2=1)
+            with pytest.raises(ValueError):
+                LevelSequence(10, np.array([full, full]), np.array(bad), m1=1, m2=1)
+        with pytest.raises(ValueError):
+            LevelSequence(10, good, good[:2], m1=2, m2=1)  # one prey range short
+
+    def test_current_level_rejects_sequence_for_another_n(self, solvable_params):
+        seq = build_bilinear_levels(solvable_params)
+        for n in (9, 11):
+            pops = paired_from_counts([0, 1], [0, 1], n)
+            with pytest.raises(ValueError, match="n=10"):
+                current_level(pops, seq, 9.0 / 25.0)
 
     def test_matches_brute_scan_along_a_seeded_run(self):
         params = BilinearParams(n=50, alpha=0.9, beta=0.05, epsilon=0.1)
         seq = build_bilinear_levels(params)
-        states = []
-        cfg = PdcoeaConfig(lam=20, chi=recipe_mutation_rate(0.01), n=50,
-                           seed=derive_seed(56, 0), budget_generations=5000, game=params,
-                           record_trajectory=False)
-        record = run_trial(cfg, observer=states.append)
+        cfg = PdcoeaConfig(lam=20, chi=recipe_mutation_rate(0.01),
+                           seed=derive_seed(56, 0), budget_generations=5000, game=params)
+        record = run_trial(cfg, observer=lambda pops: pops)
         assert record.hit
+        states = record.observed
         levels = []
         for pops in states[:: max(1, len(states) // 60)] + states[-1:]:
             level = current_level(pops, seq, 9.0 / 25.0)
-            assert level == self.brute_scan(pops, seq, 9.0 / 25.0)
+            assert level == self.brute_scan(pops, params, 9.0 / 25.0)
             levels.append(level)
         assert levels[-1] > seq.m1 and len(set(levels)) > 5  # reached the ascent phase
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -10,6 +12,7 @@ from coevo import (
     PdcoeaConfig,
     PdcoeaDistribution,
     Population,
+    TrajectoryRow,
     bilinear_target,
     derive_seed,
     paired_uniform,
@@ -18,6 +21,7 @@ from coevo import (
     singleton_target,
     spawn_stream,
     step_generation,
+    trajectory_row,
 )
 from coevo.core import popcount_rows
 from coevo.harness import paired_from_counts
@@ -265,7 +269,7 @@ class TestReproductiveRate:
 class TestRunTrial:
     def make_cfg(self, **kw):
         game = kw.pop("game", BilinearParams(n=10, alpha=0.4, beta=0.6, epsilon=0.1))
-        base = dict(lam=8, chi=0.5, n=game.n, seed=5, budget_generations=50, game=game)
+        base = dict(lam=8, chi=0.5, seed=5, budget_generations=50, game=game)
         base.update(kw)
         return PdcoeaConfig(**base)
 
@@ -286,6 +290,11 @@ class TestRunTrial:
 
     def test_record_identical_across_runs(self):
         cfg = self.make_cfg(seed=11, budget_generations=30)
+        rows = lambda pops: trajectory_row(pops, cfg.game)
+        first, second = run_trial(cfg, observer=rows), run_trial(cfg, observer=rows)
+        assert first == second and first.observed
+        assert first == replace(second, wall_ms=second.wall_ms + 1.0)  # wall_ms not compared
+        assert first != replace(second, observed=second.observed[:-1])
         assert run_trial(cfg) == run_trial(cfg)
 
     def test_interactions_multiple_of_lambda(self):
@@ -296,37 +305,50 @@ class TestRunTrial:
 
     def test_trajectory_rows_cover_evaluated_generations(self):
         cfg = self.make_cfg(seed=11, budget_generations=30)
-        record = run_trial(cfg)
-        assert record.trajectory is not None
+        record = run_trial(cfg, observer=lambda pops: trajectory_row(pops, cfg.game))
         expected = record.generations_run + 1 if record.hit else record.generations_run
-        assert len(record.trajectory) == expected
-        assert list(record.trajectory["generation"]) == list(range(expected))
+        assert len(record.observed) == expected
+        assert [row.generation for row in record.observed] == list(range(expected))
+        assert all(isinstance(row, TrajectoryRow) and len(row) == 10 for row in record.observed)
+
+    def test_trajectory_row_values(self):
+        # beta*n = 1 and alpha*n = 9: the edges themselves are outside R0 and inside S0
+        game = BilinearParams(n=10, alpha=0.9, beta=0.1, epsilon=0.2)
+        pops = paired_from_counts([0, 1, 5, 10], [9, 3, 8, 10], 10)
+        assert trajectory_row(pops, game) == TrajectoryRow(
+            generation=0, pred_mean=4.0, pred_min=0, pred_max=10, prey_mean=7.5,
+            prey_min=3, prey_max=10, prey_in_s0=2, p0=0.25, q0=0.5)
 
     def test_trajectory_disabled(self):
-        cfg = self.make_cfg(record_trajectory=False)
-        assert run_trial(cfg).trajectory is None
+        # without an observer nothing is recorded
+        assert run_trial(self.make_cfg()).observed is None
 
     def test_observer_collects_per_generation(self):
-        cfg = self.make_cfg(seed=11, budget_generations=30)
-        record = run_trial(cfg, observer=lambda pops: pops.generation)
-        assert record.observed == tuple(range(len(record.trajectory)))
+        never = BilinearParams(n=10, alpha=0.5, beta=0.0, epsilon=0.25)  # R0 empty
+        hit = run_trial(self.make_cfg(seed=11, budget_generations=30),
+                        observer=lambda pops: pops.generation)
+        censored = run_trial(self.make_cfg(game=never, budget_generations=3),
+                             observer=lambda pops: pops.generation)
+        assert hit.hit and hit.observed == tuple(range(hit.generations_run + 1))
+        assert not censored.hit and censored.observed == (0, 1, 2)
 
     def test_singleton_target_run(self):
         game = BilinearParams(n=8, alpha=1.0, beta=0.125, epsilon=0.125)
         target = singleton_target(BitVector.zeros(8), BitVector.all_ones(8))
-        cfg = PdcoeaConfig(lam=20, chi=0.2, n=8, seed=2, budget_generations=3000,
-                           game=game, target=target, record_trajectory=False)
+        cfg = PdcoeaConfig(lam=20, chi=0.2, seed=2, budget_generations=3000,
+                           game=game, target=target)
         record = run_trial(cfg)
         assert record.hit and record.T_interactions == record.generations_run * 20
 
     def test_config_validation(self):
         game = BilinearParams(n=10, alpha=0.4, beta=0.6, epsilon=0.1)
         with pytest.raises(ValueError):
-            PdcoeaConfig(lam=0, chi=0.5, n=10, seed=1, budget_generations=5, game=game)
+            PdcoeaConfig(lam=0, chi=0.5, seed=1, budget_generations=5, game=game)
         with pytest.raises(ValueError):
-            PdcoeaConfig(lam=2, chi=0.0, n=10, seed=1, budget_generations=5, game=game)
-        with pytest.raises(ValueError):
-            PdcoeaConfig(lam=2, chi=0.5, n=12, seed=1, budget_generations=5, game=game)
+            PdcoeaConfig(lam=2, chi=0.0, seed=1, budget_generations=5, game=game)
+        with pytest.raises(ValueError, match=r"\(0, 10\]"):  # n is the game's
+            PdcoeaConfig(lam=2, chi=10.5, seed=1, budget_generations=5, game=game)
+        assert PdcoeaConfig(lam=2, chi=10.0, seed=1, budget_generations=5, game=game).n == 10
 
 
 class TestSingletonTarget:
@@ -428,8 +450,8 @@ class TestOffspringLaw:
         budget, trials = 3000, 200
 
         def cfg(seed):
-            return PdcoeaConfig(lam=lam, chi=chi, n=game.n, seed=seed, budget_generations=budget,
-                                game=game, target=target, record_trajectory=False)
+            return PdcoeaConfig(lam=lam, chi=chi, seed=seed, budget_generations=budget,
+                                game=game, target=target)
 
         engine = [run_trial(cfg(derive_seed(61, i))).generations_run for i in range(trials)]
         reference = [reference_hit_generation(cfg(derive_seed(62, i)), target)
