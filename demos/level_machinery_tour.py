@@ -14,9 +14,7 @@ Run:  python3 demos/level_machinery_tour.py
 from fractions import Fraction
 
 from coevo import (
-    BilinearGame,
     BilinearParams,
-    BoundInputs,
     LevelFunctionParams,
     PdcoeaConfig,
     build_bilinear_levels,
@@ -54,10 +52,9 @@ print(f"  hit after {record.generations_run} generations "
 
 print("\nexact selection distribution on a 4-member toy state:")
 pops = paired_from_counts([0, 1, 16, 19], [2, 3, 17, 18], 20)
-game = BilinearGame(params)
 stats = fraction_stats(pops, k=0, l=0, params=params)
 print(f"  p0={stats.p0} (predators below beta*n), q0={stats.q0} (prey at alpha*n or above)")
-prob = exact_selection_distribution(pops, game, lambda cx, cy: cx < params.beta_n)
+prob = exact_selection_distribution(pops, params, lambda cx, cy: cx < params.beta_n)
 print(f"  P(selected predator lands below beta*n) = {prob} = {float(prob):.4f}")
 print("  (counts the lambda^4 = 256 equally likely draw outcomes in closed form,\n"
       "   from the two one-count histograms alone)")
@@ -82,6 +79,6 @@ print(f"  distance from the start g(0,1) = {total(0, 1):.3f} < cap {cap:.3f}")
 
 print("\ngeneric runtime bound (interactions), priced for this level count:")
 z = tuple(0.36 * recipe_mutation_rate(0.01) * (20 - j) / 20 for j in range(m - 1))
-bound = level_process_bound(BoundInputs(m=m, lam=lam, delta=0.5, z=z, c_pp=1.01))
+bound = level_process_bound(m, lam, 0.5, z, c_pp=1.01)
 print(f"  value = {bound.value:.3g}  (level term {bound.terms['level_term']:.3g}, "
       f"upgrade term {bound.terms['upgrade_term']:.3g})")

@@ -62,10 +62,8 @@ from .pdcoea import (
     trajectory_row,
 )
 from .theory import (
-    BoundInputs,
     BoundValue,
     CheckResult,
-    check_inequality_lemmas,
     chi_slack,
     error_threshold,
     level_process_bound,

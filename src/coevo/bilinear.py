@@ -247,21 +247,21 @@ def _find_cycle(points, dom):
     return None
 
 
-def intransitivity_witness(params: BilinearParams, radius: int = 3):
+def intransitivity_witness(params: BilinearParams):
     """Search for a dominance 4-cycle q1 > q2 > q3 > q4 > q1 of one-count pairs.
 
     The returned cycle has no chords: no element dominates (or is dominated
     by) the one two steps back, which witnesses intransitivity.  The search
-    scans the (beta*n, alpha*n) neighbourhood first, where such cycles live,
-    then falls back to the full one-count grid.  Returns None only if the
-    exhaustive search finds nothing.
+    scans the counts within 3 of (beta*n, alpha*n) first, where such cycles
+    live, then falls back to the full one-count grid.  Returns None only if
+    the exhaustive search finds nothing.
     """
     n = params.n
     cbx, cby = int(round(params.beta_n)), int(round(params.alpha_n))
     window = [
         (cx, cy)
-        for cx in range(max(0, cbx - radius), min(n, cbx + radius) + 1)
-        for cy in range(max(0, cby - radius), min(n, cby + radius) + 1)
+        for cx in range(max(0, cbx - 3), min(n, cbx + 3) + 1)
+        for cy in range(max(0, cby - 3), min(n, cby + 3) + 1)
     ]
     found = _find_cycle(window, _dominance_digraph(window, params))
     if found is not None:

@@ -143,7 +143,7 @@ def _add_bound(sub):
     p.add_argument("--lambda", dest="lam", type=int)
     p.add_argument("--delta", type=float)
     p.add_argument("--z", type=str, help="comma list of per-level floors")
-    p.add_argument("--cpp", type=float, default=1.000001)
+    p.add_argument("--cpp", type=float, default=theory.C_PP)
     p.add_argument("--n", type=int)
     p.add_argument("--chi", type=float)
     p.add_argument("--alpha", type=float)
@@ -170,15 +170,13 @@ def _cmd_bound(args) -> int:
     if args.theorem == "3":
         _require(args, ("m", "lam", "delta"))
         z = tuple(float(v) for v in args.z.split(",")) if args.z else ()
-        bound = theory.level_process_bound(
-            theory.BoundInputs(m=args.m, lam=args.lam, delta=args.delta, z=z, c_pp=args.cpp))
+        bound = theory.level_process_bound(args.m, args.lam, args.delta, z, args.cpp)
     else:
         _require(args, ("lam", "n", "alpha", "beta", "epsilon"))
         chi = args.chi if args.chi is not None else theory.recipe_mutation_rate(
             0.01 if args.delta is None else args.delta)
-        bound = theory.solvable_regime_budget(theory.BoundInputs(
-            m=1, lam=args.lam, c_pp=args.cpp, n=args.n, chi=chi, alpha=args.alpha,
-            beta=args.beta, epsilon=args.epsilon, r=args.r))
+        bound = theory.solvable_regime_budget(args.n, args.lam, chi, args.alpha, args.beta,
+                                              args.epsilon, args.r, args.cpp)
     print(f"value = {bound.value!r}")
     print(f"prefactor = {bound.prefactor!r}")
     for name, term in bound.terms.items():

@@ -59,6 +59,9 @@ from .theory import CheckResult
 SCHEMA_VERSION = 1
 GAMMA0_DEFAULT = 9.0 / 25.0
 PILOT_STREAM_OFFSET = 1_000_000_007  # pilot seeds never collide with trial units
+PILOTS = 10
+PILOT_CAP_FACTOR = 200
+PILOT_MIN_HITS = 6  # with fewer, a censored pilot would sit at the median of the PILOTS runs
 
 CSV_COLUMNS = (
     "kind", "n", "lambda", "chi", "alpha", "beta", "epsilon", "delta", "r",
@@ -128,7 +131,8 @@ def _is_number(value) -> bool:
 
 def _check_grid(key: str, values) -> None:
     """Grid values are numbers (chi may be "auto"); n and lambda are whole
-    numbers, so `n = 20.7` is rejected rather than run as n = 20."""
+    numbers, so `n = 20.7` is rejected rather than run as n = 20, and r, the
+    budget's confidence factor, is positive and finite."""
     for value in values:
         if key == "chi" and value == "auto":
             continue
@@ -137,6 +141,8 @@ def _check_grid(key: str, values) -> None:
             raise ValueError(f"{key} must be {expected}, got {value!r}")
         if key in ("n", "lambda") and not (math.isfinite(value) and value == int(value)):
             raise ValueError(f"{key} must be a whole number, got {value!r}")
+        if key == "r" and not 0 < value < math.inf:
+            raise ValueError(f"r must be a positive finite number, got {value!r}")
 
 
 def _check_budget(budget):
@@ -200,8 +206,8 @@ def parse_spec_file(path: str) -> ExperimentSpec:
     Keys: kind, n, lambda, chi, delta, alpha, beta, epsilon, r, trials,
     seed, budget, target, gamma0, out.
     """
-    scalars = {"kind": "kind", "delta": "delta", "trials": "trials",
-               "seed": "master_seed", "target": "target", "gamma0": "gamma0", "out": "out"}
+    scalars = {"kind": "kind", "delta": "delta", "trials": "trials", "seed": "master_seed",
+               "budget": "budget", "target": "target", "gamma0": "gamma0", "out": "out"}
     kwargs = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -215,8 +221,6 @@ def parse_spec_file(path: str) -> ExperimentSpec:
                 kwargs[SPEC_GRIDS[key]] = tuple(_parse_value(v) for v in value.split(","))
             elif key in scalars:
                 kwargs[scalars[key]] = _parse_value(value)
-            elif key == "budget":
-                kwargs["budget"] = _parse_value(value)
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     if "kind" not in kwargs:
@@ -370,25 +374,25 @@ class PilotError(RuntimeError):
     """Too few pilot runs of a cell hit for a pilot budget to be meaningful."""
 
 
-def pilot_budget(cell: Cell, spec: ExperimentSpec, cell_index: int,
-                 pilots: int = 10, cap_factor: int = 200) -> int:
-    """Budget procedure: 10x the median hit time of `pilots` pilot runs.
+def pilot_budget(cell: Cell, spec: ExperimentSpec, cell_index: int) -> int:
+    """Budget procedure: 10x the median hit time of PILOTS pilot runs.
 
-    Pilot runs use a generous cap of cap_factor * n generations and draw
-    their seeds from a reserved stream block, so they never share randomness
-    with the measured trials.  Raises PilotError if fewer than six pilots hit,
-    since a median of censored values would not be meaningful.
+    Pilot runs use a generous cap of PILOT_CAP_FACTOR * n generations and
+    draw their seeds from a reserved stream block, so they never share
+    randomness with the measured trials.  Raises PilotError if fewer than
+    PILOT_MIN_HITS pilots hit, since a median of censored values would not
+    be meaningful.
     """
-    cap = cap_factor * cell.n
+    cap = PILOT_CAP_FACTOR * cell.n
     hit_gens = []
-    for i in range(pilots):
-        seed = derive_seed(spec.master_seed, PILOT_STREAM_OFFSET + cell_index * pilots + i)
+    for i in range(PILOTS):
+        seed = derive_seed(spec.master_seed, PILOT_STREAM_OFFSET + cell_index * PILOTS + i)
         record = run_trial(_cell_config(cell, spec, seed, cap))
         if record.hit:
             hit_gens.append(record.generations_run)
-    if len(hit_gens) < 6:
+    if len(hit_gens) < PILOT_MIN_HITS:
         raise PilotError(
-            f"pilot procedure failed for cell {cell}: only {len(hit_gens)}/{pilots} "
+            f"pilot procedure failed for cell {cell}: only {len(hit_gens)}/{PILOTS} "
             f"pilots hit within {cap} generations"
         )
     return max(1, int(math.ceil(10.0 * float(np.median(hit_gens)))))
@@ -396,9 +400,8 @@ def pilot_budget(cell: Cell, spec: ExperimentSpec, cell_index: int,
 
 def _solvable_budget(cell: Cell) -> theory.BoundValue:
     """Closed-form solvable-regime interaction budget of one cell (slack from chi)."""
-    return theory.solvable_regime_budget(theory.BoundInputs(
-        m=1, lam=cell.lam, c_pp=1.000001, n=cell.n, chi=cell.chi,
-        alpha=cell.alpha, beta=cell.beta, epsilon=cell.epsilon, r=cell.r))
+    return theory.solvable_regime_budget(cell.n, cell.lam, cell.chi, cell.alpha, cell.beta,
+                                         cell.epsilon, cell.r)
 
 
 def _budget_for(cell: Cell, spec: ExperimentSpec, cell_index: int) -> int:
@@ -673,16 +676,17 @@ GROWTH_CHECK_CONFIGS = {
 }
 
 
-def check_dominance_equivalence(n: int = 10, games=DOMINANCE_CHECK_GAMES) -> CheckResult:
+def check_dominance_equivalence() -> CheckResult:
     """Exhaustive agreement of the payoff route and the one-count route.
 
-    All (n+1)^4 one-count quadruples for each game parameterisation.
+    All 11^4 one-count quadruples at n=10 for each of DOMINANCE_CHECK_GAMES.
     """
+    n = 10
     vectors = [BitVector.from_bits([1] * c + [0] * (n - c)) for c in range(n + 1)]
     counts = range(n + 1)
     mismatches = 0
     checked = 0
-    for alpha, beta in games:
+    for alpha, beta in DOMINANCE_CHECK_GAMES:
         params = BilinearParams(n=n, alpha=alpha, beta=beta, epsilon=1.0 / n)
         for cx1 in counts:
             for cy1 in counts:
@@ -695,7 +699,8 @@ def check_dominance_equivalence(n: int = 10, games=DOMINANCE_CHECK_GAMES) -> Che
     return CheckResult(
         "dominance-equivalence",
         mismatches == 0,
-        f"{checked} quadruples verified across {len(games)} games, {mismatches} mismatches",
+        f"{checked} quadruples verified across {len(DOMINANCE_CHECK_GAMES)} games, "
+        f"{mismatches} mismatches",
     )
 
 
@@ -718,8 +723,8 @@ def check_dominance_structure() -> CheckResult:
                        f"{(n + 1) ** 2} pairs and {(n + 1) ** 4} quadruples, {bad} violations")
 
 
-def check_intransitivity(n: int = 20, alpha: float = 0.4, beta: float = 0.6) -> CheckResult:
-    params = BilinearParams(n=n, alpha=alpha, beta=beta, epsilon=1.0 / n)
+def check_intransitivity() -> CheckResult:
+    params = BilinearParams(n=20, alpha=0.4, beta=0.6, epsilon=0.05)
     cycle = intransitivity_witness(params)
     if cycle is None:
         return CheckResult("intransitivity", False, "no 4-cycle found")
@@ -735,16 +740,15 @@ def _verify_cycle(cycle, params: BilinearParams) -> bool:
     return chain and not chords and len({a, b, c, d}) == 4
 
 
-def check_half_probabilities(populations: int = 100, lam: int = 6, n: int = 10,
-                             seed: int = theory.DEFAULT_CHECK_SEED) -> CheckResult:
-    """Exact conditional dominance probabilities >= 1/2 on random populations."""
-    params = BilinearParams(n=n, alpha=0.4, beta=0.6, epsilon=0.1)
+def check_half_probabilities(seed: int = theory.DEFAULT_CHECK_SEED) -> CheckResult:
+    """Exact conditional dominance probabilities >= 1/2 on 100 random
+    populations of lambda = 6 at n = 10."""
+    params = BilinearParams(n=10, alpha=0.4, beta=0.6, epsilon=0.1)
     rng = spawn_stream(seed, 1)
     violations = 0
     evaluated = 0
-    for _ in range(populations):
-        pops = paired_from_counts(rng.integers(0, n + 1, size=lam),
-                                  rng.integers(0, n + 1, size=lam), n)
+    for _ in range(100):
+        pops = paired_from_counts(rng.integers(0, 11, size=6), rng.integers(0, 11, size=6), 10)
         for prob in half_prob_conditionals(pops, params):
             if prob is None:
                 continue
@@ -752,16 +756,16 @@ def check_half_probabilities(populations: int = 100, lam: int = 6, n: int = 10,
             violations += prob < Fraction(1, 2)
     return CheckResult(
         "half-probabilities", violations == 0,
-        f"{evaluated} non-null conditionals over {populations} populations, {violations} below 1/2",
+        f"{evaluated} non-null conditionals over 100 populations, {violations} below 1/2",
     )
 
 
-def check_growth_suite(n: int = 10) -> CheckResult:
-    params = BilinearParams(n=n, alpha=0.4, beta=0.6, epsilon=0.1)
+def check_growth_suite() -> CheckResult:
+    params = BilinearParams(n=10, alpha=0.4, beta=0.6, epsilon=0.1)
     lines = []
     ok = True
     for case, cfg in sorted(GROWTH_CHECK_CONFIGS.items()):
-        pops = paired_from_counts(cfg["pred"], cfg["prey"], n)
+        pops = paired_from_counts(cfg["pred"], cfg["prey"], 10)
         report = check_growth_lemmas(
             case, pops, params, k=cfg["k"], l=cfg["l"],
             delta1=cfg.get("delta1"), rho=cfg.get("rho"),
@@ -808,12 +812,13 @@ def _z_pattern(pattern: str, m: int) -> tuple:
     return tuple(0.1 + 0.8 * ((i * 7) % (m + 1)) / (m + 1) for i in range(m - 1))
 
 
-def check_product_space(reps: int = 4000, seed: int = theory.DEFAULT_CHECK_SEED) -> CheckResult:
+def check_product_space(seed: int = theory.DEFAULT_CHECK_SEED) -> CheckResult:
     """Monte Carlo check of the product-occupancy drift and upgrade bounds.
 
-    Uses the dominance engine with chi = 0 on a fixed population so the
-    offspring marginals p = P(x in A), q = P(y in B) are exact selection
-    probabilities (`_psel_counts`); verifies, within 6 standard errors:
+    Steps the dominance engine 4000 times with chi = 0 from one fixed
+    population (n = 10, lambda = 20), so the offspring marginals
+    p = P(x in A), q = P(y in B) are exact selection probabilities
+    (`_psel_counts`); verifies, within 6 standard errors:
 
       1. E[Z'] >= lambda*(lambda-1)*(1+delta)*gamma where Z' is the product
          occupancy of the offspring and gamma = p*q/(1+delta),
@@ -823,7 +828,7 @@ def check_product_space(reps: int = 4000, seed: int = theory.DEFAULT_CHECK_SEED)
       4. the hit-rate bound 1/r < 3/(z*(lambda-1)) + 1 for the event that the
          offspring product intersects A x B, with z = p*q.
     """
-    n, lam = 10, 20
+    n, lam, reps = 10, 20, 4000
     params = BilinearParams(n=n, alpha=0.4, beta=0.6, epsilon=0.1)
     pops = paired_from_counts(
         [2] * 10 + [7] * 10, [3] * 7 + [2] * 6 + [1] * 4 + [0] * 3, n)
@@ -886,7 +891,8 @@ CHECK_SUITES = {
     "half-prob": (check_half_probabilities,),
     "growth": (check_growth_suite,),
     "levels": (check_level_functions,),
-    "inequalities": (theory.check_inequality_lemmas,),
+    "inequalities": (theory.check_sqrt_bound, theory.check_exp_lower_bound,
+                     theory.check_product_mgf),
     "product-state": (check_product_space,),
 }
 
@@ -898,9 +904,4 @@ def run_checks(suite: str = "all") -> list[CheckResult]:
         names = [suite]
     else:
         raise ValueError(f"unknown check suite {suite!r}; choose from {sorted(CHECK_SUITES)} or 'all'")
-    results = []
-    for name in names:
-        for fn in CHECK_SUITES[name]:
-            out = fn()
-            results.extend(out if isinstance(out, list) else [out])
-    return results
+    return [fn() for name in names for fn in CHECK_SUITES[name]]

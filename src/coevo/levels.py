@@ -210,28 +210,28 @@ def winner_table(pops: PairedPopulations, params: BilinearParams) -> np.ndarray:
     return wins + np.outer(px.sum(axis=1), py.sum(axis=1))  # (lambda hx) (lambda hy)
 
 
-def exact_selection_distribution(pops: PairedPopulations, oracle, member) -> Fraction:
+def exact_selection_distribution(pops: PairedPopulations, params: BilinearParams,
+                                 member) -> Fraction:
     """Exact probability that one pairwise-dominance selection lands in a set.
 
     `member(cx, cy)` decides membership of a (predator, prey) pair from
-    their one-counts.  `oracle` is the `BilinearGame`; the result is an exact
-    rational read off `winner_table`.
+    their one-counts; the result is an exact rational read off `winner_table`.
     """
-    table = winner_table(pops, oracle.params)
+    table = winner_table(pops, params)
     xs = np.unique(pops.predators.ones).tolist()
     ys = np.unique(pops.prey.ones).tolist()
     inside = np.array([[bool(member(a, b)) for b in ys] for a in xs])
     return Fraction(int(table[np.ix_(xs, ys)][inside].sum()), pops.lam**4)
 
 
-def selection_slot_rates(pops: PairedPopulations, oracle):
+def selection_slot_rates(pops: PairedPopulations, params: BilinearParams):
     """Exact per-slot selection probabilities (predator slots, prey slots).
 
     A slot's rate is its count's `winner_table` marginal over the count's
     multiplicity.  The per-generation reproductive rate of slot i is lambda
     times its entry.
     """
-    table = winner_table(pops, oracle.params)
+    table = winner_table(pops, params)
     rates = []
     for ones, marginal in ((pops.predators.ones, table.sum(axis=1)),
                            (pops.prey.ones, table.sum(axis=0))):

@@ -10,41 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 DEFAULT_CHECK_SEED = 20260808
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Inputs to the bound calculators.
-
-    m, lam, delta, z, c_pp feed the generic level-process bound; the
-    remaining fields are needed only for the concrete bilinear budget, which
-    derives its slack from chi and takes no delta.
-    """
-
-    m: int
-    lam: int
-    delta: Optional[float] = None
-    z: tuple = ()
-    c_pp: float = 1.000001
-    n: Optional[int] = None
-    chi: Optional[float] = None
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    epsilon: Optional[float] = None
-    r: Optional[float] = None
-
-    def __post_init__(self):
-        if self.m < 1 or self.lam < 1:
-            raise ValueError("m and lambda must be positive integers")
-        if self.delta is not None and not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        if self.c_pp <= 1.0:
-            raise ValueError(f"c'' must exceed 1, got {self.c_pp}")
+C_PP = 1.000001  # default c'' of both calculators (any value above 1 is admissible)
 
 
 @dataclass(frozen=True)
@@ -56,21 +26,26 @@ class BoundValue:
     terms: dict
 
 
-def level_process_bound(b: BoundInputs) -> BoundValue:
+def level_process_bound(m: int, lam: int, delta: float, z: tuple = (),
+                        c_pp: float = C_PP) -> BoundValue:
     """Generic expected-runtime bound (c''*lambda/delta)*(m*lambda^2 + 16*sum 1/z_i).
 
     z must hold the m-1 per-level floors (empty for m = 1, where the bound
     collapses to c''*lambda^3/delta).
     """
-    if b.delta is None:
-        raise ValueError("level_process_bound needs field 'delta'")
-    if len(b.z) != b.m - 1:
-        raise ValueError(f"need m-1 = {b.m - 1} z values, got {len(b.z)}")
-    if any(zi <= 0 for zi in b.z):
+    if m < 1 or lam < 1:
+        raise ValueError("m and lambda must be positive integers")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    if not c_pp > 1.0:
+        raise ValueError(f"c'' must exceed 1, got {c_pp}")
+    if len(z) != m - 1:
+        raise ValueError(f"need m-1 = {m - 1} z values, got {len(z)}")
+    if not all(zi > 0 for zi in z):
         raise ValueError("every z_i must be positive")
-    prefactor = b.c_pp * b.lam / b.delta
-    level_term = b.m * b.lam**2
-    upgrade_term = 16.0 * sum(1.0 / zi for zi in b.z)
+    prefactor = c_pp * lam / delta
+    level_term = m * lam**2
+    upgrade_term = 16.0 * sum(1.0 / zi for zi in z)
     return BoundValue(
         value=prefactor * (level_term + upgrade_term),
         prefactor=prefactor,
@@ -93,7 +68,8 @@ def chi_slack(chi: float) -> float:
     return (42.0 / 41.0) * math.exp(-2.0 * chi) - 1.0
 
 
-def solvable_regime_budget(b: BoundInputs) -> BoundValue:
+def solvable_regime_budget(n: int, lam: int, chi: float, alpha: float, beta: float,
+                           epsilon: float, r: float = 1.0, c_pp: float = C_PP) -> BoundValue:
     """Interaction budget 2*r*c''*lambda/delta * (lambda^2 n + (23 n / chi) ln(1/(beta(1-alpha+epsilon)))).
 
     delta is derived from chi via `chi_slack` (the inverse of the chi
@@ -101,18 +77,23 @@ def solvable_regime_budget(b: BoundInputs) -> BoundValue:
     lower-order terms; the calculator exposes only the explicit leading
     expression.
     """
-    for name in ("n", "chi", "alpha", "beta", "epsilon", "r"):
-        if getattr(b, name) is None:
-            raise ValueError(f"solvable_regime_budget needs field {name!r}")
-    delta = chi_slack(b.chi)
+    if n < 1 or lam < 1:
+        raise ValueError("n and lambda must be positive integers")
+    if not c_pp > 1.0:
+        raise ValueError(f"c'' must exceed 1, got {c_pp}")
+    if not r > 0:
+        raise ValueError(f"r must be positive, got {r}")
+    if not chi > 0:
+        raise ValueError(f"chi must be positive, got {chi}")
+    delta = chi_slack(chi)
     if delta <= 0:
-        raise ValueError(f"chi={b.chi} too large: implied slack delta={delta} is not positive")
-    shrink = b.beta * (1.0 - b.alpha + b.epsilon)
+        raise ValueError(f"chi={chi} too large: implied slack delta={delta} is not positive")
+    shrink = beta * (1.0 - alpha + epsilon)
     if not 0.0 < shrink < 1.0:
         raise ValueError(f"beta*(1-alpha+epsilon) = {shrink} must lie in (0, 1)")
-    prefactor = 2.0 * b.r * b.c_pp * b.lam / delta
-    pop_term = float(b.lam**2 * b.n)
-    mutation_term = (23.0 * b.n / b.chi) * math.log(1.0 / shrink)
+    prefactor = 2.0 * r * c_pp * lam / delta
+    pop_term = float(lam**2 * n)
+    mutation_term = (23.0 * n / chi) * math.log(1.0 / shrink)
     return BoundValue(
         value=prefactor * (pop_term + mutation_term),
         prefactor=prefactor,
@@ -144,11 +125,12 @@ class CheckResult:
 _FLOAT_SLACK = 1e-12  # absorbs rounding on mathematically non-strict bounds
 
 
-def check_sqrt_bound(points: int = 1000) -> CheckResult:
+def check_sqrt_bound() -> CheckResult:
     """Grid check of (3d-4d1)/11 < 1 - sqrt((1+d1)/(1+d)) < (4d-3d1)/8.
 
-    Dense grid over d in (0, 1) and d1 in [0, d), points x points values.
+    Dense grid over d in (0, 1) and d1 in [0, d), 1000 x 1000 values.
     """
+    points = 1000
     d = (np.arange(points, dtype=np.float64) + 1.0) / (points + 1)
     frac = np.arange(points, dtype=np.float64) / points
     dd = d[:, None]
@@ -164,9 +146,9 @@ def check_sqrt_bound(points: int = 1000) -> CheckResult:
     )
 
 
-def check_exp_lower_bound(points: int = 400) -> CheckResult:
-    """Grid check of 1-(1-x)^n >= 1-e^(-xn) >= xn/(1+xn) for x >= 0."""
-    x = np.linspace(0.0, 1.0, points + 1)
+def check_exp_lower_bound() -> CheckResult:
+    """Grid check of 1-(1-x)^n >= 1-e^(-xn) >= xn/(1+xn) on 401 points x in [0, 1]."""
+    x = np.linspace(0.0, 1.0, 401)
     bad = 0
     total = 0
     for n in (1, 2, 3, 5, 8, 13, 21, 34, 55, 100):
@@ -204,8 +186,3 @@ def check_product_mgf() -> CheckResult:
         ok &= mgf <= bound + _FLOAT_SLACK
         lines.append(f"lam={lam} p={p} q={q} z={z}: exact={mgf:.6g} bound={bound:.6g}")
     return CheckResult("product-mgf", ok, "; ".join(lines))
-
-
-def check_inequality_lemmas() -> list[CheckResult]:
-    """Run the full standalone-inequality suite; any violation is reported."""
-    return [check_sqrt_bound(), check_exp_lower_bound(), check_product_mgf()]

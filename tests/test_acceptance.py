@@ -10,7 +10,6 @@ procedure, executed here, not from constants.
 import math
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from coevo import (
     error_threshold,
     eta_window,
     exact_selection_distribution,
-    half_prob_conditionals,
     intransitivity_witness,
     reference_g1_g2,
     run_trial,
@@ -40,13 +38,14 @@ from coevo.harness import (
     ExperimentSpec,
     check_dominance_equivalence,
     check_growth_suite,
+    check_half_probabilities,
     paired_from_counts,
     pilot_budget,
     resolve_cells,
     run_experiment,
 )
 from coevo.pdcoea import _select_slots, singleton_target, trajectory_row
-from coevo.theory import BoundInputs, check_exp_lower_bound, check_product_mgf, check_sqrt_bound
+from coevo.theory import check_exp_lower_bound, check_product_mgf, check_sqrt_bound
 
 from conftest import count_vector
 
@@ -91,20 +90,10 @@ def test_criterion_02_reflexivity_and_intransitivity_witness():
 
 def test_criterion_03_conditional_dominance_probabilities():
     with criterion(3, "exact conditional probabilities >= 1/2 on 100 random populations"):
-        params = BilinearParams(n=10, alpha=0.4, beta=0.6, epsilon=0.1)
-        rng = spawn_stream(20260808, 1)
-        violations = 0
-        evaluated = 0
-        for _ in range(100):
-            pops = paired_from_counts(
-                rng.integers(0, 11, size=6), rng.integers(0, 11, size=6), 10)
-            for prob in half_prob_conditionals(pops, params):
-                if prob is None:
-                    continue
-                evaluated += 1
-                violations += prob < Fraction(1, 2)
-        assert evaluated > 100
-        assert violations == 0
+        # seed 20260808, stream 1; lambda = 6, n = 10, alpha = 0.4, beta = 0.6
+        result = check_half_probabilities()
+        assert result.passed, result.detail
+        assert result.detail == "388 non-null conditionals over 100 populations, 0 below 1/2"
 
 
 def test_criterion_04_level_function_validator():
@@ -139,7 +128,7 @@ def test_criterion_05_selection_distribution_monte_carlo():
                 rng.integers(0, n + 1, size=lam), rng.integers(0, n + 1, size=lam), n)
             l = int(rng.integers(0, max(1, math.floor(params.alpha_n))))
             member = lambda cx, cy: cx < params.beta_n and l <= cy < params.alpha_n
-            exact = float(exact_selection_distribution(pops, game, member))
+            exact = float(exact_selection_distribution(pops, params, member))
             pred_slots, prey_slots = _select_slots(pops, game, rng, draws)
             cx = pops.predators.ones[pred_slots]
             cy = pops.prey.ones[prey_slots]
@@ -157,7 +146,7 @@ def test_criterion_06_growth_inequalities_exact():
 
 def test_criterion_07_inequality_suite():
     with criterion(7, "sqrt sandwich (1000x1000), exp chain grid, exact product-mgf sum"):
-        sqrt_result = check_sqrt_bound(points=1000)
+        sqrt_result = check_sqrt_bound()
         assert sqrt_result.passed, sqrt_result.detail
         assert "1000000 grid points, 0 violations" in sqrt_result.detail
         exp_result = check_exp_lower_bound()
@@ -283,7 +272,7 @@ def test_criterion_12_calculators_match_pure_arithmetic_oracle():
             delta = float(rng.uniform(0.01, 1.0))
             z = tuple(float(v) for v in rng.uniform(0.01, 1.0, size=m - 1))
             c_pp = 1.0 + float(rng.uniform(1e-6, 3.0))
-            got = level_process_bound(BoundInputs(m=m, lam=lam, delta=delta, z=z, c_pp=c_pp)).value
+            got = level_process_bound(m, lam, delta, z, c_pp).value
             want = (c_pp * lam / delta) * (m * lam**2 + 16.0 * sum(1.0 / v for v in z))
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -301,9 +290,7 @@ def test_criterion_12_calculators_match_pure_arithmetic_oracle():
             beta = float(rng.uniform(0.01, 0.1))
             eps = float(rng.uniform(0.05, 0.1))
             r = float(rng.uniform(1.0, 10.0))
-            got = solvable_regime_budget(BoundInputs(
-                m=1, lam=lam, delta=delta, z=(), c_pp=c_pp, n=n, chi=chi,
-                alpha=alpha, beta=beta, epsilon=eps, r=r)).value
+            got = solvable_regime_budget(n, lam, chi, alpha, beta, eps, r, c_pp).value
             slack = (42.0 / 41.0) * math.exp(-2.0 * chi) - 1.0
             want = (2.0 * r * c_pp * lam / slack) * (
                 lam**2 * n + (23.0 * n / chi) * math.log(1.0 / (beta * (1.0 - alpha + eps))))

@@ -68,6 +68,33 @@ class TestBound:
         assert all(row["budget_interactions"] is not None for row in at_zero)
         assert at_zero == rows(0.01)
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--r", "-2", "r must be positive"), ("--r", "0", "r must be positive"),
+        ("--n", "0", "n and lambda must be positive"), ("--chi", "-0.1", "chi must be positive"),
+        ("--chi", "0", "chi must be positive"), ("--cpp", "nan", "c'' must exceed 1"),
+    ])
+    def test_solvable_budget_rejects_out_of_range_inputs(self, capsys, flag, value, message):
+        # these once printed a negative, zero or NaN budget and exited 0, or
+        # (chi = 0) a ZeroDivisionError traceback
+        code, out, err = run_cli(
+            capsys, "bound", "--theorem", "9", "--n", "100", "--lambda", "100", "--chi", "0.005",
+            "--alpha", "0.9", "--beta", "0.05", "--epsilon", "0.1", flag, value)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}")
+
+    def test_bound_table_notes_nonpositive_chi(self, capsys, tmp_path):
+        # a bound-table row with chi = 0 is priced as None with the reason,
+        # like a chi beyond the recipe range, rather than ending the table
+        path = tmp_path / "bounds.txt"
+        path.write_text("kind = bound-table\nn = 50\nlambda = 20\nchi = 0,0.005\n"
+                        "alpha = 0.9\nbeta = 0.05\nepsilon = 0.1\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 0, err
+        zero, positive = (json.loads(line) for line in out.splitlines())
+        assert zero["budget_interactions"] is None
+        assert zero["note"] == "chi must be positive, got 0.0"
+        assert positive["budget_interactions"] > 0
+
     def test_chi_and_threshold(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--theorem", "chi", "--delta", "0.01")
         assert code == 0 and "chi = " in out
@@ -135,9 +162,9 @@ class TestCheck:
 
 
 class TestSweepAndPlots:
-    def write_spec(self, tmp_path, **extra):
+    def write_spec(self, tmp_path, kind="runtime-scaling", **extra):
         lines = [
-            "kind = runtime-scaling",
+            f"kind = {kind}",
             "n = 15",
             "lambda = 10",
             "chi = 0.5",
@@ -177,6 +204,42 @@ class TestSweepAndPlots:
         assert run_cli(capsys, "sweep", "--config", spec, "--out", out)[0] == 0
         assert strip(out) == first
 
+    def test_sweep_kind_with_trials_and_seed_overrides(self, capsys, tmp_path):
+        # kind = sweep runs the plain grid; --trials and --seed replace the
+        # spec's values, so the rows equal those of a spec file that sets them
+        def rows(prefix):
+            lines = open(prefix + ".csv").read().splitlines()
+            return [",".join(l.split(",")[:-1]) for l in lines if not l.startswith("#")]
+
+        spec = self.write_spec(tmp_path, kind="sweep")
+        overridden = str(tmp_path / "overridden")
+        code, out, err = run_cli(capsys, "sweep", "--config", spec, "--trials", "3",
+                                 "--seed", "5", "--out", overridden)
+        assert code == 0, err
+        assert out.startswith("cell n=15 lambda=10 chi=0.5: success ")
+        spec = self.write_spec(tmp_path, kind="sweep", trials=3, seed=5)
+        direct = str(tmp_path / "direct")
+        assert run_cli(capsys, "sweep", "--config", spec, "--out", direct)[0] == 0
+        assert len(rows(overridden)) == 1 + 3
+        assert all(row.startswith("sweep,") for row in rows(overridden)[1:])
+        assert rows(overridden) == rows(direct)
+
+    @pytest.mark.parametrize("passed, code", [(True, 0), (False, 2)])
+    def test_lemma_checks_kind_exit_code(self, capsys, tmp_path, monkeypatch, passed, code):
+        from coevo import harness
+        from coevo.theory import CheckResult
+
+        monkeypatch.setattr(harness, "CHECK_SUITES",
+                            {"stub": (lambda: CheckResult("stub", passed, "forced"),)})
+        path = tmp_path / "checks.txt"
+        path.write_text("kind = lemma-checks\n")
+        got, out, _ = run_cli(capsys, "sweep", "--config", str(path),
+                              "--out", str(tmp_path / "report"))
+        assert got == code
+        assert out == f"[{'PASS' if passed else 'FAIL'}] stub: forced\n"
+        report = json.loads((tmp_path / "report.checks.json").read_text())
+        assert report["all_passed"] is passed
+
     def test_scaling_command_forces_kind(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path)
         code, out, _ = run_cli(capsys, "scaling", "--config", spec)
@@ -201,7 +264,7 @@ class TestSweepAndPlots:
 
     @pytest.mark.parametrize("key, value", [
         ("n", "20.7"), ("lambda", "10.5"), ("n", "15,abc"), ("n", "abc"),
-        ("chi", "x"), ("alpha", "y"), ("n", "15,3000"),
+        ("chi", "x"), ("alpha", "y"), ("n", "15,3000"), ("r", "0"), ("r", "-1"),
     ])
     def test_bad_grid_value_fails_before_any_run(self, capsys, tmp_path, monkeypatch,
                                                  key, value):

@@ -231,10 +231,10 @@ class TestPilot:
 
     def test_pilot_failure_raises(self):
         # impossible target (beta = 0 empties R0): pilots cannot hit
-        spec = tiny_spec(beta=(0.0,), budget="pilot")
+        spec = tiny_spec(n=(5,), lam=(2,), beta=(0.0,), budget="pilot")
         cell = resolve_cells(spec)[0]
-        with pytest.raises(RuntimeError):
-            pilot_budget(cell, spec, 0, cap_factor=2)
+        with pytest.raises(harness.PilotError, match="only 0/10 pilots hit within 1000 "):
+            pilot_budget(cell, spec, 0)
 
 
 class TestNamedExperiments:

@@ -300,13 +300,13 @@ class TestFractionStats:
 class TestExactSelection:
     def test_full_space_probability_one(self, fig_params):
         pops = paired_from_counts([1, 5, 9], [2, 4, 8], 10)
-        prob = exact_selection_distribution(pops, BilinearGame(fig_params), lambda cx, cy: True)
+        prob = exact_selection_distribution(pops, fig_params, lambda cx, cy: True)
         assert prob == 1
 
     def test_singleton_population(self, fig_params):
         pops = paired_from_counts([3], [7], 10)
         prob = exact_selection_distribution(
-            pops, BilinearGame(fig_params), lambda cx, cy: cx == 3 and cy == 7)
+            pops, fig_params, lambda cx, cy: cx == 3 and cy == 7)
         assert prob == 1
 
     def test_hand_enumerated_sixteenth(self, fig_params):
@@ -314,15 +314,14 @@ class TestExactSelection:
         # selected only by the reflexive draw ((1,0),(1,0)), 1 case of 16
         pops = paired_from_counts([0, 1], [0, 1], 10)
         prob = exact_selection_distribution(
-            pops, BilinearGame(fig_params), lambda cx, cy: (cx, cy) == (1, 0))
+            pops, fig_params, lambda cx, cy: (cx, cy) == (1, 0))
         assert prob == Fraction(1, 16)
 
     def test_sums_to_one_over_partition(self, fig_params):
         pops = paired_from_counts([1, 5, 9, 9], [2, 4, 8, 0], 10)
-        game = BilinearGame(fig_params)
         total = sum(
             exact_selection_distribution(
-                pops, game, lambda a, b, cx=cx, cy=cy: (a, b) == (cx, cy))
+                pops, fig_params, lambda a, b, cx=cx, cy=cy: (a, b) == (cx, cy))
             for cx in (1, 5, 9)
             for cy in (2, 4, 8, 0)
         )
@@ -332,12 +331,11 @@ class TestExactSelection:
     def test_large_lambda_sums_to_one_over_partition(self, fig_params, lam):
         rng = spawn_stream(57, lam)
         pops = paired_from_counts(rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam), 10)
-        game = BilinearGame(fig_params)
         cells = [(in_r0, below_alpha) for in_r0 in (True, False) for below_alpha in (True, False)]
         total = sum(
             exact_selection_distribution(
-                pops, game, lambda a, b, cell=cell: (a < fig_params.beta_n,
-                                                     b < fig_params.alpha_n) == cell)
+                pops, fig_params, lambda a, b, cell=cell: (a < fig_params.beta_n,
+                                                           b < fig_params.alpha_n) == cell)
             for cell in cells)
         assert total == 1
 
@@ -356,7 +354,7 @@ class TestExactSelection:
         se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / draws)
         assert (np.abs(freq - exact) <= 6 * se).all()
         region = lambda cx, cy: cx < fig_params.beta_n and cy < fig_params.alpha_n
-        prob = float(exact_selection_distribution(pops, game, region))
+        prob = float(exact_selection_distribution(pops, fig_params, region))
         hit = float(freq[: int(fig_params.beta_n), : int(fig_params.alpha_n)].sum())
         assert abs(hit - prob) <= 6 * math.sqrt(prob * (1 - prob) / draws)
 
@@ -374,7 +372,7 @@ class TestExactSelection:
 
     def test_slot_rates_sum_to_one(self, fig_params):
         pops = paired_from_counts([1, 5, 9], [2, 4, 8], 10)
-        pred_rates, prey_rates = selection_slot_rates(pops, BilinearGame(fig_params))
+        pred_rates, prey_rates = selection_slot_rates(pops, fig_params)
         assert sum(pred_rates) == 1 and sum(prey_rates) == 1
 
     def test_monte_carlo_agrees_with_exact(self, fig_params):
@@ -386,7 +384,7 @@ class TestExactSelection:
             pops = paired_from_counts(
                 rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam), 10)
             region = lambda cx, cy: cx < fig_params.beta_n and cy < fig_params.alpha_n
-            exact = float(exact_selection_distribution(pops, game, region))
+            exact = float(exact_selection_distribution(pops, fig_params, region))
             pred_slots, prey_slots = _select_slots(pops, game, rng, draws)
             cx = pops.predators.ones[pred_slots]
             cy = pops.prey.ones[prey_slots]
@@ -423,7 +421,7 @@ class TestClosedFormAgainstEnumeration:
 
     def test_slot_rates(self):
         for pops, params, _ in random_states(61, self.STATES):
-            assert selection_slot_rates(pops, BilinearGame(params)) == \
+            assert selection_slot_rates(pops, params) == \
                 reference.slot_rates(pops, params)
 
     def test_region_probabilities(self):
@@ -471,6 +469,20 @@ class TestGrowthLemmas:
         pops = paired_from_counts([0, 0, 0], [1, 2, 3], 10)
         report = check_growth_lemmas(15, pops, fig_params, l=0, delta1=Fraction(2, 5))
         assert not report.hypotheses_met and report.passed is None
+
+    @pytest.mark.parametrize("case, pred, prey, kw, note", [
+        (15, [0, 0, 9], [5, 5, 5], dict(delta1=Fraction(1, 5)), "needs q(l) > 0"),
+        (16, [9, 9, 9], [0, 0, 0], dict(rho=Fraction(1, 2)), "needs p0*q < 1-rho"),
+        (16, [0, 0, 0], [0, 0, 1], dict(l=2, rho=Fraction(1, 2)), "needs p0 > 0 and q(l) > 0"),
+        (17, [9, 9], [0, 5], {}, "needs p0 > 0"),
+        (18, [0, 9], [5, 5], {}, "needs q(l) > 0"),
+        (19, [0, 9], [0, 5], dict(rho=Fraction(1, 2)), "needs q0 <= sqrt(2(1-rho))-1"),
+        (19, [10, 10], [0, 0], dict(rho=Fraction(1, 10)), "needs p0 + p(k) > 0"),
+    ])
+    def test_each_unmet_hypothesis_reported(self, fig_params, case, pred, prey, kw, note):
+        report = check_growth_lemmas(case, paired_from_counts(pred, prey, 10), fig_params, **kw)
+        assert not report.hypotheses_met and report.passed is None
+        assert report.note.startswith(note) and report.ratio is None
 
     @pytest.mark.parametrize("case", sorted(GROWTH_CHECK_CONFIGS))
     def test_frozen_configs_pass(self, case, fig_params):

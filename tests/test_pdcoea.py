@@ -205,7 +205,7 @@ class TestStepGeneration:
         lam = 6
         pops = paired_from_counts([2] * 3 + [8] * 3, [1] * 3 + [9] * 3, 10)
         exact = exact_selection_distribution(
-            pops, game, lambda cx, cy: (cx, cy) == (2, 1))
+            pops, fig_params, lambda cx, cy: (cx, cy) == (2, 1))
         dist = PdcoeaDistribution(game, 0.0)
         rng = spawn_stream(39, 0)
         reps = 2000
@@ -242,7 +242,7 @@ class TestStepGeneration:
 
 
 class TestReproductiveRate:
-    def test_slot_selection_probability_bounded(self, fig_params, game):
+    def test_slot_selection_probability_bounded(self, fig_params):
         from fractions import Fraction
 
         rng = spawn_stream(42, 0)
@@ -251,18 +251,18 @@ class TestReproductiveRate:
             for _ in range(5):
                 pops = paired_from_counts(
                     rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam), 10)
-                pred_rates, prey_rates = selection_slot_rates(pops, game)
+                pred_rates, prey_rates = selection_slot_rates(pops, fig_params)
                 assert max(pred_rates) <= cap and max(prey_rates) <= cap
                 # per generation: lambda iterations
                 assert lam * max(max(pred_rates), max(prey_rates)) <= 2 - Fraction(1, lam)
 
-    def test_bound_tight_for_always_winning_slot(self, fig_params, game):
+    def test_bound_tight_for_always_winning_slot(self, fig_params):
         from fractions import Fraction
 
         # identical prey reduce dominance to a payoff comparison on the
         # predators; the strictly better predator is selected whenever drawn
         pops = paired_from_counts([10, 0], [10, 10], 10)
-        pred_rates, _ = selection_slot_rates(pops, game)
+        pred_rates, _ = selection_slot_rates(pops, fig_params)
         assert pred_rates[0] == Fraction(1, 2) * (2 - Fraction(1, 2))
 
 

@@ -13,12 +13,15 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_traced_trajectory_workload_measures_every_layer():
+@pytest.mark.parametrize("workload", ["threshold", "trajectory", "checks"])
+def test_traced_workload_measures_every_layer(workload):
     proc = subprocess.run(
-        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", "trajectory",
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--scale", "tiny", "--seconds", "1", "--trace", "1", "--seed", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=240)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -26,4 +29,10 @@ def test_traced_trajectory_workload_measures_every_layer():
     assert result["correct"] and result["failed"] == 0, result
     nulls = [name for name, metric in result["metrics"].items() if metric["value"] is None]
     assert nulls == []
-    assert result["metrics"]["levels.current_level_calls"]["value"] > 0
+    metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
+    if workload == "trajectory":
+        assert metrics["levels.current_level_calls"] > 0
+    if workload == "checks":
+        # checks/interactions_per_s divides the product-space engine steps
+        # (4000 at lambda = 20) by the wall time, so their count is fixed
+        assert metrics["pdcoea.generations"] == 4000

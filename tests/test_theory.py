@@ -5,8 +5,6 @@ import pytest
 import scipy.stats
 
 from coevo import (
-    BoundInputs,
-    check_inequality_lemmas,
     chi_slack,
     error_threshold,
     spawn_stream,
@@ -14,46 +12,50 @@ from coevo import (
     solvable_regime_budget,
     recipe_mutation_rate,
 )
+from coevo.harness import run_checks
 from coevo.theory import check_exp_lower_bound, check_product_mgf, check_sqrt_bound
 
 
 class TestLevelProcessBound:
     def test_hand_arithmetic_example(self):
-        out = level_process_bound(BoundInputs(m=3, lam=10, delta=1.0, z=(0.5, 0.25), c_pp=2.0))
+        out = level_process_bound(3, 10, 1.0, (0.5, 0.25), 2.0)
         # 2 * 10 / 1 * (3*100 + 16*(2 + 4)) = 7920
         assert out.value == 7920.0
         assert out.terms["level_term"] == 300.0
         assert out.terms["upgrade_term"] == 96.0
 
     def test_single_level_collapses_to_cubic(self):
-        out = level_process_bound(BoundInputs(m=1, lam=7, delta=0.5, z=(), c_pp=1.5))
+        out = level_process_bound(1, 7, 0.5, (), 1.5)
         assert out.value == 1.5 * 7 / 0.5 * 7**2
 
     def test_doubling_z_halves_upgrade_term_only(self):
-        a = level_process_bound(BoundInputs(m=3, lam=10, delta=0.4, z=(0.2, 0.4), c_pp=2.0))
-        b = level_process_bound(BoundInputs(m=3, lam=10, delta=0.4, z=(0.4, 0.8), c_pp=2.0))
+        a = level_process_bound(3, 10, 0.4, (0.2, 0.4), 2.0)
+        b = level_process_bound(3, 10, 0.4, (0.4, 0.8), 2.0)
         assert b.terms["upgrade_term"] == a.terms["upgrade_term"] / 2
         assert b.terms["level_term"] == a.terms["level_term"]
 
     def test_monotonicities(self):
-        base = BoundInputs(m=3, lam=10, delta=0.4, z=(0.2, 0.4), c_pp=2.0)
-        v = level_process_bound(base).value
-        assert level_process_bound(BoundInputs(m=3, lam=11, delta=0.4, z=(0.2, 0.4), c_pp=2.0)).value > v
-        assert level_process_bound(BoundInputs(m=4, lam=10, delta=0.4, z=(0.2, 0.4, 0.5), c_pp=2.0)).value > v
-        assert level_process_bound(BoundInputs(m=3, lam=10, delta=0.2, z=(0.2, 0.4), c_pp=2.0)).value > v
-        assert level_process_bound(BoundInputs(m=3, lam=10, delta=0.4, z=(0.3, 0.4), c_pp=2.0)).value < v
+        v = level_process_bound(3, 10, 0.4, (0.2, 0.4), 2.0).value
+        assert level_process_bound(3, 11, 0.4, (0.2, 0.4), 2.0).value > v
+        assert level_process_bound(4, 10, 0.4, (0.2, 0.4, 0.5), 2.0).value > v
+        assert level_process_bound(3, 10, 0.2, (0.2, 0.4), 2.0).value > v
+        assert level_process_bound(3, 10, 0.4, (0.3, 0.4), 2.0).value < v
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            level_process_bound(BoundInputs(m=3, lam=10, delta=0.4, z=(0.2,), c_pp=2.0))
+            level_process_bound(3, 10, 0.4, (0.2,), 2.0)
         with pytest.raises(ValueError):
-            level_process_bound(BoundInputs(m=2, lam=10, delta=0.4, z=(0.0,), c_pp=2.0))
-        with pytest.raises(ValueError):
-            BoundInputs(m=2, lam=10, delta=1.4, z=(0.5,), c_pp=2.0)
-        with pytest.raises(ValueError):
-            BoundInputs(m=2, lam=10, delta=0.4, z=(0.5,), c_pp=1.0)
+            level_process_bound(2, 10, 0.4, (0.0,), 2.0)
         with pytest.raises(ValueError, match="delta"):
-            level_process_bound(BoundInputs(m=2, lam=10, z=(0.5,), c_pp=2.0))
+            level_process_bound(2, 10, 1.4, (0.5,), 2.0)
+        with pytest.raises(ValueError, match="c''"):
+            level_process_bound(2, 10, 0.4, (0.5,), 1.0)
+        with pytest.raises(ValueError, match="c''"):
+            level_process_bound(2, 10, 0.4, (0.5,), math.nan)
+        with pytest.raises(ValueError, match="z_i"):
+            level_process_bound(2, 10, 0.4, (math.nan,), 2.0)
+        with pytest.raises(ValueError, match="m and lambda"):
+            level_process_bound(0, 10, 0.4)
 
 
 class TestChiRecipe:
@@ -81,49 +83,51 @@ class TestChiRecipe:
 
 
 class TestSolvableRegimeBudget:
-    def make(self, **kw):
-        base = dict(m=1, lam=100, delta=0.5, z=(), c_pp=1.000001, n=100,
-                    chi=0.012, alpha=0.9, beta=0.05, epsilon=0.1, r=1.0)
+    def budget(self, **kw):
+        base = dict(n=100, lam=100, chi=0.012, alpha=0.9, beta=0.05, epsilon=0.1)
         base.update(kw)
-        return BoundInputs(**base)
+        return solvable_regime_budget(**base)
 
     def test_recorded_reference_value(self):
         # frozen at build time from a direct evaluation of the formula
-        out = solvable_regime_budget(self.make())
+        out = self.budget()
         assert out.value == pytest.approx(3859635472968.752, rel=1e-12)
 
     def test_linear_in_r(self):
-        one = solvable_regime_budget(self.make(r=1.0)).value
-        five = solvable_regime_budget(self.make(r=5.0)).value
+        one = self.budget(r=1.0).value
+        five = self.budget(r=5.0).value
         assert five == pytest.approx(5 * one, rel=1e-12)
 
     def test_mutation_term_increases_as_chi_decreases(self):
         # the slack delta is locked to chi, so only the per-term claim is
         # well-posed: the mutation term scales like 1/chi
-        hi = solvable_regime_budget(self.make(chi=0.012))
-        lo = solvable_regime_budget(self.make(chi=0.002))
+        hi = self.budget(chi=0.012)
+        lo = self.budget(chi=0.002)
         assert lo.terms["mutation_term"] > hi.terms["mutation_term"]
         assert lo.terms["mutation_term"] == pytest.approx(
             hi.terms["mutation_term"] * 0.012 / 0.002, rel=1e-12)
 
-    def test_takes_no_delta(self):
-        # the slack is derived from chi: a missing delta changes nothing
-        base = solvable_regime_budget(self.make())
-        assert solvable_regime_budget(self.make(delta=None)) == base
-
-    def test_requires_bilinear_fields(self):
-        with pytest.raises(ValueError):
-            solvable_regime_budget(BoundInputs(m=1, lam=100, delta=0.5, z=(), c_pp=1.1))
+    @pytest.mark.parametrize("field, value, message", [
+        ("r", 0.0, "r must be positive"), ("r", -1.0, "r must be positive"),
+        ("n", 0, "n and lambda"), ("lam", 0, "n and lambda"), ("c_pp", 1.0, "c''"),
+        ("c_pp", math.nan, "c''"), ("chi", 0.0, "chi must be positive"),
+        ("chi", -0.1, "chi must be positive"), ("chi", math.nan, "chi must be positive"),
+    ])
+    def test_rejects_out_of_range_scale(self, field, value, message):
+        # each of these once priced a negative, zero or NaN budget, or
+        # divided by zero
+        with pytest.raises(ValueError, match=message):
+            self.budget(**{field: value})
 
     def test_rejects_nonpositive_log_argument(self):
         with pytest.raises(ValueError):
-            solvable_regime_budget(self.make(beta=1.0, alpha=0.1, epsilon=0.2))
+            self.budget(beta=1.0, alpha=0.1, epsilon=0.2)
         with pytest.raises(ValueError):
-            solvable_regime_budget(self.make(beta=0.0))
+            self.budget(beta=0.0)
 
     def test_rejects_chi_beyond_recipe_range(self):
         with pytest.raises(ValueError):
-            solvable_regime_budget(self.make(chi=0.5))  # implied slack would be negative
+            self.budget(chi=0.5)  # implied slack would be negative
 
 
 class TestErrorThreshold:
@@ -154,8 +158,8 @@ class TestCalculatorsArePure:
             delta = float(rng.uniform(0.05, 1.0))
             z = tuple(float(v) for v in rng.uniform(0.05, 1.0, size=m - 1))
             c_pp = 1.0 + float(rng.uniform(0.001, 2.0))
-            b = BoundInputs(m=m, lam=lam, delta=delta, z=z, c_pp=c_pp)
-            assert level_process_bound(b).value == level_process_bound(b).value
+            assert (level_process_bound(m, lam, delta, z, c_pp).value
+                    == level_process_bound(m, lam, delta, z, c_pp).value)
             d9 = float(rng.uniform(1e-6, 1 / 41 - 1e-6))
             assert recipe_mutation_rate(d9) == recipe_mutation_rate(d9)
             dt = float(rng.uniform(1e-6, 0.5 - 1e-6))
@@ -164,7 +168,7 @@ class TestCalculatorsArePure:
 
 class TestInequalityCheckers:
     def test_sqrt_bound_grid_clean(self):
-        result = check_sqrt_bound(points=1000)
+        result = check_sqrt_bound()
         assert result.passed, result.detail
         assert "1000000 grid points" in result.detail
 
@@ -195,6 +199,8 @@ class TestInequalityCheckers:
         vals = np.exp(-eta * rng.binomial(lam, p, 10**5) * rng.binomial(lam, q, 10**5))
         assert abs(vals.mean() - exact) <= 6 * vals.std() / math.sqrt(10**5)
 
-    def test_suite_wrapper(self):
-        results = check_inequality_lemmas()
-        assert len(results) == 3 and all(r.passed for r in results)
+    def test_registered_suite(self):
+        # the three checkers are registered one by one, in this order
+        results = run_checks("inequalities")
+        assert [r.name for r in results] == ["sqrt-sandwich", "exp-lower-bound", "product-mgf"]
+        assert all(r.passed for r in results)
