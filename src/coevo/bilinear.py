@@ -102,32 +102,33 @@ def worst_case_f(x: BitVector, params: BilinearParams) -> float:
 
 def dominates(x1: BitVector, y1: BitVector, x2: BitVector, y2: BitVector,
               params: BilinearParams) -> bool:
-    """Pair (x1, y1) dominates (x2, y2): both payoff inequalities, ties allowed.
-
-    Evaluates the three payoffs of the definition in exact integers: alpha*n
-    and beta*n are floats, hence dyadic, so each payoff times their common
-    power-of-two denominator d is an integer, and ties are decided exactly
-    for any alpha and beta.  This route is the cross-check of the factored
-    form that `dominates_by_onecounts` and the engine evaluate.
-    """
+    """Pair (x1, y1) dominates (x2, y2): both payoff inequalities, ties allowed
+    (`_dominates_by_payoffs` on the one-counts, exact for any alpha and beta)."""
     for v in (x1, y1, x2, y2):
         if v.n != params.n:
             raise ValueError(f"genome length {v.n} does not match game n={params.n}")
+    return bool(_dominates_by_payoffs(ones(x1), ones(y1), ones(x2), ones(y2), params))
+
+
+def _dominates_by_payoffs(cx1, cy1, cx2, cy2, params: BilinearParams):
+    """Both payoff inequalities of the definition, ties allowed, elementwise.
+
+    Each payoff times d, the power-of-two denominator of the floats alpha*n
+    and beta*n, is an integer, so ties are decided exactly for any alpha and
+    beta.  d can be 2**51 (beta*n = 3.3), so pass Python ints or object-dtype
+    arrays, not int64.  This is the cross-check of the engine's factored form.
+    """
     alpha_n, beta_n = params.alpha_n, params.beta_n
     d = max(alpha_n.as_integer_ratio()[1], beta_n.as_integer_ratio()[1])
     a, b = int(alpha_n * d), int(beta_n * d)  # exact: d is a power of two
-    g = lambda x, y: ones(y) * (ones(x) * d - b) - a * ones(x)  # d * payoff(x, y)
-    return g(x1, y2) >= g(x1, y1) >= g(x2, y1)
+    g = lambda cx, cy: cy * (cx * d - b) - a * cx  # d * payoff
+    return (g(cx1, cy2) >= g(cx1, cy1)) & (g(cx1, cy1) >= g(cx2, cy1))
 
 
 def dominates_by_onecounts(cx1: int, cy1: int, cx2: int, cy2: int,
                            params: BilinearParams) -> bool:
-    """Dominance evaluated directly on one-counts, exact for any alpha and beta.
-
-    Evaluates the factored sign form of `_dominates_counts_arrays`;
-    `dominates` evaluates the payoffs of the definition in exact integers
-    instead, so the two serve as independent cross-checks.
-    """
+    """Dominance on one-counts by the factored sign form of `_dominates_counts_arrays`,
+    exact for any alpha and beta; `_dominates_by_payoffs` is its cross-check."""
     n = params.n
     for c in (cx1, cy1, cx2, cy2):
         if not 0 <= c <= n:

@@ -133,12 +133,13 @@ def check_sqrt_bound() -> CheckResult:
     points = 1000
     d = (np.arange(points, dtype=np.float64) + 1.0) / (points + 1)
     frac = np.arange(points, dtype=np.float64) / points
-    dd = d[:, None]
-    d1 = dd * frac[None, :]
-    mid = 1.0 - np.sqrt((1.0 + d1) / (1.0 + dd))
-    lower = (3.0 * dd - 4.0 * d1) / 11.0
-    upper = (4.0 * dd - 3.0 * d1) / 8.0
-    bad = int((lower >= mid).sum() + (mid >= upper).sum())
+    bad = 0
+    for dd in np.split(d[:, None], points // 50):  # 50-row blocks bound the peak memory
+        d1 = dd * frac[None, :]
+        mid = 1.0 - np.sqrt((1.0 + d1) / (1.0 + dd))
+        lower = (3.0 * dd - 4.0 * d1) / 11.0
+        upper = (4.0 * dd - 3.0 * d1) / 8.0
+        bad += int((lower >= mid).sum() + (mid >= upper).sum())
     return CheckResult(
         "sqrt-sandwich",
         bad == 0,

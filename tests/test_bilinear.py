@@ -20,6 +20,7 @@ from coevo import (
     uniform_bitvector,
     worst_case_f,
 )
+from coevo.bilinear import _dominates_by_payoffs
 from coevo.harness import paired_from_counts
 
 from conftest import count_vector
@@ -219,6 +220,20 @@ class TestDominanceTies:
         assert bool(BilinearGame(params).dominates_counts(*(np.array([c]) for c in quad))[0])
         assert dominates_by_onecounts(*quad, params)
         assert dominates(*(count_vector(c, n) for c in quad), params)
+
+    def test_payoff_route_on_object_arrays_is_exact(self):
+        # d = 2**51 here, so d * payoff overflows int64; object arrays of
+        # Python ints keep the route exact
+        n = 100
+        params = BilinearParams(n=n, alpha=1.0, beta=0.033, epsilon=1.0)
+        quads = spawn_stream(31, 0).integers(0, n + 1, size=(10_000, 4))
+        quads = np.vstack([quads, [0, 100, 36, 0]])
+        got = _dominates_by_payoffs(*quads.T.astype(object), params)
+        assert got.dtype == bool and got[-1]
+        vectors = [count_vector(c, n) for c in range(n + 1)]
+        for quad, verdict in zip(quads.tolist(), got):
+            assert verdict == exact_dominates(*quad, params)
+            assert verdict == dominates(*(vectors[c] for c in quad), params)
 
     def test_engine_dominance_exact_on_all_small_quadruples(self):
         mismatches = 0

@@ -254,6 +254,20 @@ class TestSweepAndPlots:
         assert code == 0
         assert (tmp_path / "long.csv").exists()
 
+    def test_unbounded_bound_factor_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # bound:1e308 prices the cell at an infinite number of generations
+        from coevo import harness
+
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args, **kw: calls.append(args))
+        spec = self.write_spec(tmp_path, kind="sweep", n=10, **{"lambda": 4}, chi=0.005,
+                               budget="bound:1e308")
+        prefix = tmp_path / "res"
+        code, out, err = run_cli(capsys, "sweep", "--config", spec, "--out", str(prefix))
+        assert code == 1 and out == "" and calls == []
+        assert err.startswith("error: budget 'bound:1e308' gives inf generations for cell ")
+        assert "Traceback" not in err and not list(tmp_path.glob("res*"))
+
     def test_pilot_failure_exits_four(self, capsys, tmp_path):
         # beta = 0 empties the target region, so no pilot run can hit
         spec = self.write_spec(tmp_path, n=5, **{"lambda": 2}, beta=0.0, budget="pilot")

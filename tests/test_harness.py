@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -229,6 +230,22 @@ class TestPilot:
         b = pilot_budget(cell, spec, 0)
         assert a == b > 0
 
+    @pytest.mark.parametrize("hits, budget", [
+        ([100, 200, 300, 400, 500, 600, 700], 5500),    # 3 censored runs rank last
+        ([100, 200, 300, 400, 500, 600], 5500),   # the fewest hits allowed
+        ([50] * 5 + [150] * 5, 1000),
+    ])
+    def test_pilot_median_ranks_censored_runs_last(self, monkeypatch, hits, budget):
+        outcomes = iter([(True, g) for g in hits] + [(False, 3000)] * (10 - len(hits)))
+
+        def stub(cfg):
+            hit, gens = next(outcomes)
+            return SimpleNamespace(hit=hit, generations_run=gens)
+
+        monkeypatch.setattr(harness, "run_trial", stub)
+        spec = tiny_spec(budget="pilot")
+        assert pilot_budget(resolve_cells(spec)[0], spec, 0) == budget
+
     def test_pilot_failure_raises(self):
         # impossible target (beta = 0 empties R0): pilots cannot hit
         spec = tiny_spec(n=(5,), lam=(2,), beta=(0.0,), budget="pilot")
@@ -415,3 +432,43 @@ class TestCheckRegistry:
         result = harness.check_dominance_structure()
         assert not result.passed
         assert result.detail.endswith(f"{violations} violations")
+
+    def test_dominance_equivalence_flags_lost_ties(self, monkeypatch):
+        # a factored form that loses ties (> for >=) disagrees with the exact
+        # payoff route, at least on every reflexive quadruple
+        import coevo.bilinear as bilinear
+
+        def strict(cx1, cy1, cx2, cy2, params):
+            return (((cx1 - params.beta_n) * (cy2 - cy1) > 0)
+                    & ((cy1 - params.alpha_n) * (cx1 - cx2) > 0))
+
+        monkeypatch.setattr(bilinear, "_dominates_counts_arrays", strict)
+        result = harness.check_dominance_equivalence()
+        mismatches = int(result.detail.rsplit(", ", 1)[1].split()[0])
+        assert not result.passed and mismatches >= 3 * 121
+
+    def test_golden_check_output(self):
+        # every registered check at its default seed, as the parent of the
+        # whole-array checks printed it
+        got = [f"{r.name}|{r.passed}|{r.detail}" for r in run_checks("all")]
+        assert got == GOLDEN_CHECKS
+
+
+GOLDEN_CHECKS = [
+    "dominance-equivalence|True|43923 quadruples verified across 3 games, 0 mismatches",
+    "dominance-structure|True|121 pairs and 14641 quadruples, 0 violations",
+    "intransitivity|True|cycle ((9, 5), (12, 5), (13, 8), (9, 9))",
+    "half-probabilities|True|388 non-null conditionals over 100 populations, 0 below 1/2",
+    "growth-inequalities|True|case 15: ratio=1.4844 bound=1.1000; case 16: ratio=1.3889 "
+    "bound=1.0529; case 17: ratio=1.3194 bound=1.2500; case 18: ratio=1.1250 bound=1.0625; "
+    "case 19: ratio=1.1898 bound=1.0500",
+    "level-functions|True|monotone counterexample rejected",
+    "sqrt-sandwich|True|1000000 grid points, 0 violations",
+    "exp-lower-bound|True|8020 comparisons, 0 violations",
+    "product-mgf|True|lam=20 p=0.9 q=0.9 z=0.5: exact=0.0332803 bound=0.117272; "
+    "lam=10 p=0.8 q=0.9 z=0.4: exact=0.170151 bound=0.361109; "
+    "lam=30 p=0.7 q=0.8 z=0.3: exact=0.0138844 bound=0.0895754; "
+    "lam=15 p=0.95 q=0.6 z=0.4: exact=0.261534 bound=0.377663",
+    "product-space|True|mean Z'=76.25 vs 73.45 (se 0.42); mgf=0.7221 vs 0.8240; "
+    "tail=0.1150 vs 0.9864; 1/r=1.0008 vs 1.8169",
+]
