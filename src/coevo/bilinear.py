@@ -20,6 +20,7 @@ the strict sense, and intransitive (four-cycles exist near the saddle).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,9 @@ class BilinearParams:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if self.epsilon < 1.0 / self.n:
-            raise ValueError(f"epsilon must be >= 1/n = {1.0 / self.n}, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 1.0 / self.n):
+            raise ValueError(f"epsilon must be finite and >= 1/n = {1.0 / self.n}, "
+                             f"got {self.epsilon}")
 
     @property
     def alpha_n(self) -> float:

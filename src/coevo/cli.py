@@ -104,12 +104,17 @@ def _write_table(table) -> None:
         print(f"wrote {json_path}")
 
 
+def _report_checks(results) -> int:
+    """Print one `[PASS|FAIL] name: detail` line per check result; 0 if all passed, else 2."""
+    for res in results:
+        print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
+    return 0 if all(res.passed for res in results) else 2
+
+
 def _cmd_sweep_with_spec(spec, workers) -> int:
     if spec.kind == "lemma-checks":
-        results, report = harness.experiment_lemma_checks(spec)
-        for res in results:
-            print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
-        return 0 if report["all_passed"] else 2
+        results, _ = harness.experiment_lemma_checks(spec)
+        return _report_checks(results)
     if spec.kind == "bound-table":
         for row in harness.experiment_bound_table(spec):
             print(json.dumps(row, sort_keys=True))
@@ -186,15 +191,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_check(args) -> int:
     suites = args.suite or ["all"]
-    results = []
-    for suite in suites:
-        results.extend(harness.run_checks(suite))
-    failed = 0
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        failed += not res.passed
-        print(f"[{status}] {res.name}: {res.detail}")
-    return 2 if failed else 0
+    return _report_checks([res for suite in suites for res in harness.run_checks(suite)])
 
 
 def _cmd_emit_plots(args) -> int:

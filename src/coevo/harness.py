@@ -14,6 +14,7 @@ wall_ms column is the only field exempt from determinism.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
@@ -63,7 +64,11 @@ PILOT_STREAM_OFFSET = 1_000_000_007  # pilot seeds never collide with trial unit
 PILOTS = 10
 PILOT_CAP_FACTOR = 200
 PILOT_MIN_HITS = 6  # with fewer, a censored pilot would sit at the median of the PILOTS runs
+# Largest generations * lambda a budget may resolve to: above 2**53 the float
+# arithmetic of a "bound:<factor>" budget is no longer exact, and no run could finish.
+MAX_INTERACTIONS = 2 ** 53
 
+CELL_COLUMNS = ("n", "lambda", "chi", "alpha", "beta", "epsilon", "r")
 CSV_COLUMNS = (
     "kind", "n", "lambda", "chi", "alpha", "beta", "epsilon", "delta", "r",
     "trial", "seed", "hit", "T_interactions", "generations", "wall_ms",
@@ -111,8 +116,8 @@ class ExperimentSpec:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not _is_int(self.master_seed):
             raise ValueError(f"seed must be an integer, got {self.master_seed!r}")
-        if not _is_number(self.delta):
-            raise ValueError(f"delta must be a number, got {self.delta!r}")
+        if not _is_number(self.delta) or not math.isfinite(self.delta):
+            raise ValueError(f"delta must be a finite number, got {self.delta!r}")
         if self.target not in ("bilinear", "singleton"):
             raise ValueError(f"unknown target {self.target!r}")
         if not _is_number(self.gamma0) or not 0.0 < self.gamma0 < 1.0:
@@ -131,19 +136,20 @@ def _is_number(value) -> bool:
 
 
 def _check_grid(key: str, values) -> None:
-    """Grid values are numbers (chi may be "auto"); n and lambda are whole
-    numbers, so `n = 20.7` is rejected rather than run as n = 20, and r, the
-    budget's confidence factor, is positive and finite."""
+    """Grid values are finite numbers (chi may be "auto"), so no NaN or
+    infinity reaches a run or a JSON file; n and lambda are whole numbers, so
+    `n = 20.7` is rejected rather than run as n = 20, and r, the budget's
+    confidence factor, is positive."""
     for value in values:
         if key == "chi" and value == "auto":
             continue
-        if not _is_number(value):
-            expected = "a number or 'auto'" if key == "chi" else "a number"
+        if not _is_number(value) or not math.isfinite(value):
+            expected = "a finite number or 'auto'" if key == "chi" else "a finite number"
             raise ValueError(f"{key} must be {expected}, got {value!r}")
-        if key in ("n", "lambda") and not (math.isfinite(value) and value == int(value)):
+        if key in ("n", "lambda") and value != int(value):
             raise ValueError(f"{key} must be a whole number, got {value!r}")
-        if key == "r" and not 0 < value < math.inf:
-            raise ValueError(f"r must be a positive finite number, got {value!r}")
+        if key == "r" and value <= 0:
+            raise ValueError(f"r must be positive, got {value!r}")
 
 
 def _check_budget(budget):
@@ -171,6 +177,11 @@ class Cell:
     epsilon: float
     r: float
     delta: float | None  # slack behind an "auto" chi, None for explicit chi
+
+    def columns(self) -> dict:
+        """The cell's CELL_COLUMNS values (delta only explains an "auto" chi)."""
+        return dict(zip(CELL_COLUMNS, (self.n, self.lam, self.chi, self.alpha, self.beta,
+                                       self.epsilon, self.r)))
 
 
 def resolve_cells(spec: ExperimentSpec) -> list[Cell]:
@@ -205,11 +216,11 @@ def parse_spec_file(path: str) -> ExperimentSpec:
     """Flat key = value format; comma lists give grids, '#' starts a comment.
 
     Keys: kind, n, lambda, chi, delta, alpha, beta, epsilon, r, trials,
-    seed, budget, target, gamma0, out.
+    seed, budget, target, gamma0, out; each at most once.
     """
     scalars = {"kind": "kind", "delta": "delta", "trials": "trials", "seed": "master_seed",
                "budget": "budget", "target": "target", "gamma0": "gamma0", "out": "out"}
-    kwargs = {}
+    kwargs, seen = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -218,6 +229,9 @@ def parse_spec_file(path: str) -> ExperimentSpec:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in seen:
+                raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {seen[key]}")
+            seen[key] = lineno
             if key in SPEC_GRIDS:
                 kwargs[SPEC_GRIDS[key]] = tuple(_parse_value(v) for v in value.split(","))
             elif key in scalars:
@@ -240,10 +254,7 @@ class ResultTable:
     extra: dict = field(default_factory=dict)  # experiment summaries for the sidecar
 
     def sort(self):
-        self.rows.sort(key=lambda row: (
-            row["n"], row["lambda"], row["chi"], row["alpha"], row["beta"],
-            row["epsilon"], row["r"], row["trial"],
-        ))
+        self.rows.sort(key=lambda row: (*(row[col] for col in CELL_COLUMNS), row["trial"]))
 
     def aggregates(self) -> list[dict]:
         """Per-cell success rate and hit-time quantiles, recomputable from rows.
@@ -253,14 +264,12 @@ class ResultTable:
         """
         groups: dict[tuple, list[dict]] = {}
         for row in self.rows:
-            key = (row["n"], row["lambda"], row["chi"], row["alpha"],
-                   row["beta"], row["epsilon"], row["r"])
-            groups.setdefault(key, []).append(row)
+            groups.setdefault(tuple(row[col] for col in CELL_COLUMNS), []).append(row)
         out = []
         for key in sorted(groups):
             rows = groups[key]
             hits = [r["T_interactions"] for r in rows if r["hit"]]
-            agg = dict(zip(("n", "lambda", "chi", "alpha", "beta", "epsilon", "r"), key))
+            agg = dict(zip(CELL_COLUMNS, key))
             agg.update(
                 trials=len(rows),
                 hits=len(hits),
@@ -274,30 +283,16 @@ class ResultTable:
         return out
 
     def _spec_json(self) -> str:
-        spec_dict = {k: v for k, v in self.spec.__dict__.items()}
-        return json.dumps(spec_dict, sort_keys=True, default=str)
+        return json.dumps(self.spec.__dict__, sort_keys=True, default=str)
 
     def to_csv(self) -> str:
-        lines = [
-            f"# coevo-results schema={SCHEMA_VERSION}",
-            f"# master_seed={self.spec.master_seed}",
-            f"# spec={self._spec_json()}",
-            ",".join(CSV_COLUMNS),
-        ]
-        for row in self.rows:
-            cells = []
-            for col in CSV_COLUMNS:
-                value = row[col]
-                if value is None:
-                    cells.append("")
-                elif isinstance(value, bool):
-                    cells.append("1" if value else "0")
-                elif isinstance(value, float):
-                    cells.append(repr(value))
-                else:
-                    cells.append(str(value))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return "".join([
+            f"# coevo-results schema={SCHEMA_VERSION}\n",
+            f"# master_seed={self.spec.master_seed}\n",
+            f"# spec={self._spec_json()}\n",
+            _csv_line(CSV_COLUMNS),
+            *(_csv_line(row[col] for col in CSV_COLUMNS) for row in self.rows),
+        ])
 
     def write(self, prefix: str) -> tuple[str, str]:
         """Write `<prefix>.csv` and the `<prefix>.aggregates.json` sidecar."""
@@ -305,15 +300,12 @@ class ResultTable:
         json_path = prefix + ".aggregates.json"
         with _create(csv_path) as fh:
             fh.write(self.to_csv())
-        sidecar = {
+        _write_json(json_path, {
             "schema": SCHEMA_VERSION,
             "spec": json.loads(self._spec_json()),
             "aggregates": self.aggregates(),
             **self.extra,
-        }
-        with _create(json_path) as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
         return csv_path, json_path
 
 
@@ -325,32 +317,27 @@ def _create(path: str):
     return open(path, "w", encoding="utf-8")
 
 
-def read_result_csv(path: str):
-    """Parse a results CSV back into (header_lines, list-of-dict rows)."""
-    header, rows = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    body = []
-    for line in lines:
-        (header if line.startswith("#") else body).append(line)
-    columns = body[0].split(",")
-    for line in body[1:]:
-        if not line:
-            continue
-        raw = dict(zip(columns, line.split(",")))
-        row = {}
-        for key, value in raw.items():
-            if value == "":
-                row[key] = None
-            elif key in ("n", "lambda", "trial", "seed", "hit", "T_interactions", "generations"):
-                row[key] = int(value)
-            elif key == "kind":
-                row[key] = value
-            else:
-                row[key] = float(value)
-        row["hit"] = bool(row["hit"])
-        rows.append(row)
-    return header, rows
+def _csv_line(values) -> str:
+    """One CSV line: None is empty, a bool is 1/0, a float is its repr and
+    anything else its str (so a float cell reads back to the same value)."""
+    cells = []
+    for value in values:
+        if value is None:
+            cells.append("")
+        elif isinstance(value, bool):
+            cells.append("1" if value else "0")
+        elif isinstance(value, float):
+            cells.append(repr(value))
+        else:
+            cells.append(str(value))
+    return ",".join(cells) + "\n"
+
+
+def _write_json(path: str, obj) -> None:
+    """Write `obj` to `path` as indented JSON with sorted keys and a final newline."""
+    with _create(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +394,21 @@ def _solvable_budget(cell: Cell) -> theory.BoundValue:
 
 
 def _budget_for(cell: Cell, spec: ExperimentSpec, cell_index: int) -> int:
+    """The cell's budget in generations; a ValueError if generations * lambda exceed
+    MAX_INTERACTIONS."""
     budget = spec.budget
     if isinstance(budget, int):
-        return budget
-    if budget == "pilot":
-        return pilot_budget(cell, spec, cell_index)
-    generations = float(budget.split(":", 1)[1]) * _solvable_budget(cell).value / cell.lam
-    if not math.isfinite(generations):
-        raise ValueError(f"budget {budget!r} gives {generations} generations for cell {cell}")
-    return max(1, int(math.ceil(generations)))
+        generations = budget
+    elif budget == "pilot":
+        generations = pilot_budget(cell, spec, cell_index)
+    else:
+        generations = float(budget.split(":", 1)[1]) * _solvable_budget(cell).value / cell.lam
+        if math.isfinite(generations):
+            generations = max(1, math.ceil(generations))
+    if not generations * cell.lam <= MAX_INTERACTIONS:
+        raise ValueError(f"budget {budget!r} gives {generations:.6g} generations for cell {cell}; "
+                         f"generations * lambda may not exceed MAX_INTERACTIONS = 2**53")
+    return generations
 
 
 def _plan_units(spec: ExperimentSpec) -> list[tuple]:
@@ -439,10 +432,8 @@ def _plan_units(spec: ExperimentSpec) -> list[tuple]:
 
 def _result_row(spec: ExperimentSpec, cell: Cell, trial: int, record) -> dict:
     return {
-        "kind": spec.kind, "n": cell.n, "lambda": cell.lam, "chi": cell.chi,
-        "alpha": cell.alpha, "beta": cell.beta, "epsilon": cell.epsilon,
-        "delta": cell.delta, "r": cell.r, "trial": trial, "seed": record.seed,
-        "hit": record.hit, "T_interactions": record.T_interactions,
+        "kind": spec.kind, **cell.columns(), "delta": cell.delta, "trial": trial,
+        "seed": record.seed, "hit": record.hit, "T_interactions": record.T_interactions,
         "generations": record.generations_run, "wall_ms": record.wall_ms,
     }
 
@@ -528,8 +519,7 @@ def experiment_runtime_scaling(spec: ExperimentSpec, workers: int = 1):
 
     references = []
     for agg in aggs:
-        cell = Cell(agg["n"], agg["lambda"], agg["chi"], agg["alpha"], agg["beta"],
-                    agg["epsilon"], agg["r"], None)
+        cell = Cell(*(agg[col] for col in CELL_COLUMNS), delta=None)
         try:
             ref = _solvable_budget(cell).value
         except ValueError:
@@ -587,9 +577,7 @@ def experiment_lemma_checks(spec: ExperimentSpec):
         "all_passed": bool(all(r.passed for r in results)),
     }
     if spec.out:
-        with _create(spec.out + ".checks.json") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(spec.out + ".checks.json", report)
     return results, report
 
 
@@ -602,10 +590,7 @@ def experiment_bound_table(spec: ExperimentSpec):
     """
     rows = []
     for cell in resolve_cells(spec):
-        row = {
-            "n": cell.n, "lambda": cell.lam, "chi": cell.chi, "alpha": cell.alpha,
-            "beta": cell.beta, "epsilon": cell.epsilon, "r": cell.r,
-        }
+        row = cell.columns()
         try:
             bound = _solvable_budget(cell)
             row.update(budget_interactions=bound.value, budget_generations=bound.value / cell.lam,
@@ -615,30 +600,28 @@ def experiment_bound_table(spec: ExperimentSpec):
             row.update(budget_interactions=None, note=str(exc))
         rows.append(row)
     if spec.out:
-        with _create(spec.out + ".bounds.json") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(spec.out + ".bounds.json", rows)
     return rows
 
 
 def write_series(series, path: str):
     with _create(path) as fh:
-        fh.write(",".join(SERIES_COLUMNS) + "\n")
-        for row in series:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        fh.write(_csv_line(SERIES_COLUMNS))
+        fh.writelines(_csv_line(row) for row in series)
     return path
 
 
 def emit_plot_data(in_csv: str, out_csv: str) -> str:
-    """Rewrite a results CSV as tidy long-format (one metric per row)."""
-    _, rows = read_result_csv(in_csv)
-    keys = ("kind", "n", "lambda", "chi", "alpha", "beta", "epsilon", "delta", "r", "trial")
+    """Rewrite a results CSV as tidy long-format (one metric per row), keyed by
+    the columns before `seed` and copying each cell's text as it stands."""
+    keys = CSV_COLUMNS[:CSV_COLUMNS.index("seed")]
+    with open(in_csv, "r", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     with _create(out_csv) as fh:
-        fh.write(",".join(keys) + ",metric,value\n")
+        fh.write(_csv_line((*keys, "metric", "value")))
         for row in rows:
-            prefix = ",".join("" if row[k] is None else str(row[k]) for k in keys)
             for metric in ("hit", "T_interactions", "generations"):
-                fh.write(f"{prefix},{metric},{int(row[metric])}\n")
+                fh.write(_csv_line((*(row[k] for k in keys), metric, row[metric])))
     return out_csv
 
 

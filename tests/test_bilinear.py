@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -34,6 +35,12 @@ class TestParams:
             BilinearParams(n=10, alpha=0.5, beta=-0.1, epsilon=0.1)
         with pytest.raises(ValueError):
             BilinearParams(n=10, alpha=0.5, beta=0.5, epsilon=0.05)  # epsilon < 1/n
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        # both pass `epsilon < 1/n` unnoticed; inf then overflows in `_snap`
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            BilinearParams(n=10, alpha=0.9, beta=0.05, epsilon=epsilon)
 
     def test_snapped_products_are_integral_on_grid(self):
         p = BilinearParams(n=80, alpha=0.9, beta=0.05, epsilon=0.1)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -136,6 +138,13 @@ class TestRun:
         assert all(len(row) == 10 for row in rows)
         assert [row[0] for row in rows] == list(range(len(rows)))
 
+    @pytest.mark.parametrize("beta, epsilon", [("0.5", "inf"), ("0.5", "nan"), ("0.05", "nan")])
+    def test_non_finite_epsilon_is_usage_error(self, capsys, beta, epsilon):
+        code, out, err = run_cli(capsys, "run", "--n", "10", "--lambda", "4", "--chi", "0.5",
+                                 "--beta", beta, "--epsilon", epsilon, "--budget", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("error: epsilon must be finite") and "Traceback" not in err
+
 
 class TestCheck:
     def test_dominance_suite_exit_zero(self, capsys):
@@ -163,22 +172,10 @@ class TestCheck:
 
 class TestSweepAndPlots:
     def write_spec(self, tmp_path, kind="runtime-scaling", **extra):
-        lines = [
-            f"kind = {kind}",
-            "n = 15",
-            "lambda = 10",
-            "chi = 0.5",
-            "alpha = 0.9",
-            "beta = 0.05",
-            "epsilon = 0.2",
-            "trials = 2",
-            "seed = 77",
-            "budget = 300",
-        ]
-        for key, value in extra.items():
-            lines.append(f"{key} = {value}")
+        keys = {"kind": kind, "n": 15, "lambda": 10, "chi": 0.5, "alpha": 0.9, "beta": 0.05,
+                "epsilon": 0.2, "trials": 2, "seed": 77, "budget": 300, **extra}
         path = tmp_path / "spec.txt"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
         return str(path)
 
     def test_sweep_writes_outputs(self, capsys, tmp_path):
@@ -268,6 +265,21 @@ class TestSweepAndPlots:
         assert err.startswith("error: budget 'bound:1e308' gives inf generations for cell ")
         assert "Traceback" not in err and not list(tmp_path.glob("res*"))
 
+    @pytest.mark.parametrize("budget", ["bound:1e300", "100000000000000000000"])
+    def test_budget_above_ceiling_is_usage_error(self, capsys, tmp_path, monkeypatch, budget):
+        # finite, but far more than MAX_INTERACTIONS = 2**53: such a trial never censors
+        from coevo import harness
+
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args, **kw: calls.append(args))
+        spec = self.write_spec(tmp_path, kind="sweep", n=10, **{"lambda": 4}, chi=0.005,
+                               beta=0.05, budget=budget)
+        prefix = tmp_path / "res"
+        code, out, err = run_cli(capsys, "sweep", "--config", spec, "--out", str(prefix))
+        assert code == 1 and out == "" and calls == []
+        assert err.startswith("error: budget ") and "MAX_INTERACTIONS = 2**53" in err
+        assert "Traceback" not in err and not list(tmp_path.glob("res*"))
+
     def test_pilot_failure_exits_four(self, capsys, tmp_path):
         # beta = 0 empties the target region, so no pilot run can hit
         spec = self.write_spec(tmp_path, n=5, **{"lambda": 2}, beta=0.0, budget="pilot")
@@ -291,6 +303,51 @@ class TestSweepAndPlots:
         assert code == 1
         assert err.startswith(f"error: {key} must be") and "Traceback" not in err
         assert out == "" and calls == []
+
+    # sha256 of each output, with the wall_ms column cut and the output directory
+    # written as TMP; recorded before the CSV and JSON writers were merged
+    GOLDEN = {
+        "sweep": "6a4bdb9417c1857d2c3f19557b77b34fea3e03f152a4e11d2683f1920e39966f",
+        "emit-plots": "6a444a7153c8a9105beb166f53c6f3f35e247287d569721b9cd3b78dca1c5ba0",
+        "trajectory": "218c7028541cdb983902dfbbaac7057e60c7266477fc7b9b6805e89759a71bbf",
+        "bound-table": "dc379f3db59cb4122ae492609803980c6a2a1ce8d98f5c4de118cb2f003c624d",
+        "lemma-checks": "033c492c05a26f162271e230c65de2ef744ff5e8d02b55ed3e1dd128bdc4f7f2",
+    }
+
+    def test_golden_outputs(self, capsys, tmp_path, monkeypatch):
+        from coevo import harness
+        from coevo.theory import CheckResult
+
+        def text(path):
+            content = open(path).read()
+            if path.endswith(".csv") and not path.endswith((".series.csv", ".long.csv")):
+                content = re.sub(r"^([^#].*),[^,\n]*$", r"\1", content, flags=re.M)
+            return content
+
+        got = {}
+
+        def record(name, code, out, *paths):
+            blob = "\n\0".join([f"exit {code}", out, *(text(str(tmp_path / p)) for p in paths)])
+            got[name] = hashlib.sha256(blob.replace(str(tmp_path), "TMP").encode()).hexdigest()
+
+        spec = self.write_spec(tmp_path, kind="sweep", chi="0.5,1.5,auto", out=tmp_path / "sw")
+        record("sweep", *run_cli(capsys, "sweep", "--config", spec)[:2], "sw.csv",
+               "sw.aggregates.json")
+        record("emit-plots", *run_cli(capsys, "emit-plots", "--in", str(tmp_path / "sw.csv"),
+                                      "--out", str(tmp_path / "sw.long.csv"))[:2], "sw.long.csv")
+        spec = self.write_spec(tmp_path, kind="trajectory", n=10, **{"lambda": 6}, budget=40,
+                               out=tmp_path / "tr")
+        record("trajectory", *run_cli(capsys, "trajectory", "--config", spec)[:2], "tr.csv",
+               "tr.aggregates.json", "tr.series.csv")
+        spec = self.write_spec(tmp_path, kind="bound-table", n="20,40", chi="0,0.3,auto",
+                               delta=0.01, out=tmp_path / "bt")
+        record("bound-table", *run_cli(capsys, "sweep", "--config", spec)[:2], "bt.bounds.json")
+        monkeypatch.setattr(harness, "CHECK_SUITES", {
+            "stub": (lambda: CheckResult("stub-pass", True, "held"),
+                     lambda: CheckResult("stub-fail", False, "forced 1/2"))})
+        spec = self.write_spec(tmp_path, kind="lemma-checks", out=tmp_path / "lc")
+        record("lemma-checks", *run_cli(capsys, "sweep", "--config", spec)[:2], "lc.checks.json")
+        assert got == self.GOLDEN
 
     def test_emit_plots_missing_input_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import replace
@@ -18,7 +19,6 @@ from coevo.harness import (
     parse_spec_file,
     paired_from_counts,
     pilot_budget,
-    read_result_csv,
     resolve_cells,
     run_checks,
     run_experiment,
@@ -77,6 +77,16 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             parse_spec_file(str(cfg))
 
+    def test_repeated_key_rejected(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args, **kw: calls.append(args))
+        cfg = tmp_path / "twice.txt"
+        cfg.write_text("kind = sweep\nn = 10\nlambda = 4\nn = 12\nbudget = 5\n")
+        with pytest.raises(ValueError, match=r"twice.txt:4: key 'n' already set on line 2"):
+            parse_spec_file(str(cfg))
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert "key 'n'" in capsys.readouterr().err and calls == []
+
     def test_kind_required(self, tmp_path):
         cfg = tmp_path / "nokind.txt"
         cfg.write_text("n = 10\n")
@@ -106,6 +116,12 @@ class TestSpecParsing:
         pytest.param("seed = x", "seed", True, id="seed-x"),
         pytest.param("seed = 2.5", "seed", True, id="seed-2.5"),
         pytest.param("delta = abc", "delta", True, id="delta-abc"),
+        # NaN would reach the sidecar and the CSV header, which then are not valid JSON
+        pytest.param("chi = 0.4\ndelta = nan", "delta", True, id="delta-nan"),
+        pytest.param("chi = 0.4\ndelta = inf", "delta", True, id="delta-inf"),
+        pytest.param("epsilon = nan", "epsilon", True, id="epsilon-nan"),
+        pytest.param("epsilon = inf", "epsilon", True, id="epsilon-inf"),
+        pytest.param("alpha = nan", "alpha", True, id="alpha-nan"),
         # the first cell is valid, so its pilots would run before chi = 25 > n = 20
         pytest.param("n = 20,30\nchi = 0.4,25", "chi", False, id="chi-above-n"),
         pytest.param("beta = 0.05,1.5", "beta", False, id="beta-above-1"),
@@ -117,8 +133,9 @@ class TestSpecParsing:
         calls = []
         monkeypatch.setattr(harness, "run_trial", lambda *args, **kw: calls.append(args))
         cfg = tmp_path / "traj.txt"
-        cfg.write_text("kind = trajectory\nn = 20\nlambda = 20\nchi = auto\n"
-                       f"budget = pilot\n{lines}\n")
+        keys = {"kind": "trajectory", "n": "20", "lambda": "20", "chi": "auto", "budget": "pilot",
+                **dict(line.split(" = ") for line in lines.split("\n"))}
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
         if at_parse:
             with pytest.raises(ValueError, match=key):
                 parse_spec_file(str(cfg))
@@ -191,13 +208,16 @@ class TestRunExperiment:
         spec = tiny_spec(trials=3, out=str(tmp_path / "res" / "tiny"))
         table = run_experiment(spec)
         csv_path, json_path = table.write(spec.out)
-        header, rows = read_result_csv(csv_path)
+        with open(csv_path) as fh:
+            lines = fh.read().splitlines()
+        header = [line for line in lines if line.startswith("#")]
+        rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
         assert any("schema=1" in line for line in header)
         assert any("master_seed=77" in line for line in header)
         assert len(rows) == len(table.rows)
         sidecar = json.loads(open(json_path).read())
         # aggregates recomputable from raw rows
-        hits = [r["T_interactions"] for r in rows if r["hit"]]
+        hits = [int(r["T_interactions"]) for r in rows if r["hit"] == "1"]
         agg = sidecar["aggregates"][0]
         assert agg["hits"] == len(hits)
         assert agg["success_rate"] == len(hits) / len(rows)
@@ -209,6 +229,14 @@ class TestRunExperiment:
         cells = resolve_cells(spec)
         table = run_experiment(spec)
         assert len(table.rows) == spec.trials
+
+    def test_budget_ceiling_is_exact(self):
+        # generations * lambda may reach MAX_INTERACTIONS = 2**53 but not pass it
+        fits = 2 ** 53 // 4
+        cell = resolve_cells(tiny_spec(lam=(4,)))[0]
+        assert harness._budget_for(cell, tiny_spec(lam=(4,), budget=fits), 0) == fits
+        with pytest.raises(ValueError, match="MAX_INTERACTIONS"):
+            harness._budget_for(cell, tiny_spec(lam=(4,), budget=fits + 1), 0)
 
     def test_unknown_budget_rule(self):
         with pytest.raises(ValueError):
