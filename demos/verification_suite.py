@@ -6,7 +6,8 @@ one-count grid, intransitive), exact conditional selection probabilities,
 the selection growth inequalities from the exact selection law, the
 level-function validator and its reference potential, the standalone
 numeric inequalities (grids and an exact binomial sum), and the
-product-occupancy drift statements checked by Monte Carlo on the engine.
+product-occupancy drift statements as exact sums over the offspring law,
+with a chi-square cross-check of the engine against that law.
 
 Equivalent to `coevo check`; a nonzero exit means some suite failed.
 

@@ -794,31 +794,44 @@ def _z_pattern(pattern: str, m: int) -> tuple:
 
 
 def check_product_space(seed: int = theory.DEFAULT_CHECK_SEED) -> CheckResult:
-    """Monte Carlo check of the product-occupancy drift and upgrade bounds.
+    """Exact product-occupancy drift and upgrade bounds, and an engine cross-check.
 
-    Steps the dominance engine 4000 times with chi = 0 from one fixed
-    population (n = 10, lambda = 20), so the offspring marginals
-    p = P(x in A), q = P(y in B) are exact selection probabilities
-    (`_psel_counts`); verifies, within 6 standard errors:
+    At chi = 0 an offspring pair is the selected pair, so from one fixed
+    population (n = 10, lambda = 20) the counts X' of offspring predators in
+    A and Y' of offspring prey in B follow `theory.occupancy_law` of the
+    exact selection cells.  With p = P(x in A), q = P(y in B), z = p*q,
+    gamma = z/(1+delta) and Z' = X'*Y', exact sums verify
 
-      1. E[Z'] >= lambda*(lambda-1)*(1+delta)*gamma where Z' is the product
-         occupancy of the offspring and gamma = p*q/(1+delta),
-      2. E[exp(-eta Z')] <= exp(-eta*lambda*(gamma*lambda-1)) at the
-         admissible eta,
+      1. E[Z'] >= lambda*(lambda-1)*(1+delta)*gamma,
+      2. E[exp(-eta Z')] <= exp(-eta*lambda*(gamma*lambda-1)) at the admissible eta,
       3. P(Z' < lambda*(gamma*lambda-1)) is below its exponential cap, and
-      4. the hit-rate bound 1/r < 3/(z*(lambda-1)) + 1 for the event that the
-         offspring product intersects A x B, with z = p*q.
+      4. 1/r < 3/(z*(lambda-1)) + 1 for r = P(X' > 0, Y' > 0).
+
+    The engine's (X', Y') over 4000 steps on stream `seed` must fit the law:
+    Pearson's statistic over the cells expected at least 5 times, plus one
+    pooled bin, is at most dof + 6*sqrt(2*dof).
     """
     n, lam, reps = 10, 20, 4000
     params = BilinearParams(n=n, alpha=0.4, beta=0.6, epsilon=0.1)
-    pops = paired_from_counts(
-        [2] * 10 + [7] * 10, [3] * 7 + [2] * 6 + [1] * 4 + [0] * 3, n)
+    pops = paired_from_counts([2] * 10 + [7] * 10, [3] * 7 + [2] * 6 + [1] * 4 + [0] * 3, n)
     in_a = lambda c: c < params.beta_n          # predators in R0
     in_b = lambda c: c < 2                       # prey below 2 ones
     p = _psel_counts(pops, params, pred_x=in_a)
     q = _psel_counts(pops, params, pred_y=in_b)
-    delta = 0.2
-    gamma = float(p * q) / (1.0 + delta)
+    p11 = _psel_counts(pops, params, pred_x=in_a, pred_y=in_b)  # both in A and in B
+    law = theory.occupancy_law(np.array([[1 - p - q + p11, q - p11], [p - p11, p11]], float), lam)
+    z_vals = np.outer(np.arange(lam + 1), np.arange(lam + 1))
+    delta, delta1, z = 0.2, 0.1, float(p * q)
+    gamma, eta = z / (1.0 + delta), (1.0 - (1.0 + delta) ** -0.5) / lam
+
+    mean_z, bound1 = (law * z_vals).sum(), lam * (lam - 1) * (1.0 + delta) * gamma
+    mgf, bound2 = (law * np.exp(-eta * z_vals)).sum(), math.exp(-eta * lam * (gamma * lam - 1.0))
+    tail = law[z_vals < lam * (gamma * lam - 1.0)].sum()
+    bound3 = math.exp(-delta1 * gamma * lam * (1.0 - math.sqrt((1.0 + delta1) / (1.0 + delta))))
+    inv_r, bound4 = 1.0 / law[1:, 1:].sum(), 3.0 / (z * (lam - 1)) + 1.0
+    slack = theory._FLOAT_SLACK  # bounds 1 to 3 are not strict
+    ok = (mean_z >= bound1 - slack and mgf <= bound2 + slack and tail <= bound3 + slack
+          and inv_r < bound4)
 
     dist = PdcoeaDistribution(BilinearGame(params), chi=0.0)
     rng = spawn_stream(seed, 2)
@@ -826,44 +839,18 @@ def check_product_space(seed: int = theory.DEFAULT_CHECK_SEED) -> CheckResult:
     for i in range(reps):
         child = step_generation(pops, dist, rng)
         pred[i], prey[i] = child.predators.ones, child.prey.ones
-    x_in = in_a(pred).sum(axis=1)
-    y_in = in_b(prey).sum(axis=1)
-    z_vals = (x_in * y_in).astype(np.float64)
-    intersects = (x_in > 0) & (y_in > 0)
-
-    lines, ok = [], True
-
-    bound1 = lam * (lam - 1) * (1.0 + delta) * gamma
-    se1 = z_vals.std(ddof=1) / math.sqrt(reps)
-    good = z_vals.mean() >= bound1 - 6.0 * se1
-    ok &= good
-    lines.append(f"mean Z'={z_vals.mean():.2f} vs {bound1:.2f} (se {se1:.2f})")
-
-    eta = (1.0 - (1.0 + delta) ** -0.5) / lam
-    mgf = np.exp(-eta * z_vals)
-    bound2 = math.exp(-eta * lam * (gamma * lam - 1.0))
-    se2 = mgf.std(ddof=1) / math.sqrt(reps)
-    good = mgf.mean() <= bound2 + 6.0 * se2
-    ok &= good
-    lines.append(f"mgf={mgf.mean():.4f} vs {bound2:.4f}")
-
-    delta1 = delta / 2.0
-    tail = float((z_vals < lam * (gamma * lam - 1.0)).mean())
-    bound3 = math.exp(-delta1 * gamma * lam * (1.0 - math.sqrt((1.0 + delta1) / (1.0 + delta))))
-    se3 = math.sqrt(max(tail * (1.0 - tail), 1.0 / reps) / reps)
-    good = tail <= bound3 + 6.0 * se3
-    ok &= good
-    lines.append(f"tail={tail:.4f} vs {bound3:.4f}")
-
-    z = float(p * q)
-    r_hat = float(intersects.mean())
-    se4 = math.sqrt(max(r_hat * (1.0 - r_hat), 1.0 / reps) / reps)
-    bound4 = 3.0 / (z * (lam - 1)) + 1.0
-    good = r_hat > 6.0 * se4 and 1.0 / (r_hat - 6.0 * se4) < bound4
-    ok &= good
-    lines.append(f"1/r={1.0 / r_hat:.4f} vs {bound4:.4f}")
-
-    return CheckResult("product-space", ok, "; ".join(lines))
+    seen = np.bincount(in_a(pred).sum(axis=1) * (lam + 1) + in_b(prey).sum(axis=1),
+                       minlength=law.size)
+    expected = reps * law.ravel()
+    kept = expected >= 5.0
+    seen, expected = (np.append(v[kept], v[~kept].sum()) for v in (seen, expected))
+    stat, dof = float(((seen - expected) ** 2 / expected).sum()), int(kept.sum())
+    limit = dof + 6.0 * math.sqrt(2.0 * dof)
+    return CheckResult(
+        "product-space", ok and stat <= limit,
+        f"E[Z']={mean_z:.2f} vs {bound1:.2f}; mgf={mgf:.4f} vs {bound2:.4f}; "
+        f"tail={tail:.4f} vs {bound3:.4f}; 1/r={inv_r:.4f} vs {bound4:.4f}; "
+        f"engine chi2={stat:.1f} on {dof} dof (limit {limit:.1f})")
 
 
 CHECK_SUITES = {

@@ -30,19 +30,19 @@ def level_process_bound(m: int, lam: int, delta: float, z: tuple = (),
                         c_pp: float = C_PP) -> BoundValue:
     """Generic expected-runtime bound (c''*lambda/delta)*(m*lambda^2 + 16*sum 1/z_i).
 
-    z must hold the m-1 per-level floors (empty for m = 1, where the bound
-    collapses to c''*lambda^3/delta).
+    z must hold the m-1 per-level floors, each in (0, 1] (empty for m = 1,
+    where the bound collapses to c''*lambda^3/delta).
     """
     if m < 1 or lam < 1:
         raise ValueError("m and lambda must be positive integers")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    if not c_pp > 1.0:
-        raise ValueError(f"c'' must exceed 1, got {c_pp}")
+    if not 1.0 < c_pp < math.inf:
+        raise ValueError(f"c'' must exceed 1 and be finite, got {c_pp}")
     if len(z) != m - 1:
         raise ValueError(f"need m-1 = {m - 1} z values, got {len(z)}")
-    if not all(zi > 0 for zi in z):
-        raise ValueError("every z_i must be positive")
+    if not all(0.0 < zi <= 1.0 for zi in z):
+        raise ValueError(f"every z_i must be in (0, 1], got {z}")
     prefactor = c_pp * lam / delta
     level_term = m * lam**2
     upgrade_term = 16.0 * sum(1.0 / zi for zi in z)
@@ -79,10 +79,10 @@ def solvable_regime_budget(n: int, lam: int, chi: float, alpha: float, beta: flo
     """
     if n < 1 or lam < 1:
         raise ValueError("n and lambda must be positive integers")
-    if not c_pp > 1.0:
-        raise ValueError(f"c'' must exceed 1, got {c_pp}")
-    if not r > 0:
-        raise ValueError(f"r must be positive, got {r}")
+    if not 1.0 < c_pp < math.inf:
+        raise ValueError(f"c'' must exceed 1 and be finite, got {c_pp}")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"r must be positive and finite, got {r}")
     if not chi > 0:
         raise ValueError(f"chi must be positive, got {chi}")
     delta = chi_slack(chi)
@@ -161,12 +161,25 @@ def check_exp_lower_bound() -> CheckResult:
     return CheckResult("exp-lower-bound", bad == 0, f"{total} comparisons, {bad} violations")
 
 
+def occupancy_law(cell, lam: int) -> np.ndarray:
+    """Joint pmf, as a (lambda+1, lambda+1) array, of the counts X, Y of lambda
+    i.i.d. draws in A and in B with cell[i, j] = P(in A = i, in B = j).  Keeps
+    the cell's dtype, so an object array of Fractions gives the law exactly."""
+    cell = np.asarray(cell)
+    law = np.ones((1, 1), dtype=cell.dtype)
+    for k in range(1, lam + 1):  # one more draw, in cell (i, j), shifts the law by (i, j)
+        law, prev = np.zeros((k + 1, k + 1), dtype=cell.dtype), law
+        for (i, j), weight in np.ndenumerate(cell):
+            law[i:i + k, j:j + k] += weight * prev
+    return law
+
+
 def check_product_mgf() -> CheckResult:
     """Exact check of E[exp(-eta X Y)] <= exp(-eta z lambda^2).
 
     X, Y are independent binomials with p*q >= (1+sigma)^2 z and eta at its
     admissible maximum sigma/((1+sigma)*lambda); the expectation is the
-    (lambda+1)^2-term sum over the two binomial pmfs.
+    (lambda+1)^2-term sum over their `occupancy_law`.
     """
     configs = [
         (20, 0.9, 0.9, 0.5),
@@ -180,9 +193,8 @@ def check_product_mgf() -> CheckResult:
         sigma = math.sqrt(p * q / z) - 1.0
         eta = sigma / ((1.0 + sigma) * lam)
         k = np.arange(lam + 1)
-        comb = np.array([math.comb(lam, i) for i in k], dtype=np.float64)
-        pmf = lambda r: comb * r**k * (1.0 - r) ** (lam - k)
-        mgf = float(pmf(p) @ np.exp(-eta * np.outer(k, k)) @ pmf(q))
+        law = occupancy_law(np.outer([1.0 - p, p], [1.0 - q, q]), lam)
+        mgf = float((law * np.exp(-eta * np.outer(k, k))).sum())
         bound = math.exp(-eta * z * lam * lam)
         ok &= mgf <= bound + _FLOAT_SLACK
         lines.append(f"lam={lam} p={p} q={q} z={z}: exact={mgf:.6g} bound={bound:.6g}")

@@ -111,6 +111,22 @@ class TestBound:
         code, _, err = run_cli(capsys, "bound", "--theorem", "chi", "--delta", "0.5")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("flags, field", [
+        (("--theorem", "9", "--r", "inf"), "r must be positive and finite"),
+        (("--theorem", "9", "--cpp", "inf"), "c'' must exceed 1 and be finite"),
+        (("--theorem", "3", "--cpp", "inf"), "c'' must exceed 1 and be finite"),
+        (("--theorem", "3", "--z", "inf"), "z_i must be in (0, 1]"),
+        (("--theorem", "3", "--z", "2.5"), "z_i must be in (0, 1]"),
+    ])
+    def test_out_of_range_calculator_inputs_are_errors(self, capsys, flags, field):
+        # these once printed `value = inf` (or a bound for a floor above 1)
+        # and exited 0
+        code, out, err = run_cli(
+            capsys, "bound", *flags, "--m", "2", "--lambda", "4", "--delta", "0.5",
+            "--n", "10", "--chi", "0.005", "--alpha", "0.9", "--beta", "0.05", "--epsilon", "0.2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and field in err
+
 
 class TestRun:
     def test_deterministic_stdout_modulo_wall(self, capsys):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from coevo import BilinearParams, PdcoeaConfig, harness, run_trial
+from coevo import BilinearParams, PdcoeaConfig, harness, pdcoea, run_trial
 from coevo.cli import main
 from coevo.core import derive_seed
 from coevo.harness import (
@@ -446,6 +446,25 @@ class TestCheckRegistry:
         results = run_checks("product-state")
         assert all(r.passed for r in results), results
 
+    @pytest.mark.parametrize("seed", [1000 * k for k in range(1, 21)])
+    def test_product_space_passes_benchmark_seeds(self, seed):
+        # the seeds the `checks` benchmark workload passes, one per run
+        result = harness.check_product_space(seed)
+        assert result.passed, result.detail
+
+    def test_product_space_flags_a_wrong_selection(self, monkeypatch):
+        # keeping the first drawn pair always is uniform selection: the exact
+        # sums read the selection law and still hold, the engine's (X', Y')
+        # do not fit them
+        monkeypatch.setattr(pdcoea, "_winner_mask",
+                            lambda pops, oracle, idx: np.ones(len(idx), dtype=bool))
+        result = harness.check_product_space()
+        assert not result.passed
+        exact, engine = result.detail.split("; engine ")
+        assert exact == GOLDEN_CHECKS[-1].split("|")[2].split("; engine ")[0]
+        stat, limit = float(engine.split()[0][5:]), float(engine.split()[-1][:-1])
+        assert stat > limit
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_checks("nope")
@@ -476,8 +495,7 @@ class TestCheckRegistry:
         assert not result.passed and mismatches >= 3 * 121
 
     def test_golden_check_output(self):
-        # every registered check at its default seed, as the parent of the
-        # whole-array checks printed it
+        # every registered check at its default seed
         got = [f"{r.name}|{r.passed}|{r.detail}" for r in run_checks("all")]
         assert got == GOLDEN_CHECKS
 
@@ -497,6 +515,6 @@ GOLDEN_CHECKS = [
     "lam=10 p=0.8 q=0.9 z=0.4: exact=0.170151 bound=0.361109; "
     "lam=30 p=0.7 q=0.8 z=0.3: exact=0.0138844 bound=0.0895754; "
     "lam=15 p=0.95 q=0.6 z=0.4: exact=0.261534 bound=0.377663",
-    "product-space|True|mean Z'=76.25 vs 73.45 (se 0.42); mgf=0.7221 vs 0.8240; "
-    "tail=0.1150 vs 0.9864; 1/r=1.0008 vs 1.8169",
+    "product-space|True|E[Z']=76.27 vs 73.45; mgf=0.7222 vs 0.8240; tail=0.1113 vs 0.9864; "
+    "1/r=1.0010 vs 1.8169; engine chi2=87.3 on 91 dof (limit 171.9)",
 ]

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +15,12 @@ from coevo import (
     recipe_mutation_rate,
 )
 from coevo.harness import run_checks
-from coevo.theory import check_exp_lower_bound, check_product_mgf, check_sqrt_bound
+from coevo.theory import (
+    check_exp_lower_bound,
+    check_product_mgf,
+    check_sqrt_bound,
+    occupancy_law,
+)
 
 
 class TestLevelProcessBound:
@@ -56,6 +63,18 @@ class TestLevelProcessBound:
             level_process_bound(2, 10, 0.4, (math.nan,), 2.0)
         with pytest.raises(ValueError, match="m and lambda"):
             level_process_bound(0, 10, 0.4)
+
+    @pytest.mark.parametrize("z", [(math.inf,), (2.5,), (1.0 + 1e-12,), (-0.5,)])
+    def test_rejects_z_outside_unit_interval(self, z):
+        # the floors are probabilities, the range LevelFunctionParams enforces
+        with pytest.raises(ValueError, match=r"z_i must be in \(0, 1\]"):
+            level_process_bound(2, 10, 0.4, z, 2.0)
+        assert level_process_bound(2, 10, 0.4, (1.0,), 2.0).terms["upgrade_term"] == 16.0
+
+    def test_rejects_infinite_cpp(self):
+        # c'' = inf once priced the bound at inf
+        with pytest.raises(ValueError, match="c'' must exceed 1 and be finite"):
+            level_process_bound(2, 10, 0.4, (0.5,), math.inf)
 
 
 class TestChiRecipe:
@@ -109,13 +128,15 @@ class TestSolvableRegimeBudget:
 
     @pytest.mark.parametrize("field, value, message", [
         ("r", 0.0, "r must be positive"), ("r", -1.0, "r must be positive"),
+        ("r", math.inf, "r must be positive and finite"), ("r", math.nan, "r must be positive"),
         ("n", 0, "n and lambda"), ("lam", 0, "n and lambda"), ("c_pp", 1.0, "c''"),
-        ("c_pp", math.nan, "c''"), ("chi", 0.0, "chi must be positive"),
+        ("c_pp", math.nan, "c''"), ("c_pp", math.inf, "c'' must exceed 1 and be finite"),
+        ("chi", 0.0, "chi must be positive"),
         ("chi", -0.1, "chi must be positive"), ("chi", math.nan, "chi must be positive"),
     ])
     def test_rejects_out_of_range_scale(self, field, value, message):
-        # each of these once priced a negative, zero or NaN budget, or
-        # divided by zero
+        # each of these once priced a negative, zero, NaN or infinite budget,
+        # or divided by zero
         with pytest.raises(ValueError, match=message):
             self.budget(**{field: value})
 
@@ -204,3 +225,38 @@ class TestInequalityCheckers:
         results = run_checks("inequalities")
         assert [r.name for r in results] == ["sqrt-sandwich", "exp-lower-bound", "product-mgf"]
         assert all(r.passed for r in results)
+
+
+class TestOccupancyLaw:
+    @staticmethod
+    def rational_cell(seed):
+        weights = [Fraction(int(w)) for w in spawn_stream(seed, 0).integers(0, 20, size=4) + 1]
+        return np.array(weights, dtype=object).reshape(2, 2) / sum(weights)
+
+    @pytest.mark.parametrize("lam", range(7))
+    def test_matches_enumeration_of_all_cell_sequences(self, lam):
+        cell = self.rational_cell(lam)
+        want = np.zeros((lam + 1, lam + 1), dtype=object)
+        for seq in itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=lam):
+            x, y = (sum(draw[side] for draw in seq) for side in (0, 1))
+            want[x, y] += math.prod((cell[draw] for draw in seq), start=Fraction(1))
+        got = occupancy_law(cell, lam)
+        assert got.shape == want.shape and (got == want).all()
+
+    def test_marginals_are_binomial(self):
+        cell = np.array([[0.1, 0.25], [0.3, 0.35]])  # P(in A) = 0.65, P(in B) = 0.6
+        law = occupancy_law(cell, 17)
+        k = np.arange(18)
+        np.testing.assert_allclose(law.sum(axis=1), scipy.stats.binom.pmf(k, 17, 0.65),
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(law.sum(axis=0), scipy.stats.binom.pmf(k, 17, 0.6),
+                                   rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("lam", [1, 2, 9])
+    def test_product_mean(self, lam):
+        # E[XY] = lambda p11 + lambda (lambda-1) pA pB, exactly
+        cell = self.rational_cell(100 + lam)
+        k = np.arange(lam + 1)
+        p_a, p_b = cell[1].sum(), cell[:, 1].sum()
+        assert (occupancy_law(cell, lam) * np.outer(k, k)).sum() == \
+            lam * cell[1, 1] + lam * (lam - 1) * p_a * p_b
