@@ -57,6 +57,7 @@ from .pdcoea import (
     TrajectoryRow,
     TrialRecord,
     run_trial,
+    run_trials,
     singleton_target,
     step_generation,
     trajectory_row,

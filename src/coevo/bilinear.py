@@ -206,18 +206,23 @@ def target_hit(pops: PairedPopulations, params: BilinearParams) -> bool:
     """
     if pops.n != params.n:
         raise ValueError(f"population n={pops.n} does not match game n={params.n}")
-    pred_hit = bool((pops.predators.ones < params.beta_n).any())
-    if not pred_hit:
-        return False
-    cy = pops.prey.ones
-    return bool(((cy >= params.target_lo) & (cy < params.alpha_n)).any())
+    return bool(bilinear_target(params)(pops.predators.ones, pops.prey.ones))
 
 
 def bilinear_target(params: BilinearParams):
-    """Target predicate closure over `target_hit` for run configurations."""
+    """`target_hit` as the predicate of run configurations.
 
-    def predicate(pops: PairedPopulations) -> bool:
-        return target_hit(pops, params)
+    The predicate takes the predators' and the prey's one-counts, of one
+    state (shape (lambda,)) or of a batch of runs (shape (runs, lambda)),
+    and reduces over the last axis.
+    """
+    beta_n, target_lo, alpha_n = params.beta_n, params.target_lo, params.alpha_n
+
+    def predicate(cx: np.ndarray, cy: np.ndarray):
+        hit = (cx < beta_n).any(axis=-1)
+        if not hit.ndim and not hit:  # one state with no predator in R0: skip the prey
+            return hit
+        return hit & ((cy >= target_lo) & (cy < alpha_n)).any(axis=-1)
 
     predicate.__name__ = f"bilinear_target_a{params.alpha}_b{params.beta}_e{params.epsilon}"
     return predicate

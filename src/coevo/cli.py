@@ -174,7 +174,10 @@ def _cmd_bound(args) -> int:
         return 0
     if args.theorem == "3":
         _require(args, ("m", "lam", "delta"))
-        z = tuple(float(v) for v in args.z.split(",")) if args.z else ()
+        try:
+            z = tuple(float(v) for v in args.z.split(",")) if args.z else ()
+        except ValueError:
+            raise ValueError(f"--z must be a comma list of numbers, got {args.z!r}") from None
         bound = theory.level_process_bound(args.m, args.lam, args.delta, z, args.cpp)
     else:
         _require(args, ("lam", "n", "alpha", "beta", "epsilon"))

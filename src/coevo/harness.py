@@ -20,7 +20,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 
@@ -52,6 +52,7 @@ from .pdcoea import (
     PdcoeaConfig,
     PdcoeaDistribution,
     run_trial,
+    run_trials,
     singleton_target,
     step_generation,
     trajectory_row,
@@ -367,17 +368,17 @@ def pilot_budget(cell: Cell, spec: ExperimentSpec, cell_index: int) -> int:
 
     Pilot runs use a generous cap of PILOT_CAP_FACTOR * n generations and
     draw their seeds from a reserved stream block, so they never share
-    randomness with the measured trials.  Raises PilotError if fewer than
-    PILOT_MIN_HITS pilots hit, since a median of censored values would not
-    be meaningful.
+    randomness with the measured trials.  They run together (`run_trials`),
+    each on its own stream, so the budget is the one they would give run
+    one after another.  Raises PilotError if fewer than PILOT_MIN_HITS
+    pilots hit, since a median of censored values would not be meaningful.
     """
     cap = PILOT_CAP_FACTOR * cell.n
-    hit_gens = []
-    for i in range(PILOTS):
-        seed = derive_seed(spec.master_seed, PILOT_STREAM_OFFSET + cell_index * PILOTS + i)
-        record = run_trial(_cell_config(cell, spec, seed, cap))
-        if record.hit:
-            hit_gens.append(record.generations_run)
+    base = _cell_config(cell, spec, 0, cap)
+    first = PILOT_STREAM_OFFSET + cell_index * PILOTS
+    records = run_trials([replace(base, seed=derive_seed(spec.master_seed, first + i))
+                          for i in range(PILOTS)])
+    hit_gens = [record.generations_run for record in records if record.hit]
     if len(hit_gens) < PILOT_MIN_HITS:
         raise PilotError(
             f"pilot procedure failed for cell {cell}: only {len(hit_gens)}/{PILOTS} "

@@ -4,7 +4,9 @@ Each generation replaces both populations with lambda offspring pairs drawn
 i.i.d. given the current state: each pair comes from two uniform
 predator-prey pairs, keeping the dominating one (second pair on failure),
 and mutating both members by independent bit flips with probability chi/n.
-`step_generation` is the only sampler; it draws all lambda pairs at once.
+`_step_rows` is the only sampler: it draws all lambda pairs of a run at
+once, for one run (`step_generation`) or for the rows of several runs
+(`run_trials`), each row on its own stream.
 Since the payoff, the dominance relation and the shipped targets see a
 genome only through its one-count, the engine evolves one-counts: the pair
 of one-count vectors is an exact lumping of the process, and mutation moves
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -40,26 +42,28 @@ from .core import (
 # Selection
 # ---------------------------------------------------------------------------
 
-def _winner_mask(pops: PairedPopulations, oracle, idx: np.ndarray) -> np.ndarray:
+def _winner_mask(cx: np.ndarray, cy: np.ndarray, oracle, idx: np.ndarray) -> np.ndarray:
     """True where the first drawn pair dominates the second.
 
-    idx has shape (count, 4) with columns (i1, k1, i2, k2): predator and prey
-    slots of the first pair, then of the second.
+    cx and cy are the predators' and the prey's one-counts; idx has shape
+    (count, 4) with columns (i1, k1, i2, k2): predator and prey slots of the
+    first pair, then of the second.
     """
-    cx = pops.predators.ones
-    cy = pops.prey.ones
     return np.asarray(
         oracle.dominates_counts(cx[idx[:, 0]], cy[idx[:, 1]], cx[idx[:, 2]], cy[idx[:, 3]])
     )
 
 
+def _winner_slots(cx: np.ndarray, cy: np.ndarray, oracle, idx: np.ndarray):
+    """Winner (predator, prey) slot indices of the drawn pairs idx."""
+    win1 = _winner_mask(cx, cy, oracle, idx)
+    return np.where(win1, idx[:, 0], idx[:, 2]), np.where(win1, idx[:, 1], idx[:, 3])
+
+
 def _select_slots(pops: PairedPopulations, oracle, rng: RandomStream, count: int):
     """Winner (predator, prey) slot indices for `count` independent selections."""
     idx = rng.integers(0, pops.lam, size=(count, 4))
-    win1 = _winner_mask(pops, oracle, idx)
-    pred_slots = np.where(win1, idx[:, 0], idx[:, 2])
-    prey_slots = np.where(win1, idx[:, 1], idx[:, 3])
-    return pred_slots, prey_slots
+    return _winner_slots(pops.predators.ones, pops.prey.ones, oracle, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -114,15 +118,14 @@ def _offspring_table(n: int, chi: float) -> np.ndarray:
     return table
 
 
-def _mutate_counts(counts: np.ndarray, n: int, chi: float, rng: RandomStream) -> np.ndarray:
+def _mutate_counts(counts: np.ndarray, uniforms: np.ndarray, n: int, chi: float) -> np.ndarray:
     """Offspring one-counts of `counts` under bitwise mutation at rate chi/n.
 
-    One uniform per entry, in order: a uniform is k / 2**53 for a uniform
-    integer k, so truncating its product with _SCALE = 2**50 is an exact
-    uniform integer on [0, _SCALE).
+    One uniform per entry: a uniform is k / 2**53 for a uniform integer k, so
+    truncating its product with _SCALE = 2**50 is an exact uniform integer
+    on [0, _SCALE).
     """
-    draws = (rng.random(counts.shape[0]) * _SCALE).astype(np.int64)
-    keys = counts * _SCALE + draws
+    keys = counts * _SCALE + (uniforms * _SCALE).astype(np.int64)
     return np.searchsorted(_offspring_table(n, chi), keys, side="right") % (n + 1)
 
 
@@ -136,6 +139,32 @@ class PdcoeaDistribution:
 
     oracle: object
     chi: float
+
+
+def _step_rows(cx: np.ndarray, cy: np.ndarray, n: int, dist: PdcoeaDistribution, rngs):
+    """One generation of len(rngs) runs held as flat one-count arrays.
+
+    Run b's predators are cx[b*lam:(b+1)*lam] and its prey the same slice of
+    cy.  Run b draws from rngs[b] alone, in `step_generation`'s order, so
+    each row evolves exactly as its run would on its own.  Returns the
+    offspring one-counts (cx, cy) in the same layout.
+    """
+    size = cx.shape[0]
+    lam = size // len(rngs)
+    if len(rngs) == 1:  # one run: no row offsets, no reordering
+        idx = rngs[0].integers(0, lam, size=(lam, 4))
+        uniforms = rngs[0].random(2 * lam)
+    else:
+        idx = np.concatenate([rng.integers(0, lam, size=(lam, 4)) for rng in rngs])
+        idx += np.arange(0, size, lam).repeat(lam)[:, None]
+        # each run's 2*lam uniforms (its predators' first), reordered to the
+        # parents below: every run's predators, then every run's prey
+        uniforms = np.array([rng.random(2 * lam) for rng in rngs])
+        uniforms = uniforms.reshape(-1, 2, lam).swapaxes(0, 1).ravel()
+    pred_slots, prey_slots = _winner_slots(cx, cy, dist.oracle, idx)
+    parents = np.concatenate((cx[pred_slots], cy[prey_slots]))
+    children = _mutate_counts(parents, uniforms, n, dist.chi)
+    return children[:size], children[size:]
 
 
 def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
@@ -157,12 +186,8 @@ def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
     if not hasattr(dist.oracle, "dominates_counts"):
         raise TypeError("step_generation evolves one-counts only and needs an oracle "
                         "with dominates_counts(cx1, cy1, cx2, cy2)")
-    lam = pops.lam
-    pred_slots, prey_slots = _select_slots(pops, dist.oracle, rng, lam)
-    parents = np.concatenate((pops.predators.ones[pred_slots], pops.prey.ones[prey_slots]))
-    children = _mutate_counts(parents, n, dist.chi, rng)
-    return PairedPopulations(Population(n, children[:lam]),
-                             Population(n, children[lam:]),
+    cx, cy = _step_rows(pops.predators.ones, pops.prey.ones, n, dist, (rng,))
+    return PairedPopulations(Population(n, cx), Population(n, cy),
                              generation=pops.generation + 1)
 
 
@@ -176,6 +201,8 @@ def singleton_target(x_star: BitVector, y_star: BitVector):
     Each target genome must be all-zeros or all-ones: a one-count of 0 or n
     names one genome, so the predicate compares one-counts and is exact.
     Any other genome shares its one-count with other genomes and is rejected.
+    Like `bilinear_target`'s, the predicate takes one-count arrays and
+    reduces over the last axis; its `n` is the genome length it is for.
     """
     if x_star.n != y_star.n:
         raise ValueError(f"target genome lengths differ: {x_star.n} != {y_star.n}")
@@ -184,13 +211,14 @@ def singleton_target(x_star: BitVector, y_star: BitVector):
         raise ValueError("singleton target genomes must be all-zeros or all-ones; a population "
                          "stores one-counts, which name no other genome")
 
-    def predicate(pops: PairedPopulations) -> bool:
-        if pops.n != x_star.n:
-            raise ValueError("target genome length does not match populations")
-        pred_hit = bool((pops.predators.ones == cx_star).any())
-        return pred_hit and bool((pops.prey.ones == cy_star).any())
+    def predicate(cx: np.ndarray, cy: np.ndarray):
+        hit = (cx == cx_star).any(axis=-1)
+        if not hit.ndim and not hit:  # one state without the predator: skip the prey
+            return hit
+        return hit & (cy == cy_star).any(axis=-1)
 
     predicate.__name__ = "singleton_target"
+    predicate.n = x_star.n
     return predicate
 
 
@@ -202,9 +230,11 @@ def singleton_target(x_star: BitVector, y_star: BitVector):
 class PdcoeaConfig:
     """One run of the pairwise-dominance process.
 
-    `target` defaults to the game's epsilon-approximation predicate; pass
-    another predicate (e.g. `singleton_target`) for different solution
-    concepts.  The genome length is the game's, `n`.
+    `target` defaults to the game's epsilon-approximation predicate
+    (`bilinear_target`); pass another predicate (e.g. `singleton_target`)
+    for different solution concepts.  A predicate takes the predators' and
+    the prey's one-count arrays and reduces over the last axis.  The genome
+    length is the game's, `n`.
     """
 
     lam: int
@@ -212,7 +242,7 @@ class PdcoeaConfig:
     seed: int
     budget_generations: int
     game: BilinearParams
-    target: Optional[Callable[[PairedPopulations], bool]] = None
+    target: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     @property
     def n(self) -> int:
@@ -228,6 +258,9 @@ class PdcoeaConfig:
             raise ValueError(f"chi must be in (0, n] = (0, {self.n}], got {self.chi}")
         if self.budget_generations < 1:
             raise ValueError(f"budget must be >= 1 generation, got {self.budget_generations}")
+        if getattr(self.target, "n", self.n) != self.n:
+            raise ValueError(f"target genome length {self.target.n} does not match game "
+                             f"n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -272,18 +305,18 @@ def trajectory_row(pops: PairedPopulations, params: BilinearParams) -> Trajector
     cx = pops.predators.ones
     cy = pops.prey.ones
     lam = pops.lam
-    in_s0 = int((cy >= params.alpha_n).sum())
+    in_s0 = int(np.count_nonzero(cy >= params.alpha_n))
     return TrajectoryRow(
         pops.generation,
-        float(cx.mean()),
+        int(cx.sum()) / lam,
         int(cx.min()),
         int(cx.max()),
-        float(cy.mean()),
+        int(cy.sum()) / lam,
         int(cy.min()),
         int(cy.max()),
         in_s0,
-        float((cx < params.beta_n).sum() / lam),
-        float(in_s0 / lam),
+        int(np.count_nonzero(cx < params.beta_n)) / lam,
+        in_s0 / lam,
     )
 
 
@@ -312,7 +345,7 @@ def run_trial(cfg: PdcoeaConfig, observer=None) -> TrialRecord:
     for t in range(cfg.budget_generations):
         if seen is not None:
             seen.append(observer(pops))
-        if target(pops):
+        if target(pops.predators.ones, pops.prey.ones):
             hit = True
             generations = t
             break
@@ -326,3 +359,47 @@ def run_trial(cfg: PdcoeaConfig, observer=None) -> TrialRecord:
         observed=tuple(seen) if seen is not None else None,
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
+
+
+def run_trials(cfgs) -> list:
+    """`[run_trial(cfg) for cfg in cfgs]`, for configs that differ in their
+    seeds only, run together as the rows of one array.
+
+    Each run draws from its own stream exactly as `run_trial` does
+    (`_step_rows`), so the records are equal; a run leaves the array at its
+    first hit.  A record's wall_ms is the time from the start of the batch
+    to the end of its run.  There is no observer.
+    """
+    t0 = time.perf_counter()
+    cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ValueError("run_trials needs configs that differ in their seeds only")
+    lam, n = cfg.lam, cfg.n
+    rngs = [spawn_stream(c.seed, 0) for c in cfgs]
+    starts = [paired_uniform(lam, n, rng) for rng in rngs]
+    cx = np.concatenate([pops.predators.ones for pops in starts])
+    cy = np.concatenate([pops.prey.ones for pops in starts])
+    dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
+    target = cfg.target if cfg.target is not None else bilinear_target(cfg.game)
+    live = list(range(len(cfgs)))  # the config of each row
+    records = [None] * len(cfgs)
+
+    def finish(i, hit, generations):
+        records[i] = TrialRecord(hit=hit, T_interactions=generations * lam,
+                                 generations_run=generations, seed=cfgs[i].seed,
+                                 wall_ms=(time.perf_counter() - t0) * 1e3)
+
+    for t in range(cfg.budget_generations):
+        hits = target(cx.reshape(-1, lam), cy.reshape(-1, lam))
+        if hits.any():
+            for row in np.flatnonzero(hits):
+                finish(live[row], True, t)
+            cx, cy = cx.reshape(-1, lam)[~hits].ravel(), cy.reshape(-1, lam)[~hits].ravel()
+            live = [i for i, h in zip(live, hits) if not h]
+            rngs = [rng for rng, h in zip(rngs, hits) if not h]
+            if not live:
+                break
+        cx, cy = _step_rows(cx, cy, n, dist, rngs)
+    for i in live:
+        finish(i, False, cfg.budget_generations)
+    return records

@@ -25,6 +25,12 @@ class BoundValue:
     prefactor: float
     terms: dict
 
+    def __post_init__(self):
+        # finite inputs can still overflow a float (chi = 1e-307, delta = 1e-320)
+        for name, x in (("prefactor", self.prefactor), *self.terms.items(), ("value", self.value)):
+            if not math.isfinite(x):
+                raise ValueError(f"the bound overflows: {name} = {x} on these inputs")
+
 
 def level_process_bound(m: int, lam: int, delta: float, z: tuple = (),
                         c_pp: float = C_PP) -> BoundValue:

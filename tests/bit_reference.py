@@ -48,7 +48,7 @@ def reference_hit_generation(cfg, target):
     oracle = BilinearGame(cfg.game)
     for t in range(cfg.budget_generations):
         pops = counted(pred, prey, cfg.n, t)
-        if target(pops):
+        if target(pops.predators.ones, pops.prey.ones):
             return t
         pred_slots, prey_slots = _select_slots(pops, oracle, rng, cfg.lam)
         pred = mutate_bits(pred[pred_slots], cfg.n, cfg.chi, rng)

@@ -62,8 +62,9 @@ class ExactChain:
     start: np.ndarray       # (S,) initial law
 
     def absorbing(self, target) -> np.ndarray:
-        return np.array([bool(target(_state(self.sides, s, self.n)))
-                         for s in range(self.start.size)])
+        # every state at once, as the rows of a batch of runs
+        sides, s = np.array(self.sides), np.arange(self.start.size)
+        return target(sides[s // len(sides)], sides[s % len(sides)])
 
     def hit_law(self, target, budget: int):
         """P(T = t) for t = 0 .. budget-1, and P(T >= budget)."""

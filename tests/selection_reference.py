@@ -24,7 +24,7 @@ def draw_grid(lam):
 def enumerate_winners(pops, params):
     """Winning (predator slot, prey slot) of every draw."""
     idx = draw_grid(pops.lam)
-    win1 = _winner_mask(pops, BilinearGame(params), idx)
+    win1 = _winner_mask(pops.predators.ones, pops.prey.ones, BilinearGame(params), idx)
     return np.where(win1, idx[:, 0], idx[:, 2]), np.where(win1, idx[:, 1], idx[:, 3])
 
 

@@ -84,6 +84,41 @@ class TestBound:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("flags, term", [
+        (("--theorem", "9", "--n", "10", "--chi", "1e-307", "--alpha", "0.9", "--beta", "0.05",
+          "--epsilon", "0.2"), "mutation_term"),
+        (("--theorem", "3", "--m", "2", "--delta", "1e-320", "--z", "0.5"), "prefactor"),
+        (("--theorem", "3", "--m", "2", "--delta", "0.5", "--z", "1e-320"), "upgrade_term"),
+    ])
+    def test_overflowing_bound_is_an_error(self, capsys, flags, term):
+        # finite inputs whose bound overflows once printed `value = inf` and exited 0
+        code, out, err = run_cli(capsys, "bound", "--lambda", "4", *flags)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: the bound overflows: {term} = inf")
+
+    def test_bound_table_notes_an_overflowing_bound(self, capsys, tmp_path):
+        # the row used to carry `Infinity`, which is not JSON
+        path = tmp_path / "bounds.txt"
+        path.write_text("kind = bound-table\nn = 10\nlambda = 4\nchi = 1e-307\n"
+                        f"alpha = 0.9\nbeta = 0.05\nepsilon = 0.2\nout = {tmp_path / 'bt'}\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 0, err
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        with open(tmp_path / "bt.bounds.json") as fh:
+            (row,) = json.load(fh, parse_constant=reject)
+        assert row["budget_interactions"] is None
+        assert row["note"] == "the bound overflows: mutation_term = inf on these inputs"
+
+    @pytest.mark.parametrize("z", ["abc", "0.5,"])
+    def test_unparsable_z_names_the_flag(self, capsys, z):
+        code, out, err = run_cli(capsys, "bound", "--theorem", "3", "--m", "2", "--lambda", "4",
+                                 "--delta", "0.5", "--z", z)
+        assert code == 1 and out == ""
+        assert err == f"error: --z must be a comma list of numbers, got {z!r}\n"
+
     def test_bound_table_notes_nonpositive_chi(self, capsys, tmp_path):
         # a bound-table row with chi = 0 is priced as None with the reason,
         # like a chi beyond the recipe range, rather than ending the table
@@ -314,6 +349,7 @@ class TestSweepAndPlots:
 
         calls = []
         monkeypatch.setattr(harness, "run_trial", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(harness, "run_trials", lambda *args, **kw: calls.append(args))
         spec = self.write_spec(tmp_path, budget="pilot", **{key: value})
         code, out, err = run_cli(capsys, "sweep", "--config", spec)
         assert code == 1

@@ -97,5 +97,5 @@ class TestEngineHitTimes:
         # keeping the first drawn pair always is uniform selection, which
         # the exact law of pairwise dominance tells apart
         monkeypatch.setattr(pdcoea, "_winner_mask",
-                            lambda pops, oracle, idx: np.ones(len(idx), dtype=bool))
+                            lambda cx, cy, oracle, idx: np.ones(len(idx), dtype=bool))
         assert hit_p_value(small_chain, SMALL, 0.7, bilinear_target(SMALL), 100) < 1e-6

@@ -132,6 +132,7 @@ class TestSpecParsing:
                                              lines, key, at_parse):
         calls = []
         monkeypatch.setattr(harness, "run_trial", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(harness, "run_trials", lambda *args, **kw: calls.append(args))
         cfg = tmp_path / "traj.txt"
         keys = {"kind": "trajectory", "n": "20", "lambda": "20", "chi": "auto", "budget": "pilot",
                 **dict(line.split(" = ") for line in lines.split("\n"))}
@@ -264,15 +265,35 @@ class TestPilot:
         ([50] * 5 + [150] * 5, 1000),
     ])
     def test_pilot_median_ranks_censored_runs_last(self, monkeypatch, hits, budget):
-        outcomes = iter([(True, g) for g in hits] + [(False, 3000)] * (10 - len(hits)))
+        outcomes = [(True, g) for g in hits] + [(False, 3000)] * (10 - len(hits))
 
-        def stub(cfg):
-            hit, gens = next(outcomes)
-            return SimpleNamespace(hit=hit, generations_run=gens)
+        def stub(cfgs):
+            assert len(cfgs) == len(outcomes)
+            return [SimpleNamespace(hit=hit, generations_run=gens) for hit, gens in outcomes]
 
-        monkeypatch.setattr(harness, "run_trial", stub)
+        monkeypatch.setattr(harness, "run_trials", stub)
         spec = tiny_spec(budget="pilot")
         assert pilot_budget(resolve_cells(spec)[0], spec, 0) == budget
+
+    @pytest.mark.parametrize("seed, budget", [
+        (1, 5765), (2, 5945), (3, 5880), (4, 5885), (5, 5870)])
+    def test_pilot_budget_golden(self, seed, budget):
+        # the benchmark's full-scale trajectory cell; the budgets were recorded
+        # when the pilots still ran one after another through run_trial
+        spec = ExperimentSpec(kind="trajectory", n=(50,), lam=(100,), chi=("auto",),
+                              alpha=(0.9,), beta=(0.05,), epsilon=(0.1,), delta=0.01,
+                              trials=4, master_seed=seed, budget="pilot")
+        assert pilot_budget(resolve_cells(spec)[0], spec, 0) == budget
+
+    def test_wrong_selection_changes_the_pilot_budget(self, monkeypatch):
+        # the pilots select through the engine's `_winner_mask`, so keeping the
+        # first drawn pair always (uniform selection) reaches them too
+        spec = tiny_spec(beta=(0.2,), budget="pilot")
+        cell = resolve_cells(spec)[0]
+        assert pilot_budget(cell, spec, 0) == 330
+        monkeypatch.setattr(pdcoea, "_winner_mask",
+                            lambda cx, cy, oracle, idx: np.ones(len(idx), dtype=bool))
+        assert pilot_budget(cell, spec, 0) == 2345
 
     def test_pilot_failure_raises(self):
         # impossible target (beta = 0 empties R0): pilots cannot hit
@@ -457,7 +478,7 @@ class TestCheckRegistry:
         # sums read the selection law and still hold, the engine's (X', Y')
         # do not fit them
         monkeypatch.setattr(pdcoea, "_winner_mask",
-                            lambda pops, oracle, idx: np.ones(len(idx), dtype=bool))
+                            lambda cx, cy, oracle, idx: np.ones(len(idx), dtype=bool))
         result = harness.check_product_space()
         assert not result.passed
         exact, engine = result.detail.split("; engine ")

@@ -17,6 +17,7 @@ from coevo import (
     derive_seed,
     paired_uniform,
     run_trial,
+    run_trials,
     selection_slot_rates,
     singleton_target,
     spawn_stream,
@@ -25,7 +26,14 @@ from coevo import (
 )
 from coevo.core import popcount_rows
 from coevo.harness import paired_from_counts
-from coevo.pdcoea import _SCALE, MAX_N, _offspring_cdf, _offspring_table, _select_slots
+from coevo.pdcoea import (
+    _SCALE,
+    MAX_N,
+    _offspring_cdf,
+    _offspring_table,
+    _select_slots,
+    _step_rows,
+)
 
 from bit_reference import initial_bits, reference_hit_generation
 from conftest import count_vector
@@ -52,6 +60,11 @@ def clones(c, n, lam):
     """lam members with c ones on both sides: selection is then the identity,
     so one generation gives lam i.i.d. mutants of a c-ones parent per side."""
     return paired_from_counts([c] * lam, [c] * lam, n)
+
+
+def on_state(target, pops):
+    """A target predicate's answer for one state."""
+    return target(pops.predators.ones, pops.prey.ones)
 
 
 def dist_for(n, chi):
@@ -351,16 +364,65 @@ class TestRunTrial:
         assert PdcoeaConfig(lam=2, chi=10.0, seed=1, budget_generations=5, game=game).n == 10
 
 
+class TestRunTrials:
+    BILINEAR = BilinearParams(n=20, alpha=0.9, beta=0.05, epsilon=0.2)
+    CORNER = BilinearParams(n=8, alpha=1.0, beta=0.125, epsilon=0.125)
+
+    @pytest.mark.parametrize("game, chi, budget, target, hits", [
+        pytest.param(BILINEAR, 0.5, 3000, None, 8, id="bilinear"),
+        pytest.param(CORNER, 0.3, 3000, singleton_target(BitVector.zeros(8), BitVector.all_ones(8)),
+                     8, id="singleton"),
+        pytest.param(BILINEAR, 0.5, 200, None, 4, id="hit-and-censored"),
+        pytest.param(BilinearParams(n=10, alpha=0.5, beta=0.0, epsilon=0.25), 0.5, 50, None, 0,
+                     id="impossible"),
+    ])
+    def test_records_equal_run_trial(self, game, chi, budget, target, hits):
+        # eight runs of one cell, leaving the batch at different generations
+        base = PdcoeaConfig(lam=10, chi=chi, seed=0, budget_generations=budget, game=game,
+                            target=target)
+        cfgs = [replace(base, seed=derive_seed(7, i)) for i in range(8)]
+        expected = [run_trial(cfg) for cfg in cfgs]
+        assert run_trials(cfgs) == expected
+        assert sum(record.hit for record in expected) == hits
+
+    def test_configs_must_share_their_cell(self):
+        base = PdcoeaConfig(lam=10, chi=0.5, seed=1, budget_generations=5, game=self.BILINEAR)
+        with pytest.raises(ValueError, match="seeds only"):
+            run_trials([base, replace(base, seed=2, chi=0.6)])
+
+    def test_kernel_rows_equal_step_generation(self, fig_params, game):
+        # row i of one step of five runs is step_generation of run i on its stream
+        starts = [paired_uniform(6, 10, spawn_stream(40, i)) for i in range(5)]
+        dist = PdcoeaDistribution(game, 1.5)
+        cx, cy = _step_rows(np.concatenate([p.predators.ones for p in starts]),
+                            np.concatenate([p.prey.ones for p in starts]), 10, dist,
+                            [spawn_stream(41, i) for i in range(5)])
+        for i, pops in enumerate(starts):
+            child = step_generation(pops, dist, spawn_stream(41, i))
+            assert np.array_equal(cx[6 * i: 6 * i + 6], child.predators.ones)
+            assert np.array_equal(cy[6 * i: 6 * i + 6], child.prey.ones)
+
+    def test_targets_answer_per_row(self, fig_params):
+        corner = singleton_target(BitVector.zeros(10), BitVector.all_ones(10))
+        rng = spawn_stream(42, 0)
+        cx, cy = rng.integers(0, 11, (2, 300, 4))
+        cx[::7, 0], cy[::5, 1], cy[::3, 2] = 0, 10, 3  # hits of either target
+        for target in (bilinear_target(fig_params), corner):
+            rows = target(cx, cy)
+            assert rows.shape == (300,) and 0 < rows.sum() < 300
+            assert list(rows) == [bool(target(a, b)) for a, b in zip(cx, cy)]
+
+
 class TestSingletonTarget:
     def test_exact_membership(self):
         # a hit needs the all-zeros predator and the all-ones prey, in any slots
         target = singleton_target(BitVector.zeros(6), BitVector.all_ones(6))
         for cx in range(7):
             for cy in range(7):
-                assert target(paired_from_counts([cx], [cy], 6)) == ((cx, cy) == (0, 6))
+                assert on_state(target, paired_from_counts([cx], [cy], 6)) == ((cx, cy) == (0, 6))
         swapped = singleton_target(BitVector.all_ones(6), BitVector.zeros(6))
-        assert swapped(paired_from_counts([2, 6], [0, 3], 6))
-        assert not swapped(paired_from_counts([0, 5], [0, 3], 6))
+        assert on_state(swapped, paired_from_counts([2, 6], [0, 3], 6))
+        assert not on_state(swapped, paired_from_counts([0, 5], [0, 3], 6))
 
     def test_non_extreme_target_rejected_at_construction(self):
         # rejected where it is written, before any run could reach generation 1
@@ -368,9 +430,11 @@ class TestSingletonTarget:
             singleton_target(count_vector(2, 6), count_vector(4, 6))
 
     def test_length_mismatch(self):
+        # one-count arrays do not carry n, so the config checks it before any run
         target = singleton_target(BitVector.zeros(5), BitVector.all_ones(5))
-        with pytest.raises(ValueError):
-            target(paired_from_counts([0], [5], 6))
+        game = BilinearParams(n=6, alpha=1.0, beta=0.5, epsilon=0.5)
+        with pytest.raises(ValueError, match="target genome length 5 does not match game n=6"):
+            PdcoeaConfig(lam=1, chi=0.5, seed=1, budget_generations=1, game=game, target=target)
         with pytest.raises(ValueError, match="lengths differ"):
             singleton_target(BitVector.zeros(5), BitVector.all_ones(6))
 
@@ -378,10 +442,10 @@ class TestSingletonTarget:
         # a count of 0 or n names one genome, so count states are exact
         target = singleton_target(BitVector.zeros(6), BitVector.all_ones(6))
         counts = lambda pred, prey: PairedPopulations(Population(6, pred), Population(6, prey))
-        assert target(counts([3, 0], [6, 2]))
-        assert not target(counts([3, 1], [6, 2]))
-        assert not target(counts([0, 0], [5, 0]))
-        assert target(paired_from_counts([0, 4], [2, 6], 6))
+        assert on_state(target, counts([3, 0], [6, 2]))
+        assert not on_state(target, counts([3, 1], [6, 2]))
+        assert not on_state(target, counts([0, 0], [5, 0]))
+        assert on_state(target, paired_from_counts([0, 4], [2, 6], 6))
 
     def test_other_targets_need_genomes(self):
         # every genome with 0 < c < n ones shares its count with other genomes

@@ -64,6 +64,14 @@ class TestLevelProcessBound:
         with pytest.raises(ValueError, match="m and lambda"):
             level_process_bound(0, 10, 0.4)
 
+    @pytest.mark.parametrize("delta, z, term", [
+        (1e-320, (0.5,), "prefactor"), (0.5, (1e-320,), "upgrade_term"),
+        (1e-300, (1e-300,), "value"),
+    ])
+    def test_overflow_names_the_term(self, delta, z, term):
+        with pytest.raises(ValueError, match=f"the bound overflows: {term} = inf"):
+            level_process_bound(2, 4, delta, z)
+
     @pytest.mark.parametrize("z", [(math.inf,), (2.5,), (1.0 + 1e-12,), (-0.5,)])
     def test_rejects_z_outside_unit_interval(self, z):
         # the floors are probabilities, the range LevelFunctionParams enforces
@@ -106,6 +114,14 @@ class TestSolvableRegimeBudget:
         base = dict(n=100, lam=100, chi=0.012, alpha=0.9, beta=0.05, epsilon=0.1)
         base.update(kw)
         return solvable_regime_budget(**base)
+
+    @pytest.mark.parametrize("kw, term", [
+        ({"chi": 1e-307}, "mutation_term = inf"), ({"r": 1e308}, "prefactor = inf"),
+        ({"r": 1e300}, "value = inf"),
+    ])
+    def test_overflow_names_the_term(self, kw, term):
+        with pytest.raises(ValueError, match=f"the bound overflows: {term}"):
+            self.budget(**kw)
 
     def test_recorded_reference_value(self):
         # frozen at build time from a direct evaluation of the formula
