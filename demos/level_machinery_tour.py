@@ -43,7 +43,8 @@ print("\ncurrent level along a run (gamma0 = 9/25):")
 gamma0 = 9 / 25
 cfg = PdcoeaConfig(lam=30, chi=recipe_mutation_rate(0.01), seed=7,
                    budget_generations=20_000, game=params)
-record = run_trial(cfg, observer=lambda pops: current_level(pops, seq, gamma0))
+record = run_trial(cfg, observer=lambda pops: current_level(pops.predators.ones, pops.prey.ones,
+                                                          seq, gamma0))
 marks = sorted(set([0, 1, 2, 5] + list(range(0, len(record.observed), max(1, len(record.observed) // 10)))))
 for i in marks:
     print(f"  gen {i:5d}: level {record.observed[i]:2d} / {seq.m}")

@@ -22,7 +22,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .pdcoea import (
     run_trials,
     singleton_target,
     step_generation,
-    trajectory_row,
+    trajectory_columns,
 )
 from .theory import CheckResult
 
@@ -536,16 +536,20 @@ SERIES_COLUMNS = (
     "n", "lambda", "chi", "trial", "generation", "pred_mean", "prey_mean",
     "p0", "q0", "prey_in_s0", "current_level", "phase",
 )
+# Generations per array pass of `experiment_trajectory`: the pass's int64
+# temporaries grow with it, and 256 raised peak RSS for no gain in speed.
+SERIES_BLOCK = 64
 
 
 def experiment_trajectory(spec: ExperimentSpec):
     """Per-generation population series with level and phase annotation.
 
     Phase 2 starts at the first generation where the predator fraction below
-    beta*n reaches gamma0.  Runs in one process: the observer records each
-    generation's `trajectory_row` and current level, which is cheap next to
-    the generation it observes because it reads every level's occupancy from
-    prefix sums over the two one-count histograms.
+    beta*n reaches gamma0.  Runs in one process: the observer only copies
+    each generation's two one-count vectors into int16 blocks of
+    SERIES_BLOCK generations (counts are at most MAX_N), and the rows,
+    levels and phases come from `trajectory_columns` and `current_level`
+    over one block at a time.
     """
     table = ResultTable(spec=spec)
     series = []
@@ -554,16 +558,29 @@ def experiment_trajectory(spec: ExperimentSpec):
         cfg = _cell_config(cell, spec, seed, budget)
         if cell not in levels:
             levels[cell] = build_bilinear_levels(cfg.game)
-        seq = levels[cell]
-        record = run_trial(cfg, observer=lambda pops: (
-            trajectory_row(pops, cfg.game), current_level(pops, seq, spec.gamma0)))
+        blocks = []  # int16 (SERIES_BLOCK, 2, lambda) arrays, one generation a row
+
+        def keep(pops):
+            t = pops.generation % SERIES_BLOCK
+            if not t:
+                blocks.append(np.empty((SERIES_BLOCK, 2, cfg.lam), dtype=np.int16))
+            blocks[-1][t, 0] = pops.predators.ones
+            blocks[-1][t, 1] = pops.prey.ones
+
+        record = run_trial(cfg, observer=keep)
         table.rows.append(_result_row(spec, cell, trial, record))
-        phase = 1
-        for row, level in record.observed:
-            if phase == 1 and row.p0 >= spec.gamma0:
-                phase = 2
-            series.append((cell.n, cell.lam, cell.chi, trial, row.generation, row.pred_mean,
-                           row.prey_mean, row.p0, row.q0, row.prey_in_s0, level, phase))
+        reached = False  # phase 2 began in an earlier block
+        for start, block in zip(range(0, len(record.observed), SERIES_BLOCK), blocks):
+            block = block[:len(record.observed) - start]
+            cx, cy = block[:, 0], block[:, 1]
+            rows = trajectory_columns(cx, cy, cfg.game, range(start, start + len(block)))
+            phase = 1 + (np.logical_or.accumulate(rows.p0 >= spec.gamma0) | reached)
+            reached = bool(phase[-1] == 2)
+            series.extend(zip(
+                repeat(cell.n), repeat(cell.lam), repeat(cell.chi), repeat(trial), rows.generation,
+                rows.pred_mean.tolist(), rows.prey_mean.tolist(), rows.p0.tolist(),
+                rows.q0.tolist(), rows.prey_in_s0.tolist(),
+                current_level(cx, cy, levels[cell], spec.gamma0).tolist(), phase.tolist()))
     table.sort()
     table.extra["series_columns"] = list(SERIES_COLUMNS)
     return table, series

@@ -99,32 +99,40 @@ def build_bilinear_levels(params: BilinearParams) -> LevelSequence:
 
 
 def _range_counts(ones: np.ndarray, ranges: np.ndarray, n: int) -> np.ndarray:
-    """Members inside each [lo, hi) range, from one histogram prefix sum."""
-    below = np.zeros(n + 2, dtype=np.int64)  # below[k] = #{members with c < k}
-    np.cumsum(np.bincount(ones, minlength=n + 1), out=below[1:])
-    inside = below[ranges]
-    return inside[:, 1] - inside[:, 0]
+    """Members inside each [lo, hi) range, from one histogram prefix sum per
+    state: ones is (..., lambda), the result (..., m)."""
+    states = ones.reshape(-1, ones.shape[-1])
+    if states.min() < 0 or states.max() > n:
+        raise ValueError(f"one-counts must lie in [0, n] for the level sequence's n={n}")
+    offsets = np.arange(0, states.shape[0] * (n + 1), n + 1)
+    hist = np.bincount((states + offsets[:, None]).ravel(), minlength=offsets.size * (n + 1))
+    below = np.zeros((states.shape[0], n + 2), dtype=np.int64)  # below[s, k] = #{c < k}
+    np.cumsum(hist.reshape(-1, n + 1), axis=1, out=below[:, 1:])
+    inside = below[:, ranges]
+    return (inside[..., 1] - inside[..., 0]).reshape(ones.shape[:-1] + (len(ranges),))
 
 
-def level_pair_counts(pops: PairedPopulations, seq: LevelSequence) -> np.ndarray:
+def level_pair_counts(cx: np.ndarray, cy: np.ndarray, seq: LevelSequence) -> np.ndarray:
     """|(P x Q) cap (A_j x B_j)| = (#P in A_j) * (#Q in B_j) for every level.
 
-    Returns an int64 array of length m; both factors come from prefix sums
-    over the one-count histograms, O(n + m) numpy work.
+    cx and cy are the predators' and the prey's one-counts, of one state
+    (1-d) or of a block of states (one per row); the result is int64 with
+    the last axis (lambda) replaced by the m levels.  Both factors come
+    from prefix sums over the one-count histograms, O(n + m) numpy work per
+    state.  A count outside [0, seq.n] raises a `ValueError` naming n.
     """
-    if seq.n != pops.n:
-        raise ValueError(f"level sequence is for n={seq.n}, populations have n={pops.n}")
-    return (_range_counts(pops.predators.ones, seq.predators, seq.n)
-            * _range_counts(pops.prey.ones, seq.prey, seq.n))
+    return _range_counts(cx, seq.predators, seq.n) * _range_counts(cy, seq.prey, seq.n)
 
 
-def current_level(pops: PairedPopulations, seq: LevelSequence, gamma0: float) -> int:
+def current_level(cx: np.ndarray, cy: np.ndarray, seq: LevelSequence, gamma0: float):
     """Largest 1-based j whose level holds at least gamma0 * lambda^2 pairs,
-    by `level_pair_counts`."""
+    by `level_pair_counts`: an int for one state, an int64 array with one
+    level per row for a block of states."""
     if not 0.0 < gamma0 < 1.0:
         raise ValueError(f"gamma0 must be in (0, 1), got {gamma0}")
-    held = np.flatnonzero(level_pair_counts(pops, seq) >= gamma0 * pops.lam**2)
-    return int(held[-1]) + 1 if held.size else 1
+    held = level_pair_counts(cx, cy, seq) >= gamma0 * cx.shape[-1] ** 2
+    level = np.maximum((held * np.arange(1, seq.m + 1)).max(axis=-1), 1)
+    return int(level) if level.ndim == 0 else level
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,9 @@ class TrialRecord:
 class TrajectoryRow(NamedTuple):
     """Summary of one evaluated generation: one-count statistics of both
     populations, the prey at or above alpha*n (S0), and the fractions p0 of
-    predators below beta*n and q0 of prey in S0."""
+    predators below beta*n and q0 of prey in S0.  Built by
+    `trajectory_columns` for a block of generations, each field holds one
+    value per generation."""
 
     generation: int
     pred_mean: float
@@ -299,25 +301,27 @@ class TrajectoryRow(NamedTuple):
     q0: float
 
 
+def trajectory_columns(cx: np.ndarray, cy: np.ndarray, params: BilinearParams,
+                       generation) -> TrajectoryRow:
+    """The trajectory statistics of states given by their one-count arrays.
+
+    cx and cy hold one state (1-d) or a block of states (one per row); each
+    statistic reduces over the last axis, so a block gives a row of columns.
+    `generation` is taken as given: an int, or one entry per state.
+    """
+    lam = cx.shape[-1]
+    in_s0 = (cy >= params.alpha_n).sum(axis=-1)
+    return TrajectoryRow(generation, cx.sum(axis=-1) / lam, cx.min(axis=-1), cx.max(axis=-1),
+                         cy.sum(axis=-1) / lam, cy.min(axis=-1), cy.max(axis=-1), in_s0,
+                         (cx < params.beta_n).sum(axis=-1) / lam, in_s0 / lam)
+
+
 def trajectory_row(pops: PairedPopulations, params: BilinearParams) -> TrajectoryRow:
-    """The trajectory row of a state; an observer for `run_trial` once bound
-    to the game, e.g. `lambda pops: trajectory_row(pops, cfg.game)`."""
-    cx = pops.predators.ones
-    cy = pops.prey.ones
-    lam = pops.lam
-    in_s0 = int(np.count_nonzero(cy >= params.alpha_n))
-    return TrajectoryRow(
-        pops.generation,
-        int(cx.sum()) / lam,
-        int(cx.min()),
-        int(cx.max()),
-        int(cy.sum()) / lam,
-        int(cy.min()),
-        int(cy.max()),
-        in_s0,
-        int(np.count_nonzero(cx < params.beta_n)) / lam,
-        in_s0 / lam,
-    )
+    """The trajectory row of a state, `trajectory_columns` of one state; an
+    observer for `run_trial` once bound to the game, e.g.
+    `lambda pops: trajectory_row(pops, cfg.game)`."""
+    row = trajectory_columns(pops.predators.ones, pops.prey.ones, params, pops.generation)
+    return TrajectoryRow._make(np.asarray(value).item() for value in row)
 
 
 def run_trial(cfg: PdcoeaConfig, observer=None) -> TrialRecord:

@@ -32,6 +32,15 @@ class BoundValue:
                 raise ValueError(f"the bound overflows: {name} = {x} on these inputs")
 
 
+def _real(x: int) -> float:
+    """An integer as a float, infinite where it is too large for one, so
+    that `BoundValue` rejects the bound by the name of its term."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def level_process_bound(m: int, lam: int, delta: float, z: tuple = (),
                         c_pp: float = C_PP) -> BoundValue:
     """Generic expected-runtime bound (c''*lambda/delta)*(m*lambda^2 + 16*sum 1/z_i).
@@ -49,13 +58,13 @@ def level_process_bound(m: int, lam: int, delta: float, z: tuple = (),
         raise ValueError(f"need m-1 = {m - 1} z values, got {len(z)}")
     if not all(0.0 < zi <= 1.0 for zi in z):
         raise ValueError(f"every z_i must be in (0, 1], got {z}")
-    prefactor = c_pp * lam / delta
-    level_term = m * lam**2
+    prefactor = c_pp * _real(lam) / delta
+    level_term = _real(m * lam**2)
     upgrade_term = 16.0 * sum(1.0 / zi for zi in z)
     return BoundValue(
         value=prefactor * (level_term + upgrade_term),
         prefactor=prefactor,
-        terms={"level_term": float(level_term), "upgrade_term": upgrade_term},
+        terms={"level_term": level_term, "upgrade_term": upgrade_term},
     )
 
 
@@ -97,8 +106,8 @@ def solvable_regime_budget(n: int, lam: int, chi: float, alpha: float, beta: flo
     shrink = beta * (1.0 - alpha + epsilon)
     if not 0.0 < shrink < 1.0:
         raise ValueError(f"beta*(1-alpha+epsilon) = {shrink} must lie in (0, 1)")
-    prefactor = 2.0 * r * c_pp * lam / delta
-    pop_term = float(lam**2 * n)
+    prefactor = 2.0 * r * c_pp * _real(lam) / delta
+    pop_term = _real(lam**2 * n)
     mutation_term = (23.0 * n / chi) * math.log(1.0 / shrink)
     return BoundValue(
         value=prefactor * (pop_term + mutation_term),

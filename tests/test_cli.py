@@ -96,6 +96,17 @@ class TestBound:
         assert code == 1 and out == ""
         assert err.startswith(f"error: the bound overflows: {term} = inf")
 
+    @pytest.mark.parametrize("flags, term", [
+        (("--theorem", "9", "--n", "10", "--chi", "0.005", "--alpha", "0.9", "--beta", "0.05",
+          "--epsilon", "0.2"), "pop_term"),
+        (("--theorem", "3", "--m", "2", "--delta", "0.5", "--z", "0.5"), "level_term"),
+    ])
+    def test_huge_integer_lambda_is_an_error(self, capsys, flags, term):
+        # a lambda too large for a float once ended in an OverflowError traceback
+        code, out, err = run_cli(capsys, "bound", "--lambda", "1" + "0" * 160, *flags)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: the bound overflows: {term} = inf")
+
     def test_bound_table_notes_an_overflowing_bound(self, capsys, tmp_path):
         # the row used to carry `Infinity`, which is not JSON
         path = tmp_path / "bounds.txt"

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -348,6 +349,30 @@ class TestNamedExperiments:
         path = write_series(series, str(tmp_path / "series.csv"))
         lines = open(path).read().splitlines()
         assert len(lines) == len(series) + 1
+
+    # sha256 of the series CSV, recorded when each generation's row and level
+    # were still computed one state at a time: the trajectory spec that
+    # perfbench measures at full scale (n=50, lambda=100, pilot budgets) at
+    # two seeds, and a fixed budget of 1000 generations (n=20, lambda=10, more
+    # than three blocks of generations) where trial 1 hits and the rest censor
+    SERIES_GOLDEN = {
+        (50, 100, "pilot", 2): "6fe7906949b0b4cc0357290c4a376b45a69935ccf8ab960a33ecb58c33b35c9f",
+        (50, 100, "pilot", 3): "f6fb895781b88dd0cbc40a435193d110dfaaee80fd3eb7d691a8ebf578188e2c",
+        (20, 10, 1000, 7): "f76cd9df88739e2b9b53aa2d62ef6b36ff6854292ba53057c8429c3dc4d7de70",
+    }
+
+    @pytest.mark.parametrize("n, lam, budget, seed", list(SERIES_GOLDEN))
+    def test_series_bytes_unchanged(self, tmp_path, n, lam, budget, seed):
+        spec = ExperimentSpec(
+            kind="trajectory", n=(n,), lam=(lam,), chi=("auto",), delta=0.01, alpha=(0.9,),
+            beta=(0.05,), epsilon=(0.1,), trials=4, master_seed=seed, budget=budget)
+        table, series = experiment_trajectory(spec)
+        if budget == 1000:
+            assert [row["hit"] for row in sorted(table.rows, key=lambda r: r["trial"])] == [
+                False, True, False, False]
+        with open(write_series(series, str(tmp_path / "series.csv")), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == self.SERIES_GOLDEN[n, lam, budget, seed]
 
     def test_hit_run_ends_inside_target(self):
         spec = ExperimentSpec(

@@ -40,6 +40,11 @@ def solvable_params():
     return BilinearParams(n=10, alpha=0.9, beta=0.05, epsilon=0.1)
 
 
+def counts(pops):
+    """The predators' and the prey's one-count arrays of a state."""
+    return pops.predators.ones, pops.prey.ones
+
+
 def float_levels(params):
     """The bilinear levels as float predicates on one-counts, from their
     definitions: level 1 admits everything; descent level j has predators
@@ -62,7 +67,7 @@ class TestBuildLevels:
         seq = build_bilinear_levels(BilinearParams(n=8, alpha=0.75, beta=0.25, epsilon=0.125))
         assert seq[1] == ((0, 9), (0, 9))
         pops = paired_from_counts(range(9), range(9), 8)
-        assert level_pair_counts(pops, seq)[0] == 81
+        assert level_pair_counts(*counts(pops), seq)[0] == 81
 
     @pytest.mark.parametrize("n, alpha, beta, epsilon", [
         (10, 0.9, 0.05, 0.1),      # on the grid but beta*n = 0.5
@@ -90,7 +95,8 @@ class TestBuildLevels:
         for _ in range(100):
             pops = paired_from_counts(
                 rng.integers(0, 11, size=4), rng.integers(0, 11, size=4), 10)
-            assert (level_pair_counts(pops, seq)[-1] > 0) == target_hit(pops, solvable_params)
+            last = level_pair_counts(*counts(pops), seq)[-1]
+            assert (last > 0) == target_hit(pops, solvable_params)
 
     def test_level_count_bound(self):
         for n in (8, 10, 20, 50):
@@ -116,19 +122,19 @@ class TestPairsInLevel:
     def test_full_level_counts_all_pairs(self, solvable_params):
         seq = build_bilinear_levels(solvable_params)
         pops = paired_from_counts([0, 5, 10], [0, 5, 10], 10)
-        assert level_pair_counts(pops, seq)[0] == 9
+        assert level_pair_counts(*counts(pops), seq)[0] == 9
 
     def test_empty_intersection(self, solvable_params):
         seq = build_bilinear_levels(solvable_params)
         pops = paired_from_counts([10, 10, 10], [0, 0, 0], 10)  # nobody in R0
-        assert level_pair_counts(pops, seq)[-1] == 0
+        assert level_pair_counts(*counts(pops), seq)[-1] == 0
 
     def test_product_count(self, solvable_params):
         # 2 predators in A x 1 prey in B
         seq = build_bilinear_levels(solvable_params)
         assert seq[seq.m] == ((0, 1), (8, 9))  # R0 x [8, 9)
         pops = paired_from_counts([0, 0, 9], [8, 0, 0], 10)
-        pairs = level_pair_counts(pops, seq)
+        pairs = level_pair_counts(*counts(pops), seq)
         assert pairs.dtype == np.int64 and pairs.shape == (seq.m,)
         assert pairs[-1] == 2
 
@@ -151,7 +157,7 @@ class TestCurrentLevel:
             pops = paired_from_counts(
                 rng.integers(0, 11, size=5), rng.integers(0, 11, size=5), 10)
             for gamma0 in (0.1, 9.0 / 25.0, 0.99):
-                assert (current_level(pops, seq, gamma0)
+                assert (current_level(*counts(pops), seq, gamma0)
                         == self.brute_scan(pops, solvable_params, gamma0))
 
     def test_always_defined_and_monotone_in_gamma0(self, solvable_params):
@@ -160,7 +166,7 @@ class TestCurrentLevel:
         for _ in range(30):
             pops = paired_from_counts(
                 rng.integers(0, 11, size=4), rng.integers(0, 11, size=4), 10)
-            levels = [current_level(pops, seq, g) for g in (0.05, 0.2, 9 / 25, 0.7, 0.999)]
+            levels = [current_level(*counts(pops), seq, g) for g in (0.05, 0.2, 9 / 25, 0.7, 0.999)]
             assert all(l >= 1 for l in levels)
             assert all(a >= b for a, b in zip(levels, levels[1:]))
 
@@ -168,15 +174,15 @@ class TestCurrentLevel:
         seq = build_bilinear_levels(solvable_params)
         # everyone in R0 x [8, 9): the last level holds all pairs
         pops = paired_from_counts([0, 0, 0], [8, 8, 8], 10)
-        assert current_level(pops, seq, 9 / 25) == seq.m
+        assert current_level(*counts(pops), seq, 9 / 25) == seq.m
 
     def test_gamma0_validation(self, solvable_params):
         seq = build_bilinear_levels(solvable_params)
         pops = paired_from_counts([0], [0], 10)
         with pytest.raises(ValueError):
-            current_level(pops, seq, 0.0)
+            current_level(*counts(pops), seq, 0.0)
         with pytest.raises(ValueError):
-            current_level(pops, seq, 1.0)
+            current_level(*counts(pops), seq, 1.0)
 
     def test_matches_brute_scan_at_desk_scale(self):
         rng = spawn_stream(54, 0)
@@ -196,7 +202,7 @@ class TestCurrentLevel:
                         prey = rng.integers(0, n + 1, size=lam)
                     pops = paired_from_counts(pred, prey, n)
                     for gamma0 in (0.05, 9.0 / 25.0, 0.9):
-                        level = current_level(pops, seq, gamma0)
+                        level = current_level(*counts(pops), seq, gamma0)
                         assert level == self.brute_scan(pops, params, gamma0)
                         reached.add(level)
             assert len(reached) > 2
@@ -208,11 +214,11 @@ class TestCurrentLevel:
             pops = paired_from_counts([0] * in_a + [10] * (lam - in_a),
                                       [8] * in_b + [0] * (lam - in_b), 10)
             tie = in_a * in_b / lam**2
-            assert tie * lam**2 == level_pair_counts(pops, seq)[-1]
-            assert (current_level(pops, seq, tie) == self.brute_scan(pops, solvable_params, tie)
-                    == seq.m)
+            assert tie * lam**2 == level_pair_counts(*counts(pops), seq)[-1]
+            assert (current_level(*counts(pops), seq, tie)
+                    == self.brute_scan(pops, solvable_params, tie) == seq.m)
             above = float(np.nextafter(tie, 1.0))
-            assert (current_level(pops, seq, above)
+            assert (current_level(*counts(pops), seq, above)
                     == self.brute_scan(pops, solvable_params, above) < seq.m)
 
     def test_level_sequence_rejects_bad_ranges(self):
@@ -220,8 +226,8 @@ class TestCurrentLevel:
         good = np.array([full, [0, 6], [5, 5]])  # [5, 5) is an empty range
         seq = LevelSequence(10, good, good, m1=2, m2=1)
         crowded = paired_from_counts([5] * 4, [5] * 4, 10)
-        assert level_pair_counts(crowded, seq).tolist() == [16, 16, 0]
-        assert current_level(crowded, seq, 0.5) == 2
+        assert level_pair_counts(*counts(crowded), seq).tolist() == [16, 16, 0]
+        assert current_level(*counts(crowded), seq, 0.5) == 2
         for bad in ([full, [-1, 6]],            # lo below 0
                     [full, [0, 12]],            # hi beyond n + 1
                     [full, [7, 2]],             # hi < lo
@@ -235,11 +241,13 @@ class TestCurrentLevel:
             LevelSequence(10, good, good[:2], m1=2, m2=1)  # one prey range short
 
     def test_current_level_rejects_sequence_for_another_n(self, solvable_params):
+        # one-count arrays carry no n: a state of another n shows as a count
+        # outside [0, 10], in any state of a block
         seq = build_bilinear_levels(solvable_params)
-        for n in (9, 11):
-            pops = paired_from_counts([0, 1], [0, 1], n)
+        for pred, prey in (([0, 11], [0, 1]), ([0, 1], [1, 12]), ([-1, 0], [0, 1]),
+                           ([[0, 1], [0, 11]], [[0, 1], [0, 1]])):
             with pytest.raises(ValueError, match="n=10"):
-                current_level(pops, seq, 9.0 / 25.0)
+                current_level(np.array(pred), np.array(prey), seq, 9.0 / 25.0)
 
     def test_matches_brute_scan_along_a_seeded_run(self):
         params = BilinearParams(n=50, alpha=0.9, beta=0.05, epsilon=0.1)
@@ -251,10 +259,79 @@ class TestCurrentLevel:
         states = record.observed
         levels = []
         for pops in states[:: max(1, len(states) // 60)] + states[-1:]:
-            level = current_level(pops, seq, 9.0 / 25.0)
+            level = current_level(*counts(pops), seq, 9.0 / 25.0)
             assert level == self.brute_scan(pops, params, 9.0 / 25.0)
             levels.append(level)
         assert levels[-1] > seq.m1 and len(set(levels)) > 5  # reached the ascent phase
+
+
+class TestBlockForm:
+    """A block of states, one per row, gives each state's own result."""
+
+    def assert_rows_match(self, cx, cy, seq, gamma0):
+        pairs = level_pair_counts(cx, cy, seq)
+        levels = current_level(cx, cy, seq, gamma0)
+        assert pairs.dtype == levels.dtype == np.int64
+        assert pairs.shape == (len(cx), seq.m) and levels.shape == (len(cx),)
+        for t in range(len(cx)):
+            level = current_level(cx[t], cy[t], seq, gamma0)
+            assert type(level) is int and levels[t] == level
+            assert pairs[t].tolist() == level_pair_counts(cx[t], cy[t], seq).tolist()
+        return levels
+
+    @pytest.mark.parametrize("lam", [1, 3, 40, 100])
+    @pytest.mark.parametrize("generations", [1, 2, 64])
+    def test_random_blocks_match_each_state(self, lam, generations):
+        rng = spawn_stream(57, 0)
+        reached = set()
+        for n in (10, 50):
+            seq = build_bilinear_levels(BilinearParams(n=n, alpha=0.9, beta=0.05, epsilon=0.1))
+            # each state a few adjacent counts around its own centres, so that
+            # the block spans many levels; int16 is how the trajectory stores them
+            centres = rng.integers(0, n + 1, size=(2, generations, 1))
+            cx, cy = np.clip(centres + rng.integers(-2, 3, size=(2, generations, lam)), 0, n)
+            for gamma0 in (0.05, 9.0 / 25.0, 0.9):
+                for dtype in (np.int64, np.int16):
+                    levels = self.assert_rows_match(cx.astype(dtype), cy.astype(dtype),
+                                                    seq, gamma0)
+                    reached.update(levels.tolist())
+        assert generations == 1 or len(reached) > 2
+
+    def test_empty_range_tie_and_level_one_alone(self, solvable_params):
+        # rows: a tie on the last level (2 x 2 of 4^2 pairs at gamma0 = 1/4),
+        # one predator short of the tie, and predators all at n, which leaves
+        # every descent level and so only level 1 held
+        seq = build_bilinear_levels(solvable_params)
+        cx = np.array([[0, 0, 10, 10], [0, 10, 10, 10], [10, 10, 10, 10]])
+        cy = np.array([[8, 8, 0, 0], [8, 8, 0, 0], [0, 0, 0, 0]])
+        assert level_pair_counts(cx, cy, seq)[:, -1].tolist() == [4, 2, 0]
+        levels = self.assert_rows_match(cx, cy, seq, 0.25)
+        assert levels[0] == seq.m and 1 < levels[1] < seq.m and levels[2] == 1
+        assert (level_pair_counts(cx, cy, seq)[2, 1:] == 0).all()
+        # [5, 5) is an empty range: its level holds nothing, in a block too
+        full = [0, 11]
+        ranges = np.array([full, [0, 6], [5, 5]])
+        empty = LevelSequence(10, ranges, ranges, m1=2, m2=1)
+        block = np.full((2, 4), 5)
+        assert level_pair_counts(block, block, empty).tolist() == [[16, 16, 0]] * 2
+        assert self.assert_rows_match(block, block, empty, 0.5).tolist() == [2, 2]
+
+    def test_no_level_held_reads_level_one(self):
+        # a sequence whose first level is not the full space: a state that
+        # holds no level still reads level 1, as one state and in a block
+        ranges = np.array([[0, 3], [0, 2]])
+        seq = LevelSequence(10, ranges, ranges, m1=1, m2=1)
+        cx = cy = np.array([[9, 9], [0, 9], [0, 0]])
+        assert self.assert_rows_match(cx, cy, seq, 0.5).tolist() == [1, 1, 2]
+
+    def test_lambda_one(self, solvable_params):
+        seq = build_bilinear_levels(solvable_params)
+        cx, cy = np.arange(11)[:, None], (10 - np.arange(11))[:, None]
+        levels = self.assert_rows_match(cx, cy, seq, 9.0 / 25.0)
+        # one member pair: its level is the deepest level it lies in
+        brute = TestCurrentLevel().brute_scan
+        assert levels.tolist() == [brute(paired_from_counts(x, y, 10), solvable_params, 0.36)
+                                   for x, y in zip(cx, cy)]
 
 
 class TestFractionStats:

@@ -33,6 +33,7 @@ from coevo.pdcoea import (
     _offspring_table,
     _select_slots,
     _step_rows,
+    trajectory_columns,
 )
 
 from bit_reference import initial_bits, reference_hit_generation
@@ -331,6 +332,29 @@ class TestRunTrial:
         assert trajectory_row(pops, game) == TrajectoryRow(
             generation=0, pred_mean=4.0, pred_min=0, pred_max=10, prey_mean=7.5,
             prey_min=3, prey_max=10, prey_in_s0=2, p0=0.25, q0=0.5)
+
+    @pytest.mark.parametrize("lam", [1, 4, 100])
+    @pytest.mark.parametrize("generations", [1, 33])
+    def test_trajectory_columns_match_each_row(self, lam, generations):
+        # a block of states, one per row, gives each state's trajectory_row;
+        # each row also matches its statistics in Python integer arithmetic
+        game = BilinearParams(n=10, alpha=0.9, beta=0.1, epsilon=0.2)
+        rng = spawn_stream(58, 0)
+        cx, cy = rng.integers(0, 11, size=(2, generations, lam))
+        for dtype in (np.int64, np.int16):
+            block = trajectory_columns(cx.astype(dtype), cy.astype(dtype), game,
+                                       np.arange(generations))
+            assert all(len(column) == generations for column in block)
+            for t in range(generations):
+                pops = PairedPopulations(Population(10, cx[t]), Population(10, cy[t]), t)
+                row = trajectory_row(pops, game)
+                assert TrajectoryRow._make(column[t] for column in block) == row
+                xs, ys = cx[t].tolist(), cy[t].tolist()
+                in_s0 = sum(y >= 9 for y in ys)
+                expected = (t, sum(xs) / lam, min(xs), max(xs), sum(ys) / lam, min(ys), max(ys),
+                            in_s0, sum(x < 1 for x in xs) / lam, in_s0 / lam)
+                assert row == expected
+                assert [type(v) for v in row] == [type(v) for v in expected]
 
     def test_trajectory_disabled(self):
         # without an observer nothing is recorded

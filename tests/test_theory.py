@@ -72,6 +72,12 @@ class TestLevelProcessBound:
         with pytest.raises(ValueError, match=f"the bound overflows: {term} = inf"):
             level_process_bound(2, 4, delta, z)
 
+    @pytest.mark.parametrize("lam, term", [(10**160, "level_term"), (10**400, "prefactor")])
+    def test_huge_integer_lambda_names_the_term(self, lam, term):
+        # an integer too large for a float once ended in an OverflowError
+        with pytest.raises(ValueError, match=f"the bound overflows: {term} = inf"):
+            level_process_bound(2, lam, 0.5, (0.5,))
+
     @pytest.mark.parametrize("z", [(math.inf,), (2.5,), (1.0 + 1e-12,), (-0.5,)])
     def test_rejects_z_outside_unit_interval(self, z):
         # the floors are probabilities, the range LevelFunctionParams enforces
@@ -122,6 +128,12 @@ class TestSolvableRegimeBudget:
     def test_overflow_names_the_term(self, kw, term):
         with pytest.raises(ValueError, match=f"the bound overflows: {term}"):
             self.budget(**kw)
+
+    @pytest.mark.parametrize("lam, term", [(10**160, "pop_term"), (10**400, "prefactor")])
+    def test_huge_integer_lambda_names_the_term(self, lam, term):
+        # an integer too large for a float once ended in an OverflowError
+        with pytest.raises(ValueError, match=f"the bound overflows: {term} = inf"):
+            self.budget(n=10, lam=lam, chi=0.005, epsilon=0.2)
 
     def test_recorded_reference_value(self):
         # frozen at build time from a direct evaluation of the formula
