@@ -43,13 +43,13 @@ print("\ncurrent level along a run (gamma0 = 9/25):")
 gamma0 = 9 / 25
 cfg = PdcoeaConfig(lam=30, chi=recipe_mutation_rate(0.01), seed=7,
                    budget_generations=20_000, game=params)
-record = run_trial(cfg, observer=lambda pops: current_level(pops.predators.ones, pops.prey.ones,
-                                                          seq, gamma0))
-marks = sorted(set([0, 1, 2, 5] + list(range(0, len(record.observed), max(1, len(record.observed) // 10)))))
+record = run_trial(cfg, record=True)
+levels = current_level(record.counts[:, 0], record.counts[:, 1], seq, gamma0)  # one per generation
+marks = sorted(set([0, 1, 2, 5] + list(range(0, len(levels), max(1, len(levels) // 10)))))
 for i in marks:
-    print(f"  gen {i:5d}: level {record.observed[i]:2d} / {seq.m}")
+    print(f"  gen {i:5d}: level {levels[i]:2d} / {seq.m}")
 print(f"  hit after {record.generations_run} generations "
-      f"(final observed level {record.observed[-1]} of {seq.m})")
+      f"(final observed level {levels[-1]} of {seq.m})")
 
 print("\nexact selection distribution on a 4-member toy state:")
 pops = paired_from_counts([0, 1, 16, 19], [2, 3, 17, 18], 20)

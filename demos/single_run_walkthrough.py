@@ -9,7 +9,16 @@ interactions (generations times lambda).
 Run:  python3 demos/single_run_walkthrough.py
 """
 
-from coevo import BilinearParams, PdcoeaConfig, recipe_mutation_rate, run_trial, trajectory_row
+import numpy as np
+
+from coevo import (
+    BilinearParams,
+    PdcoeaConfig,
+    TrajectoryRow,
+    recipe_mutation_rate,
+    run_trial,
+    trajectory_columns,
+)
 
 delta = 0.01
 game = BilinearParams(n=60, alpha=0.9, beta=0.05, epsilon=0.1)
@@ -25,15 +34,17 @@ print(f"n={cfg.n}, lambda={cfg.lam}, chi={cfg.chi:.6f} (recipe at slack {delta})
 print(f"target: some predator below {game.beta_n:.0f} ones and some prey in "
       f"[{game.target_lo:.0f}, {game.alpha_n:.0f}) ones\n")
 
-record = run_trial(cfg, observer=lambda pops: trajectory_row(pops, game))
+record = run_trial(cfg, record=True)
 print(f"hit={record.hit}  T={record.T_interactions} interactions "
       f"({record.generations_run} generations x lambda={cfg.lam})\n")
 
 print("  gen   pred mean [min,max]   prey mean [min,max]    p0      q0")
-rows = record.observed
-marks = sorted({0, 1, 2, 5, 10, len(rows) - 1} | {i for i in range(0, len(rows), max(1, len(rows) // 12))})
+counts = record.counts  # (generations evaluated, 2, lambda) one-counts
+columns = trajectory_columns(counts[:, 0], counts[:, 1], game, np.arange(len(counts)))
+marks = sorted({0, 1, 2, 5, 10, len(counts) - 1}
+               | {i for i in range(0, len(counts), max(1, len(counts) // 12))})
 for i in marks:
-    r = rows[i]
+    r = TrajectoryRow._make(column[i] for column in columns)
     print(f"  {r.generation:5d}   {r.pred_mean:6.2f} [{r.pred_min:3d},{r.pred_max:3d}]"
           f"      {r.prey_mean:6.2f} [{r.prey_min:3d},{r.prey_max:3d}]"
           f"   {r.p0:5.2f}   {r.q0:5.2f}")

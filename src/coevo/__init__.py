@@ -60,7 +60,7 @@ from .pdcoea import (
     run_trials,
     singleton_target,
     step_generation,
-    trajectory_row,
+    trajectory_columns,
 )
 from .theory import (
     BoundValue,

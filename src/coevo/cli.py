@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from . import harness, theory
 from .bilinear import BilinearParams
-from .pdcoea import PdcoeaConfig, run_trial, trajectory_row
+from .pdcoea import PdcoeaConfig, TrajectoryRow, run_trial, trajectory_columns
 
 
 class UsageError(Exception):
@@ -47,14 +47,16 @@ def _cmd_run(args) -> int:
     game = BilinearParams(n=args.n, alpha=args.alpha, beta=args.beta, epsilon=args.epsilon)
     cfg = PdcoeaConfig(lam=args.lam, chi=args.chi, seed=args.seed, budget_generations=args.budget,
                        game=game, target=harness._target_for(args.target, args.n))
-    record = run_trial(cfg, observer=lambda pops: trajectory_row(pops, game))
+    record = run_trial(cfg, record=True)
+    counts = record.counts
+    columns = trajectory_columns(counts[:, 0], counts[:, 1], game, range(len(counts)))
     if args.json:
         payload = {
             "hit": record.hit,
             "T_interactions": record.T_interactions,
             "generations_run": record.generations_run,
             "seed": record.seed,
-            "trajectory": [tuple(float(v) for v in row) for row in record.observed],
+            "trajectory": [list(map(float, row)) for row in zip(*columns)],
             "wall_ms": record.wall_ms,
         }
         print(json.dumps(payload))
@@ -63,7 +65,8 @@ def _cmd_run(args) -> int:
     print(f"T_interactions = {record.T_interactions}")
     print(f"generations_run = {record.generations_run}")
     print(f"seed = {record.seed}")
-    for label, row in (("initial", record.observed[0]), ("final", record.observed[-1])):
+    for label, t in (("initial", 0), ("final", -1)):
+        row = TrajectoryRow._make(column[t] for column in columns)
         print(
             f"{label}: gen={row.generation} "
             f"pred_mean={row.pred_mean:.3f} prey_mean={row.prey_mean:.3f} "
@@ -73,14 +76,20 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_experiment(sub, name, help_text):
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", required=True, help="flat key=value spec file")
     p.add_argument("--out", default=None, help="output prefix (overrides the spec)")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (trajectory runs in one process)")
+    p.add_argument("--workers", type=_worker_count, default=1,
+                   help="worker processes, at least 1 (the output is the same for any count)")
 
 
 def _load_spec(args, kind=None) -> harness.ExperimentSpec:
@@ -126,7 +135,7 @@ def _cmd_sweep_with_spec(spec, workers) -> int:
         table, summary = harness.experiment_runtime_scaling(spec, workers=workers)
         print(json.dumps(summary, indent=2, sort_keys=True))
     elif spec.kind == "trajectory":
-        table, series = harness.experiment_trajectory(spec)
+        table, series = harness.experiment_trajectory(spec, workers=workers)
         if spec.out:
             print(f"wrote {harness.write_series(series, spec.out + '.series.csv')}")
     else:

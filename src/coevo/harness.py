@@ -49,6 +49,7 @@ from .levels import (
     _psel_counts,
 )
 from .pdcoea import (
+    RECORD_BLOCK,
     PdcoeaConfig,
     PdcoeaDistribution,
     run_trial,
@@ -178,6 +179,10 @@ class Cell:
     epsilon: float
     r: float
     delta: float | None  # slack behind an "auto" chi, None for explicit chi
+
+    @property
+    def game(self) -> BilinearParams:
+        return BilinearParams(n=self.n, alpha=self.alpha, beta=self.beta, epsilon=self.epsilon)
 
     def columns(self) -> dict:
         """The cell's CELL_COLUMNS values (delta only explains an "auto" chi)."""
@@ -354,9 +359,8 @@ def _target_for(kind: str, n: int):
 
 
 def _cell_config(cell: Cell, spec: ExperimentSpec, seed: int, budget: int) -> PdcoeaConfig:
-    game = BilinearParams(n=cell.n, alpha=cell.alpha, beta=cell.beta, epsilon=cell.epsilon)
     return PdcoeaConfig(lam=cell.lam, chi=cell.chi, seed=seed, budget_generations=budget,
-                        game=game, target=_target_for(spec.target, cell.n))
+                        game=cell.game, target=_target_for(spec.target, cell.n))
 
 
 class PilotError(RuntimeError):
@@ -441,22 +445,27 @@ def _result_row(spec: ExperimentSpec, cell: Cell, trial: int, record) -> dict:
 
 def _run_unit(args):
     spec, cell, trial, seed, budget = args
-    return _result_row(spec, cell, trial, run_trial(_cell_config(cell, spec, seed, budget)))
+    cfg = _cell_config(cell, spec, seed, budget)
+    return cell, trial, run_trial(cfg, record=spec.kind == "trajectory")
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
-    """Execute all cells x trials; rows come back canonically sorted.
-
-    Seeds depend only on the unit index (see `_plan_units`), so the table is
-    identical for any worker count and any scheduling order.
-    """
+def _run_units(spec: ExperimentSpec, workers: int):
+    """Yield (cell, trial, record) for every unit of `spec`, in plan order,
+    one at a time; a trajectory experiment's records carry their one-counts.
+    Seeds depend only on the unit index (see `_plan_units`), so the records
+    are the same for any worker count and any scheduling order."""
     units = [(spec, *unit) for unit in _plan_units(spec)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_unit, units, chunksize=1))
+            yield from pool.map(_run_unit, units, chunksize=1)
     else:
-        rows = [_run_unit(unit) for unit in units]
-    table = ResultTable(spec=spec, rows=rows)
+        yield from map(_run_unit, units)
+
+
+def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
+    """Execute all cells x trials; rows come back canonically sorted and are
+    identical for any worker count."""
+    table = ResultTable(spec, [_result_row(spec, *unit) for unit in _run_units(spec, workers)])
     table.sort()
     return table
 
@@ -536,44 +545,30 @@ SERIES_COLUMNS = (
     "n", "lambda", "chi", "trial", "generation", "pred_mean", "prey_mean",
     "p0", "q0", "prey_in_s0", "current_level", "phase",
 )
-# Generations per array pass of `experiment_trajectory`: the pass's int64
-# temporaries grow with it, and 256 raised peak RSS for no gain in speed.
-SERIES_BLOCK = 64
 
 
-def experiment_trajectory(spec: ExperimentSpec):
+def experiment_trajectory(spec: ExperimentSpec, workers: int = 1):
     """Per-generation population series with level and phase annotation.
 
     Phase 2 starts at the first generation where the predator fraction below
-    beta*n reaches gamma0.  Runs in one process: the observer only copies
-    each generation's two one-count vectors into int16 blocks of
-    SERIES_BLOCK generations (counts are at most MAX_N), and the rows,
-    levels and phases come from `trajectory_columns` and `current_level`
-    over one block at a time.
+    beta*n reaches gamma0.  Every trial records its one-counts; its series
+    rows, levels and phases come from `trajectory_columns` and
+    `current_level` over RECORD_BLOCK generations at a time, and the output
+    is identical for any worker count.
     """
     table = ResultTable(spec=spec)
     series = []
     levels = {}
-    for cell, trial, seed, budget in _plan_units(spec):
-        cfg = _cell_config(cell, spec, seed, budget)
-        if cell not in levels:
-            levels[cell] = build_bilinear_levels(cfg.game)
-        blocks = []  # int16 (SERIES_BLOCK, 2, lambda) arrays, one generation a row
-
-        def keep(pops):
-            t = pops.generation % SERIES_BLOCK
-            if not t:
-                blocks.append(np.empty((SERIES_BLOCK, 2, cfg.lam), dtype=np.int16))
-            blocks[-1][t, 0] = pops.predators.ones
-            blocks[-1][t, 1] = pops.prey.ones
-
-        record = run_trial(cfg, observer=keep)
+    for cell, trial, record in _run_units(spec, workers):
         table.rows.append(_result_row(spec, cell, trial, record))
+        game = cell.game
+        if cell not in levels:
+            levels[cell] = build_bilinear_levels(game)
         reached = False  # phase 2 began in an earlier block
-        for start, block in zip(range(0, len(record.observed), SERIES_BLOCK), blocks):
-            block = block[:len(record.observed) - start]
+        for start in range(0, len(record.counts), RECORD_BLOCK):
+            block = record.counts[start:start + RECORD_BLOCK]
             cx, cy = block[:, 0], block[:, 1]
-            rows = trajectory_columns(cx, cy, cfg.game, range(start, start + len(block)))
+            rows = trajectory_columns(cx, cy, game, range(start, start + len(block)))
             phase = 1 + (np.logical_or.accumulate(rows.p0 >= spec.gamma0) | reached)
             reached = bool(phase[-1] == 2)
             series.extend(zip(

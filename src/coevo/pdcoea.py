@@ -60,12 +60,6 @@ def _winner_slots(cx: np.ndarray, cy: np.ndarray, oracle, idx: np.ndarray):
     return np.where(win1, idx[:, 0], idx[:, 2]), np.where(win1, idx[:, 1], idx[:, 3])
 
 
-def _select_slots(pops: PairedPopulations, oracle, rng: RandomStream, count: int):
-    """Winner (predator, prey) slot indices for `count` independent selections."""
-    idx = rng.integers(0, pops.lam, size=(count, 4))
-    return _winner_slots(pops.predators.ones, pops.prey.ones, oracle, idx)
-
-
 # ---------------------------------------------------------------------------
 # Mutation
 # ---------------------------------------------------------------------------
@@ -269,16 +263,18 @@ class TrialRecord:
 
     T_interactions is t * lambda at the first hit (a multiple of lambda by
     construction) or budget * lambda on timeout; timeouts are censored lower
-    bounds, flagged by hit=False.  `observed` holds the observer's returns,
-    one per evaluated generation, or None when the run had no observer.
-    Records compare equal when everything but wall_ms agrees.
+    bounds, flagged by hit=False.  `counts` is the run's one-count history
+    when it was recorded, else None: an int16 array of shape
+    (generations_run + hit, 2, lambda) whose row t holds the predators' and
+    the prey's one-counts at generation t, the hit generation included.
+    Records compare equal when everything but counts and wall_ms agrees.
     """
 
     hit: bool
     T_interactions: int
     generations_run: int
     seed: int
-    observed: Optional[tuple] = None
+    counts: Optional[np.ndarray] = field(default=None, compare=False)
     wall_ms: float = field(default=0.0, compare=False)
 
 
@@ -305,8 +301,9 @@ def trajectory_columns(cx: np.ndarray, cy: np.ndarray, params: BilinearParams,
                        generation) -> TrajectoryRow:
     """The trajectory statistics of states given by their one-count arrays.
 
-    cx and cy hold one state (1-d) or a block of states (one per row); each
-    statistic reduces over the last axis, so a block gives a row of columns.
+    cx and cy hold one state (1-d) or a block of states (one per row), such
+    as `counts[:, 0]` and `counts[:, 1]` of a recorded run; each statistic
+    reduces over the last axis, so a block gives a row of columns.
     `generation` is taken as given: an int, or one entry per state.
     """
     lam = cx.shape[-1]
@@ -316,23 +313,17 @@ def trajectory_columns(cx: np.ndarray, cy: np.ndarray, params: BilinearParams,
                          (cx < params.beta_n).sum(axis=-1) / lam, in_s0 / lam)
 
 
-def trajectory_row(pops: PairedPopulations, params: BilinearParams) -> TrajectoryRow:
-    """The trajectory row of a state, `trajectory_columns` of one state; an
-    observer for `run_trial` once bound to the game, e.g.
-    `lambda pops: trajectory_row(pops, cfg.game)`."""
-    row = trajectory_columns(pops.predators.ones, pops.prey.ones, params, pops.generation)
-    return TrajectoryRow._make(np.asarray(value).item() for value in row)
+RECORD_BLOCK = 64  # generations per int16 block of a recorded one-count history
 
 
-def run_trial(cfg: PdcoeaConfig, observer=None) -> TrialRecord:
+def run_trial(cfg: PdcoeaConfig, record: bool = False) -> TrialRecord:
     """Run one seeded trial until the target is hit or the budget expires.
 
     The target is evaluated at t = 0, 1, 2, ... before offspring are
-    produced.  `observer`, if given, is called on each evaluated state
-    (including the hit generation) before the target is, and its returns
-    are collected into `observed`; `trajectory_row` gives the per-generation
-    population summary.  This is the only per-generation hook: without an
-    observer, nothing is recorded.
+    produced.  With `record`, each evaluated state (the hit generation
+    included) is copied into int16 blocks of RECORD_BLOCK generations, which
+    become the record's `counts`; recording draws no random numbers, so the
+    record is otherwise the same.
 
     Identical (seed, config) pairs produce identical records on every
     platform; wall_ms is the only nondeterministic field.
@@ -342,13 +333,15 @@ def run_trial(cfg: PdcoeaConfig, observer=None) -> TrialRecord:
     pops = paired_uniform(cfg.lam, cfg.n, rng)
     dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
     target = cfg.target if cfg.target is not None else bilinear_target(cfg.game)
-    seen = [] if observer is not None else None
+    blocks = []  # (RECORD_BLOCK, 2, lambda) int16 arrays, one generation a row
 
     hit = False
     generations = cfg.budget_generations
     for t in range(cfg.budget_generations):
-        if seen is not None:
-            seen.append(observer(pops))
+        if record:
+            if not t % RECORD_BLOCK:
+                blocks.append(np.empty((RECORD_BLOCK, 2, cfg.lam), dtype=np.int16))
+            blocks[-1][t % RECORD_BLOCK] = pops.predators.ones, pops.prey.ones
         if target(pops.predators.ones, pops.prey.ones):
             hit = True
             generations = t
@@ -360,7 +353,7 @@ def run_trial(cfg: PdcoeaConfig, observer=None) -> TrialRecord:
         T_interactions=generations * cfg.lam,
         generations_run=generations,
         seed=cfg.seed,
-        observed=tuple(seen) if seen is not None else None,
+        counts=np.concatenate(blocks)[:generations + hit] if record else None,
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
 
@@ -372,7 +365,7 @@ def run_trials(cfgs) -> list:
     Each run draws from its own stream exactly as `run_trial` does
     (`_step_rows`), so the records are equal; a run leaves the array at its
     first hit.  A record's wall_ms is the time from the start of the batch
-    to the end of its run.  There is no observer.
+    to the end of its run.  Nothing is recorded.
     """
     t0 = time.perf_counter()
     cfg = cfgs[0]

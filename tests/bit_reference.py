@@ -9,7 +9,8 @@ import numpy as np
 
 from coevo import BilinearGame, PairedPopulations, Population, spawn_stream
 from coevo.core import popcount_rows
-from coevo.pdcoea import _select_slots
+
+from selection_reference import select_slots
 
 
 def initial_bits(lam, n, rng):
@@ -50,7 +51,7 @@ def reference_hit_generation(cfg, target):
         pops = counted(pred, prey, cfg.n, t)
         if target(pops.predators.ones, pops.prey.ones):
             return t
-        pred_slots, prey_slots = _select_slots(pops, oracle, rng, cfg.lam)
+        pred_slots, prey_slots = select_slots(pops, oracle, rng, cfg.lam)
         pred = mutate_bits(pred[pred_slots], cfg.n, cfg.chi, rng)
         prey = mutate_bits(prey[prey_slots], cfg.n, cfg.chi, rng)
     return None

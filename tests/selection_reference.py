@@ -1,6 +1,7 @@
 """Exact selection by enumerating all lambda^4 draws: the slow reference side
-of the closed-form selection law's equivalence tests.  Nothing outside the
-tests uses it.
+of the closed-form selection law's equivalence tests, plus `select_slots`,
+the engine's selection step on its own for Monte-Carlo tests.  Nothing
+outside the tests uses it.
 
 Every ordered draw (i1, k1, i2, k2) of predator and prey slots is equally
 likely; the engine's own tie rule (`_winner_mask`, the second pair wins when
@@ -12,7 +13,14 @@ from fractions import Fraction
 import numpy as np
 
 from coevo import BilinearGame
-from coevo.pdcoea import _winner_mask
+from coevo.pdcoea import _winner_mask, _winner_slots
+
+
+def select_slots(pops, oracle, rng, count):
+    """Winner (predator, prey) slots of `count` independent selections, with
+    the engine's draws: one (count, 4) block of slot integers from `rng`."""
+    idx = rng.integers(0, pops.lam, size=(count, 4))
+    return _winner_slots(pops.predators.ones, pops.prey.ones, oracle, idx)
 
 
 def draw_grid(lam):

@@ -44,10 +44,11 @@ from coevo.harness import (
     resolve_cells,
     run_experiment,
 )
-from coevo.pdcoea import _select_slots, singleton_target, trajectory_row
+from coevo.pdcoea import singleton_target, trajectory_columns
 from coevo.theory import check_exp_lower_bound, check_product_mgf, check_sqrt_bound
 
 from conftest import count_vector
+from selection_reference import select_slots
 
 
 @contextmanager
@@ -129,7 +130,7 @@ def test_criterion_05_selection_distribution_monte_carlo():
             l = int(rng.integers(0, max(1, math.floor(params.alpha_n))))
             member = lambda cx, cy: cx < params.beta_n and l <= cy < params.alpha_n
             exact = float(exact_selection_distribution(pops, params, member))
-            pred_slots, prey_slots = _select_slots(pops, game, rng, draws)
+            pred_slots, prey_slots = select_slots(pops, game, rng, draws)
             cx = pops.predators.ones[pred_slots]
             cy = pops.prey.ones[prey_slots]
             freq = float(((cx < params.beta_n) & (cy >= l) & (cy < params.alpha_n)).mean())
@@ -217,7 +218,7 @@ def prey_ceiling_runs():
         cfg = PdcoeaConfig(
             lam=100, chi=cell.chi, seed=derive_seed(2024, trial),
             budget_generations=budget, game=game)
-        records.append(run_trial(cfg, observer=lambda pops: trajectory_row(pops, game)))
+        records.append(run_trial(cfg, record=True))
     return records
 
 
@@ -225,12 +226,14 @@ def test_criterion_10_prey_rarely_cross_the_ceiling(prey_ceiling_runs):
     with criterion(10, "pre-hit generations with prey above alpha*n are < 1% across 30 hits"):
         hits = [r for r in prey_ceiling_runs if r.hit]
         assert len(hits) == 30, f"only {len(hits)}/30 runs hit within the pilot budget"
+        game = BilinearParams(n=100, alpha=0.9, beta=0.05, epsilon=0.1)
         empty = 0
         total = 0
         for record in hits:
-            pre_hit = record.observed[:-1]  # rows strictly before the hit generation
+            pre_hit = record.counts[:-1]  # states strictly before the hit generation
             total += len(pre_hit)
-            empty += sum(row.prey_in_s0 == 0 for row in pre_hit)
+            rows = trajectory_columns(pre_hit[:, 0], pre_hit[:, 1], game, 0)
+            empty += int((rows.prey_in_s0 == 0).sum())
         assert total > 0
         assert empty / total >= 0.99, f"fraction {empty / total:.4f}"
 

@@ -299,6 +299,34 @@ class TestSweepAndPlots:
         report = json.loads((tmp_path / "report.checks.json").read_text())
         assert report["all_passed"] is passed
 
+    @pytest.mark.parametrize("command", ["sweep", "trajectory"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_usage_error(self, capsys, tmp_path, monkeypatch, command,
+                                              workers):
+        from coevo import harness
+
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(harness, "run_trials", lambda *args, **kw: calls.append(args))
+        spec = self.write_spec(tmp_path, kind="trajectory", budget="pilot")
+        code, out, err = run_cli(capsys, command, "--config", spec, "--workers", workers)
+        assert code == 1
+        assert "--workers" in err and f"got '{workers}'" in err and "Traceback" not in err
+        assert out == "" and calls == []
+
+    def test_trajectory_output_independent_of_worker_count(self, capsys, tmp_path):
+        spec = self.write_spec(tmp_path, kind="trajectory", n=10, **{"lambda": 6}, budget=40,
+                               trials=3, out=tmp_path / "tr")
+        outputs = []
+        for workers in ("1", "2"):
+            code, out, _ = run_cli(capsys, "trajectory", "--config", spec, "--workers", workers)
+            assert code == 0
+            csv_text = (tmp_path / "tr.csv").read_text()
+            outputs.append((out, re.sub(r"^([^#].*),[^,\n]*$", r"\1", csv_text, flags=re.M),
+                            *((tmp_path / name).read_text()
+                              for name in ("tr.aggregates.json", "tr.series.csv"))))
+        assert outputs[0] == outputs[1]
+
     def test_scaling_command_forces_kind(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path)
         code, out, _ = run_cli(capsys, "scaling", "--config", spec)

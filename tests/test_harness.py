@@ -25,7 +25,7 @@ from coevo.harness import (
     run_experiment,
     write_series,
 )
-from coevo.pdcoea import singleton_target, trajectory_row
+from coevo.pdcoea import singleton_target, trajectory_columns
 from coevo.core import BitVector
 
 
@@ -419,12 +419,13 @@ class TestPhaseOneDescent:
             cfg = PdcoeaConfig(
                 lam=50, chi=cell.chi, seed=derive_seed(303, trial),
                 budget_generations=budget, game=game)
-            record = run_trial(cfg, observer=lambda pops: trajectory_row(pops, game))
+            record = run_trial(cfg, record=True)
             if not record.hit:
                 continue
             hits += 1
-            first, last = record.observed[0], record.observed[-1]
-            descended += last.pred_mean < game.beta_n + first.pred_mean / 2
+            counts = record.counts[[0, -1]]
+            first, last = trajectory_columns(counts[:, 0], counts[:, 1], game, 0).pred_mean
+            descended += last < game.beta_n + first / 2
         assert hits >= 9
         assert descended / hits >= 0.9
 

@@ -30,7 +30,6 @@ from coevo import (
 from coevo.core import PairedPopulations, Population, derive_seed
 from coevo.harness import GROWTH_CHECK_CONFIGS, paired_from_counts
 from coevo.levels import _psel_counts, winner_table
-from coevo.pdcoea import _select_slots
 
 import selection_reference as reference
 
@@ -254,11 +253,12 @@ class TestCurrentLevel:
         seq = build_bilinear_levels(params)
         cfg = PdcoeaConfig(lam=20, chi=recipe_mutation_rate(0.01),
                            seed=derive_seed(56, 0), budget_generations=5000, game=params)
-        record = run_trial(cfg, observer=lambda pops: pops)
+        record = run_trial(cfg, record=True)
         assert record.hit
-        states = record.observed
+        states = record.counts
         levels = []
-        for pops in states[:: max(1, len(states) // 60)] + states[-1:]:
+        for t in [*range(0, len(states), max(1, len(states) // 60)), len(states) - 1]:
+            pops = PairedPopulations(Population(50, states[t, 0]), Population(50, states[t, 1]), t)
             level = current_level(*counts(pops), seq, 9.0 / 25.0)
             assert level == self.brute_scan(pops, params, 9.0 / 25.0)
             levels.append(level)
@@ -424,7 +424,7 @@ class TestExactSelection:
         pops = paired_from_counts(rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam), 10)
         table = winner_table(pops, fig_params)
         assert table.sum() == lam**4
-        pred_slots, prey_slots = _select_slots(pops, game, rng, draws)
+        pred_slots, prey_slots = reference.select_slots(pops, game, rng, draws)
         freq = np.zeros((11, 11))
         np.add.at(freq, (pops.predators.ones[pred_slots], pops.prey.ones[prey_slots]), 1.0 / draws)
         exact = table / lam**4
@@ -462,7 +462,7 @@ class TestExactSelection:
                 rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam), 10)
             region = lambda cx, cy: cx < fig_params.beta_n and cy < fig_params.alpha_n
             exact = float(exact_selection_distribution(pops, fig_params, region))
-            pred_slots, prey_slots = _select_slots(pops, game, rng, draws)
+            pred_slots, prey_slots = reference.select_slots(pops, game, rng, draws)
             cx = pops.predators.ones[pred_slots]
             cy = pops.prey.ones[prey_slots]
             freq = float(((cx < fig_params.beta_n) & (cy < fig_params.alpha_n)).mean())

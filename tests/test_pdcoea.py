@@ -22,7 +22,6 @@ from coevo import (
     singleton_target,
     spawn_stream,
     step_generation,
-    trajectory_row,
 )
 from coevo.core import popcount_rows
 from coevo.harness import paired_from_counts
@@ -31,13 +30,13 @@ from coevo.pdcoea import (
     MAX_N,
     _offspring_cdf,
     _offspring_table,
-    _select_slots,
     _step_rows,
     trajectory_columns,
 )
 
 from bit_reference import initial_bits, reference_hit_generation
 from conftest import count_vector
+from selection_reference import select_slots
 
 
 class FakeRng:
@@ -102,20 +101,20 @@ class TestSelectPair:
         pops = clones(4, 10, 5)
         rng = spawn_stream(31, 0)
         for _ in range(10):
-            pred_slots, prey_slots = _select_slots(pops, game, rng, 1)
+            pred_slots, prey_slots = select_slots(pops, game, rng, 1)
             assert pops.predators.ones[pred_slots[0]] == 4
             assert pops.prey.ones[prey_slots[0]] == 4
 
     def test_forced_draws_first_pair_dominates(self, fig_params, game):
         # slots: predators (7, 8) ones, prey (2, 3) ones; (7,2) dominates (8,3)
         pops = paired_from_counts([7, 8], [2, 3], 10)
-        pred_slots, prey_slots = _select_slots(pops, game, FakeRng([[0, 0, 1, 1]]), 1)
+        pred_slots, prey_slots = select_slots(pops, game, FakeRng([[0, 0, 1, 1]]), 1)
         assert (pops.predators.ones[pred_slots[0]], pops.prey.ones[prey_slots[0]]) == (7, 2)
 
     def test_forced_draws_dominance_fails_second_wins(self, fig_params, game):
         # (7,2) does not dominate (8,1): the second pair wins the tie rule
         pops = paired_from_counts([7, 8], [2, 1], 10)
-        pred_slots, prey_slots = _select_slots(pops, game, FakeRng([[0, 0, 1, 1]]), 1)
+        pred_slots, prey_slots = select_slots(pops, game, FakeRng([[0, 0, 1, 1]]), 1)
         assert (pops.predators.ones[pred_slots[0]], pops.prey.ones[prey_slots[0]]) == (8, 1)
 
 
@@ -181,7 +180,7 @@ class TestStepGeneration:
         stream = spawn_stream(38, 0)
         child = step_generation(pops, PdcoeaDistribution(game, 1.5), stream)
         rng = spawn_stream(38, 0)
-        pred_slots, prey_slots = _select_slots(pops, game, rng, pops.lam)
+        pred_slots, prey_slots = select_slots(pops, game, rng, pops.lam)
         rows = _offspring_table(10, 1.5).reshape(11, 11) - np.arange(11)[:, None] * _SCALE
         draws = (rng.random(2 * pops.lam) * _SCALE).astype(np.int64)
         parents = list(pops.predators.ones[pred_slots]) + list(pops.prey.ones[prey_slots])
@@ -304,11 +303,10 @@ class TestRunTrial:
 
     def test_record_identical_across_runs(self):
         cfg = self.make_cfg(seed=11, budget_generations=30)
-        rows = lambda pops: trajectory_row(pops, cfg.game)
-        first, second = run_trial(cfg, observer=rows), run_trial(cfg, observer=rows)
-        assert first == second and first.observed
+        first, second = run_trial(cfg, record=True), run_trial(cfg, record=True)
+        assert first == second and np.array_equal(first.counts, second.counts)
         assert first == replace(second, wall_ms=second.wall_ms + 1.0)  # wall_ms not compared
-        assert first != replace(second, observed=second.observed[:-1])
+        assert first == replace(second, counts=None)  # nor counts: np.array_equal does that
         assert run_trial(cfg) == run_trial(cfg)
 
     def test_interactions_multiple_of_lambda(self):
@@ -319,25 +317,54 @@ class TestRunTrial:
 
     def test_trajectory_rows_cover_evaluated_generations(self):
         cfg = self.make_cfg(seed=11, budget_generations=30)
-        record = run_trial(cfg, observer=lambda pops: trajectory_row(pops, cfg.game))
-        expected = record.generations_run + 1 if record.hit else record.generations_run
-        assert len(record.observed) == expected
-        assert [row.generation for row in record.observed] == list(range(expected))
-        assert all(isinstance(row, TrajectoryRow) and len(row) == 10 for row in record.observed)
+        record = run_trial(cfg, record=True)
+        counts = record.counts
+        assert record.hit and counts.dtype == np.int16
+        rows = trajectory_columns(counts[:, 0], counts[:, 1], cfg.game, np.arange(len(counts)))
+        assert list(rows.generation) == list(range(record.generations_run + 1))
+        assert all(len(column) == len(counts) for column in rows)
+
+    @pytest.mark.parametrize("case", ["long-hit", "immediate-hit", "censored"])
+    def test_record_is_the_engine_history(self, case):
+        # a hit after two 64-generation blocks, a hit at t = 0, a censored run
+        cfg = {
+            "long-hit": PdcoeaConfig(lam=8, chi=0.3, seed=1, budget_generations=400,
+                                     game=BilinearParams(n=30, alpha=0.9, beta=0.05,
+                                                         epsilon=0.1)),
+            "immediate-hit": self.make_cfg(
+                game=BilinearParams(n=6, alpha=0.5, beta=1.0, epsilon=0.5), seed=3),
+            "censored": self.make_cfg(
+                game=BilinearParams(n=10, alpha=0.5, beta=0.0, epsilon=0.25),
+                budget_generations=150),
+        }[case]
+        record = run_trial(cfg, record=True)
+        assert record == run_trial(cfg)  # recording changes nothing else
+        assert record.hit == (case != "censored")
+        assert record.counts.shape == (record.generations_run + record.hit, 2, cfg.lam)
+        # row 0 is the uniform start on the trial's stream, row t + 1 one step from row t
+        rng = spawn_stream(cfg.seed, 0)
+        pops = paired_uniform(cfg.lam, cfg.n, rng)
+        dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
+        for state in record.counts:
+            assert np.array_equal(state, [pops.predators.ones, pops.prey.ones])
+            pops = step_generation(pops, dist, rng)
+        # the target holds on the hit generation's row and on no earlier row
+        hits = bilinear_target(cfg.game)(record.counts[:, 0], record.counts[:, 1])
+        assert list(np.flatnonzero(hits)) == ([len(hits) - 1] if record.hit else [])
 
     def test_trajectory_row_values(self):
         # beta*n = 1 and alpha*n = 9: the edges themselves are outside R0 and inside S0
         game = BilinearParams(n=10, alpha=0.9, beta=0.1, epsilon=0.2)
-        pops = paired_from_counts([0, 1, 5, 10], [9, 3, 8, 10], 10)
-        assert trajectory_row(pops, game) == TrajectoryRow(
+        cx, cy = np.array([0, 1, 5, 10]), np.array([9, 3, 8, 10])
+        assert trajectory_columns(cx, cy, game, 0) == TrajectoryRow(
             generation=0, pred_mean=4.0, pred_min=0, pred_max=10, prey_mean=7.5,
             prey_min=3, prey_max=10, prey_in_s0=2, p0=0.25, q0=0.5)
 
     @pytest.mark.parametrize("lam", [1, 4, 100])
     @pytest.mark.parametrize("generations", [1, 33])
     def test_trajectory_columns_match_each_row(self, lam, generations):
-        # a block of states, one per row, gives each state's trajectory_row;
-        # each row also matches its statistics in Python integer arithmetic
+        # a block of states, one per row, gives each state's own statistics,
+        # which match their values in Python integer arithmetic
         game = BilinearParams(n=10, alpha=0.9, beta=0.1, epsilon=0.2)
         rng = spawn_stream(58, 0)
         cx, cy = rng.integers(0, 11, size=(2, generations, lam))
@@ -346,28 +373,16 @@ class TestRunTrial:
                                        np.arange(generations))
             assert all(len(column) == generations for column in block)
             for t in range(generations):
-                pops = PairedPopulations(Population(10, cx[t]), Population(10, cy[t]), t)
-                row = trajectory_row(pops, game)
-                assert TrajectoryRow._make(column[t] for column in block) == row
+                row = TrajectoryRow._make(column[t] for column in block)
+                assert row == trajectory_columns(cx[t].astype(dtype), cy[t].astype(dtype), game, t)
                 xs, ys = cx[t].tolist(), cy[t].tolist()
                 in_s0 = sum(y >= 9 for y in ys)
-                expected = (t, sum(xs) / lam, min(xs), max(xs), sum(ys) / lam, min(ys), max(ys),
-                            in_s0, sum(x < 1 for x in xs) / lam, in_s0 / lam)
-                assert row == expected
-                assert [type(v) for v in row] == [type(v) for v in expected]
+                assert row == (t, sum(xs) / lam, min(xs), max(xs), sum(ys) / lam, min(ys),
+                               max(ys), in_s0, sum(x < 1 for x in xs) / lam, in_s0 / lam)
 
     def test_trajectory_disabled(self):
-        # without an observer nothing is recorded
-        assert run_trial(self.make_cfg()).observed is None
-
-    def test_observer_collects_per_generation(self):
-        never = BilinearParams(n=10, alpha=0.5, beta=0.0, epsilon=0.25)  # R0 empty
-        hit = run_trial(self.make_cfg(seed=11, budget_generations=30),
-                        observer=lambda pops: pops.generation)
-        censored = run_trial(self.make_cfg(game=never, budget_generations=3),
-                             observer=lambda pops: pops.generation)
-        assert hit.hit and hit.observed == tuple(range(hit.generations_run + 1))
-        assert not censored.hit and censored.observed == (0, 1, 2)
+        # without record nothing is recorded
+        assert run_trial(self.make_cfg()).counts is None
 
     def test_singleton_target_run(self):
         game = BilinearParams(n=8, alpha=1.0, beta=0.125, epsilon=0.125)
