@@ -29,8 +29,6 @@ from coevo import (
     recipe_mutation_rate,
     validate_level_function,
 )
-from coevo.harness import paired_from_counts
-
 params = BilinearParams(n=20, alpha=0.9, beta=0.05, epsilon=0.1)
 seq = build_bilinear_levels(params)
 print(f"level sequence for n={params.n}: {seq.m1} descent levels + {seq.m2} ascent levels "
@@ -52,18 +50,17 @@ print(f"  hit after {record.generations_run} generations "
       f"(final observed level {levels[-1]} of {seq.m})")
 
 print("\nexact selection distribution on a 4-member toy state:")
-pops = paired_from_counts([0, 1, 16, 19], [2, 3, 17, 18], 20)
-stats = fraction_stats(pops, k=0, l=0, params=params)
+pred, prey = [0, 1, 16, 19], [2, 3, 17, 18]
+stats = fraction_stats(pred, prey, k=0, l=0, params=params)
 print(f"  p0={stats.p0} (predators below beta*n), q0={stats.q0} (prey at alpha*n or above)")
-prob = exact_selection_distribution(pops, params, lambda cx, cy: cx < params.beta_n)
+prob = exact_selection_distribution(pred, prey, params, lambda cx, cy: cx < params.beta_n)
 print(f"  P(selected predator lands below beta*n) = {prob} = {float(prob):.4f}")
 print("  (counts the lambda^4 = 256 equally likely draw outcomes in closed form,\n"
       "   from the two one-count histograms alone)")
 
 print("\none selection growth inequality, checked exactly (case 17):")
 small = BilinearParams(n=10, alpha=0.4, beta=0.6, epsilon=0.1)
-pops10 = paired_from_counts((2, 2, 2, 7, 7, 7), (3, 3, 2, 1, 1, 0), 10)
-report = check_growth_lemmas(17, pops10, small, l=2)
+report = check_growth_lemmas(17, [2, 2, 2, 7, 7, 7], [3, 3, 2, 1, 1, 0], small, l=2)
 print(f"  measured sel/unif ratio over R0: {report.ratio} = {float(report.ratio):.4f}")
 print(f"  guaranteed lower bound:          {report.bound} = {float(report.bound):.4f}")
 print(f"  holds: {report.passed}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BitVector, PairedPopulations, ones
+from .core import BitVector, ones
 
 
 def _snap(x: float) -> float:
@@ -199,14 +199,31 @@ def classify_prey(y: BitVector, l: int, params: BilinearParams) -> Region:
     return Region("S2", l)
 
 
-def target_hit(pops: PairedPopulations, params: BilinearParams) -> bool:
-    """Some predator in R0 and some prey in S1((alpha-epsilon)*n).
+def _one_counts(cx, cy, n: int):
+    """The predators' and the prey's one-counts of one state as int64 arrays.
+
+    The two sides must be non-empty, 1-d and equally long, and every count a
+    whole number in [0, n]; anything else raises a `ValueError` naming n.
+    """
+    sides = [np.asarray(cx), np.asarray(cy)]
+    if sides[0].ndim != 1 or sides[0].shape != sides[1].shape or not sides[0].size:
+        raise ValueError(f"one-counts for n = {n} must be two non-empty 1-d sides of equal "
+                         f"length, got {sides[0].tolist()} and {sides[1].tolist()}")
+    exact = [side.astype(np.int64) for side in sides]
+    for given, ints in zip(sides, exact):
+        if ((ints != given) | (ints < 0) | (ints > n)).any():
+            raise ValueError(f"one-counts must be whole numbers in [0, n] = [0, {n}], "
+                             f"got {given.tolist()}")
+    return exact
+
+
+def target_hit(cx, cy, params: BilinearParams) -> bool:
+    """Some predator in R0 and some prey in S1((alpha-epsilon)*n), for the
+    predators' and the prey's one-counts of one state.
 
     This is the epsilon-approximation of the saddle; O(lambda) on one-counts.
     """
-    if pops.n != params.n:
-        raise ValueError(f"population n={pops.n} does not match game n={params.n}")
-    return bool(bilinear_target(params)(pops.predators.ones, pops.prey.ones))
+    return bool(bilinear_target(params)(*_one_counts(cx, cy, params.n)))
 
 
 def bilinear_target(params: BilinearParams):

@@ -118,8 +118,8 @@ class Population:
     The state is the read-only int64 vector of per-member one-counts, which
     is all the bilinear game and the shipped targets depend on.  An int64
     array is taken over without a copy and made read-only.  Counts are
-    stored as given: callers that take counts from outside the program
-    check them first (`harness.paired_from_counts`).
+    stored as given; the exact oracles of `levels` and `bilinear.target_hit`
+    take one-count arrays from outside the program and check those instead.
     """
 
     __slots__ = ("ones", "n", "lam")

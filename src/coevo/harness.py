@@ -14,12 +14,12 @@ wall_ms column is the only field exempt from determinism.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product, repeat
@@ -416,25 +416,6 @@ def _budget_for(cell: Cell, spec: ExperimentSpec, cell_index: int) -> int:
     return generations
 
 
-def _plan_units(spec: ExperimentSpec) -> list[tuple]:
-    """Every (cell, trial, seed, budget) unit of a run experiment.
-
-    Every cell's config is built (and so validated) before the first pilot
-    runs, and every cell's budget is resolved before the first trial runs.
-    Unit (cell_index, trial) gets seed derive_seed(master_seed, unit_index)
-    with unit_index = cell_index * trials + trial.
-    """
-    cells = resolve_cells(spec)
-    for cell in cells:
-        _cell_config(cell, spec, 0, 1)
-    budgets = [_budget_for(cell, spec, ci) for ci, cell in enumerate(cells)]
-    return [
-        (cell, trial, derive_seed(spec.master_seed, ci * spec.trials + trial), budget)
-        for ci, (cell, budget) in enumerate(zip(cells, budgets))
-        for trial in range(spec.trials)
-    ]
-
-
 def _result_row(spec: ExperimentSpec, cell: Cell, trial: int, record) -> dict:
     return {
         "kind": spec.kind, **cell.columns(), "delta": cell.delta, "trial": trial,
@@ -452,14 +433,28 @@ def _run_unit(args):
 def _run_units(spec: ExperimentSpec, workers: int):
     """Yield (cell, trial, record) for every unit of `spec`, in plan order,
     one at a time; a trajectory experiment's records carry their one-counts.
-    Seeds depend only on the unit index (see `_plan_units`), so the records
-    are the same for any worker count and any scheduling order."""
-    units = [(spec, *unit) for unit in _plan_units(spec)]
+
+    Every cell's config is built (and so validated) before the first pilot
+    runs, and every cell's budget is resolved before the first trial runs;
+    with several workers, each cell's budget (its pilot batch) is pool work
+    too.  Unit (cell_index, trial) gets seed derive_seed(master_seed,
+    cell_index * trials + trial), so the records are the same for any
+    worker count and any scheduling order.
+    """
+    cells = resolve_cells(spec)
+    for cell in cells:
+        _cell_config(cell, spec, 0, 1)
+    pool = contextlib.nullcontext()
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_run_unit, units, chunksize=1)
-    else:
-        yield from map(_run_unit, units)
+        from concurrent.futures import ProcessPoolExecutor  # imported only when a pool runs
+        pool = ProcessPoolExecutor(max_workers=workers)
+    with pool:
+        run = pool.map if workers > 1 else map
+        budgets = list(run(_budget_for, cells, repeat(spec), range(len(cells))))
+        yield from run(_run_unit, [
+            (spec, cell, trial, derive_seed(spec.master_seed, ci * spec.trials + trial), budget)
+            for ci, (cell, budget) in enumerate(zip(cells, budgets))
+            for trial in range(spec.trials)])
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
@@ -642,23 +637,6 @@ def emit_plot_data(in_csv: str, out_csv: str) -> str:
 # Check suites
 # ---------------------------------------------------------------------------
 
-def paired_from_counts(pred_counts, prey_counts, n: int) -> PairedPopulations:
-    """Predator and prey populations with the given one-counts.
-
-    Every count must be a whole number in [0, n]; anything else raises a
-    `ValueError` naming n.
-    """
-    sides = []
-    for counts in (pred_counts, prey_counts):
-        given = np.asarray(counts)
-        exact = given.astype(np.int64)
-        if ((exact != given) | (exact < 0) | (exact > n)).any():
-            raise ValueError(f"one-counts must be whole numbers in [0, n] = [0, {n}], "
-                             f"got {given.tolist()}")
-        sides.append(Population(n, exact))
-    return PairedPopulations(*sides)
-
-
 DOMINANCE_CHECK_GAMES = ((0.4, 0.6), (0.9, 0.05), (0.0, 1.0))
 
 # Hypothesis-satisfying one-count populations for the exact growth checks
@@ -742,8 +720,8 @@ def check_half_probabilities(seed: int = theory.DEFAULT_CHECK_SEED) -> CheckResu
     violations = 0
     evaluated = 0
     for _ in range(100):
-        pops = paired_from_counts(rng.integers(0, 11, size=6), rng.integers(0, 11, size=6), 10)
-        for prob in half_prob_conditionals(pops, params):
+        cx, cy = rng.integers(0, 11, size=6), rng.integers(0, 11, size=6)
+        for prob in half_prob_conditionals(cx, cy, params):
             if prob is None:
                 continue
             evaluated += 1
@@ -759,9 +737,8 @@ def check_growth_suite() -> CheckResult:
     lines = []
     ok = True
     for case, cfg in sorted(GROWTH_CHECK_CONFIGS.items()):
-        pops = paired_from_counts(cfg["pred"], cfg["prey"], 10)
         report = check_growth_lemmas(
-            case, pops, params, k=cfg["k"], l=cfg["l"],
+            case, cfg["pred"], cfg["prey"], params, k=cfg["k"], l=cfg["l"],
             delta1=cfg.get("delta1"), rho=cfg.get("rho"),
         )
         good = report.hypotheses_met and report.passed
@@ -826,12 +803,12 @@ def check_product_space(seed: int = theory.DEFAULT_CHECK_SEED) -> CheckResult:
     """
     n, lam, reps = 10, 20, 4000
     params = BilinearParams(n=n, alpha=0.4, beta=0.6, epsilon=0.1)
-    pops = paired_from_counts([2] * 10 + [7] * 10, [3] * 7 + [2] * 6 + [1] * 4 + [0] * 3, n)
+    cx, cy = np.repeat([2, 7], 10), np.repeat([3, 2, 1, 0], [7, 6, 4, 3])
     in_a = lambda c: c < params.beta_n          # predators in R0
     in_b = lambda c: c < 2                       # prey below 2 ones
-    p = _psel_counts(pops, params, pred_x=in_a)
-    q = _psel_counts(pops, params, pred_y=in_b)
-    p11 = _psel_counts(pops, params, pred_x=in_a, pred_y=in_b)  # both in A and in B
+    p = _psel_counts(cx, cy, params, pred_x=in_a)
+    q = _psel_counts(cx, cy, params, pred_y=in_b)
+    p11 = _psel_counts(cx, cy, params, pred_x=in_a, pred_y=in_b)  # both in A and in B
     law = theory.occupancy_law(np.array([[1 - p - q + p11, q - p11], [p - p11, p11]], float), lam)
     z_vals = np.outer(np.arange(lam + 1), np.arange(lam + 1))
     delta, delta1, z = 0.2, 0.1, float(p * q)
@@ -846,6 +823,7 @@ def check_product_space(seed: int = theory.DEFAULT_CHECK_SEED) -> CheckResult:
     ok = (mean_z >= bound1 - slack and mgf <= bound2 + slack and tail <= bound3 + slack
           and inv_r < bound4)
 
+    pops = PairedPopulations(Population(n, cx), Population(n, cy))
     dist = PdcoeaDistribution(BilinearGame(params), chi=0.0)
     rng = spawn_stream(seed, 2)
     pred, prey = np.empty((2, reps, lam), dtype=np.int64)

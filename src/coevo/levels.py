@@ -22,8 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bilinear import BilinearParams
-from .core import PairedPopulations
+from .bilinear import BilinearParams, _one_counts
 
 # ---------------------------------------------------------------------------
 # Level sequences
@@ -150,16 +149,14 @@ class FractionStats:
     lam: int
 
 
-def fraction_stats(pops: PairedPopulations, k: int, l: int,
-                   params: BilinearParams) -> FractionStats:
+def fraction_stats(cx, cy, k: int, l: int, params: BilinearParams) -> FractionStats:
     n = params.n
     if not 0 <= k <= (1.0 - params.beta) * n + 1e-9:
         raise ValueError(f"k={k} outside [0, (1-beta)n]")
     if not 0 <= l < params.alpha_n:
         raise ValueError(f"l={l} outside [0, alpha*n)")
-    cx = pops.predators.ones
-    cy = pops.prey.ones
-    lam = pops.lam
+    cx, cy = _one_counts(cx, cy, n)
+    lam = cx.size
     return FractionStats(
         p0=Fraction(int((cx < params.beta_n).sum()), lam),
         p_k=Fraction(int(((cx >= params.beta_n) & (cx < n - k)).sum()), lam),
@@ -199,17 +196,19 @@ def _class_pairs(ones: np.ndarray, n: int, pivot: float):
     return sign, hist[:, None] * table.reshape(n + 1, 9)
 
 
-def winner_table(pops: PairedPopulations, params: BilinearParams) -> np.ndarray:
+def winner_table(cx, cy, params: BilinearParams) -> np.ndarray:
     """Exact winner law of one selection as an (n+1, n+1) int64 table.
 
+    cx and cy are the predators' and the prey's one-counts of one state.
     Entry [a, b] counts the draws, out of lambda^4, won by one-counts (a, b):
     hx[a] * hy[b] * (A + lambda^2 - B), with A the pairs that (a, b)
     dominates as first draw (a predator count times a prey count, since each
     condition involves one side) and B the pairs that dominate it as second
     (the sign-class contraction).  Every intermediate stays within lambda^4.
     """
-    x_sign, px = _class_pairs(pops.predators.ones, pops.n, params.beta_n)
-    y_sign, py = _class_pairs(pops.prey.ones, pops.n, params.alpha_n)
+    cx, cy = _one_counts(cx, cy, params.n)
+    x_sign, px = _class_pairs(cx, params.n, params.beta_n)
+    y_sign, py = _class_pairs(cy, params.n, params.alpha_n)
     # pairs (c, a) with sign(b - alpha*n) * sign(a - c) >= 0, by that first sign
     beaten_x = px.reshape(-1, 3, 3).sum(axis=1) @ (np.outer(_SIGNS, _SIGNS) <= 0)
     # pairs (d, b) with sign(a - beta*n) * sign(d - b) >= 0, by that first sign
@@ -218,37 +217,37 @@ def winner_table(pops: PairedPopulations, params: BilinearParams) -> np.ndarray:
     return wins + np.outer(px.sum(axis=1), py.sum(axis=1))  # (lambda hx) (lambda hy)
 
 
-def exact_selection_distribution(pops: PairedPopulations, params: BilinearParams,
-                                 member) -> Fraction:
+def exact_selection_distribution(cx, cy, params: BilinearParams, member) -> Fraction:
     """Exact probability that one pairwise-dominance selection lands in a set.
 
-    `member(cx, cy)` decides membership of a (predator, prey) pair from
+    `member(a, b)` decides membership of a (predator, prey) pair from
     their one-counts; the result is an exact rational read off `winner_table`.
     """
-    table = winner_table(pops, params)
-    xs = np.unique(pops.predators.ones).tolist()
-    ys = np.unique(pops.prey.ones).tolist()
+    cx, cy = _one_counts(cx, cy, params.n)
+    table = winner_table(cx, cy, params)
+    xs = np.unique(cx).tolist()
+    ys = np.unique(cy).tolist()
     inside = np.array([[bool(member(a, b)) for b in ys] for a in xs])
-    return Fraction(int(table[np.ix_(xs, ys)][inside].sum()), pops.lam**4)
+    return Fraction(int(table[np.ix_(xs, ys)][inside].sum()), cx.size**4)
 
 
-def selection_slot_rates(pops: PairedPopulations, params: BilinearParams):
+def selection_slot_rates(cx, cy, params: BilinearParams):
     """Exact per-slot selection probabilities (predator slots, prey slots).
 
     A slot's rate is its count's `winner_table` marginal over the count's
     multiplicity.  The per-generation reproductive rate of slot i is lambda
     times its entry.
     """
-    table = winner_table(pops, params)
+    cx, cy = _one_counts(cx, cy, params.n)
+    table = winner_table(cx, cy, params)
     rates = []
-    for ones, marginal in ((pops.predators.ones, table.sum(axis=1)),
-                           (pops.prey.ones, table.sum(axis=0))):
+    for ones, marginal in ((cx, table.sum(axis=1)), (cy, table.sum(axis=0))):
         share = marginal // np.bincount(ones, minlength=marginal.size).clip(1)
-        rates.append(tuple(Fraction(int(c), pops.lam**4) for c in share[ones]))
+        rates.append(tuple(Fraction(int(c), ones.size**4) for c in share[ones]))
     return tuple(rates)
 
 
-def half_prob_conditionals(pops: PairedPopulations, params: BilinearParams):
+def half_prob_conditionals(cx, cy, params: BilinearParams):
     """The four conditional dominance probabilities, exactly.
 
     Conditions on the two uniform draws (x1, y1), (x2, y2):
@@ -265,8 +264,9 @@ def half_prob_conditionals(pops: PairedPopulations, params: BilinearParams):
     given the condition), with None where the conditioning event is null.
     Each non-null entry is at least 1/2.
     """
-    x_sign, px = _class_pairs(pops.predators.ones, pops.n, params.beta_n)
-    y_sign, py = _class_pairs(pops.prey.ones, pops.n, params.alpha_n)
+    cx, cy = _one_counts(cx, cy, params.n)
+    x_sign, px = _class_pairs(cx, params.n, params.beta_n)
+    y_sign, py = _class_pairs(cy, params.n, params.alpha_n)
     events = (
         (px[x_sign > 0].sum(0) * (_PIVOT_SIGN > 0), py.sum(0) * (_REF_SIGN <= 0)),
         (px[x_sign < 0].sum(0) * (_PIVOT_SIGN < 0), py.sum(0) * (_REF_SIGN >= 0)),
@@ -296,19 +296,19 @@ class GrowthLemmaReport:
     passed: bool | None = None
 
 
-def _psel_counts(pops, params, pred_x=None, pred_y=None) -> Fraction:
+def _psel_counts(cx, cy, params, pred_x=None, pred_y=None) -> Fraction:
     """Exact selection probability of a region product given by vectorised
     one-count predicates (None admits every count)."""
-    table = winner_table(pops, params)
-    counts = np.arange(pops.n + 1)
+    table = winner_table(cx, cy, params)
+    counts = np.arange(params.n + 1)
     if pred_x is not None:
         table = table[pred_x(counts)]
     if pred_y is not None:
         table = table[:, pred_y(counts)]
-    return Fraction(int(table.sum()), pops.lam**4)
+    return Fraction(int(table.sum()), len(cx)**4)
 
 
-def check_growth_lemmas(case: int, pops: PairedPopulations, params: BilinearParams,
+def check_growth_lemmas(case: int, cx, cy, params: BilinearParams,
                         k: int = 0, l: int = 0, delta1=None, rho=None) -> GrowthLemmaReport:
     """Exact check of one selection growth inequality (cases 15 through 19).
 
@@ -324,7 +324,7 @@ def check_growth_lemmas(case: int, pops: PairedPopulations, params: BilinearPara
     """
     if case not in (15, 16, 17, 18, 19):
         raise ValueError(f"unknown growth case {case}")
-    stats = fraction_stats(pops, k, l, params)
+    stats = fraction_stats(cx, cy, k, l, params)
     p0, p, q0, q = stats.p0, stats.p_k, stats.q0, stats.q_l
     bn, an = params.beta_n, params.alpha_n
     n = params.n
@@ -334,10 +334,10 @@ def check_growth_lemmas(case: int, pops: PairedPopulations, params: BilinearPara
     in_r01 = lambda c: c < n - k
 
     def ratio_r0():
-        return _psel_counts(pops, params, pred_x=in_r0) / p0
+        return _psel_counts(cx, cy, params, pred_x=in_r0) / p0
 
     def ratio_s1():
-        return _psel_counts(pops, params, pred_y=in_s1) / q
+        return _psel_counts(cx, cy, params, pred_y=in_s1) / q
 
     if case == 15:
         d1 = Fraction(delta1)
@@ -373,7 +373,7 @@ def check_growth_lemmas(case: int, pops: PairedPopulations, params: BilinearPara
             return GrowthLemmaReport(19, False, f"needs q0 <= sqrt(2(1-rho))-1, got q0={q0}")
         if p0 + p == 0:
             return GrowthLemmaReport(19, False, "needs p0 + p(k) > 0")
-        ratio = _psel_counts(pops, params, pred_x=in_r01) / (p0 + p)
+        ratio = _psel_counts(cx, cy, params, pred_x=in_r01) / (p0 + p)
         bound = 1 + r * (1 - p - p0)
 
     return GrowthLemmaReport(case, True, "", ratio=ratio, bound=bound, passed=ratio >= bound)

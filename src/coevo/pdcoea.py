@@ -120,7 +120,7 @@ def _mutate_counts(counts: np.ndarray, uniforms: np.ndarray, n: int, chi: float)
     on [0, _SCALE).
     """
     keys = counts * _SCALE + (uniforms * _SCALE).astype(np.int64)
-    return np.searchsorted(_offspring_table(n, chi), keys, side="right") % (n + 1)
+    return _offspring_table(n, chi).searchsorted(keys, side="right") % (n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from coevo import BilinearParams, BitVector
-from coevo.harness import paired_from_counts
+from coevo import BilinearParams, BitVector, PairedPopulations, Population
 
 
 @pytest.fixture
@@ -18,4 +17,9 @@ def count_vector(c, n):
     return BitVector.from_bits(bits)
 
 
-__all__ = ["count_vector", "paired_from_counts"]
+def paired(pred, prey, n):
+    """An engine state with the given one-counts, unchecked."""
+    return PairedPopulations(Population(n, pred), Population(n, prey))
+
+
+__all__ = ["count_vector", "paired"]

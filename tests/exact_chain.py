@@ -23,7 +23,6 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from coevo.harness import paired_from_counts
 from coevo.levels import winner_table
 from coevo.pdcoea import _offspring_cdf
 
@@ -34,15 +33,15 @@ def _mutation_law(n: int, chi: float) -> np.ndarray:
     return np.diff(_offspring_cdf(n, chi), axis=1, prepend=0.0)
 
 
-def offspring_pair_law(pops, params, chi):
+def offspring_pair_law(cx, cy, params, chi):
     """(n+1, n+1) law of one offspring pair's (predator, prey) one-counts."""
-    mutation = _mutation_law(pops.n, chi)
-    return mutation.T @ winner_table(pops, params) @ mutation / pops.lam**4
+    mutation = _mutation_law(params.n, chi)
+    return mutation.T @ winner_table(cx, cy, params) @ mutation / len(cx)**4
 
 
-def _state(sides, s: int, n: int):
-    """The populations of state s = pred * len(sides) + prey."""
-    return paired_from_counts(sides[s // len(sides)], sides[s % len(sides)], n)
+def _state(sides, s: int):
+    """The one-counts (predators, prey) of state s = pred * len(sides) + prey."""
+    return sides[s // len(sides)], sides[s % len(sides)]
 
 
 def _orderings(multiset) -> int:
@@ -100,7 +99,7 @@ def build_chain(params, lam: int, chi: float) -> ExactChain:
     columns = np.array(draws).T
     transition = np.empty((h * h, h * h))
     for s in range(h * h):
-        law = offspring_pair_law(_state(sides, s, n), params, chi)
+        law = offspring_pair_law(*_state(sides, s), params, chi)
         probs = functools.reduce(np.multiply, law.ravel()[columns], weight)
         transition[s] = np.bincount(dest, weights=probs, minlength=h * h)
     binomial = np.array([math.comb(n, c) for c in range(n + 1)]) / 2.0**n

@@ -1,7 +1,8 @@
 """Exact selection by enumerating all lambda^4 draws: the slow reference side
 of the closed-form selection law's equivalence tests, plus `select_slots`,
 the engine's selection step on its own for Monte-Carlo tests.  Nothing
-outside the tests uses it.
+outside the tests uses it.  The reference laws take the predators' and the
+prey's one-count arrays of one state, as the closed forms do.
 
 Every ordered draw (i1, k1, i2, k2) of predator and prey slots is equally
 likely; the engine's own tie rule (`_winner_mask`, the second pair wins when
@@ -29,45 +30,44 @@ def draw_grid(lam):
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def enumerate_winners(pops, params):
+def enumerate_winners(cx, cy, params):
     """Winning (predator slot, prey slot) of every draw."""
-    idx = draw_grid(pops.lam)
-    win1 = _winner_mask(pops.predators.ones, pops.prey.ones, BilinearGame(params), idx)
+    idx = draw_grid(len(cx))
+    win1 = _winner_mask(cx, cy, BilinearGame(params), idx)
     return np.where(win1, idx[:, 0], idx[:, 2]), np.where(win1, idx[:, 1], idx[:, 3])
 
 
-def winner_table(pops, params):
+def winner_table(cx, cy, params):
     """Draws (out of lambda^4) won by each (predator count, prey count)."""
-    pred_slots, prey_slots = enumerate_winners(pops, params)
-    table = np.zeros((pops.n + 1, pops.n + 1), dtype=np.int64)
-    np.add.at(table, (pops.predators.ones[pred_slots], pops.prey.ones[prey_slots]), 1)
+    pred_slots, prey_slots = enumerate_winners(cx, cy, params)
+    table = np.zeros((params.n + 1, params.n + 1), dtype=np.int64)
+    np.add.at(table, (cx[pred_slots], cy[prey_slots]), 1)
     return table
 
 
-def slot_rates(pops, params):
+def slot_rates(cx, cy, params):
     """Per-slot selection probabilities, predators then prey."""
-    pred_slots, prey_slots = enumerate_winners(pops, params)
-    total = pops.lam**4
-    return tuple(tuple(Fraction(int(c), total) for c in np.bincount(slots, minlength=pops.lam))
+    pred_slots, prey_slots = enumerate_winners(cx, cy, params)
+    lam = len(cx)
+    return tuple(tuple(Fraction(int(c), lam**4) for c in np.bincount(slots, minlength=lam))
                  for slots in (pred_slots, prey_slots))
 
 
-def region_probability(pops, params, pred_x=None, pred_y=None):
+def region_probability(cx, cy, params, pred_x=None, pred_y=None):
     """Probability that the winner's counts satisfy both vectorised predicates."""
-    pred_slots, prey_slots = enumerate_winners(pops, params)
+    pred_slots, prey_slots = enumerate_winners(cx, cy, params)
     ok = np.ones(pred_slots.shape, dtype=bool)
     if pred_x is not None:
-        ok &= pred_x(pops.predators.ones[pred_slots])
+        ok &= pred_x(cx[pred_slots])
     if pred_y is not None:
-        ok &= pred_y(pops.prey.ones[prey_slots])
-    return Fraction(int(ok.sum()), pops.lam**4)
+        ok &= pred_y(cy[prey_slots])
+    return Fraction(int(ok.sum()), len(cx)**4)
 
 
-def half_prob_conditionals(pops, params):
+def half_prob_conditionals(cx, cy, params):
     """The four conditional dominance probabilities of `coevo.levels`, by
     counting the dominating draws inside each conditioning event."""
-    idx = draw_grid(pops.lam)
-    cx, cy = pops.predators.ones, pops.prey.ones
+    idx = draw_grid(len(cx))
     cx1, cy1, cx2, cy2 = cx[idx[:, 0]], cy[idx[:, 1]], cx[idx[:, 2]], cy[idx[:, 3]]
     dom = BilinearGame(params).dominates_counts(cx1, cy1, cx2, cy2)
     bn, an = params.beta_n, params.alpha_n

@@ -39,7 +39,6 @@ from coevo.harness import (
     check_dominance_equivalence,
     check_growth_suite,
     check_half_probabilities,
-    paired_from_counts,
     pilot_budget,
     resolve_cells,
     run_experiment,
@@ -47,7 +46,7 @@ from coevo.harness import (
 from coevo.pdcoea import singleton_target, trajectory_columns
 from coevo.theory import check_exp_lower_bound, check_product_mgf, check_sqrt_bound
 
-from conftest import count_vector
+from conftest import count_vector, paired
 from selection_reference import select_slots
 
 
@@ -125,11 +124,12 @@ def test_criterion_05_selection_distribution_monte_carlo():
             lam = int(rng.integers(2, 7))
             params = BilinearParams(n=n, alpha=0.4, beta=0.6, epsilon=1.0 / n)
             game = BilinearGame(params)
-            pops = paired_from_counts(
+            pops = paired(
                 rng.integers(0, n + 1, size=lam), rng.integers(0, n + 1, size=lam), n)
             l = int(rng.integers(0, max(1, math.floor(params.alpha_n))))
             member = lambda cx, cy: cx < params.beta_n and l <= cy < params.alpha_n
-            exact = float(exact_selection_distribution(pops, params, member))
+            exact = float(exact_selection_distribution(pops.predators.ones, pops.prey.ones,
+                                                       params, member))
             pred_slots, prey_slots = select_slots(pops, game, rng, draws)
             cx = pops.predators.ones[pred_slots]
             cy = pops.prey.ones[prey_slots]

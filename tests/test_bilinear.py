@@ -22,7 +22,6 @@ from coevo import (
     worst_case_f,
 )
 from coevo.bilinear import _dominates_by_payoffs
-from coevo.harness import paired_from_counts
 
 from conftest import count_vector
 
@@ -300,19 +299,16 @@ class TestRegions:
 
 class TestTarget:
     def test_all_ones_predators_never_hit(self, fig_params):
-        pops = paired_from_counts([10, 10, 10], [4, 4, 4], 10)
-        assert not target_hit(pops, fig_params)
+        assert not target_hit([10, 10, 10], [4, 4, 4], fig_params)
 
     def test_zero_predator_plus_band_prey_hits(self):
         params = BilinearParams(n=10, alpha=0.4, beta=0.6, epsilon=0.1)
         # ceil((alpha-epsilon)*n) = 3 < alpha*n = 4
-        pops = paired_from_counts([0, 9, 9], [3, 10, 10], 10)
-        assert target_hit(pops, params)
+        assert target_hit([0, 9, 9], [3, 10, 10], params)
 
     def test_empty_r0_when_beta_zero(self):
         params = BilinearParams(n=10, alpha=0.5, beta=0.0, epsilon=0.25)
-        pops = paired_from_counts([0], [3], 10)
-        assert not target_hit(pops, params)
+        assert not target_hit([0], [3], params)
 
 
 class TestIntransitivity:

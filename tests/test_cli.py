@@ -327,6 +327,28 @@ class TestSweepAndPlots:
                               for name in ("tr.aggregates.json", "tr.series.csv"))))
         assert outputs[0] == outputs[1]
 
+    def test_pilot_budgets_independent_of_worker_count(self, capsys, tmp_path):
+        # two pilot cells: with two workers their pilot batches are pool work.
+        # Their pilots give budgets of 1 and 10 generations, so the rows show
+        # whether each cell ran with its own budget
+        spec = self.write_spec(tmp_path, kind="sweep", n=6, **{"lambda": 3}, chi="1.0,1.2",
+                               alpha=0.5, beta=0.5, epsilon=0.5, trials=8, seed=1,
+                               budget="pilot", out=tmp_path / "pb")
+        outputs = []
+        for workers in ("1", "2"):
+            code, out, err = run_cli(capsys, "sweep", "--config", spec, "--workers", workers)
+            assert code == 0, err
+            csv_text = (tmp_path / "pb.csv").read_text()
+            outputs.append((out, re.sub(r"^([^#].*),[^,\n]*$", r"\1", csv_text, flags=re.M),
+                            (tmp_path / "pb.aggregates.json").read_text()))
+        assert outputs[0] == outputs[1]
+        # (chi, hit, generations): the first cell censors at 1 generation, and
+        # the second has hits that a budget of 1 would have censored
+        rows = [(row[3], row[11], int(row[13])) for row in
+                (line.split(",") for line in outputs[0][1].splitlines()[4:])]
+        assert {gens for chi, hit, gens in rows if chi == "1.0" and hit == "0"} == {1}
+        assert any(chi == "1.2" and hit == "1" and 1 <= gens < 10 for chi, hit, gens in rows)
+
     def test_scaling_command_forces_kind(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path)
         code, out, _ = run_cli(capsys, "scaling", "--config", spec)
@@ -376,6 +398,15 @@ class TestSweepAndPlots:
         code, out, err = run_cli(capsys, "sweep", "--config", spec)
         assert code == 4
         assert err.startswith("error: pilot procedure failed")
+        assert "Traceback" not in err and out == ""
+
+    def test_pilot_failure_in_the_pool_exits_four(self, capsys, tmp_path):
+        # the second cell's beta = 0 empties its target region; its pilots run
+        # as pool work, and their failure still ends the sweep before any trial
+        spec = self.write_spec(tmp_path, n=5, **{"lambda": 2}, beta="0.4,0.0", budget="pilot")
+        code, out, err = run_cli(capsys, "sweep", "--config", spec, "--workers", "2")
+        assert code == 4
+        assert err.startswith("error: pilot procedure failed") and "beta=0.0" in err
         assert "Traceback" not in err and out == ""
 
     @pytest.mark.parametrize("key, value", [

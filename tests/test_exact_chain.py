@@ -13,7 +13,6 @@ import scipy.stats
 
 from coevo import BilinearParams, BitVector, PdcoeaConfig, pdcoea, run_trial
 from coevo.bilinear import bilinear_target
-from coevo.harness import paired_from_counts
 from coevo.levels import winner_table
 from coevo.pdcoea import singleton_target
 
@@ -67,9 +66,9 @@ class TestChain:
         assert small_chain.start.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_offspring_pair_law_without_mutation_is_the_selection_law(self, fig_params):
-        pops = paired_from_counts([0, 3, 3, 9], [2, 5, 7, 10], 10)
-        np.testing.assert_allclose(offspring_pair_law(pops, fig_params, 0.0),
-                                   winner_table(pops, fig_params) / 4**4, atol=1e-15)
+        state = [0, 3, 3, 9], [2, 5, 7, 10]
+        np.testing.assert_allclose(offspring_pair_law(*state, fig_params, 0.0),
+                                   winner_table(*state, fig_params) / 4**4, atol=1e-15)
 
     def test_exact_mean_hit_times(self, small_chain):
         # E[T] in generations, as the first standalone prototype of this chain computed it

@@ -18,7 +18,6 @@ from coevo.harness import (
     experiment_runtime_scaling,
     experiment_trajectory,
     parse_spec_file,
-    paired_from_counts,
     pilot_budget,
     resolve_cells,
     run_checks,
@@ -461,26 +460,6 @@ class TestEmitPlots:
         lines = open(out).read().splitlines()
         assert lines[0].endswith("metric,value")
         assert len(lines) == 1 + 3 * len(table.rows)
-
-
-class TestPopulationsFromCounts:
-    def test_counts_realised(self):
-        pops = paired_from_counts([0, 3, 10], np.array([10, 0, 5]), 10)
-        assert list(pops.predators.ones) == [0, 3, 10]
-        assert list(pops.prey.ones) == [10, 0, 5]
-
-    @pytest.mark.parametrize("bad", [11, -1, 2.5])
-    def test_counts_outside_zero_to_n_rejected(self, bad):
-        # rejected, never clamped or truncated to some other count
-        with pytest.raises(ValueError, match=r"\[0, n\] = \[0, 10\]"):
-            paired_from_counts([bad, 3], [1, 2], 10)
-        with pytest.raises(ValueError, match=r"\[0, n\] = \[0, 10\]"):
-            paired_from_counts([1, 2], [3, bad], 10)
-
-    def test_paired(self):
-        pops = paired_from_counts([1, 2], [3, 4], 8)
-        assert list(pops.predators.ones) == [1, 2]
-        assert list(pops.prey.ones) == [3, 4]
 
 
 class TestCheckRegistry:

@@ -27,11 +27,12 @@ from coevo import (
     target_hit,
     validate_level_function,
 )
-from coevo.core import PairedPopulations, Population, derive_seed
-from coevo.harness import GROWTH_CHECK_CONFIGS, paired_from_counts
+from coevo.core import Population, derive_seed
+from coevo.harness import GROWTH_CHECK_CONFIGS
 from coevo.levels import _psel_counts, winner_table
 
 import selection_reference as reference
+from conftest import paired
 
 
 @pytest.fixture
@@ -39,9 +40,9 @@ def solvable_params():
     return BilinearParams(n=10, alpha=0.9, beta=0.05, epsilon=0.1)
 
 
-def counts(pops):
-    """The predators' and the prey's one-count arrays of a state."""
-    return pops.predators.ones, pops.prey.ones
+def counts(pred, prey):
+    """The predators' and the prey's one-counts of a state as int64 arrays."""
+    return np.asarray(pred, dtype=np.int64), np.asarray(prey, dtype=np.int64)
 
 
 def float_levels(params):
@@ -65,8 +66,8 @@ class TestBuildLevels:
     def test_first_level_is_full_space(self, solvable_params):
         seq = build_bilinear_levels(BilinearParams(n=8, alpha=0.75, beta=0.25, epsilon=0.125))
         assert seq[1] == ((0, 9), (0, 9))
-        pops = paired_from_counts(range(9), range(9), 8)
-        assert level_pair_counts(*counts(pops), seq)[0] == 81
+        state = counts(range(9), range(9))
+        assert level_pair_counts(*state, seq)[0] == 81
 
     @pytest.mark.parametrize("n, alpha, beta, epsilon", [
         (10, 0.9, 0.05, 0.1),      # on the grid but beta*n = 0.5
@@ -92,10 +93,10 @@ class TestBuildLevels:
         seq = build_bilinear_levels(solvable_params)
         rng = spawn_stream(50, 0)
         for _ in range(100):
-            pops = paired_from_counts(
-                rng.integers(0, 11, size=4), rng.integers(0, 11, size=4), 10)
-            last = level_pair_counts(*counts(pops), seq)[-1]
-            assert (last > 0) == target_hit(pops, solvable_params)
+            state = counts(
+                rng.integers(0, 11, size=4), rng.integers(0, 11, size=4))
+            last = level_pair_counts(*state, seq)[-1]
+            assert (last > 0) == target_hit(*state, solvable_params)
 
     def test_level_count_bound(self):
         for n in (8, 10, 20, 50):
@@ -120,32 +121,32 @@ class TestBuildLevels:
 class TestPairsInLevel:
     def test_full_level_counts_all_pairs(self, solvable_params):
         seq = build_bilinear_levels(solvable_params)
-        pops = paired_from_counts([0, 5, 10], [0, 5, 10], 10)
-        assert level_pair_counts(*counts(pops), seq)[0] == 9
+        state = counts([0, 5, 10], [0, 5, 10])
+        assert level_pair_counts(*state, seq)[0] == 9
 
     def test_empty_intersection(self, solvable_params):
         seq = build_bilinear_levels(solvable_params)
-        pops = paired_from_counts([10, 10, 10], [0, 0, 0], 10)  # nobody in R0
-        assert level_pair_counts(*counts(pops), seq)[-1] == 0
+        state = counts([10, 10, 10], [0, 0, 0])  # nobody in R0
+        assert level_pair_counts(*state, seq)[-1] == 0
 
     def test_product_count(self, solvable_params):
         # 2 predators in A x 1 prey in B
         seq = build_bilinear_levels(solvable_params)
         assert seq[seq.m] == ((0, 1), (8, 9))  # R0 x [8, 9)
-        pops = paired_from_counts([0, 0, 9], [8, 0, 0], 10)
-        pairs = level_pair_counts(*counts(pops), seq)
+        state = counts([0, 0, 9], [8, 0, 0])
+        pairs = level_pair_counts(*state, seq)
         assert pairs.dtype == np.int64 and pairs.shape == (seq.m,)
         assert pairs[-1] == 2
 
 
 class TestCurrentLevel:
-    def brute_scan(self, pops, params, gamma0):
+    def brute_scan(self, cx, cy, params, gamma0):
         # independent oracle: per-member float membership, linear scan
         best = 1
         for j, (in_a, in_b) in enumerate(float_levels(params), start=1):
-            count_a = sum(bool(in_a(c)) for c in pops.predators.ones.tolist())
-            count_b = sum(bool(in_b(c)) for c in pops.prey.ones.tolist())
-            if count_a * count_b >= gamma0 * pops.lam**2:
+            count_a = sum(bool(in_a(c)) for c in cx.tolist())
+            count_b = sum(bool(in_b(c)) for c in cy.tolist())
+            if count_a * count_b >= gamma0 * len(cx)**2:
                 best = j
         return best
 
@@ -153,35 +154,35 @@ class TestCurrentLevel:
         seq = build_bilinear_levels(solvable_params)
         rng = spawn_stream(51, 0)
         for _ in range(50):
-            pops = paired_from_counts(
-                rng.integers(0, 11, size=5), rng.integers(0, 11, size=5), 10)
+            state = counts(
+                rng.integers(0, 11, size=5), rng.integers(0, 11, size=5))
             for gamma0 in (0.1, 9.0 / 25.0, 0.99):
-                assert (current_level(*counts(pops), seq, gamma0)
-                        == self.brute_scan(pops, solvable_params, gamma0))
+                assert (current_level(*state, seq, gamma0)
+                        == self.brute_scan(*state, solvable_params, gamma0))
 
     def test_always_defined_and_monotone_in_gamma0(self, solvable_params):
         seq = build_bilinear_levels(solvable_params)
         rng = spawn_stream(52, 0)
         for _ in range(30):
-            pops = paired_from_counts(
-                rng.integers(0, 11, size=4), rng.integers(0, 11, size=4), 10)
-            levels = [current_level(*counts(pops), seq, g) for g in (0.05, 0.2, 9 / 25, 0.7, 0.999)]
+            state = counts(
+                rng.integers(0, 11, size=4), rng.integers(0, 11, size=4))
+            levels = [current_level(*state, seq, g) for g in (0.05, 0.2, 9 / 25, 0.7, 0.999)]
             assert all(l >= 1 for l in levels)
             assert all(a >= b for a, b in zip(levels, levels[1:]))
 
     def test_concentrated_population_reaches_its_level(self, solvable_params):
         seq = build_bilinear_levels(solvable_params)
         # everyone in R0 x [8, 9): the last level holds all pairs
-        pops = paired_from_counts([0, 0, 0], [8, 8, 8], 10)
-        assert current_level(*counts(pops), seq, 9 / 25) == seq.m
+        state = counts([0, 0, 0], [8, 8, 8])
+        assert current_level(*state, seq, 9 / 25) == seq.m
 
     def test_gamma0_validation(self, solvable_params):
         seq = build_bilinear_levels(solvable_params)
-        pops = paired_from_counts([0], [0], 10)
+        state = counts([0], [0])
         with pytest.raises(ValueError):
-            current_level(*counts(pops), seq, 0.0)
+            current_level(*state, seq, 0.0)
         with pytest.raises(ValueError):
-            current_level(*counts(pops), seq, 1.0)
+            current_level(*state, seq, 1.0)
 
     def test_matches_brute_scan_at_desk_scale(self):
         rng = spawn_stream(54, 0)
@@ -199,10 +200,10 @@ class TestCurrentLevel:
                     else:
                         pred = rng.integers(0, n + 1, size=lam)
                         prey = rng.integers(0, n + 1, size=lam)
-                    pops = paired_from_counts(pred, prey, n)
+                    state = counts(pred, prey)
                     for gamma0 in (0.05, 9.0 / 25.0, 0.9):
-                        level = current_level(*counts(pops), seq, gamma0)
-                        assert level == self.brute_scan(pops, params, gamma0)
+                        level = current_level(*state, seq, gamma0)
+                        assert level == self.brute_scan(*state, params, gamma0)
                         reached.add(level)
             assert len(reached) > 2
 
@@ -210,23 +211,22 @@ class TestCurrentLevel:
         # gamma0 * lambda^2 equals the last level's pair count exactly
         seq = build_bilinear_levels(solvable_params)
         for lam, in_a, in_b in ((4, 2, 2), (8, 4, 4), (10, 6, 6), (16, 12, 3)):
-            pops = paired_from_counts([0] * in_a + [10] * (lam - in_a),
-                                      [8] * in_b + [0] * (lam - in_b), 10)
+            state = counts([0] * in_a + [10] * (lam - in_a), [8] * in_b + [0] * (lam - in_b))
             tie = in_a * in_b / lam**2
-            assert tie * lam**2 == level_pair_counts(*counts(pops), seq)[-1]
-            assert (current_level(*counts(pops), seq, tie)
-                    == self.brute_scan(pops, solvable_params, tie) == seq.m)
+            assert tie * lam**2 == level_pair_counts(*state, seq)[-1]
+            assert (current_level(*state, seq, tie)
+                    == self.brute_scan(*state, solvable_params, tie) == seq.m)
             above = float(np.nextafter(tie, 1.0))
-            assert (current_level(*counts(pops), seq, above)
-                    == self.brute_scan(pops, solvable_params, above) < seq.m)
+            assert (current_level(*state, seq, above)
+                    == self.brute_scan(*state, solvable_params, above) < seq.m)
 
     def test_level_sequence_rejects_bad_ranges(self):
         full = [0, 11]
         good = np.array([full, [0, 6], [5, 5]])  # [5, 5) is an empty range
         seq = LevelSequence(10, good, good, m1=2, m2=1)
-        crowded = paired_from_counts([5] * 4, [5] * 4, 10)
-        assert level_pair_counts(*counts(crowded), seq).tolist() == [16, 16, 0]
-        assert current_level(*counts(crowded), seq, 0.5) == 2
+        crowded = counts([5] * 4, [5] * 4)
+        assert level_pair_counts(*crowded, seq).tolist() == [16, 16, 0]
+        assert current_level(*crowded, seq, 0.5) == 2
         for bad in ([full, [-1, 6]],            # lo below 0
                     [full, [0, 12]],            # hi beyond n + 1
                     [full, [7, 2]],             # hi < lo
@@ -258,9 +258,9 @@ class TestCurrentLevel:
         states = record.counts
         levels = []
         for t in [*range(0, len(states), max(1, len(states) // 60)), len(states) - 1]:
-            pops = PairedPopulations(Population(50, states[t, 0]), Population(50, states[t, 1]), t)
-            level = current_level(*counts(pops), seq, 9.0 / 25.0)
-            assert level == self.brute_scan(pops, params, 9.0 / 25.0)
+            state = states[t, 0], states[t, 1]
+            level = current_level(*state, seq, 9.0 / 25.0)
+            assert level == self.brute_scan(*state, params, 9.0 / 25.0)
             levels.append(level)
         assert levels[-1] > seq.m1 and len(set(levels)) > 5  # reached the ascent phase
 
@@ -330,14 +330,14 @@ class TestBlockForm:
         levels = self.assert_rows_match(cx, cy, seq, 9.0 / 25.0)
         # one member pair: its level is the deepest level it lies in
         brute = TestCurrentLevel().brute_scan
-        assert levels.tolist() == [brute(paired_from_counts(x, y, 10), solvable_params, 0.36)
+        assert levels.tolist() == [brute(*counts(x, y), solvable_params, 0.36)
                                    for x, y in zip(cx, cy)]
 
 
 class TestFractionStats:
     def test_all_zero_predators(self, fig_params):
-        pops = paired_from_counts([0, 0, 0, 0], [5, 5, 5, 5], 10)
-        stats = fraction_stats(pops, 0, 0, fig_params)
+        state = counts([0, 0, 0, 0], [5, 5, 5, 5])
+        stats = fraction_stats(*state, 0, 0, fig_params)
         assert stats.p0 == 1
 
     def test_partition_sums_to_one_exactly(self, fig_params):
@@ -345,13 +345,13 @@ class TestFractionStats:
         n = 10
         for _ in range(40):
             lam = int(rng.integers(1, 9))
-            pops = paired_from_counts(
-                rng.integers(0, n + 1, size=lam), rng.integers(0, n + 1, size=lam), n)
+            state = counts(
+                rng.integers(0, n + 1, size=lam), rng.integers(0, n + 1, size=lam))
             for k in (0, 2, 4):
                 for l in (0, 1, 3):
-                    stats = fraction_stats(pops, k, l, fig_params)
-                    r2 = Fraction(int((pops.predators.ones >= n - k).sum()), lam)
-                    s2 = Fraction(int((pops.prey.ones < l).sum()), lam)
+                    stats = fraction_stats(*state, k, l, fig_params)
+                    r2 = Fraction(int((state[0] >= n - k).sum()), lam)
+                    s2 = Fraction(int((state[1] < l).sum()), lam)
                     assert stats.p0 + stats.p_k + r2 == 1
                     assert stats.q0 + stats.q_l + s2 == 1
 
@@ -359,46 +359,45 @@ class TestFractionStats:
         params = BilinearParams(n=100, alpha=0.4, beta=0.6, epsilon=0.1)
         lam = 1000
         rng = spawn_stream(54, 0)
-        pops = PairedPopulations(
-            Population.uniform(lam, 100, rng), Population.uniform(lam, 100, rng))
-        stats = fraction_stats(pops, 0, 0, params)
+        state = Population.uniform(lam, 100, rng).ones, Population.uniform(lam, 100, rng).ones
+        stats = fraction_stats(*state, 0, 0, params)
         expected = float(scipy.stats.binom.sf(39, 100, 0.5))  # P(ones >= 40)
         se = math.sqrt(expected * (1 - expected) / lam)
         assert abs(float(stats.q0) - expected) <= 6 * se
 
     def test_threshold_validation(self, fig_params):
-        pops = paired_from_counts([0], [0], 10)
+        state = counts([0], [0])
         with pytest.raises(ValueError):
-            fraction_stats(pops, 5, 0, fig_params)
+            fraction_stats(*state, 5, 0, fig_params)
         with pytest.raises(ValueError):
-            fraction_stats(pops, 0, 4, fig_params)
+            fraction_stats(*state, 0, 4, fig_params)
 
 
 class TestExactSelection:
     def test_full_space_probability_one(self, fig_params):
-        pops = paired_from_counts([1, 5, 9], [2, 4, 8], 10)
-        prob = exact_selection_distribution(pops, fig_params, lambda cx, cy: True)
+        state = counts([1, 5, 9], [2, 4, 8])
+        prob = exact_selection_distribution(*state, fig_params, lambda cx, cy: True)
         assert prob == 1
 
     def test_singleton_population(self, fig_params):
-        pops = paired_from_counts([3], [7], 10)
+        state = counts([3], [7])
         prob = exact_selection_distribution(
-            pops, fig_params, lambda cx, cy: cx == 3 and cy == 7)
+            *state, fig_params, lambda cx, cy: cx == 3 and cy == 7)
         assert prob == 1
 
     def test_hand_enumerated_sixteenth(self, fig_params):
         # predators {0, 1} ones, prey {0, 1} ones: the pair class (1, 0) is
         # selected only by the reflexive draw ((1,0),(1,0)), 1 case of 16
-        pops = paired_from_counts([0, 1], [0, 1], 10)
+        state = counts([0, 1], [0, 1])
         prob = exact_selection_distribution(
-            pops, fig_params, lambda cx, cy: (cx, cy) == (1, 0))
+            *state, fig_params, lambda cx, cy: (cx, cy) == (1, 0))
         assert prob == Fraction(1, 16)
 
     def test_sums_to_one_over_partition(self, fig_params):
-        pops = paired_from_counts([1, 5, 9, 9], [2, 4, 8, 0], 10)
+        state = counts([1, 5, 9, 9], [2, 4, 8, 0])
         total = sum(
             exact_selection_distribution(
-                pops, fig_params, lambda a, b, cx=cx, cy=cy: (a, b) == (cx, cy))
+                *state, fig_params, lambda a, b, cx=cx, cy=cy: (a, b) == (cx, cy))
             for cx in (1, 5, 9)
             for cy in (2, 4, 8, 0)
         )
@@ -407,11 +406,11 @@ class TestExactSelection:
     @pytest.mark.parametrize("lam", [13, 40])
     def test_large_lambda_sums_to_one_over_partition(self, fig_params, lam):
         rng = spawn_stream(57, lam)
-        pops = paired_from_counts(rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam), 10)
+        state = counts(rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam))
         cells = [(in_r0, below_alpha) for in_r0 in (True, False) for below_alpha in (True, False)]
         total = sum(
             exact_selection_distribution(
-                pops, fig_params, lambda a, b, cell=cell: (a < fig_params.beta_n,
+                *state, fig_params, lambda a, b, cell=cell: (a < fig_params.beta_n,
                                                            b < fig_params.alpha_n) == cell)
             for cell in cells)
         assert total == 1
@@ -421,35 +420,35 @@ class TestExactSelection:
         game = BilinearGame(fig_params)
         rng = spawn_stream(58, 0)
         lam, draws = 40, 10**5
-        pops = paired_from_counts(rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam), 10)
-        table = winner_table(pops, fig_params)
+        state = counts(rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam))
+        table = winner_table(*state, fig_params)
         assert table.sum() == lam**4
-        pred_slots, prey_slots = reference.select_slots(pops, game, rng, draws)
+        pred_slots, prey_slots = reference.select_slots(paired(*state, 10), game, rng, draws)
         freq = np.zeros((11, 11))
-        np.add.at(freq, (pops.predators.ones[pred_slots], pops.prey.ones[prey_slots]), 1.0 / draws)
+        np.add.at(freq, (state[0][pred_slots], state[1][prey_slots]), 1.0 / draws)
         exact = table / lam**4
         se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / draws)
         assert (np.abs(freq - exact) <= 6 * se).all()
         region = lambda cx, cy: cx < fig_params.beta_n and cy < fig_params.alpha_n
-        prob = float(exact_selection_distribution(pops, fig_params, region))
+        prob = float(exact_selection_distribution(*state, fig_params, region))
         hit = float(freq[: int(fig_params.beta_n), : int(fig_params.alpha_n)].sum())
         assert abs(hit - prob) <= 6 * math.sqrt(prob * (1 - prob) / draws)
 
     def test_lambda_beyond_int64_rejected(self, fig_params):
         # lambda^4 < 2^63 holds up to lambda = 55108
         for lam, ok in ((55108, True), (55109, False)):
-            pops = paired_from_counts(np.zeros(lam, dtype=np.int64), np.zeros(lam, dtype=np.int64), 10)
+            state = counts(np.zeros(lam, dtype=np.int64), np.zeros(lam, dtype=np.int64))
             if ok:
-                assert winner_table(pops, fig_params)[0, 0] == lam**4
+                assert winner_table(*state, fig_params)[0, 0] == lam**4
             else:
                 with pytest.raises(ValueError, match="overflow"):
-                    winner_table(pops, fig_params)
+                    winner_table(*state, fig_params)
                 with pytest.raises(ValueError, match="overflow"):
-                    half_prob_conditionals(pops, fig_params)
+                    half_prob_conditionals(*state, fig_params)
 
     def test_slot_rates_sum_to_one(self, fig_params):
-        pops = paired_from_counts([1, 5, 9], [2, 4, 8], 10)
-        pred_rates, prey_rates = selection_slot_rates(pops, fig_params)
+        state = counts([1, 5, 9], [2, 4, 8])
+        pred_rates, prey_rates = selection_slot_rates(*state, fig_params)
         assert sum(pred_rates) == 1 and sum(prey_rates) == 1
 
     def test_monte_carlo_agrees_with_exact(self, fig_params):
@@ -458,13 +457,13 @@ class TestExactSelection:
         draws = 10**5
         for _ in range(3):
             lam = int(rng.integers(2, 7))
-            pops = paired_from_counts(
-                rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam), 10)
+            state = counts(
+                rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam))
             region = lambda cx, cy: cx < fig_params.beta_n and cy < fig_params.alpha_n
-            exact = float(exact_selection_distribution(pops, fig_params, region))
-            pred_slots, prey_slots = reference.select_slots(pops, game, rng, draws)
-            cx = pops.predators.ones[pred_slots]
-            cy = pops.prey.ones[prey_slots]
+            exact = float(exact_selection_distribution(*state, fig_params, region))
+            pred_slots, prey_slots = reference.select_slots(paired(*state, 10), game, rng, draws)
+            cx = state[0][pred_slots]
+            cy = state[1][prey_slots]
             freq = float(((cx < fig_params.beta_n) & (cy < fig_params.alpha_n)).mean())
             se = math.sqrt(max(exact * (1 - exact), 1e-12) / draws)
             assert abs(freq - exact) <= 6 * se
@@ -480,9 +479,9 @@ def random_states(seed, count):
         alpha, beta = (float(rng.choice([0.0, 1.0, rng.integers(0, n + 1) / n, rng.random()]))
                        for _ in range(2))
         params = BilinearParams(n=n, alpha=alpha, beta=beta, epsilon=1.0)
-        pops = paired_from_counts(
-            rng.integers(0, n + 1, size=lam), rng.integers(0, n + 1, size=lam), n)
-        yield pops, params, int(rng.integers(0, n + 1))
+        state = counts(
+            rng.integers(0, n + 1, size=lam), rng.integers(0, n + 1, size=lam))
+        yield state, params, int(rng.integers(0, n + 1))
 
 
 class TestClosedFormAgainstEnumeration:
@@ -491,29 +490,29 @@ class TestClosedFormAgainstEnumeration:
     STATES = 500
 
     def test_winner_table(self):
-        for pops, params, _ in random_states(60, self.STATES):
-            table = winner_table(pops, params)
-            assert table.dtype == np.int64 and table.sum() == pops.lam**4
-            assert np.array_equal(table, reference.winner_table(pops, params))
+        for state, params, _ in random_states(60, self.STATES):
+            table = winner_table(*state, params)
+            assert table.dtype == np.int64 and table.sum() == len(state[0])**4
+            assert np.array_equal(table, reference.winner_table(*state, params))
 
     def test_slot_rates(self):
-        for pops, params, _ in random_states(61, self.STATES):
-            assert selection_slot_rates(pops, params) == \
-                reference.slot_rates(pops, params)
+        for state, params, _ in random_states(61, self.STATES):
+            assert selection_slot_rates(*state, params) == \
+                reference.slot_rates(*state, params)
 
     def test_region_probabilities(self):
-        for pops, params, l in random_states(62, self.STATES):
+        for state, params, l in random_states(62, self.STATES):
             in_r0 = lambda c: c < params.beta_n
             in_band = lambda c: (c >= l) & (c < params.alpha_n)
             for pred_x, pred_y in ((in_r0, None), (None, in_band), (in_r0, in_band)):
-                assert _psel_counts(pops, params, pred_x, pred_y) == \
-                    reference.region_probability(pops, params, pred_x, pred_y)
+                assert _psel_counts(*state, params, pred_x, pred_y) == \
+                    reference.region_probability(*state, params, pred_x, pred_y)
 
     def test_half_prob_conditionals(self):
         non_null = 0
-        for pops, params, _ in random_states(63, self.STATES):
-            probs = half_prob_conditionals(pops, params)
-            assert probs == reference.half_prob_conditionals(pops, params)
+        for state, params, _ in random_states(63, self.STATES):
+            probs = half_prob_conditionals(*state, params)
+            assert probs == reference.half_prob_conditionals(*state, params)
             non_null += sum(p is not None for p in probs)
         assert non_null > self.STATES
 
@@ -524,9 +523,9 @@ class TestHalfProbConditionals:
         evaluated = 0
         for _ in range(30):
             lam = int(rng.integers(2, 9))
-            pops = paired_from_counts(
-                rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam), 10)
-            for prob in half_prob_conditionals(pops, fig_params):
+            state = counts(
+                rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam))
+            for prob in half_prob_conditionals(*state, fig_params):
                 if prob is not None:
                     evaluated += 1
                     assert prob >= Fraction(1, 2)
@@ -534,8 +533,8 @@ class TestHalfProbConditionals:
 
     def test_null_events_reported_as_none(self, fig_params):
         # all predators below beta*n: conditions 1 and 3 are null
-        pops = paired_from_counts([0, 1], [0, 1], 10)
-        probs = half_prob_conditionals(pops, fig_params)
+        state = counts([0, 1], [0, 1])
+        probs = half_prob_conditionals(*state, fig_params)
         assert probs[0] is None and probs[2] is None
         assert probs[1] is not None and probs[1] >= Fraction(1, 2)
 
@@ -543,8 +542,8 @@ class TestHalfProbConditionals:
 class TestGrowthLemmas:
     def test_hypotheses_unmet_guard(self, fig_params):
         # p0 = 1 violates case 15's p0 < 1 - delta1
-        pops = paired_from_counts([0, 0, 0], [1, 2, 3], 10)
-        report = check_growth_lemmas(15, pops, fig_params, l=0, delta1=Fraction(2, 5))
+        state = counts([0, 0, 0], [1, 2, 3])
+        report = check_growth_lemmas(15, *state, fig_params, l=0, delta1=Fraction(2, 5))
         assert not report.hypotheses_met and report.passed is None
 
     @pytest.mark.parametrize("case, pred, prey, kw, note", [
@@ -557,25 +556,75 @@ class TestGrowthLemmas:
         (19, [10, 10], [0, 0], dict(rho=Fraction(1, 10)), "needs p0 + p(k) > 0"),
     ])
     def test_each_unmet_hypothesis_reported(self, fig_params, case, pred, prey, kw, note):
-        report = check_growth_lemmas(case, paired_from_counts(pred, prey, 10), fig_params, **kw)
+        report = check_growth_lemmas(case, *counts(pred, prey), fig_params, **kw)
         assert not report.hypotheses_met and report.passed is None
         assert report.note.startswith(note) and report.ratio is None
 
     @pytest.mark.parametrize("case", sorted(GROWTH_CHECK_CONFIGS))
     def test_frozen_configs_pass(self, case, fig_params):
         cfg = GROWTH_CHECK_CONFIGS[case]
-        pops = paired_from_counts(cfg["pred"], cfg["prey"], 10)
+        state = counts(cfg["pred"], cfg["prey"])
         report = check_growth_lemmas(
-            case, pops, fig_params, k=cfg["k"], l=cfg["l"],
+            case, *state, fig_params, k=cfg["k"], l=cfg["l"],
             delta1=cfg.get("delta1"), rho=cfg.get("rho"))
         assert report.hypotheses_met
         assert isinstance(report.ratio, Fraction) and isinstance(report.bound, Fraction)
         assert report.passed
 
     def test_unknown_case_rejected(self, fig_params):
-        pops = paired_from_counts([0], [0], 10)
+        state = counts([0], [0])
         with pytest.raises(ValueError):
-            check_growth_lemmas(14, pops, fig_params)
+            check_growth_lemmas(14, *state, fig_params)
+
+
+ORACLES = {
+    "winner_table": winner_table,
+    "exact_selection_distribution":
+        lambda cx, cy, params: exact_selection_distribution(cx, cy, params, lambda a, b: a < 6),
+    "selection_slot_rates": selection_slot_rates,
+    "half_prob_conditionals": half_prob_conditionals,
+    "fraction_stats": lambda cx, cy, params: fraction_stats(cx, cy, 0, 2, params),
+    "_psel_counts": lambda cx, cy, params: _psel_counts(cx, cy, params, lambda c: c < 6),
+    "check_growth_lemmas": lambda cx, cy, params: check_growth_lemmas(17, cx, cy, params),
+    "target_hit": target_hit,
+}
+
+
+class TestOneCountInput:
+    """Every exact oracle takes one state's one-counts, as lists or arrays,
+    and rejects a state that is not lambda >= 1 whole counts in [0, n] a side."""
+
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_lists_and_arrays_accepted(self, oracle, fig_params):
+        pred, prey = [0, 3, 10], [10, 0, 5]
+        expected = ORACLES[oracle](pred, prey, fig_params)
+        for cx, cy in ((np.array(pred), np.array(prey)),
+                       (np.array(pred, dtype=np.int16), np.array(prey, dtype=float))):
+            result = ORACLES[oracle](cx, cy, fig_params)
+            assert np.array_equal(result, expected) if oracle == "winner_table" else result == expected
+
+    @pytest.mark.parametrize("side", ["predators", "prey"])
+    @pytest.mark.parametrize("bad", [11, -1, 2.5])
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_counts_outside_zero_to_n_rejected(self, oracle, bad, side, fig_params):
+        # rejected, never clamped or truncated to some other count
+        state = [[1, 2], [3, 4]]
+        state[side == "prey"][0] = bad
+        with pytest.raises(ValueError, match=r"\[0, n\] = \[0, 10\]"):
+            ORACLES[oracle](*state, fig_params)
+
+    @pytest.mark.parametrize("pred, prey", [
+        pytest.param([1, 2], [3], id="fewer-prey"),
+        pytest.param([1], [2, 3], id="fewer-predators"),
+        pytest.param([], [], id="both-empty"),
+        pytest.param([], [1], id="no-predators"),
+        pytest.param([1], [], id="no-prey"),
+        pytest.param([[1, 2]], [[3, 4]], id="a-block-not-a-state"),
+    ])
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_unequal_or_empty_sides_rejected(self, oracle, pred, prey, fig_params):
+        with pytest.raises(ValueError, match="n = 10"):
+            ORACLES[oracle](pred, prey, fig_params)
 
 
 class TestLevelFunctions:

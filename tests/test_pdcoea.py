@@ -8,7 +8,6 @@ from coevo import (
     BilinearGame,
     BilinearParams,
     BitVector,
-    PairedPopulations,
     PdcoeaConfig,
     PdcoeaDistribution,
     Population,
@@ -24,7 +23,6 @@ from coevo import (
     step_generation,
 )
 from coevo.core import popcount_rows
-from coevo.harness import paired_from_counts
 from coevo.pdcoea import (
     _SCALE,
     MAX_N,
@@ -35,7 +33,7 @@ from coevo.pdcoea import (
 )
 
 from bit_reference import initial_bits, reference_hit_generation
-from conftest import count_vector
+from conftest import count_vector, paired
 from selection_reference import select_slots
 
 
@@ -59,7 +57,7 @@ def game(fig_params):
 def clones(c, n, lam):
     """lam members with c ones on both sides: selection is then the identity,
     so one generation gives lam i.i.d. mutants of a c-ones parent per side."""
-    return paired_from_counts([c] * lam, [c] * lam, n)
+    return paired([c] * lam, [c] * lam, n)
 
 
 def on_state(target, pops):
@@ -107,13 +105,13 @@ class TestSelectPair:
 
     def test_forced_draws_first_pair_dominates(self, fig_params, game):
         # slots: predators (7, 8) ones, prey (2, 3) ones; (7,2) dominates (8,3)
-        pops = paired_from_counts([7, 8], [2, 3], 10)
+        pops = paired([7, 8], [2, 3], 10)
         pred_slots, prey_slots = select_slots(pops, game, FakeRng([[0, 0, 1, 1]]), 1)
         assert (pops.predators.ones[pred_slots[0]], pops.prey.ones[prey_slots[0]]) == (7, 2)
 
     def test_forced_draws_dominance_fails_second_wins(self, fig_params, game):
         # (7,2) does not dominate (8,1): the second pair wins the tie rule
-        pops = paired_from_counts([7, 8], [2, 1], 10)
+        pops = paired([7, 8], [2, 1], 10)
         pred_slots, prey_slots = select_slots(pops, game, FakeRng([[0, 0, 1, 1]]), 1)
         assert (pops.predators.ones[pred_slots[0]], pops.prey.ones[prey_slots[0]]) == (8, 1)
 
@@ -152,12 +150,12 @@ class TestMutate:
 
 class TestInteraction:
     def test_chi_zero_singletons_fixed_point(self, fig_params, game):
-        pops = paired_from_counts([3], [7], 10)
+        pops = paired([3], [7], 10)
         child = step_generation(pops, PdcoeaDistribution(game, 0.0), spawn_stream(35, 0))
         assert child.predators.ones[0] == 3 and child.prey.ones[0] == 7
 
     def test_deterministic_given_stream(self, fig_params, game):
-        pops = paired_from_counts([3, 6, 2], [7, 1, 5], 10)
+        pops = paired([3, 6, 2], [7, 1, 5], 10)
         dist = PdcoeaDistribution(game, 0.8)
         a = step_generation(pops, dist, spawn_stream(36, 4))
         b = step_generation(pops, dist, spawn_stream(36, 4))
@@ -176,7 +174,7 @@ class TestStepGeneration:
     def test_draw_order_slots_then_predator_then_prey_mutation(self, fig_params, game):
         # 4*lambda slot integers, then one uniform per offspring (predators
         # first), each read through its parent's row of the tabulated CDF
-        pops = paired_from_counts([3, 6, 2, 9], [7, 1, 5, 0], 10)
+        pops = paired([3, 6, 2, 9], [7, 1, 5, 0], 10)
         stream = spawn_stream(38, 0)
         child = step_generation(pops, PdcoeaDistribution(game, 1.5), stream)
         rng = spawn_stream(38, 0)
@@ -189,7 +187,7 @@ class TestStepGeneration:
         assert stream.integers(0, 2**62) == rng.integers(0, 2**62)  # no further draws
 
     def test_generation_increments(self, fig_params, game):
-        pops = paired_from_counts([4, 5], [9, 2], 10)
+        pops = paired([4, 5], [9, 2], 10)
         child = step_generation(pops, PdcoeaDistribution(game, 0.5), spawn_stream(38, 1))
         assert child.generation == pops.generation + 1
         assert child.lam == pops.lam and child.n == pops.n
@@ -199,12 +197,12 @@ class TestStepGeneration:
             def dominates(self, x1, y1, x2, y2):
                 return True
 
-        pops = paired_from_counts([4, 5], [9, 2], 10)
+        pops = paired([4, 5], [9, 2], 10)
         with pytest.raises(TypeError, match="dominates_counts"):
             step_generation(pops, PdcoeaDistribution(PairOracle(), 0.5), spawn_stream(38, 2))
 
     def test_offspring_are_count_only(self, fig_params, game):
-        pops = paired_from_counts([4, 5], [9, 2], 10)
+        pops = paired([4, 5], [9, 2], 10)
         child = step_generation(pops, PdcoeaDistribution(game, 0.5), spawn_stream(38, 3))
         for side in (child.predators, child.prey):
             assert side.ones.dtype == np.int64 and not side.ones.flags.writeable
@@ -216,9 +214,10 @@ class TestStepGeneration:
         from coevo import exact_selection_distribution
 
         lam = 6
-        pops = paired_from_counts([2] * 3 + [8] * 3, [1] * 3 + [9] * 3, 10)
+        pred, prey = [2] * 3 + [8] * 3, [1] * 3 + [9] * 3
+        pops = paired(pred, prey, 10)
         exact = exact_selection_distribution(
-            pops, fig_params, lambda cx, cy: (cx, cy) == (2, 1))
+            pred, prey, fig_params, lambda cx, cy: (cx, cy) == (2, 1))
         dist = PdcoeaDistribution(game, 0.0)
         rng = spawn_stream(39, 0)
         reps = 2000
@@ -232,7 +231,7 @@ class TestStepGeneration:
 
     def test_slot_exchangeability(self, fig_params, game):
         # slot-wise marginals of a region event agree across slots
-        pops = paired_from_counts([2, 3, 7, 8], [1, 2, 3, 9], 10)
+        pops = paired([2, 3, 7, 8], [1, 2, 3, 9], 10)
         dist = PdcoeaDistribution(game, 0.3)
         rng = spawn_stream(40, 0)
         reps = 3000
@@ -247,7 +246,7 @@ class TestStepGeneration:
         assert np.all(np.abs(rates - pooled) <= 6 * se + 1e-12)
 
     def test_shape_preserved_under_any_chi(self, fig_params, game):
-        pops = paired_from_counts([0, 10, 5], [5, 0, 10], 10)
+        pops = paired([0, 10, 5], [5, 0, 10], 10)
         for chi in (0.01, 1.0, 9.5, 10.0):
             child = step_generation(pops, PdcoeaDistribution(game, chi), spawn_stream(41, 0))
             assert child.n == 10 and child.predators.ones.shape == pops.predators.ones.shape
@@ -262,9 +261,8 @@ class TestReproductiveRate:
         for lam in (2, 3, 4, 6):
             cap = Fraction(1, lam) * (2 - Fraction(1, lam))
             for _ in range(5):
-                pops = paired_from_counts(
-                    rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam), 10)
-                pred_rates, prey_rates = selection_slot_rates(pops, fig_params)
+                pred_rates, prey_rates = selection_slot_rates(
+                    rng.integers(0, 11, size=lam), rng.integers(0, 11, size=lam), fig_params)
                 assert max(pred_rates) <= cap and max(prey_rates) <= cap
                 # per generation: lambda iterations
                 assert lam * max(max(pred_rates), max(prey_rates)) <= 2 - Fraction(1, lam)
@@ -274,8 +272,7 @@ class TestReproductiveRate:
 
         # identical prey reduce dominance to a payoff comparison on the
         # predators; the strictly better predator is selected whenever drawn
-        pops = paired_from_counts([10, 0], [10, 10], 10)
-        pred_rates, _ = selection_slot_rates(pops, fig_params)
+        pred_rates, _ = selection_slot_rates([10, 0], [10, 10], fig_params)
         assert pred_rates[0] == Fraction(1, 2) * (2 - Fraction(1, 2))
 
 
@@ -458,10 +455,10 @@ class TestSingletonTarget:
         target = singleton_target(BitVector.zeros(6), BitVector.all_ones(6))
         for cx in range(7):
             for cy in range(7):
-                assert on_state(target, paired_from_counts([cx], [cy], 6)) == ((cx, cy) == (0, 6))
+                assert on_state(target, paired([cx], [cy], 6)) == ((cx, cy) == (0, 6))
         swapped = singleton_target(BitVector.all_ones(6), BitVector.zeros(6))
-        assert on_state(swapped, paired_from_counts([2, 6], [0, 3], 6))
-        assert not on_state(swapped, paired_from_counts([0, 5], [0, 3], 6))
+        assert on_state(swapped, paired([2, 6], [0, 3], 6))
+        assert not on_state(swapped, paired([0, 5], [0, 3], 6))
 
     def test_non_extreme_target_rejected_at_construction(self):
         # rejected where it is written, before any run could reach generation 1
@@ -480,11 +477,10 @@ class TestSingletonTarget:
     def test_all_zeros_and_all_ones_compare_counts(self):
         # a count of 0 or n names one genome, so count states are exact
         target = singleton_target(BitVector.zeros(6), BitVector.all_ones(6))
-        counts = lambda pred, prey: PairedPopulations(Population(6, pred), Population(6, prey))
-        assert on_state(target, counts([3, 0], [6, 2]))
-        assert not on_state(target, counts([3, 1], [6, 2]))
-        assert not on_state(target, counts([0, 0], [5, 0]))
-        assert on_state(target, paired_from_counts([0, 4], [2, 6], 6))
+        assert on_state(target, paired([3, 0], [6, 2], 6))
+        assert not on_state(target, paired([3, 1], [6, 2], 6))
+        assert not on_state(target, paired([0, 0], [5, 0], 6))
+        assert on_state(target, paired([0, 4], [2, 6], 6))
 
     def test_other_targets_need_genomes(self):
         # every genome with 0 < c < n ones shares its count with other genomes
