@@ -231,17 +231,22 @@ def bilinear_target(params: BilinearParams):
 
     The predicate takes the predators' and the prey's one-counts, of one
     state (shape (lambda,)) or of a batch of runs (shape (runs, lambda)),
-    and reduces over the last axis.
+    and reduces over the last axis.  It reads each count's membership of R0
+    and of the prey band from a boolean table over [0, n], so counts must lie
+    in [0, n]; its `n` is the genome length it is for.
     """
-    beta_n, target_lo, alpha_n = params.beta_n, params.target_lo, params.alpha_n
+    counts = np.arange(params.n + 1)
+    in_r0 = counts < params.beta_n
+    in_band = (counts >= params.target_lo) & (counts < params.alpha_n)
 
     def predicate(cx: np.ndarray, cy: np.ndarray):
-        hit = (cx < beta_n).any(axis=-1)
+        hit = in_r0[cx].any(axis=-1)
         if not hit.ndim and not hit:  # one state with no predator in R0: skip the prey
             return hit
-        return hit & ((cy >= target_lo) & (cy < alpha_n)).any(axis=-1)
+        return hit & in_band[cy].any(axis=-1)
 
     predicate.__name__ = f"bilinear_target_a{params.alpha}_b{params.beta}_e{params.epsilon}"
+    predicate.n = params.n
     return predicate
 
 

@@ -623,12 +623,17 @@ def emit_plot_data(in_csv: str, out_csv: str) -> str:
     """Rewrite a results CSV as tidy long-format (one metric per row), keyed by
     the columns before `seed` and copying each cell's text as it stands."""
     keys = CSV_COLUMNS[:CSV_COLUMNS.index("seed")]
+    metrics = ("hit", "T_interactions", "generations")
     with open(in_csv, "r", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
+        rows = list(reader)
+    missing = [col for col in (*keys, *metrics) if col not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{in_csv} is not a results CSV: missing columns {', '.join(missing)}")
     with _create(out_csv) as fh:
         fh.write(_csv_line((*keys, "metric", "value")))
         for row in rows:
-            for metric in ("hit", "T_interactions", "generations"):
+            for metric in metrics:
                 fh.write(_csv_line((*(row[k] for k in keys), metric, row[metric])))
     return out_csv
 

@@ -42,22 +42,11 @@ from .core import (
 # Selection
 # ---------------------------------------------------------------------------
 
-def _winner_mask(cx: np.ndarray, cy: np.ndarray, oracle, idx: np.ndarray) -> np.ndarray:
-    """True where the first drawn pair dominates the second.
-
-    cx and cy are the predators' and the prey's one-counts; idx has shape
-    (count, 4) with columns (i1, k1, i2, k2): predator and prey slots of the
-    first pair, then of the second.
-    """
-    return np.asarray(
-        oracle.dominates_counts(cx[idx[:, 0]], cy[idx[:, 1]], cx[idx[:, 2]], cy[idx[:, 3]])
-    )
-
-
-def _winner_slots(cx: np.ndarray, cy: np.ndarray, oracle, idx: np.ndarray):
-    """Winner (predator, prey) slot indices of the drawn pairs idx."""
-    win1 = _winner_mask(cx, cy, oracle, idx)
-    return np.where(win1, idx[:, 0], idx[:, 2]), np.where(win1, idx[:, 1], idx[:, 3])
+def _winner_mask(x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray,
+                 oracle) -> np.ndarray:
+    """True where the first drawn pair (x1, y1) dominates the second (x2, y2),
+    given the drawn predators' and prey's one-counts."""
+    return np.asarray(oracle.dominates_counts(x1, y1, x2, y2))
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +101,46 @@ def _offspring_table(n: int, chi: float) -> np.ndarray:
     return table
 
 
+# A guide over each row of the offspring table (indexed search, Chen and
+# Asau 1974): bucket k of row c covers r in [k, k+1) * 2**_GUIDE_SHIFT.
+GUIDE_BITS = 8
+_GUIDE_SHIFT = _SCALE.bit_length() - 1 - GUIDE_BITS
+
+
+@functools.lru_cache(maxsize=8)
+def _offspring_guide(n: int, chi: float) -> np.ndarray:
+    """Read-only int16 array of (n+1) * 2**GUIDE_BITS entries.
+
+    Entry (c << GUIDE_BITS) | k is the offspring count of every r in bucket k
+    of row c when no threshold of row c lies strictly inside the bucket, and
+    -1 otherwise.  One `searchsorted` counts the table entries at or below
+    each bucket's first key and below its end.
+    """
+    table = _offspring_table(n, chi)
+    starts = np.arange((n + 1) << GUIDE_BITS, dtype=np.int64) << _GUIDE_SHIFT
+    below = table.searchsorted(starts[:, None] + [1, 1 << _GUIDE_SHIFT])
+    guide = np.where(below[:, 0] == below[:, 1], below[:, 0] % (n + 1), -1).astype(np.int16)
+    guide.setflags(write=False)
+    return guide
+
+
 def _mutate_counts(counts: np.ndarray, uniforms: np.ndarray, n: int, chi: float) -> np.ndarray:
     """Offspring one-counts of `counts` under bitwise mutation at rate chi/n.
 
     One uniform per entry: a uniform is k / 2**53 for a uniform integer k, so
-    truncating its product with _SCALE = 2**50 is an exact uniform integer
-    on [0, _SCALE).
+    truncating its product with _SCALE = 2**50 is an exact uniform integer r
+    on [0, _SCALE).  The key c*_SCALE + r shifted right by _GUIDE_SHIFT is
+    the guide index (c << GUIDE_BITS) | (r >> _GUIDE_SHIFT); the keys whose
+    bucket holds a threshold are searched in `_offspring_table`, so each key
+    gets the count its `searchsorted` gives.
     """
     keys = counts * _SCALE + (uniforms * _SCALE).astype(np.int64)
-    return _offspring_table(n, chi).searchsorted(keys, side="right") % (n + 1)
+    children = _offspring_guide(n, chi)[keys >> _GUIDE_SHIFT]
+    miss = (children < 0).nonzero()[0]
+    children = children.astype(np.int64)
+    if miss.size:
+        children[miss] = _offspring_table(n, chi).searchsorted(keys[miss], side="right") % (n + 1)
+    return children
 
 
 # ---------------------------------------------------------------------------
@@ -135,28 +155,42 @@ class PdcoeaDistribution:
     chi: float
 
 
+@functools.lru_cache(maxsize=16)
+def _draw_offsets(runs: int, lam: int) -> np.ndarray:
+    """Read-only (4, runs*lam) offsets that turn the slots (i1, k1, i2, k2)
+    drawn for each offspring of `runs` runs into indices of cx and cy
+    concatenated: run b's slots move by b*lam, the prey's by all the
+    predators, runs*lam, too."""
+    size = runs * lam
+    offsets = np.arange(0, size, lam).repeat(lam) + np.array([[0], [size], [0], [size]])
+    offsets.setflags(write=False)
+    return offsets
+
+
 def _step_rows(cx: np.ndarray, cy: np.ndarray, n: int, dist: PdcoeaDistribution, rngs):
     """One generation of len(rngs) runs held as flat one-count arrays.
 
     Run b's predators are cx[b*lam:(b+1)*lam] and its prey the same slice of
     cy.  Run b draws from rngs[b] alone, in `step_generation`'s order, so
-    each row evolves exactly as its run would on its own.  Returns the
-    offspring one-counts (cx, cy) in the same layout.
+    each row evolves exactly as its run would on its own.  The drawn pairs'
+    one-counts are gathered once, as the rows (x1, y1, x2, y2) of one array,
+    and each winner's counts are picked from them.  Returns the offspring
+    one-counts (cx, cy) in the same layout.
     """
     size = cx.shape[0]
     lam = size // len(rngs)
-    if len(rngs) == 1:  # one run: no row offsets, no reordering
+    if len(rngs) == 1:  # one run: no reordering
         idx = rngs[0].integers(0, lam, size=(lam, 4))
         uniforms = rngs[0].random(2 * lam)
     else:
         idx = np.concatenate([rng.integers(0, lam, size=(lam, 4)) for rng in rngs])
-        idx += np.arange(0, size, lam).repeat(lam)[:, None]
         # each run's 2*lam uniforms (its predators' first), reordered to the
         # parents below: every run's predators, then every run's prey
         uniforms = np.array([rng.random(2 * lam) for rng in rngs])
         uniforms = uniforms.reshape(-1, 2, lam).swapaxes(0, 1).ravel()
-    pred_slots, prey_slots = _winner_slots(cx, cy, dist.oracle, idx)
-    parents = np.concatenate((cx[pred_slots], cy[prey_slots]))
+    drawn = np.concatenate((cx, cy))[idx.T + _draw_offsets(len(rngs), lam)]
+    win1 = _winner_mask(drawn[0], drawn[1], drawn[2], drawn[3], dist.oracle)
+    parents = np.where(win1, drawn[:2], drawn[2:]).ravel()
     children = _mutate_counts(parents, uniforms, n, dist.chi)
     return children[:size], children[size:]
 

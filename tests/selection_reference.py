@@ -14,14 +14,21 @@ from fractions import Fraction
 import numpy as np
 
 from coevo import BilinearGame
-from coevo.pdcoea import _winner_mask, _winner_slots
+from coevo.pdcoea import _winner_mask
+
+
+def winner_slots(cx, cy, oracle, idx):
+    """Winner (predator, prey) slot indices of the drawn pairs idx, a
+    (count, 4) array of slots (i1, k1, i2, k2), by the engine's tie rule."""
+    win1 = _winner_mask(cx[idx[:, 0]], cy[idx[:, 1]], cx[idx[:, 2]], cy[idx[:, 3]], oracle)
+    return np.where(win1, idx[:, 0], idx[:, 2]), np.where(win1, idx[:, 1], idx[:, 3])
 
 
 def select_slots(pops, oracle, rng, count):
     """Winner (predator, prey) slots of `count` independent selections, with
     the engine's draws: one (count, 4) block of slot integers from `rng`."""
     idx = rng.integers(0, pops.lam, size=(count, 4))
-    return _winner_slots(pops.predators.ones, pops.prey.ones, oracle, idx)
+    return winner_slots(pops.predators.ones, pops.prey.ones, oracle, idx)
 
 
 def draw_grid(lam):
@@ -32,9 +39,7 @@ def draw_grid(lam):
 
 def enumerate_winners(cx, cy, params):
     """Winning (predator slot, prey slot) of every draw."""
-    idx = draw_grid(len(cx))
-    win1 = _winner_mask(cx, cy, BilinearGame(params), idx)
-    return np.where(win1, idx[:, 0], idx[:, 2]), np.where(win1, idx[:, 1], idx[:, 3])
+    return winner_slots(cx, cy, BilinearGame(params), draw_grid(len(cx)))
 
 
 def winner_table(cx, cy, params):

@@ -477,6 +477,15 @@ class TestSweepAndPlots:
             "--out", str(tmp_path / "x.csv"))
         assert code == 3 and "i/o error" in err
 
+    def test_emit_plots_without_result_columns_writes_nothing(self, capsys, tmp_path):
+        # the header is checked before the output file is opened
+        (tmp_path / "x.csv").write_text("a,b\n1,2\n")
+        code, out, err = run_cli(capsys, "emit-plots", "--in", str(tmp_path / "x.csv"),
+                                 "--out", str(tmp_path / "long.csv"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "missing columns kind, n, lambda" in err
+        assert "Traceback" not in err and not (tmp_path / "long.csv").exists()
+
 
 class TestUsage:
     def test_unknown_flag(self, capsys):

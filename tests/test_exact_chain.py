@@ -96,5 +96,5 @@ class TestEngineHitTimes:
         # keeping the first drawn pair always is uniform selection, which
         # the exact law of pairwise dominance tells apart
         monkeypatch.setattr(pdcoea, "_winner_mask",
-                            lambda cx, cy, oracle, idx: np.ones(len(idx), dtype=bool))
+                            lambda x1, y1, x2, y2, oracle: np.ones(len(x1), dtype=bool))
         assert hit_p_value(small_chain, SMALL, 0.7, bilinear_target(SMALL), 100) < 1e-6

@@ -292,7 +292,7 @@ class TestPilot:
         cell = resolve_cells(spec)[0]
         assert pilot_budget(cell, spec, 0) == 330
         monkeypatch.setattr(pdcoea, "_winner_mask",
-                            lambda cx, cy, oracle, idx: np.ones(len(idx), dtype=bool))
+                            lambda x1, y1, x2, y2, oracle: np.ones(len(x1), dtype=bool))
         assert pilot_budget(cell, spec, 0) == 2345
 
     def test_pilot_failure_raises(self):
@@ -483,7 +483,7 @@ class TestCheckRegistry:
         # sums read the selection law and still hold, the engine's (X', Y')
         # do not fit them
         monkeypatch.setattr(pdcoea, "_winner_mask",
-                            lambda cx, cy, oracle, idx: np.ones(len(idx), dtype=bool))
+                            lambda x1, y1, x2, y2, oracle: np.ones(len(x1), dtype=bool))
         result = harness.check_product_space()
         assert not result.passed
         exact, engine = result.detail.split("; engine ")

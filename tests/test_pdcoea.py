@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from coevo import (
     bilinear_target,
     derive_seed,
     paired_uniform,
+    recipe_mutation_rate,
     run_trial,
     run_trials,
     selection_slot_rates,
@@ -24,9 +26,13 @@ from coevo import (
 )
 from coevo.core import popcount_rows
 from coevo.pdcoea import (
+    _GUIDE_SHIFT,
     _SCALE,
+    GUIDE_BITS,
     MAX_N,
+    _mutate_counts,
     _offspring_cdf,
+    _offspring_guide,
     _offspring_table,
     _step_rows,
     trajectory_columns,
@@ -399,6 +405,30 @@ class TestRunTrial:
             PdcoeaConfig(lam=2, chi=10.5, seed=1, budget_generations=5, game=game)
         assert PdcoeaConfig(lam=2, chi=10.0, seed=1, budget_generations=5, game=game).n == 10
 
+    def test_bilinear_target_of_another_game_rejected(self):
+        # its boolean tables cover another game's counts: rejected before any run
+        game = BilinearParams(n=6, alpha=1.0, beta=0.5, epsilon=0.5)
+        other = bilinear_target(BilinearParams(n=5, alpha=1.0, beta=0.5, epsilon=0.5))
+        with pytest.raises(ValueError, match="target genome length 5 does not match game n=6"):
+            PdcoeaConfig(lam=1, chi=0.5, seed=1, budget_generations=1, game=game, target=other)
+        assert bilinear_target(game).n == 6
+
+    @pytest.mark.parametrize("chi, hit, generations, digest", [
+        (0.05, True, 716, "fad53c0c37d480929a82619fbd3fd57494943c99ff6cdc8a03f3de41218e86de"),
+        (0.7, False, 1500, "8a9a10cf11f10dcc8884f2040875381473efda2460b062a03630c3ae8ef46d74"),
+        (1.4, False, 1500, "9fb54336788f92ddcf7444ac5b5aacef979365ee62abc0a12b0a24edcb327697"),
+    ])
+    def test_threshold_cell_golden(self, chi, hit, generations, digest):
+        # the benchmark's error-threshold cells at one seed, recorded before the
+        # guide sampler: every one-count of every generation stays the same
+        game = BilinearParams(n=100, alpha=1.0, beta=0.05, epsilon=0.1)
+        target = singleton_target(BitVector.zeros(100), BitVector.all_ones(100))
+        record = run_trial(PdcoeaConfig(lam=100, chi=chi, seed=17, budget_generations=1500,
+                                        game=game, target=target), record=True)
+        assert (record.hit, record.generations_run) == (hit, generations)
+        counts = np.ascontiguousarray(record.counts, dtype="<i2")
+        assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
+
 
 class TestRunTrials:
     BILINEAR = BilinearParams(n=20, alpha=0.9, beta=0.05, epsilon=0.2)
@@ -517,6 +547,32 @@ class TestOffspringLaw:
         assert (MAX_N + 1) * _SCALE < 2**63 and _SCALE <= 2**53
         assert not table.flags.writeable
         assert _offspring_table(50, 0.7) is table
+
+    @pytest.mark.parametrize("n, chi", [
+        (1, 0.5), (1, 1.0), (10, 1.5), (10, 10.0), (50, recipe_mutation_rate(0.01)),
+        (100, 0.05), (100, 0.7), (100, 1.4), (300, 2.0)])
+    def test_guide_sampler_equals_the_table_search(self, n, chi):
+        # keys (c, r) of every parent count c: each bucket's first r, each
+        # threshold, the neighbours of both, and 10**5 random keys
+        table = _offspring_table(n, chi)
+        rows = table.reshape(n + 1, n + 1) - np.arange(n + 1)[:, None] * _SCALE
+        edges = np.arange(1 << GUIDE_BITS) << _GUIDE_SHIFT
+        r = np.concatenate((np.broadcast_to(edges, (n + 1, edges.size)), rows), axis=1)
+        r = np.concatenate((r - 1, r, r + 1), axis=1)
+        c = np.repeat(np.arange(n + 1), r.shape[1])
+        rng = spawn_stream(71, n)
+        c = np.concatenate((c, rng.integers(0, n + 1, 10**5)))
+        r = np.concatenate((r.ravel(), rng.integers(0, _SCALE, 10**5)))
+        inside = (r >= 0) & (r < _SCALE)
+        c, r = c[inside], r[inside]
+        want = table.searchsorted(c * _SCALE + r, side="right") % (n + 1)
+        assert np.array_equal(_mutate_counts(c, r / _SCALE, n, chi), want)
+
+    def test_guide_is_cached_read_only_int16(self):
+        guide = _offspring_guide(100, 0.7)
+        assert guide.dtype == np.int16 and guide.shape == (101 << GUIDE_BITS,)
+        assert not guide.flags.writeable and _offspring_guide(100, 0.7) is guide
+        assert 0 < (guide < 0).sum() < guide.size // 10 and guide.max() == 100
 
     def test_genome_length_above_the_table_limit_rejected(self):
         # checked before any allocation, so no large table is built here
