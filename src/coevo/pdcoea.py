@@ -6,7 +6,9 @@ predator-prey pairs, keeping the dominating one (second pair on failure),
 and mutating both members by independent bit flips with probability chi/n.
 `_step_rows` is the only sampler: it draws all lambda pairs of a run at
 once, for one run (`step_generation`) or for the rows of several runs
-(`run_trials`), each row on its own stream.
+(`run_trials`), each row on its own stream.  A run reads its stream ahead
+(`_ReadAhead`): one `random_raw` call per block of generations, decoded into
+exactly the draws the `Generator` would make.
 Since the payoff, the dominance relation and the shipped targets see a
 genome only through its one-count, the engine evolves one-counts: the pair
 of one-count vectors is an exact lumping of the process, and mutation moves
@@ -195,6 +197,74 @@ def _step_rows(cx: np.ndarray, cy: np.ndarray, n: int, dist: PdcoeaDistribution,
     return children[:size], children[size:]
 
 
+_READ_AHEAD_WORDS = 4096  # raw 64-bit words a run's stream reads per block
+
+
+class _ReadAhead:
+    """A run's `Generator`, read ahead: serves `_step_rows`'s two calls of a
+    generation, `integers(0, high, size=(lam, 4))` then `random(2 * lam)`,
+    from one `random_raw` call per block of generations.
+
+    A block is decoded by numpy's rules for these calls on PCG64.  The slots
+    take the halves of 2*lam words, low half first, by numpy's buffered
+    32-bit Lemire rule (Lemire, ACM TOMACS 29(1), 2019): slot
+    (half * high) >> 32, the half rejected when its low 32 bits fall below
+    (2**32 - high) % high; with high = 1 they use no words.  The uniforms
+    are (word >> 11) * 2**-53 of the next 2*lam words.  A block stops before
+    its first generation with a rejected half and rewinds the bit generator
+    to it, so the next block is empty and the `Generator` draws that
+    generation; it also draws every generation while a half word is
+    buffered (`has_uint32`).  So each call returns what the `Generator`
+    would, and leaves the stream where it would, apart from the read-ahead
+    of the current block.  Slots are held as uint32; `high` defaults to lam.
+    """
+
+    def __init__(self, rng: RandomStream, lam: int, high: Optional[int] = None):
+        self.rng, self.bitgen, self.lam = rng, rng.bit_generator, lam
+        self.high = lam if high is None else high
+        self.slot_words = 2 * lam if self.high > 1 else 0
+        self.block = max(1, _READ_AHEAD_WORDS // (self.slot_words + 2 * lam))
+        self.at = self.ready = 0  # the next decoded generation; how many there are
+        self.buffered = self.bitgen.state["has_uint32"]  # a half word is buffered
+
+    def integers(self, low, high, size):
+        if self.at == self.ready and not self.buffered:
+            self._read()
+        if self.at < self.ready:
+            return self.slots[self.at]
+        return self.rng.integers(low, high, size)
+
+    def random(self, size):
+        if self.at < self.ready:
+            self.at += 1
+            return self.uniforms[self.at - 1]
+        uniforms = self.rng.random(size)
+        self.buffered = self.bitgen.state["has_uint32"]
+        return uniforms
+
+    def _read(self):
+        g, lam, high = self.block, self.lam, self.high
+        words = self.bitgen.random_raw((g, self.slot_words + 2 * lam))
+        if self.slot_words:
+            # each word's halves, low first, on either byte order; then the
+            # 64-bit products as (low 32 bits, slot) pairs
+            halves = words[:, :self.slot_words].astype("<u8", copy=False).view("<u4")
+            pairs = (halves.astype(np.uint64) * np.uint64(high)).astype("<u8", copy=False)
+            pairs = pairs.view("<u4")
+            leftover, slots = pairs[:, 0::2], pairs[:, 1::2]
+        else:
+            leftover = slots = np.zeros((g, 4 * lam), dtype=np.uint32)
+        threshold, ready = (2**32 - high) % high, g
+        if leftover.min() < threshold:
+            ready = int((leftover < threshold).any(axis=1).argmax())
+            self.bitgen.advance((ready - g) * words.shape[1])
+        self.slots = slots[:ready].reshape(ready, lam, 4).astype(np.uint32)
+        # the 53-bit integers fit int64, which converts to float much faster than uint64
+        uniforms = (words[:ready, self.slot_words:] >> 11).view(np.int64).astype(np.float64)
+        uniforms *= 2.0**-53
+        self.uniforms, self.at, self.ready = uniforms, 0, ready
+
+
 def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
                     rng: RandomStream) -> PairedPopulations:
     """Replace both populations with lambda i.i.d. offspring pairs.
@@ -365,6 +435,7 @@ def run_trial(cfg: PdcoeaConfig, record: bool = False) -> TrialRecord:
     t0 = time.perf_counter()
     rng = spawn_stream(cfg.seed, 0)
     pops = paired_uniform(cfg.lam, cfg.n, rng)
+    rng = _ReadAhead(rng, cfg.lam)
     dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
     target = cfg.target if cfg.target is not None else bilinear_target(cfg.game)
     blocks = []  # (RECORD_BLOCK, 2, lambda) int16 arrays, one generation a row
@@ -408,6 +479,7 @@ def run_trials(cfgs) -> list:
     lam, n = cfg.lam, cfg.n
     rngs = [spawn_stream(c.seed, 0) for c in cfgs]
     starts = [paired_uniform(lam, n, rng) for rng in rngs]
+    rngs = [_ReadAhead(rng, lam) for rng in rngs]
     cx = np.concatenate([pops.predators.ones for pops in starts])
     cy = np.concatenate([pops.prey.ones for pops in starts])
     dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)

@@ -30,6 +30,7 @@ from coevo.pdcoea import (
     _SCALE,
     GUIDE_BITS,
     MAX_N,
+    _ReadAhead,
     _mutate_counts,
     _offspring_cdf,
     _offspring_guide,
@@ -477,6 +478,126 @@ class TestRunTrials:
             rows = target(cx, cy)
             assert rows.shape == (300,) and 0 < rows.sum() < 300
             assert list(rows) == [bool(target(a, b)) for a, b in zip(cx, cy)]
+
+
+class CountingGenerator:
+    """A Generator that counts the `integers` calls made on it."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.calls = rng, rng.bit_generator, 0
+
+    def integers(self, low, high, size):
+        self.calls += 1
+        return self.rng.integers(low, high, size)
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
+def first_rejected_generation(seed, lam, generations):
+    """The first generation of a fresh stream, stepped with no earlier draws,
+    whose slot halves hold one numpy's Lemire rule rejects, or None."""
+    words = spawn_stream(seed, 0).bit_generator.random_raw((generations, 4 * lam))
+    halves = np.stack((words[:, :2 * lam] & 0xFFFFFFFF, words[:, :2 * lam] >> 32), axis=-1)
+    low = (halves.reshape(generations, -1) * np.uint64(lam)) & 0xFFFFFFFF
+    rejected = np.flatnonzero((low < (2**32 - lam) % lam).any(axis=1))
+    return int(rejected[0]) if rejected.size else None
+
+
+def pcg_position(bitgen):
+    """A PCG64's state and buffered half word; the half is stale unless flagged."""
+    state = bitgen.state
+    return state["state"], state["has_uint32"], state["uinteger"] * state["has_uint32"]
+
+
+def plain_run(cfg):
+    """`run_trial`'s loop stepping a plain Generator through `step_generation`:
+    (hit, generations run, the one-count history)."""
+    rng = spawn_stream(cfg.seed, 0)
+    pops = paired_uniform(cfg.lam, cfg.n, rng)
+    dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
+    target, history = bilinear_target(cfg.game), []
+    for t in range(cfg.budget_generations):
+        history.append((pops.predators.ones, pops.prey.ones))
+        if on_state(target, pops):
+            return True, t, np.array(history)
+        pops = step_generation(pops, dist, rng)
+    return False, cfg.budget_generations, np.array(history)
+
+
+class TestReadAhead:
+    def assert_draws_equal(self, stream, rng, lam, high, generations):
+        # the engine's two calls of each generation, against the Generator
+        for t in range(generations):
+            slots = stream.integers(0, high, size=(lam, 4))
+            assert slots.shape == (lam, 4)
+            assert np.array_equal(slots, rng.integers(0, high, size=(lam, 4))), t
+            assert np.array_equal(stream.random(2 * lam), rng.random(2 * lam)), t
+        # the stream is ahead by the unread generations of its block, no more
+        unread = (stream.ready - stream.at) * (stream.slot_words + 2 * lam)
+        if unread:
+            rng.bit_generator.advance(unread)
+        assert pcg_position(stream.bitgen) == pcg_position(rng.bit_generator)
+
+    @pytest.mark.parametrize("lam", [1, 2, 3, 7, 100])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["aligned", "buffered-half"])
+    def test_draws_equal_the_generator(self, lam, buffered):
+        # two blocks and a few generations more, from a stream with or
+        # without a buffered half word
+        mine, theirs = spawn_stream(90, lam), spawn_stream(90, lam)
+        if buffered:
+            mine.integers(0, 5), theirs.integers(0, 5)
+        stream = _ReadAhead(mine, lam)
+        generations = max(30, 2 * stream.block + 3)
+        self.assert_draws_equal(stream, theirs, lam, lam, generations)
+
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["aligned", "buffered-half"])
+    def test_rejections_and_buffered_runs(self, lam, buffered):
+        # the range 3 * 2**30 rejects a quarter of the halves: blocks stop
+        # at rejected draws, and odd rejection counts leave a half buffered
+        high = 3 * 2**30
+        mine = CountingGenerator(spawn_stream(91, lam))
+        theirs = spawn_stream(91, lam)
+        if buffered:
+            mine.rng.integers(0, 5), theirs.integers(0, 5)
+        stream = _ReadAhead(mine, lam, high)
+        generations = 400
+        self.assert_draws_equal(stream, theirs, lam, high, generations)
+        assert 0 < mine.calls < generations  # blocks and the Generator both drew
+
+    @pytest.mark.parametrize("game, lam, chi, budget", [
+        pytest.param(BilinearParams(n=10, alpha=0.9, beta=0.1, epsilon=0.2), 1, 0.5, 3000,
+                     id="n10-lambda1"),
+        pytest.param(BilinearParams(n=12, alpha=0.75, beta=0.25, epsilon=0.25), 3, 0.5, 30,
+                     id="n12-lambda3"),
+        pytest.param(BilinearParams(n=50, alpha=0.8, beta=0.2, epsilon=0.2), 100, 1.0, 60,
+                     id="n50-lambda100"),
+    ])
+    def test_runs_equal_plain_generator_steps(self, game, lam, chi, budget):
+        # six runs of a cell, some hit and some censored, leaving their
+        # blocks mid-way: recorded and batched runs equal plain stepping
+        base = PdcoeaConfig(lam=lam, chi=chi, seed=0, budget_generations=budget, game=game)
+        cfgs = [replace(base, seed=derive_seed(3, i)) for i in range(6)]
+        records = [run_trial(cfg, record=True) for cfg in cfgs]
+        for record, (hit, generations, history) in zip(records, map(plain_run, cfgs)):
+            assert (record.hit, record.generations_run) == (hit, generations)
+            assert np.array_equal(record.counts, history)
+        assert run_trials(cfgs) == records
+        block = _ReadAhead(spawn_stream(0), lam).block
+        assert any(r.hit and r.generations_run % block for r in records)
+        assert not all(r.hit for r in records)
+
+    @pytest.mark.parametrize("seed, rejected", [(8, 35), (38, 51), (58, 123), (35, 170)])
+    def test_engine_scale_rejected_slot_words(self, seed, rejected):
+        # lambda = 1000 rejects a half below (2**32 - 1000) % 1000 = 296:
+        # rare, but these streams hold one; the generations after it stay exact
+        lam = 1000
+        assert first_rejected_generation(seed, lam, rejected + 1) == rejected
+        mine = CountingGenerator(spawn_stream(seed, 0))
+        stream = _ReadAhead(mine, lam)
+        self.assert_draws_equal(stream, spawn_stream(seed, 0), lam, lam, rejected + 12)
+        assert mine.calls >= 1
 
 
 class TestSingletonTarget:
