@@ -30,7 +30,7 @@ for cx in range(params.n + 1):
 
 print("\nworst-case value f(x) = min_y payoff(x, y) by predator one-count:")
 for c in range(params.n + 1):
-    f = worst_case_f(BitVector.from_bits([1] * c + [0] * (params.n - c)), params)
+    f = worst_case_f(BitVector([1] * c + [0] * (params.n - c)), params)
     bar = "#" * int((f + 60) / 3)
     print(f"  ||x||={c:2d}  f={f:7.1f}  {bar}")
 print("the curve peaks at ||x|| = beta*n: the predator's maximin play.\n")

@@ -28,11 +28,9 @@ from .core import (
     Population,
     RandomStream,
     derive_seed,
-    hamming,
     ones,
     paired_uniform,
     spawn_stream,
-    uniform_bitvector,
 )
 from .levels import (
     FractionStats,

@@ -66,19 +66,12 @@ class BitVector:
         self._ones = int(popcount_rows(arr))
 
     @classmethod
-    def from_bits(cls, bits) -> "BitVector":
-        return cls(bits)
-
-    @classmethod
     def zeros(cls, n: int) -> "BitVector":
         return cls(np.zeros(n, dtype=np.uint8))
 
     @classmethod
     def all_ones(cls, n: int) -> "BitVector":
         return cls(np.ones(n, dtype=np.uint8))
-
-    def complement(self) -> "BitVector":
-        return BitVector(1 - self._bits)
 
     def bits(self) -> np.ndarray:
         """The read-only uint8 array of the n bits."""
@@ -100,25 +93,14 @@ def ones(v: BitVector) -> int:
     return v._ones
 
 
-def hamming(u: BitVector, v: BitVector) -> int:
-    """Number of positions where u and v disagree."""
-    if u.n != v.n:
-        raise ValueError(f"length mismatch: {u.n} != {v.n}")
-    return int(np.count_nonzero(u._bits != v._bits))
-
-
-def uniform_bitvector(n: int, rng: RandomStream) -> BitVector:
-    """Draw each bit independently with probability 1/2 (n >= 1)."""
-    return BitVector(rng.integers(0, 2, size=n, dtype=np.uint8))
-
-
 class Population:
     """An array of lambda members of common genome length n.
 
     The state is the read-only int64 vector of per-member one-counts, which
     is all the bilinear game and the shipped targets depend on.  An int64
-    array is taken over without a copy and made read-only.  Counts are
-    stored as given; the exact oracles of `levels` and `bilinear.target_hit`
+    array is taken over without a copy and made read-only.  The vector must
+    be 1-d with lambda >= 1 entries; the counts themselves are stored as
+    given, and the exact oracles of `levels` and `bilinear.target_hit`
     take one-count arrays from outside the program and check those instead.
     """
 
@@ -133,36 +115,22 @@ class Population:
         self.n = int(n)
         self.lam = int(counts.shape[0])
 
-    @classmethod
-    def uniform(cls, lam: int, n: int, rng: RandomStream) -> "Population":
-        """lambda genomes with i.i.d. fair bits, stored as their one-counts."""
-        if lam < 1:
-            raise ValueError(f"population size must be >= 1, got {lam}")
-        bits = rng.integers(0, 2, size=(lam, n), dtype=np.uint8)
-        return cls(n, bits.sum(axis=1, dtype=np.int64))
-
-    def __len__(self):
-        return self.lam
-
     def __repr__(self):
         return f"Population(lambda={self.lam}, n={self.n})"
 
 
 @dataclass(frozen=True)
 class PairedPopulations:
-    """Algorithm state: predator and prey populations at generation t."""
+    """Algorithm state: the predator and prey populations."""
 
     predators: Population
     prey: Population
-    generation: int = 0
 
     def __post_init__(self):
         if self.predators.lam != self.prey.lam:
             raise ValueError("predator and prey populations must have equal size")
         if self.predators.n != self.prey.n:
             raise ValueError("predator and prey genomes must have equal length")
-        if self.generation < 0:
-            raise ValueError("generation must be non-negative")
 
     @property
     def lam(self) -> int:
@@ -173,8 +141,11 @@ class PairedPopulations:
         return self.predators.n
 
 
-def paired_uniform(lam: int, n: int, rng: RandomStream) -> PairedPopulations:
-    """Sample both initial populations uniformly at random (predators first)."""
-    predators = Population.uniform(lam, n, rng)
-    prey = Population.uniform(lam, n, rng)
-    return PairedPopulations(predators, prey, generation=0)
+def paired_uniform(lam: int, n: int, rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+    """The one-counts (cx, cy) of two uniform populations of lambda genomes
+    with i.i.d. fair bits: int64 row sums of two (lambda, n) bit-matrix
+    draws, predators first."""
+    if lam < 1:
+        raise ValueError(f"population size must be >= 1, got {lam}")
+    return tuple(rng.integers(0, 2, size=(lam, n), dtype=np.uint8).sum(axis=1, dtype=np.int64)
+                 for _ in range(2))

@@ -549,16 +549,15 @@ def experiment_trajectory(spec: ExperimentSpec, workers: int = 1):
     beta*n reaches gamma0.  Every trial records its one-counts; its series
     rows, levels and phases come from `trajectory_columns` and
     `current_level` over RECORD_BLOCK generations at a time, and the output
-    is identical for any worker count.
+    is identical for any worker count.  Every cell's level sequence is built
+    before the first run, so a cell without one fails before any work.
     """
     table = ResultTable(spec=spec)
     series = []
-    levels = {}
+    levels = {cell: build_bilinear_levels(cell.game) for cell in resolve_cells(spec)}
     for cell, trial, record in _run_units(spec, workers):
         table.rows.append(_result_row(spec, cell, trial, record))
         game = cell.game
-        if cell not in levels:
-            levels[cell] = build_bilinear_levels(game)
         reached = False  # phase 2 began in an earlier block
         for start in range(0, len(record.counts), RECORD_BLOCK):
             block = record.counts[start:start + RECORD_BLOCK]

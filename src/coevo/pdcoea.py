@@ -153,7 +153,7 @@ def _mutate_counts(counts: np.ndarray, uniforms: np.ndarray, n: int, chi: float)
 class PdcoeaDistribution:
     """Pairwise-dominance selection followed by independent bitwise mutation."""
 
-    oracle: object
+    oracle: BilinearGame
     chi: float
 
 
@@ -272,21 +272,15 @@ def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
     Offspring slot i of the predator and prey populations come from the same
     interaction (they may be dependent); distinct slots are independent.
     Mutation moves each selected one-count by the exact law of independent
-    bit flips (`_offspring_table`), which is exact for any oracle and target
-    that see genomes only through their one-counts, so the oracle must
-    provide `dominates_counts`.
+    bit flips (`_offspring_table`).
     Draw order: the 4*lambda selection slots, then 2*lambda mutation draws,
     the predators' first.
     """
     n = pops.n
     if not 0.0 <= dist.chi <= n:
         raise ValueError(f"chi must be in [0, n] = [0, {n}], got {dist.chi}")
-    if not hasattr(dist.oracle, "dominates_counts"):
-        raise TypeError("step_generation evolves one-counts only and needs an oracle "
-                        "with dominates_counts(cx1, cy1, cx2, cy2)")
     cx, cy = _step_rows(pops.predators.ones, pops.prey.ones, n, dist, (rng,))
-    return PairedPopulations(Population(n, cx), Population(n, cy),
-                             generation=pops.generation + 1)
+    return PairedPopulations(Population(n, cx), Population(n, cy))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +428,8 @@ def run_trial(cfg: PdcoeaConfig, record: bool = False) -> TrialRecord:
     """
     t0 = time.perf_counter()
     rng = spawn_stream(cfg.seed, 0)
-    pops = paired_uniform(cfg.lam, cfg.n, rng)
+    cx, cy = paired_uniform(cfg.lam, cfg.n, rng)
+    pops = PairedPopulations(Population(cfg.n, cx), Population(cfg.n, cy))
     rng = _ReadAhead(rng, cfg.lam)
     dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
     target = cfg.target if cfg.target is not None else bilinear_target(cfg.game)
@@ -472,16 +467,16 @@ def run_trials(cfgs) -> list:
     first hit.  A record's wall_ms is the time from the start of the batch
     to the end of its run.  Nothing is recorded.
     """
+    if not cfgs:
+        return []
     t0 = time.perf_counter()
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
         raise ValueError("run_trials needs configs that differ in their seeds only")
     lam, n = cfg.lam, cfg.n
     rngs = [spawn_stream(c.seed, 0) for c in cfgs]
-    starts = [paired_uniform(lam, n, rng) for rng in rngs]
+    cx, cy = map(np.concatenate, zip(*[paired_uniform(lam, n, rng) for rng in rngs]))
     rngs = [_ReadAhead(rng, lam) for rng in rngs]
-    cx = np.concatenate([pops.predators.ones for pops in starts])
-    cy = np.concatenate([pops.prey.ones for pops in starts])
     dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
     target = cfg.target if cfg.target is not None else bilinear_target(cfg.game)
     live = list(range(len(cfgs)))  # the config of each row

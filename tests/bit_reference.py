@@ -35,10 +35,9 @@ def mutate_bits(bits, n, chi, rng):
     return bits
 
 
-def counted(pred, prey, n, generation):
+def counted(pred, prey, n):
     """The count state that selection and the target see for bit matrices."""
-    return PairedPopulations(Population(n, popcount_rows(pred)),
-                             Population(n, popcount_rows(prey)), generation=generation)
+    return PairedPopulations(Population(n, popcount_rows(pred)), Population(n, popcount_rows(prey)))
 
 
 def reference_hit_generation(cfg, target):
@@ -48,7 +47,7 @@ def reference_hit_generation(cfg, target):
     pred, prey = initial_bits(cfg.lam, cfg.n, rng)
     oracle = BilinearGame(cfg.game)
     for t in range(cfg.budget_generations):
-        pops = counted(pred, prey, cfg.n, t)
+        pops = counted(pred, prey, cfg.n)
         if target(pops.predators.ones, pops.prey.ones):
             return t
         pred_slots, prey_slots = select_slots(pops, oracle, rng, cfg.lam)

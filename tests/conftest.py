@@ -14,7 +14,7 @@ def count_vector(c, n):
     """Canonical genome with c ones (first c positions set)."""
     bits = np.zeros(n, dtype=np.uint8)
     bits[:c] = 1
-    return BitVector.from_bits(bits)
+    return BitVector(bits)
 
 
 def paired(pred, prey, n):

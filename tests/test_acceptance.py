@@ -259,10 +259,12 @@ def test_criterion_11_determinism_of_runs_and_sweeps(tmp_path, capsys):
         out = str(tmp_path / "sweep")
         assert main(["sweep", "--config", str(cfg), "--out", out]) == 0
         capsys.readouterr()
-        rows1 = [",".join(l.split(",")[:-1]) for l in open(out + ".csv") if not l.startswith("#")]
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        rows1 = [",".join(l.split(",")[:-1]) for l in lines if not l.startswith("#")]
         assert main(["sweep", "--config", str(cfg), "--out", out]) == 0
         capsys.readouterr()
-        rows2 = [",".join(l.split(",")[:-1]) for l in open(out + ".csv") if not l.startswith("#")]
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        rows2 = [",".join(l.split(",")[:-1]) for l in lines if not l.startswith("#")]
         assert rows1 == rows2
 
 

@@ -18,7 +18,6 @@ from coevo import (
     payoff_by_onecounts,
     spawn_stream,
     target_hit,
-    uniform_bitvector,
     worst_case_f,
 )
 from coevo.bilinear import _dominates_by_payoffs
@@ -66,10 +65,10 @@ class TestPayoff:
         assert values == {-24.0}
 
     def test_depends_only_on_onecounts(self, fig_params):
-        x1 = BitVector.from_bits([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
-        x2 = BitVector.from_bits([0, 0, 0, 0, 0, 0, 0, 1, 1, 1])
-        y1 = BitVector.from_bits([0, 1, 0, 1, 0, 1, 0, 1, 0, 1])
-        y2 = BitVector.from_bits([1, 0, 1, 0, 1, 0, 1, 0, 1, 0])
+        x1 = BitVector([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
+        x2 = BitVector([0, 0, 0, 0, 0, 0, 0, 1, 1, 1])
+        y1 = BitVector([0, 1, 0, 1, 0, 1, 0, 1, 0, 1])
+        y2 = BitVector([1, 0, 1, 0, 1, 0, 1, 0, 1, 0])
         assert payoff(x1, y1, fig_params) == payoff(x2, y2, fig_params)
 
     def test_dimension_mismatch(self, fig_params):
@@ -92,7 +91,7 @@ class TestWorstCase:
 
     def test_matches_full_prey_enumeration_n8(self):
         params = BilinearParams(n=8, alpha=0.5, beta=0.5, epsilon=0.125)
-        prey = [BitVector.from_bits([(i >> b) & 1 for b in range(8)]) for i in range(256)]
+        prey = [BitVector([(i >> b) & 1 for b in range(8)]) for i in range(256)]
         for c in range(9):
             x = count_vector(c, 8)
             assert worst_case_f(x, params) == min(payoff(x, y, params) for y in prey)
@@ -122,7 +121,7 @@ class TestDominance:
     def test_reflexive(self, fig_params):
         rng = spawn_stream(21, 0)
         for _ in range(50):
-            x, y = uniform_bitvector(10, rng), uniform_bitvector(10, rng)
+            x, y = (BitVector(rng.integers(0, 2, size=10, dtype=np.uint8)) for _ in range(2))
             assert dominates(x, y, x, y, fig_params)
 
     def test_genome_length_checked(self, fig_params):

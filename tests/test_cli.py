@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -255,7 +256,7 @@ class TestSweepAndPlots:
         out = str(tmp_path / "a")
 
         def strip(path):
-            lines = open(path + ".csv").read().splitlines()
+            lines = Path(path + ".csv").read_text().splitlines()
             return [",".join(l.split(",")[:-1]) if not l.startswith("#") else l for l in lines]
 
         assert run_cli(capsys, "sweep", "--config", spec, "--out", out)[0] == 0
@@ -267,7 +268,7 @@ class TestSweepAndPlots:
         # kind = sweep runs the plain grid; --trials and --seed replace the
         # spec's values, so the rows equal those of a spec file that sets them
         def rows(prefix):
-            lines = open(prefix + ".csv").read().splitlines()
+            lines = Path(prefix + ".csv").read_text().splitlines()
             return [",".join(l.split(",")[:-1]) for l in lines if not l.startswith("#")]
 
         spec = self.write_spec(tmp_path, kind="sweep")
@@ -441,7 +442,7 @@ class TestSweepAndPlots:
         from coevo.theory import CheckResult
 
         def text(path):
-            content = open(path).read()
+            content = Path(path).read_text()
             if path.endswith(".csv") and not path.endswith((".series.csv", ".long.csv")):
                 content = re.sub(r"^([^#].*),[^,\n]*$", r"\1", content, flags=re.M)
             return content

@@ -11,10 +11,9 @@ from coevo import (
     PairedPopulations,
     Population,
     derive_seed,
-    hamming,
     ones,
+    paired_uniform,
     spawn_stream,
-    uniform_bitvector,
 )
 
 from conftest import count_vector
@@ -28,74 +27,22 @@ class TestOnes:
         assert ones(BitVector.all_ones(10)) == 10
 
     def test_mixed_vector_counted_by_inspection(self):
-        v = BitVector.from_bits([1, 0, 1, 0, 1, 1, 0, 0, 0, 0])
+        v = BitVector([1, 0, 1, 0, 1, 1, 0, 0, 0, 0])
         assert ones(v) == 4
 
     def test_matches_bit_sum_multiword(self):
         rng = spawn_stream(11, 0)
         for n in (64, 65, 100, 130, 200):
-            v = uniform_bitvector(n, rng)
+            v = BitVector(rng.integers(0, 2, size=n, dtype=np.uint8))
             assert ones(v) == int(v.bits().sum())
 
-    def test_complement_identity(self):
-        rng = spawn_stream(12, 0)
-        for n in (1, 7, 64, 99):
-            v = uniform_bitvector(n, rng)
-            assert ones(v.complement()) == n - ones(v)
 
-
-class TestHamming:
-    def test_identity(self):
-        v = count_vector(3, 10)
-        assert hamming(v, v) == 0
-
-    def test_complement_full_distance(self):
-        u = BitVector.zeros(8)
-        assert hamming(u, BitVector.all_ones(8)) == 8
-
-    def test_positionwise(self):
-        u = BitVector.from_bits([1, 1, 0, 0])
-        v = BitVector.from_bits([1, 0, 1, 0])
-        assert hamming(u, v) == 2
-
-    def test_symmetric(self):
-        rng = spawn_stream(13, 0)
-        for _ in range(20):
-            u, v = uniform_bitvector(70, rng), uniform_bitvector(70, rng)
-            assert hamming(u, v) == hamming(v, u)
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            hamming(BitVector.zeros(4), BitVector.zeros(5))
-
-    def test_triangle_inequality_exhaustive_small_n(self):
-        n = 6
-        vectors = [BitVector.from_bits([(i >> b) & 1 for b in range(n)]) for i in range(2**n)]
-        dist = np.array([[hamming(u, v) for v in vectors] for u in vectors])
-        # dist[u, w] <= dist[u, v] + dist[v, w] for every triple
-        lhs = dist[:, None, :]
-        rhs = dist[:, :, None] + dist[None, :, :]
-        assert (lhs <= rhs).all()
-
-
-class TestUniformBitvector:
-    def test_mean_ones_n1(self):
-        rng = spawn_stream(100, 0)
-        draws = 10**5
-        total = sum(ones(uniform_bitvector(1, rng)) for _ in range(draws))
-        assert 0.49 <= total / draws <= 0.51
-
-    def test_deterministic_given_stream(self):
-        a = uniform_bitvector(50, spawn_stream(42, 3))
-        b = uniform_bitvector(50, spawn_stream(42, 3))
-        assert a == b
-
+class TestPairedUniform:
     def test_ones_distribution_chi_square(self):
-        # ones counts of n=64 draws against Binomial(64, 1/2)
+        # the predators' one-counts of 10**5 genomes of n=64 against Binomial(64, 1/2)
         n, draws = 64, 10**5
-        rng = spawn_stream(101, 0)
-        bits = rng.integers(0, 2, size=(draws, n), dtype=np.uint8)
-        counts = np.bincount(bits.sum(axis=1), minlength=n + 1)
+        cx, _ = paired_uniform(draws, n, spawn_stream(101, 0))
+        counts = np.bincount(cx, minlength=n + 1)
         pmf = scipy.stats.binom.pmf(np.arange(n + 1), n, 0.5)
         # merge tail classes so every expected count is at least 5
         lo = np.searchsorted(pmf * draws, 5.0)
@@ -106,8 +53,9 @@ class TestUniformBitvector:
         assert pvalue >= 1e-3
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            uniform_bitvector(0, spawn_stream(1, 0))
+        for lam in (0, -1):
+            with pytest.raises(ValueError, match="population size"):
+                paired_uniform(lam, 10, spawn_stream(1, 0))
 
 
 class TestSpawnStream:
@@ -143,9 +91,9 @@ class TestSpawnStream:
 
 
 class TestPacking:
-    def test_from_bits_rejects_non_binary(self):
+    def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
-            BitVector.from_bits([0, 1, 2])
+            BitVector([0, 1, 2])
 
     def test_bits_are_a_read_only_uint8_copy(self):
         source = np.array([1, 0, 1, 1], dtype=np.int64)
@@ -153,7 +101,7 @@ class TestPacking:
         source[0] = 0
         assert v.bits().dtype == np.uint8 and list(v.bits()) == [1, 0, 1, 1]
         assert not v.bits().flags.writeable and v.n == 4 and ones(v) == 3
-        assert BitVector.from_bits(iter([1, 0])) == BitVector([True, False])
+        assert BitVector(iter([1, 0])) == BitVector([True, False])
         for bad in ([], [[0, 1]], [0, 1, -1]):
             with pytest.raises(ValueError):
                 BitVector(bad)
@@ -167,10 +115,12 @@ class TestPacking:
 
 class TestPopulations:
     def test_uniform_shapes_and_cached_counts(self):
-        pop = Population.uniform(9, 100, spawn_stream(6, 0))
-        assert len(pop) == 9 and pop.n == 100
-        bits = spawn_stream(6, 0).integers(0, 2, size=(9, 100), dtype=np.uint8)
-        assert list(pop.ones) == [int(row.sum()) for row in bits]
+        cx, cy = paired_uniform(9, 100, spawn_stream(6, 0))
+        rng = spawn_stream(6, 0)
+        for counts in (cx, cy):  # predators first
+            bits = rng.integers(0, 2, size=(9, 100), dtype=np.uint8)
+            assert counts.dtype == np.int64 and counts.shape == (9,)
+            assert list(counts) == [int(row.sum()) for row in bits]
 
     def test_count_only_population(self):
         pop = Population(10, [3, 0, 10])
@@ -183,10 +133,10 @@ class TestPopulations:
             Population(10, [[1, 2], [3, 4]])
 
     def test_paired_validation(self):
-        a = Population.uniform(3, 10, spawn_stream(1, 0))
-        b = Population.uniform(4, 10, spawn_stream(1, 1))
+        a = Population(10, paired_uniform(3, 10, spawn_stream(1, 0))[0])
+        b = Population(10, paired_uniform(4, 10, spawn_stream(1, 1))[0])
         with pytest.raises(ValueError):
             PairedPopulations(a, b)
-        c = Population.uniform(3, 11, spawn_stream(1, 2))
+        c = Population(11, paired_uniform(3, 11, spawn_stream(1, 2))[0])
         with pytest.raises(ValueError):
             PairedPopulations(a, c)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -127,6 +128,11 @@ class TestSpecParsing:
         pytest.param("beta = 0.05,1.5", "beta", False, id="beta-above-1"),
         # a valid config, but no closed-form budget: the first cell's trials would run
         pytest.param("chi = auto,0.3\nbudget = bound:1e-6", "chi", False, id="chi-without-bound"),
+        # no level sequence: the series need one, so no pilot or trial may run first
+        pytest.param("n = 100\nlambda = 100\nalpha = 0\nbudget = 3000", "alpha < epsilon", False,
+                     id="no-levels-fixed-budget"),
+        pytest.param("alpha = 0.05\nepsilon = 0.1", "alpha < epsilon", False,
+                     id="no-levels-pilot-budget"),
     ])
     def test_bad_gamma0_fails_before_any_run(self, tmp_path, monkeypatch, capsys,
                                              lines, key, at_parse):
@@ -216,7 +222,7 @@ class TestRunExperiment:
         assert any("schema=1" in line for line in header)
         assert any("master_seed=77" in line for line in header)
         assert len(rows) == len(table.rows)
-        sidecar = json.loads(open(json_path).read())
+        sidecar = json.loads(Path(json_path).read_text())
         # aggregates recomputable from raw rows
         hits = [int(r["T_interactions"]) for r in rows if r["hit"] == "1"]
         agg = sidecar["aggregates"][0]
@@ -346,7 +352,7 @@ class TestNamedExperiments:
             assert all(a <= b for a, b in zip(phases, phases[1:]))
             assert phases[0] == 1 and phases[-1] == 2
         path = write_series(series, str(tmp_path / "series.csv"))
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert len(lines) == len(series) + 1
 
     # sha256 of the series CSV, recorded when each generation's row and level
@@ -457,7 +463,7 @@ class TestEmitPlots:
         table = run_experiment(spec)
         csv_path, _ = table.write(spec.out)
         out = emit_plot_data(csv_path, str(tmp_path / "long.csv"))
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0].endswith("metric,value")
         assert len(lines) == 1 + 3 * len(table.rows)
 

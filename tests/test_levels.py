@@ -27,7 +27,7 @@ from coevo import (
     target_hit,
     validate_level_function,
 )
-from coevo.core import Population, derive_seed
+from coevo.core import derive_seed, paired_uniform
 from coevo.harness import GROWTH_CHECK_CONFIGS
 from coevo.levels import _psel_counts, winner_table
 
@@ -359,7 +359,7 @@ class TestFractionStats:
         params = BilinearParams(n=100, alpha=0.4, beta=0.6, epsilon=0.1)
         lam = 1000
         rng = spawn_stream(54, 0)
-        state = Population.uniform(lam, 100, rng).ones, Population.uniform(lam, 100, rng).ones
+        state = paired_uniform(lam, 100, rng)
         stats = fraction_stats(*state, 0, 0, params)
         expected = float(scipy.stats.binom.sf(39, 100, 0.5))  # P(ones >= 40)
         se = math.sqrt(expected * (1 - expected) / lam)

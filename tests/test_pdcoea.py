@@ -11,7 +11,6 @@ from coevo import (
     BitVector,
     PdcoeaConfig,
     PdcoeaDistribution,
-    Population,
     TrajectoryRow,
     bilinear_target,
     derive_seed,
@@ -193,24 +192,10 @@ class TestStepGeneration:
         assert list(child.predators.ones) + list(child.prey.ones) == expected
         assert stream.integers(0, 2**62) == rng.integers(0, 2**62)  # no further draws
 
-    def test_generation_increments(self, fig_params, game):
-        pops = paired([4, 5], [9, 2], 10)
-        child = step_generation(pops, PdcoeaDistribution(game, 0.5), spawn_stream(38, 1))
-        assert child.generation == pops.generation + 1
-        assert child.lam == pops.lam and child.n == pops.n
-
-    def test_oracle_without_counts_route_rejected(self, fig_params):
-        class PairOracle:
-            def dominates(self, x1, y1, x2, y2):
-                return True
-
-        pops = paired([4, 5], [9, 2], 10)
-        with pytest.raises(TypeError, match="dominates_counts"):
-            step_generation(pops, PdcoeaDistribution(PairOracle(), 0.5), spawn_stream(38, 2))
-
     def test_offspring_are_count_only(self, fig_params, game):
         pops = paired([4, 5], [9, 2], 10)
         child = step_generation(pops, PdcoeaDistribution(game, 0.5), spawn_stream(38, 3))
+        assert child.lam == pops.lam and child.n == pops.n
         for side in (child.predators, child.prey):
             assert side.ones.dtype == np.int64 and not side.ones.flags.writeable
             assert side.ones.min() >= 0 and side.ones.max() <= 10
@@ -347,7 +332,7 @@ class TestRunTrial:
         assert record.counts.shape == (record.generations_run + record.hit, 2, cfg.lam)
         # row 0 is the uniform start on the trial's stream, row t + 1 one step from row t
         rng = spawn_stream(cfg.seed, 0)
-        pops = paired_uniform(cfg.lam, cfg.n, rng)
+        pops = paired(*paired_uniform(cfg.lam, cfg.n, rng), cfg.n)
         dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
         for state in record.counts:
             assert np.array_equal(state, [pops.predators.ones, pops.prey.ones])
@@ -452,6 +437,9 @@ class TestRunTrials:
         assert run_trials(cfgs) == expected
         assert sum(record.hit for record in expected) == hits
 
+    def test_no_configs_no_records(self):
+        assert run_trials([]) == []
+
     def test_configs_must_share_their_cell(self):
         base = PdcoeaConfig(lam=10, chi=0.5, seed=1, budget_generations=5, game=self.BILINEAR)
         with pytest.raises(ValueError, match="seeds only"):
@@ -459,7 +447,7 @@ class TestRunTrials:
 
     def test_kernel_rows_equal_step_generation(self, fig_params, game):
         # row i of one step of five runs is step_generation of run i on its stream
-        starts = [paired_uniform(6, 10, spawn_stream(40, i)) for i in range(5)]
+        starts = [paired(*paired_uniform(6, 10, spawn_stream(40, i)), 10) for i in range(5)]
         dist = PdcoeaDistribution(game, 1.5)
         cx, cy = _step_rows(np.concatenate([p.predators.ones for p in starts]),
                             np.concatenate([p.prey.ones for p in starts]), 10, dist,
@@ -514,7 +502,7 @@ def plain_run(cfg):
     """`run_trial`'s loop stepping a plain Generator through `step_generation`:
     (hit, generations run, the one-count history)."""
     rng = spawn_stream(cfg.seed, 0)
-    pops = paired_uniform(cfg.lam, cfg.n, rng)
+    pops = paired(*paired_uniform(cfg.lam, cfg.n, rng), cfg.n)
     dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
     target, history = bilinear_target(cfg.game), []
     for t in range(cfg.budget_generations):
@@ -704,13 +692,11 @@ class TestOffspringLaw:
         # both engines start from the same draws: the counts of generation 0
         # are the one-counts of the reference's bit matrices
         for lam, n in ((10, 20), (20, 8), (3, 130)):
-            pops = paired_uniform(lam, n, spawn_stream(61, 0))
+            cx, cy = paired_uniform(lam, n, spawn_stream(61, 0))
             pred, prey = initial_bits(lam, n, spawn_stream(61, 0))
-            assert np.array_equal(pops.predators.ones, popcount_rows(pred))
-            assert np.array_equal(pops.prey.ones, popcount_rows(prey))
-            solo = Population.uniform(lam, n, spawn_stream(62, 0))
-            assert np.array_equal(solo.ones, popcount_rows(
-                spawn_stream(62, 0).integers(0, 2, size=(lam, n), dtype=np.uint8)))
+            assert cx.dtype == cy.dtype == np.int64
+            assert np.array_equal(cx, popcount_rows(pred))
+            assert np.array_equal(cy, popcount_rows(prey))
 
     @pytest.mark.parametrize("cell", ["bilinear", "singleton"])
     def test_hit_times_match_bit_level_reference(self, cell):
