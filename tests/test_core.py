@@ -38,11 +38,11 @@ class TestOnes:
 
 
 class TestPairedUniform:
-    def test_ones_distribution_chi_square(self):
-        # the predators' one-counts of 10**5 genomes of n=64 against Binomial(64, 1/2)
+    @pytest.mark.parametrize("side", [0, 1], ids=["predators", "prey"])
+    def test_ones_distribution_chi_square(self, side):
+        # one side's one-counts of 10**5 genomes of n=64 against Binomial(64, 1/2)
         n, draws = 64, 10**5
-        cx, _ = paired_uniform(draws, n, spawn_stream(101, 0))
-        counts = np.bincount(cx, minlength=n + 1)
+        counts = np.bincount(paired_uniform(draws, n, spawn_stream(101, 0))[side], minlength=n + 1)
         pmf = scipy.stats.binom.pmf(np.arange(n + 1), n, 0.5)
         # merge tail classes so every expected count is at least 5
         lo = np.searchsorted(pmf * draws, 5.0)
@@ -52,10 +52,28 @@ class TestPairedUniform:
         stat, pvalue = scipy.stats.chisquare(observed, expected * observed.sum() / expected.sum())
         assert pvalue >= 1e-3
 
-    def test_rejects_empty(self):
-        for lam in (0, -1):
-            with pytest.raises(ValueError, match="population size"):
-                paired_uniform(lam, 10, spawn_stream(1, 0))
+    def test_mean_ones_n1(self):
+        draws = 10**5
+        for counts in paired_uniform(draws, 1, spawn_stream(100, 0)):
+            assert 0.49 <= counts.sum() / draws <= 0.51
+
+    def test_deterministic_given_stream(self):
+        a = paired_uniform(50, 30, spawn_stream(42, 3))
+        b = paired_uniform(50, 30, spawn_stream(42, 3))
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+    def test_consumes_exactly_two_bit_matrices(self):
+        # a run goes on drawing from the stream its start state came from
+        rng, ref = spawn_stream(43, 0), spawn_stream(43, 0)
+        paired_uniform(7, 65, rng)
+        for _ in range(2):
+            ref.integers(0, 2, size=(7, 65), dtype=np.uint8)
+        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+    @pytest.mark.parametrize("lam", [0, -1])
+    def test_rejects_empty(self, lam):
+        with pytest.raises(ValueError, match="population size"):
+            paired_uniform(lam, 10, spawn_stream(1, 0))
 
 
 class TestSpawnStream:
@@ -131,6 +149,11 @@ class TestPopulations:
             Population(10, [])
         with pytest.raises(ValueError):
             Population(10, [[1, 2], [3, 4]])
+
+    def test_int64_counts_taken_over_without_a_copy(self):
+        counts = np.array([3, 0, 10], dtype=np.int64)
+        pop = Population(10, counts)
+        assert np.shares_memory(pop.ones, counts) and not counts.flags.writeable
 
     def test_paired_validation(self):
         a = Population(10, paired_uniform(3, 10, spawn_stream(1, 0))[0])

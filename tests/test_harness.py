@@ -310,6 +310,15 @@ class TestPilot:
 
 
 class TestNamedExperiments:
+    def test_trajectory_without_levels_fails_before_any_run(self, monkeypatch):
+        def no_run(*args, **kw):
+            raise AssertionError("a unit ran")
+
+        monkeypatch.setattr(harness, "_run_units", no_run)
+        spec = tiny_spec(kind="trajectory", n=(100,), lam=(100,), alpha=(0.0,), budget=3000)
+        with pytest.raises(ValueError, match="alpha < epsilon"):
+            experiment_trajectory(spec)
+
     def test_error_threshold_curve(self):
         spec = ExperimentSpec(
             kind="error-threshold", n=(20,), lam=(20,), chi=(0.1, 2.0),

@@ -283,6 +283,13 @@ class TestRunTrial:
         record = run_trial(cfg)
         assert record.hit and record.T_interactions == 0 and record.generations_run == 0
 
+    def test_start_state_is_paired_uniform_on_the_trial_stream(self):
+        seen = []
+        cfg = self.make_cfg(seed=13, target=lambda cx, cy: seen.append((cx, cy)) or True)
+        assert run_trial(cfg).generations_run == 0
+        cx, cy = paired_uniform(cfg.lam, cfg.n, spawn_stream(cfg.seed, 0))
+        assert np.array_equal(seen[0][0], cx) and np.array_equal(seen[0][1], cy)
+
     def test_impossible_target_times_out_at_budget(self):
         game = BilinearParams(n=10, alpha=0.5, beta=0.0, epsilon=0.25)  # R0 empty
         cfg = self.make_cfg(game=game, lam=4, budget_generations=1)
@@ -439,6 +446,21 @@ class TestRunTrials:
 
     def test_no_configs_no_records(self):
         assert run_trials([]) == []
+
+    def test_start_rows_are_each_runs_paired_uniform(self):
+        seen = []
+
+        def target(cx, cy):
+            seen.append((cx.copy(), cy.copy()))
+            return np.ones(len(cx), dtype=bool)
+
+        base = PdcoeaConfig(lam=6, chi=0.5, seed=0, budget_generations=5, game=self.BILINEAR,
+                            target=target)
+        cfgs = [replace(base, seed=seed) for seed in (3, 1, 4)]
+        assert [record.generations_run for record in run_trials(cfgs)] == [0, 0, 0]
+        for row, cfg in enumerate(cfgs):
+            cx, cy = paired_uniform(6, 20, spawn_stream(cfg.seed, 0))
+            assert np.array_equal(seen[0][0][row], cx) and np.array_equal(seen[0][1][row], cy)
 
     def test_configs_must_share_their_cell(self):
         base = PdcoeaConfig(lam=10, chi=0.5, seed=1, budget_generations=5, game=self.BILINEAR)
