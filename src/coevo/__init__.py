@@ -10,7 +10,6 @@ harness.
 from .bilinear import (
     BilinearGame,
     BilinearParams,
-    Region,
     bilinear_target,
     classify_predator,
     classify_prey,

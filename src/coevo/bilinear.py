@@ -83,10 +83,16 @@ def payoff_by_onecounts(cx, cy, params: BilinearParams):
     return cy * (cx - params.beta_n) - params.alpha_n * cx
 
 
+def _genome_counts(params: BilinearParams, *genomes: BitVector) -> list:
+    """The one-counts of genomes of the game's length n, else a `ValueError`."""
+    for v in genomes:
+        if v.n != params.n:
+            raise ValueError(f"genome length {v.n} does not match game n={params.n}")
+    return [ones(v) for v in genomes]
+
+
 def payoff(x: BitVector, y: BitVector, params: BilinearParams) -> float:
-    if x.n != params.n or y.n != params.n:
-        raise ValueError(f"genome lengths ({x.n}, {y.n}) do not match game n={params.n}")
-    return float(payoff_by_onecounts(ones(x), ones(y), params))
+    return float(payoff_by_onecounts(*_genome_counts(params, x, y), params))
 
 
 def worst_case_f(x: BitVector, params: BilinearParams) -> float:
@@ -96,9 +102,7 @@ def worst_case_f(x: BitVector, params: BilinearParams) -> float:
     ||x|| < beta*n and ||y|| = 0 when ||x|| > beta*n; at the kink both
     endpoints tie.  The value is unimodal in ||x|| with maximum at beta*n.
     """
-    if x.n != params.n:
-        raise ValueError(f"genome length {x.n} does not match game n={params.n}")
-    c = ones(x)
+    [c] = _genome_counts(params, x)
     return float(min(payoff_by_onecounts(c, params.n, params), payoff_by_onecounts(c, 0, params)))
 
 
@@ -106,10 +110,7 @@ def dominates(x1: BitVector, y1: BitVector, x2: BitVector, y2: BitVector,
               params: BilinearParams) -> bool:
     """Pair (x1, y1) dominates (x2, y2): both payoff inequalities, ties allowed
     (`_dominates_by_payoffs` on the one-counts, exact for any alpha and beta)."""
-    for v in (x1, y1, x2, y2):
-        if v.n != params.n:
-            raise ValueError(f"genome length {v.n} does not match game n={params.n}")
-    return bool(_dominates_by_payoffs(ones(x1), ones(y1), ones(x2), ones(y2), params))
+    return bool(_dominates_by_payoffs(*_genome_counts(params, x1, y1, x2, y2), params))
 
 
 def _dominates_by_payoffs(cx1, cy1, cx2, cy2, params: BilinearParams):
@@ -130,11 +131,9 @@ def _dominates_by_payoffs(cx1, cy1, cx2, cy2, params: BilinearParams):
 def dominates_by_onecounts(cx1: int, cy1: int, cx2: int, cy2: int,
                            params: BilinearParams) -> bool:
     """Dominance on one-counts by the factored sign form of `_dominates_counts_arrays`,
-    exact for any alpha and beta; `_dominates_by_payoffs` is its cross-check."""
-    n = params.n
-    for c in (cx1, cy1, cx2, cy2):
-        if not 0 <= c <= n:
-            raise ValueError(f"one-count {c} out of range [0, {n}]")
+    exact for any alpha and beta; `_dominates_by_payoffs` is its cross-check.
+    The four counts are checked by `_one_counts`, as one state's two sides."""
+    (cx1, cx2), (cy1, cy2) = _one_counts([cx1, cx2], [cy1, cy2], params.n)
     return bool(_dominates_counts_arrays(cx1, cy1, cx2, cy2, params))
 
 
@@ -167,36 +166,35 @@ class BilinearGame:
 # Region partition of the one-count plane
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Region:
-    """Membership tag for the three-way predator (R) or prey (S) partition."""
-
-    tag: str
-    threshold: int
-
-
-def classify_predator(x: BitVector, k: int, params: BilinearParams) -> Region:
-    """R0: ||x|| < beta*n;  R1(k): beta*n <= ||x|| < n-k;  R2(k): ||x|| >= n-k."""
-    if not 0 <= k <= (1.0 - params.beta) * params.n + 1e-9:
+def _check_region_params(params: BilinearParams, k=None, l=None) -> None:
+    """k of R1(k)/R2(k) must lie in [0, (1-beta)n] and l of S1(l)/S2(l) in
+    [0, alpha*n); each is checked when given."""
+    if k is not None and not 0 <= k <= (1.0 - params.beta) * params.n + 1e-9:
         raise ValueError(f"k={k} outside [0, (1-beta)n = {(1 - params.beta) * params.n}]")
-    c = ones(x)
-    if c < params.beta_n:
-        return Region("R0", k)
-    if c < params.n - k:
-        return Region("R1", k)
-    return Region("R2", k)
-
-
-def classify_prey(y: BitVector, l: int, params: BilinearParams) -> Region:
-    """S0: ||y|| >= alpha*n;  S1(l): l <= ||y|| < alpha*n;  S2(l): ||y|| < l."""
-    if not 0 <= l < params.alpha_n:
+    if l is not None and not 0 <= l < params.alpha_n:
         raise ValueError(f"l={l} outside [0, alpha*n = {params.alpha_n})")
-    c = ones(y)
+
+
+def classify_predator(x: BitVector, k: int, params: BilinearParams) -> str:
+    """R0: ||x|| < beta*n;  R1(k): beta*n <= ||x|| < n-k;  R2(k): ||x|| >= n-k."""
+    _check_region_params(params, k=k)
+    [c] = _genome_counts(params, x)
+    if c < params.beta_n:
+        return "R0"
+    if c < params.n - k:
+        return "R1"
+    return "R2"
+
+
+def classify_prey(y: BitVector, l: int, params: BilinearParams) -> str:
+    """S0: ||y|| >= alpha*n;  S1(l): l <= ||y|| < alpha*n;  S2(l): ||y|| < l."""
+    _check_region_params(params, l=l)
+    [c] = _genome_counts(params, y)
     if c >= params.alpha_n:
-        return Region("S0", l)
+        return "S0"
     if c >= l:
-        return Region("S1", l)
-    return Region("S2", l)
+        return "S1"
+    return "S2"
 
 
 def _one_counts(cx, cy, n: int):

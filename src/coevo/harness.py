@@ -36,7 +36,7 @@ from .bilinear import (
     payoff_by_onecounts,
     _dominates_by_payoffs,
 )
-from .core import BitVector, PairedPopulations, Population, derive_seed, spawn_stream
+from .core import PairedPopulations, Population, derive_seed, spawn_stream
 from .levels import (
     LevelFunctionParams,
     build_bilinear_levels,
@@ -355,7 +355,7 @@ def _target_for(kind: str, n: int):
         return None
     # The reachable singleton: predators are driven toward the all-zeros
     # genome and prey toward all-ones, both of which are unique strings.
-    return singleton_target(BitVector.zeros(n), BitVector.all_ones(n))
+    return singleton_target(0, n, n)
 
 
 def _cell_config(cell: Cell, spec: ExperimentSpec, seed: int, budget: int) -> PdcoeaConfig:
@@ -756,8 +756,8 @@ def check_growth_suite() -> CheckResult:
 
 def check_level_functions() -> CheckResult:
     """Reference potential validates; a count-increasing function does not;
-    the closed-form cap g(0,1) < 3*eta*lambda^2*m/z_* holds across the sweep."""
-    ok = True
+    the closed-form cap g(0,1) < 3*eta*lambda^2*m/z_* holds across the sweep.
+    The detail names each sweep configuration that fails, and how."""
     lines = []
     for lam in (15, 20, 28):
         for m in (3, 6, 10):
@@ -767,16 +767,17 @@ def check_level_functions() -> CheckResult:
                     lo, hi = eta_window(delta, lam)
                     params = LevelFunctionParams(eta=(lo + hi) / 2, phi=0.5, z=z, lam=lam, m=m)
                     g1, g2 = reference_g1_g2(params)
-                    valid = validate_level_function(lambda k, j: g1(k, j) + g2(k, j), lam, m)
-                    ok &= valid
+                    where = f"lambda={lam} m={m} z={pattern} delta={delta}"
+                    if not validate_level_function(lambda k, j: g1(k, j) + g2(k, j), lam, m):
+                        lines.append(f"{where}: validator rejected the reference potential")
                     if lam > 44.0 / 3.0 and lam * lam > 44.0 / (3.0 * delta):
-                        z_star = min(z)
-                        cap = 3.0 * params.eta * lam * lam * m / z_star
-                        ok &= g1(0, 1) + g2(0, 1) < cap
+                        cap = 3.0 * params.eta * lam * lam * m / min(z)
+                        if not g1(0, 1) + g2(0, 1) < cap:
+                            lines.append(f"{where}: g(0,1) not below the cap {cap:.6g}")
     counterexample = validate_level_function(lambda k, j: k, 5, 4)
-    ok &= not counterexample
+    ok = not lines and not counterexample
     lines.append("monotone counterexample rejected" if not counterexample else "counterexample accepted!")
-    return CheckResult("level-functions", ok, "; ".join(lines) or "ok")
+    return CheckResult("level-functions", ok, "; ".join(lines))
 
 
 def _z_pattern(pattern: str, m: int) -> tuple:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bilinear import BilinearParams, _one_counts
+from .bilinear import BilinearParams, _check_region_params, _one_counts
 
 # ---------------------------------------------------------------------------
 # Level sequences
@@ -118,8 +118,14 @@ def level_pair_counts(cx: np.ndarray, cy: np.ndarray, seq: LevelSequence) -> np.
     (1-d) or of a block of states (one per row); the result is int64 with
     the last axis (lambda) replaced by the m levels.  Both factors come
     from prefix sums over the one-count histograms, O(n + m) numpy work per
-    state.  A count outside [0, seq.n] raises a `ValueError` naming n.
+    state.  Sides of different shapes, non-integer counts and a count
+    outside [0, seq.n] raise a `ValueError` naming n.
     """
+    cx, cy = np.asarray(cx), np.asarray(cy)
+    if (cx.shape != cy.shape or not cx.ndim
+            or cx.dtype.kind not in "iu" or cy.dtype.kind not in "iu"):
+        raise ValueError(f"one-counts for the level sequence's n={seq.n} must be two integer "
+                         f"arrays of one shape, got {cx.dtype} {cx.shape} and {cy.dtype} {cy.shape}")
     return _range_counts(cx, seq.predators, seq.n) * _range_counts(cy, seq.prey, seq.n)
 
 
@@ -129,7 +135,7 @@ def current_level(cx: np.ndarray, cy: np.ndarray, seq: LevelSequence, gamma0: fl
     level per row for a block of states."""
     if not 0.0 < gamma0 < 1.0:
         raise ValueError(f"gamma0 must be in (0, 1), got {gamma0}")
-    held = level_pair_counts(cx, cy, seq) >= gamma0 * cx.shape[-1] ** 2
+    held = level_pair_counts(cx, cy, seq) >= gamma0 * np.shape(cx)[-1] ** 2
     level = np.maximum((held * np.arange(1, seq.m + 1)).max(axis=-1), 1)
     return int(level) if level.ndim == 0 else level
 
@@ -146,15 +152,11 @@ class FractionStats:
     p_k: Fraction
     q0: Fraction
     q_l: Fraction
-    lam: int
 
 
 def fraction_stats(cx, cy, k: int, l: int, params: BilinearParams) -> FractionStats:
     n = params.n
-    if not 0 <= k <= (1.0 - params.beta) * n + 1e-9:
-        raise ValueError(f"k={k} outside [0, (1-beta)n]")
-    if not 0 <= l < params.alpha_n:
-        raise ValueError(f"l={l} outside [0, alpha*n)")
+    _check_region_params(params, k=k, l=l)
     cx, cy = _one_counts(cx, cy, n)
     lam = cx.size
     return FractionStats(
@@ -162,7 +164,6 @@ def fraction_stats(cx, cy, k: int, l: int, params: BilinearParams) -> FractionSt
         p_k=Fraction(int(((cx >= params.beta_n) & (cx < n - k)).sum()), lam),
         q0=Fraction(int((cy >= params.alpha_n).sum()), lam),
         q_l=Fraction(int(((cy >= l) & (cy < params.alpha_n)).sum()), lam),
-        lam=lam,
     )
 
 

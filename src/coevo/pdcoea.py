@@ -30,11 +30,9 @@ import numpy as np
 
 from .bilinear import BilinearGame, BilinearParams, bilinear_target
 from .core import (
-    BitVector,
     PairedPopulations,
     Population,
     RandomStream,
-    ones,
     paired_uniform,
     spawn_stream,
 )
@@ -287,20 +285,19 @@ def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
 # Targets
 # ---------------------------------------------------------------------------
 
-def singleton_target(x_star: BitVector, y_star: BitVector):
+def singleton_target(cx_star: int, cy_star: int, n: int):
     """Predicate: both populations contain the given genomes exactly.
 
-    Each target genome must be all-zeros or all-ones: a one-count of 0 or n
-    names one genome, so the predicate compares one-counts and is exact.
-    Any other genome shares its one-count with other genomes and is rejected.
-    Like `bilinear_target`'s, the predicate takes one-count arrays and
-    reduces over the last axis; its `n` is the genome length it is for.
+    The predator and prey genomes are given by their one-counts, each 0
+    (all-zeros) or n (all-ones): such a count names one genome, so the
+    predicate compares one-counts and is exact.  Any other count is shared
+    by several genomes and is rejected.  Like `bilinear_target`'s, the
+    predicate takes one-count arrays and reduces over the last axis; its
+    `n` is the genome length it is for.
     """
-    if x_star.n != y_star.n:
-        raise ValueError(f"target genome lengths differ: {x_star.n} != {y_star.n}")
-    cx_star, cy_star = ones(x_star), ones(y_star)
-    if any(c not in (0, x_star.n) for c in (cx_star, cy_star)):
-        raise ValueError("singleton target genomes must be all-zeros or all-ones; a population "
+    if any(c not in (0, n) for c in (cx_star, cy_star)):
+        raise ValueError(f"singleton target genomes must be all-zeros or all-ones (one-count "
+                         f"0 or n = {n}), got one-counts {cx_star} and {cy_star}; a population "
                          "stores one-counts, which name no other genome")
 
     def predicate(cx: np.ndarray, cy: np.ndarray):
@@ -310,7 +307,7 @@ def singleton_target(x_star: BitVector, y_star: BitVector):
         return hit & (cy == cy_star).any(axis=-1)
 
     predicate.__name__ = "singleton_target"
-    predicate.n = x_star.n
+    predicate.n = n
     return predicate
 
 

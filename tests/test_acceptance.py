@@ -17,7 +17,6 @@ import pytest
 from coevo import (
     BilinearGame,
     BilinearParams,
-    BitVector,
     LevelFunctionParams,
     PdcoeaConfig,
     dominates,
@@ -43,7 +42,7 @@ from coevo.harness import (
     resolve_cells,
     run_experiment,
 )
-from coevo.pdcoea import singleton_target, trajectory_columns
+from coevo.pdcoea import trajectory_columns
 from coevo.theory import check_exp_lower_bound, check_product_mgf, check_sqrt_bound
 
 from conftest import count_vector, paired

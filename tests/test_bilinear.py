@@ -152,6 +152,8 @@ class TestDominance:
             dominates_by_onecounts(11, 0, 0, 0, fig_params)
         with pytest.raises(ValueError):
             dominates_by_onecounts(0, -1, 0, 0, fig_params)
+        with pytest.raises(ValueError, match="whole numbers in \\[0, n\\] = \\[0, 10\\]"):
+            dominates_by_onecounts(2.5, 3, 1, 2, fig_params)
 
     def test_exhaustive_equivalence_large_grid(self):
         # vectorised mirrors of both routes over the full one-count grid,
@@ -264,16 +266,34 @@ class TestDominanceTies:
         assert mismatches == 0
 
 
+class TestGenomeLength:
+    # every scalar entry point checks its genomes in one place, with one message
+    ENTRY_POINTS = {
+        "payoff": lambda v, ok, p: payoff(ok, v, p),
+        "worst_case_f": lambda v, ok, p: worst_case_f(v, p),
+        "dominates": lambda v, ok, p: dominates(ok, ok, ok, v, p),
+        "classify_predator": lambda v, ok, p: classify_predator(v, 0, p),
+        "classify_prey": lambda v, ok, p: classify_prey(v, 0, p),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("length", [5, 11])
+    def test_wrong_length_rejected_with_one_message(self, fig_params, entry, length):
+        # a 5-bit all-ones prey used to be classified S0 against n = 10
+        with pytest.raises(ValueError, match=f"^genome length {length} does not match game n=10$"):
+            self.ENTRY_POINTS[entry](BitVector.all_ones(length), BitVector.zeros(10), fig_params)
+
+
 class TestRegions:
     def test_classify_predator_examples(self, fig_params):
-        assert classify_predator(count_vector(0, 10), 0, fig_params).tag == "R0"
-        assert classify_predator(count_vector(6, 10), 2, fig_params).tag == "R1"
-        assert classify_predator(count_vector(9, 10), 2, fig_params).tag == "R2"
+        assert classify_predator(count_vector(0, 10), 0, fig_params) == "R0"
+        assert classify_predator(count_vector(6, 10), 2, fig_params) == "R1"
+        assert classify_predator(count_vector(9, 10), 2, fig_params) == "R2"
 
     def test_classify_prey_examples(self, fig_params):
-        assert classify_prey(count_vector(10, 10), 1, fig_params).tag == "S0"
-        assert classify_prey(count_vector(2, 10), 1, fig_params).tag == "S1"
-        assert classify_prey(count_vector(0, 10), 1, fig_params).tag == "S2"
+        assert classify_prey(count_vector(10, 10), 1, fig_params) == "S0"
+        assert classify_prey(count_vector(2, 10), 1, fig_params) == "S1"
+        assert classify_prey(count_vector(0, 10), 1, fig_params) == "S2"
 
     def test_threshold_validation(self, fig_params):
         with pytest.raises(ValueError):
@@ -284,14 +304,14 @@ class TestRegions:
     def test_partitions_cover_exactly_once(self, fig_params):
         n = 10
         for k in range(0, 5):
-            tags = [classify_predator(count_vector(c, n), k, fig_params).tag for c in range(n + 1)]
+            tags = [classify_predator(count_vector(c, n), k, fig_params) for c in range(n + 1)]
             r0 = sum(t == "R0" for t in tags)
             r1 = sum(t == "R1" for t in tags)
             r2 = sum(t == "R2" for t in tags)
             assert r0 + r1 + r2 == n + 1
             assert r0 == 6 and r2 == k + 1
         for l in range(0, 4):
-            tags = [classify_prey(count_vector(c, n), l, fig_params).tag for c in range(n + 1)]
+            tags = [classify_prey(count_vector(c, n), l, fig_params) for c in range(n + 1)]
             assert sum(t == "S0" for t in tags) == 7
             assert sum(t == "S2" for t in tags) == l
 

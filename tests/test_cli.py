@@ -435,6 +435,7 @@ class TestSweepAndPlots:
         "trajectory": "218c7028541cdb983902dfbbaac7057e60c7266477fc7b9b6805e89759a71bbf",
         "bound-table": "dc379f3db59cb4122ae492609803980c6a2a1ce8d98f5c4de118cb2f003c624d",
         "lemma-checks": "033c492c05a26f162271e230c65de2ef744ff5e8d02b55ed3e1dd128bdc4f7f2",
+        "singleton-threshold": "4169f095af0e35848bb1c1de3b1f96b0a626c1c9e601724e7b792c60a138ffbf",
     }
 
     def test_golden_outputs(self, capsys, tmp_path, monkeypatch):
@@ -470,6 +471,11 @@ class TestSweepAndPlots:
                      lambda: CheckResult("stub-fail", False, "forced 1/2"))})
         spec = self.write_spec(tmp_path, kind="lemma-checks", out=tmp_path / "lc")
         record("lemma-checks", *run_cli(capsys, "sweep", "--config", spec)[:2], "lc.checks.json")
+        spec = self.write_spec(tmp_path, kind="error-threshold", n=6, **{"lambda": 6},
+                               chi="0.5,1.5", trials=3, budget=60, target="singleton",
+                               out=tmp_path / "st")
+        record("singleton-threshold", *run_cli(capsys, "threshold", "--config", spec)[:2],
+               "st.csv", "st.aggregates.json")
         assert got == self.GOLDEN
 
     def test_emit_plots_missing_input_is_io_error(self, capsys, tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from coevo import BilinearParams, BitVector, PdcoeaConfig, pdcoea, run_trial
+from coevo import BilinearParams, PdcoeaConfig, pdcoea, run_trial
 from coevo.bilinear import bilinear_target
 from coevo.levels import winner_table
 from coevo.pdcoea import singleton_target
@@ -25,7 +25,7 @@ WIDE = BilinearParams(n=6, alpha=0.9, beta=0.05, epsilon=0.2)   # lambda = 2: 78
 
 def corner(n):
     """The reachable singleton target: an all-zeros predator and an all-ones prey."""
-    return singleton_target(BitVector.zeros(n), BitVector.all_ones(n))
+    return singleton_target(0, n, n)
 
 
 @pytest.fixture(scope="module")

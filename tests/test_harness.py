@@ -25,8 +25,7 @@ from coevo.harness import (
     run_experiment,
     write_series,
 )
-from coevo.pdcoea import singleton_target, trajectory_columns
-from coevo.core import BitVector
+from coevo.pdcoea import trajectory_columns
 
 
 def tiny_spec(**kw):
@@ -534,6 +533,19 @@ class TestCheckRegistry:
         result = harness.check_dominance_equivalence()
         mismatches = int(result.detail.rsplit(", ", 1)[1].split()[0])
         assert not result.passed and mismatches >= 3 * 121
+
+    def test_level_functions_name_each_failing_configuration(self, monkeypatch):
+        # a validator that rejects every lambda = 20 sweep entry: 3 m x 3 z
+        # patterns x 2 deltas fail, each named; the counterexample still reads
+        validate = harness.validate_level_function
+        monkeypatch.setattr(harness, "validate_level_function",
+                            lambda g, lam, m: lam != 20 and validate(g, lam, m))
+        result = harness.check_level_functions()
+        assert not result.passed
+        failures = result.detail.split("; ")
+        assert failures[0] == "lambda=20 m=3 z=flat delta=0.3: validator rejected the reference potential"
+        assert len(failures) == 18 + 1 and failures[-1] == "monotone counterexample rejected"
+        assert all(line.startswith("lambda=20 ") for line in failures[:-1])
 
     def test_golden_check_output(self):
         # every registered check at its default seed

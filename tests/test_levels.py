@@ -241,10 +241,12 @@ class TestCurrentLevel:
 
     def test_current_level_rejects_sequence_for_another_n(self, solvable_params):
         # one-count arrays carry no n: a state of another n shows as a count
-        # outside [0, 10], in any state of a block
+        # outside [0, 10], in any state of a block; a prey side of another
+        # length and counts that are not integers are rejected the same way
         seq = build_bilinear_levels(solvable_params)
         for pred, prey in (([0, 11], [0, 1]), ([0, 1], [1, 12]), ([-1, 0], [0, 1]),
-                           ([[0, 1], [0, 11]], [[0, 1], [0, 1]])):
+                           ([[0, 1], [0, 11]], [[0, 1], [0, 1]]),
+                           ([1, 2, 3], [4] * 5), ([1.0, 2.0], [3, 4])):
             with pytest.raises(ValueError, match="n=10"):
                 current_level(np.array(pred), np.array(prey), seq, 9.0 / 25.0)
 

@@ -8,7 +8,6 @@ import scipy.stats
 from coevo import (
     BilinearGame,
     BilinearParams,
-    BitVector,
     PdcoeaConfig,
     PdcoeaDistribution,
     TrajectoryRow,
@@ -39,7 +38,7 @@ from coevo.pdcoea import (
 )
 
 from bit_reference import initial_bits, reference_hit_generation
-from conftest import count_vector, paired
+from conftest import paired
 from selection_reference import select_slots
 
 
@@ -382,7 +381,7 @@ class TestRunTrial:
 
     def test_singleton_target_run(self):
         game = BilinearParams(n=8, alpha=1.0, beta=0.125, epsilon=0.125)
-        target = singleton_target(BitVector.zeros(8), BitVector.all_ones(8))
+        target = singleton_target(0, 8, 8)
         cfg = PdcoeaConfig(lam=20, chi=0.2, seed=2, budget_generations=3000,
                            game=game, target=target)
         record = run_trial(cfg)
@@ -415,7 +414,7 @@ class TestRunTrial:
         # the benchmark's error-threshold cells at one seed, recorded before the
         # guide sampler: every one-count of every generation stays the same
         game = BilinearParams(n=100, alpha=1.0, beta=0.05, epsilon=0.1)
-        target = singleton_target(BitVector.zeros(100), BitVector.all_ones(100))
+        target = singleton_target(0, 100, 100)
         record = run_trial(PdcoeaConfig(lam=100, chi=chi, seed=17, budget_generations=1500,
                                         game=game, target=target), record=True)
         assert (record.hit, record.generations_run) == (hit, generations)
@@ -429,7 +428,7 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("game, chi, budget, target, hits", [
         pytest.param(BILINEAR, 0.5, 3000, None, 8, id="bilinear"),
-        pytest.param(CORNER, 0.3, 3000, singleton_target(BitVector.zeros(8), BitVector.all_ones(8)),
+        pytest.param(CORNER, 0.3, 3000, singleton_target(0, 8, 8),
                      8, id="singleton"),
         pytest.param(BILINEAR, 0.5, 200, None, 4, id="hit-and-censored"),
         pytest.param(BilinearParams(n=10, alpha=0.5, beta=0.0, epsilon=0.25), 0.5, 50, None, 0,
@@ -480,7 +479,7 @@ class TestRunTrials:
             assert np.array_equal(cy[6 * i: 6 * i + 6], child.prey.ones)
 
     def test_targets_answer_per_row(self, fig_params):
-        corner = singleton_target(BitVector.zeros(10), BitVector.all_ones(10))
+        corner = singleton_target(0, 10, 10)
         rng = spawn_stream(42, 0)
         cx, cy = rng.integers(0, 11, (2, 300, 4))
         cx[::7, 0], cy[::5, 1], cy[::3, 2] = 0, 10, 3  # hits of either target
@@ -613,31 +612,29 @@ class TestReadAhead:
 class TestSingletonTarget:
     def test_exact_membership(self):
         # a hit needs the all-zeros predator and the all-ones prey, in any slots
-        target = singleton_target(BitVector.zeros(6), BitVector.all_ones(6))
+        target = singleton_target(0, 6, 6)
         for cx in range(7):
             for cy in range(7):
                 assert on_state(target, paired([cx], [cy], 6)) == ((cx, cy) == (0, 6))
-        swapped = singleton_target(BitVector.all_ones(6), BitVector.zeros(6))
+        swapped = singleton_target(6, 0, 6)
         assert on_state(swapped, paired([2, 6], [0, 3], 6))
         assert not on_state(swapped, paired([0, 5], [0, 3], 6))
 
     def test_non_extreme_target_rejected_at_construction(self):
         # rejected where it is written, before any run could reach generation 1
         with pytest.raises(ValueError, match="all-zeros or all-ones"):
-            singleton_target(count_vector(2, 6), count_vector(4, 6))
+            singleton_target(2, 4, 6)
 
     def test_length_mismatch(self):
         # one-count arrays do not carry n, so the config checks it before any run
-        target = singleton_target(BitVector.zeros(5), BitVector.all_ones(5))
+        target = singleton_target(0, 5, 5)
         game = BilinearParams(n=6, alpha=1.0, beta=0.5, epsilon=0.5)
         with pytest.raises(ValueError, match="target genome length 5 does not match game n=6"):
             PdcoeaConfig(lam=1, chi=0.5, seed=1, budget_generations=1, game=game, target=target)
-        with pytest.raises(ValueError, match="lengths differ"):
-            singleton_target(BitVector.zeros(5), BitVector.all_ones(6))
 
     def test_all_zeros_and_all_ones_compare_counts(self):
         # a count of 0 or n names one genome, so count states are exact
-        target = singleton_target(BitVector.zeros(6), BitVector.all_ones(6))
+        target = singleton_target(0, 6, 6)
         assert on_state(target, paired([3, 0], [6, 2], 6))
         assert not on_state(target, paired([3, 1], [6, 2], 6))
         assert not on_state(target, paired([0, 0], [5, 0], 6))
@@ -645,11 +642,10 @@ class TestSingletonTarget:
 
     def test_other_targets_need_genomes(self):
         # every genome with 0 < c < n ones shares its count with other genomes
-        extreme = (BitVector.zeros(6), BitVector.all_ones(6))
         for c in range(1, 6):
-            for pair in ((count_vector(c, 6), extreme[1]), (extreme[0], count_vector(c, 6))):
+            for pair in ((c, 6), (0, c)):
                 with pytest.raises(ValueError, match="all-zeros or all-ones"):
-                    singleton_target(*pair)
+                    singleton_target(*pair, 6)
 
 
 def scipy_offspring_cdf(n, c, chi):
@@ -730,7 +726,7 @@ class TestOffspringLaw:
         else:
             game = BilinearParams(n=8, alpha=1.0, beta=0.125, epsilon=0.125)
             lam, chi = 20, 0.2
-            target = singleton_target(BitVector.zeros(8), BitVector.all_ones(8))
+            target = singleton_target(0, 8, 8)
         budget, trials = 3000, 200
 
         def cfg(seed):
