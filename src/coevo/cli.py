@@ -113,17 +113,7 @@ def _write_table(table) -> None:
         print(f"wrote {json_path}")
 
 
-def _report_checks(results) -> int:
-    """Print one `[PASS|FAIL] name: detail` line per check result; 0 if all passed, else 2."""
-    for res in results:
-        print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
-    return 0 if all(res.passed for res in results) else 2
-
-
 def _cmd_sweep_with_spec(spec, workers) -> int:
-    if spec.kind == "lemma-checks":
-        results, _ = harness.experiment_lemma_checks(spec)
-        return _report_checks(results)
     if spec.kind == "bound-table":
         for row in harness.experiment_bound_table(spec):
             print(json.dumps(row, sort_keys=True))
@@ -140,10 +130,14 @@ def _cmd_sweep_with_spec(spec, workers) -> int:
             print(f"wrote {harness.write_series(series, spec.out + '.series.csv')}")
     else:
         table = harness.run_experiment(spec, workers=workers)
-    for agg in table.aggregates():
+    aggs = table.aggregates()
+    # a game column the grid varies is named, so that no two cells' lines read alike
+    varied = [col for col in ("alpha", "beta", "epsilon", "r") if len({a[col] for a in aggs}) > 1]
+    for agg in aggs:
         print(
-            f"cell n={agg['n']} lambda={agg['lambda']} chi={agg['chi']:.6g}: "
-            f"success {agg['hits']}/{agg['trials']}"
+            f"cell n={agg['n']} lambda={agg['lambda']} chi={agg['chi']:.6g}"
+            + "".join(f" {col}={agg[col]:.6g}" for col in varied)
+            + f": success {agg['hits']}/{agg['trials']}"
             + (f", median T = {agg['median_T']:.0f}" if agg["median_T"] is not None else "")
         )
     _write_table(table)
@@ -202,8 +196,11 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    suites = args.suite or ["all"]
-    return _report_checks([res for suite in suites for res in harness.run_checks(suite)])
+    """Print one `[PASS|FAIL] name: detail` line per check result; 0 if all passed, else 2."""
+    results = [res for suite in args.suite or ["all"] for res in harness.run_checks(suite)]
+    for res in results:
+        print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
+    return 0 if all(res.passed for res in results) else 2
 
 
 def _cmd_emit_plots(args) -> int:

@@ -80,9 +80,7 @@ CSV_COLUMNS = (
 SPEC_GRIDS = {"n": "n", "lambda": "lam", "chi": "chi", "alpha": "alpha",
               "beta": "beta", "epsilon": "epsilon", "r": "r"}
 
-EXPERIMENT_KINDS = (
-    "sweep", "runtime-scaling", "error-threshold", "trajectory", "lemma-checks", "bound-table",
-)
+EXPERIMENT_KINDS = ("sweep", "runtime-scaling", "error-threshold", "trajectory", "bound-table")
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +510,14 @@ def experiment_runtime_scaling(spec: ExperimentSpec, workers: int = 1):
         ys = np.log([p[1] for p in points])
         return float(np.polyfit(xs, ys, 1)[0])
 
-    n_sweep = sorted({a["n"] for a in aggs})
-    lam_sweep = sorted({a["lambda"] for a in aggs})
+    # each fit reads the cells that share every other cell column with the
+    # first aggregate; aggregates come sorted, so its points are in order
     fits = {}
-    if len(n_sweep) > 1:
-        pts = [(a["n"], a["median_T"]) for a in aggs if a["lambda"] == lam_sweep[0]]
-        fits["slope_T_vs_n"] = slope(sorted(pts))
-    if len(lam_sweep) > 1:
-        pts = [(a["lambda"], a["median_T"]) for a in aggs if a["n"] == n_sweep[0]]
-        fits["slope_T_vs_lambda"] = slope(sorted(pts))
+    for col in ("n", "lambda"):
+        if len({a[col] for a in aggs}) > 1:
+            pts = [(a[col], a["median_T"]) for a in aggs
+                   if all(a[c] == aggs[0][c] for c in CELL_COLUMNS if c != col)]
+            fits[f"slope_T_vs_{col}"] = slope(pts)
 
     references = []
     for agg in aggs:
@@ -573,19 +570,6 @@ def experiment_trajectory(spec: ExperimentSpec, workers: int = 1):
     table.sort()
     table.extra["series_columns"] = list(SERIES_COLUMNS)
     return table, series
-
-
-def experiment_lemma_checks(spec: ExperimentSpec):
-    """Run every verification suite; the spec's grid is ignored (checks carry
-    their own fixed instances).  Writes a JSON report when `out` is set."""
-    results = run_checks("all")
-    report = {
-        "checks": [{"name": r.name, "passed": bool(r.passed), "detail": r.detail} for r in results],
-        "all_passed": bool(all(r.passed for r in results)),
-    }
-    if spec.out:
-        _write_json(spec.out + ".checks.json", report)
-    return results, report
 
 
 def experiment_bound_table(spec: ExperimentSpec):

@@ -39,17 +39,6 @@ from .core import (
 
 
 # ---------------------------------------------------------------------------
-# Selection
-# ---------------------------------------------------------------------------
-
-def _winner_mask(x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray,
-                 oracle) -> np.ndarray:
-    """True where the first drawn pair (x1, y1) dominates the second (x2, y2),
-    given the drawn predators' and prey's one-counts."""
-    return np.asarray(oracle.dominates_counts(x1, y1, x2, y2))
-
-
-# ---------------------------------------------------------------------------
 # Mutation
 # ---------------------------------------------------------------------------
 
@@ -174,8 +163,9 @@ def _step_rows(cx: np.ndarray, cy: np.ndarray, n: int, dist: PdcoeaDistribution,
     cy.  Run b draws from rngs[b] alone, in `step_generation`'s order, so
     each row evolves exactly as its run would on its own.  The drawn pairs'
     one-counts are gathered once, as the rows (x1, y1, x2, y2) of one array,
-    and each winner's counts are picked from them.  Returns the offspring
-    one-counts (cx, cy) in the same layout.
+    and each winner's counts are picked from them: the first pair where it
+    dominates the second, else the second.  Returns the offspring one-counts
+    (cx, cy) in the same layout.
     """
     size = cx.shape[0]
     lam = size // len(rngs)
@@ -189,7 +179,7 @@ def _step_rows(cx: np.ndarray, cy: np.ndarray, n: int, dist: PdcoeaDistribution,
         uniforms = np.array([rng.random(2 * lam) for rng in rngs])
         uniforms = uniforms.reshape(-1, 2, lam).swapaxes(0, 1).ravel()
     drawn = np.concatenate((cx, cy))[idx.T + _draw_offsets(len(rngs), lam)]
-    win1 = _winner_mask(drawn[0], drawn[1], drawn[2], drawn[3], dist.oracle)
+    win1 = dist.oracle.dominates_counts(drawn[0], drawn[1], drawn[2], drawn[3])
     parents = np.where(win1, drawn[:2], drawn[2:]).ravel()
     children = _mutate_counts(parents, uniforms, n, dist.chi)
     return children[:size], children[size:]

@@ -5,8 +5,8 @@ outside the tests uses it.  The reference laws take the predators' and the
 prey's one-count arrays of one state, as the closed forms do.
 
 Every ordered draw (i1, k1, i2, k2) of predator and prey slots is equally
-likely; the engine's own tie rule (`_winner_mask`, the second pair wins when
-the first does not dominate) picks the winner of each.
+likely; the engine's own tie rule (the oracle's `dominates_counts`, the
+second pair wins when the first does not dominate) picks the winner of each.
 """
 
 from fractions import Fraction
@@ -14,13 +14,12 @@ from fractions import Fraction
 import numpy as np
 
 from coevo import BilinearGame
-from coevo.pdcoea import _winner_mask
 
 
 def winner_slots(cx, cy, oracle, idx):
     """Winner (predator, prey) slot indices of the drawn pairs idx, a
     (count, 4) array of slots (i1, k1, i2, k2), by the engine's tie rule."""
-    win1 = _winner_mask(cx[idx[:, 0]], cy[idx[:, 1]], cx[idx[:, 2]], cy[idx[:, 3]], oracle)
+    win1 = oracle.dominates_counts(cx[idx[:, 0]], cy[idx[:, 1]], cx[idx[:, 2]], cy[idx[:, 3]])
     return np.where(win1, idx[:, 0], idx[:, 2]), np.where(win1, idx[:, 1], idx[:, 3])
 
 

@@ -3,6 +3,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coevo.cli import main
@@ -284,21 +285,53 @@ class TestSweepAndPlots:
         assert all(row.startswith("sweep,") for row in rows(overridden)[1:])
         assert rows(overridden) == rows(direct)
 
-    @pytest.mark.parametrize("passed, code", [(True, 0), (False, 2)])
-    def test_lemma_checks_kind_exit_code(self, capsys, tmp_path, monkeypatch, passed, code):
+    def test_lemma_checks_kind_is_unknown(self, capsys, tmp_path, monkeypatch):
+        # the check suites have one route, `coevo check`; the spec kind that
+        # repeated it is rejected before any check runs
         from coevo import harness
-        from coevo.theory import CheckResult
 
-        monkeypatch.setattr(harness, "CHECK_SUITES",
-                            {"stub": (lambda: CheckResult("stub", passed, "forced"),)})
+        calls = []
+        monkeypatch.setattr(harness, "run_checks", lambda *args: calls.append(args))
         path = tmp_path / "checks.txt"
         path.write_text("kind = lemma-checks\n")
-        got, out, _ = run_cli(capsys, "sweep", "--config", str(path),
-                              "--out", str(tmp_path / "report"))
-        assert got == code
-        assert out == f"[{'PASS' if passed else 'FAIL'}] stub: forced\n"
-        report = json.loads((tmp_path / "report.checks.json").read_text())
-        assert report["all_passed"] is passed
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path),
+                                 "--out", str(tmp_path / "report"))
+        assert code == 1 and out == "" and calls == []
+        assert err.startswith("error: unknown experiment kind 'lemma-checks'; choose from ")
+        assert "Traceback" not in err and not list(tmp_path.glob("report*"))
+
+    def test_scaling_fits_over_a_chi_grid(self, capsys, tmp_path):
+        # the chi = 1.0, n = 20 cell censors every run, so it has no median;
+        # the n fit reads only the cells that share chi (and every other
+        # column) with the first cell, here chi = 0.3
+        spec = self.write_spec(tmp_path, n="10,14,20", **{"lambda": 8}, chi="0.3,1.0", beta=0.1,
+                               trials=4, seed=3, budget=400, out=tmp_path / "sc")
+        code, out, err = run_cli(capsys, "scaling", "--config", spec)
+        assert code == 0 and "Traceback" not in err
+        sidecar = json.loads((tmp_path / "sc.aggregates.json").read_text())
+        aggs = sidecar["aggregates"]
+        assert [a["median_T"] for a in aggs if a["n"] == 20 and a["chi"] == 1.0] == [None]
+        n, median = zip(*[(a["n"], a["median_T"]) for a in aggs if a["chi"] == 0.3])
+        assert n == (10, 14, 20)
+        slope = float(np.polyfit(np.log(n), np.log(median), 1)[0])
+        assert sidecar["scaling_summary"]["fits"] == {"slope_T_vs_n": slope}
+        assert json.loads(out[:out.index("\ncell ")])["fits"] == {"slope_T_vs_n": slope}
+
+    @pytest.mark.parametrize("key, values, names", [
+        ("beta", "0.1,0.2", ["beta=0.1", "beta=0.2"]),
+        ("alpha", "0.8,0.9", ["alpha=0.8", "alpha=0.9"]),
+        ("epsilon", "0.1,0.2", ["epsilon=0.1", "epsilon=0.2"]),
+        ("r", "1,2", ["r=1", "r=2"]),
+    ])
+    def test_sweep_lines_name_a_varied_game_column(self, capsys, tmp_path, key, values, names):
+        # cells that differ only in a game column print that column, so no
+        # two summary lines read alike
+        spec = self.write_spec(tmp_path, kind="sweep", n=12, **{"lambda": 4}, trials=2,
+                               budget=50, **{key: values})
+        code, out, err = run_cli(capsys, "sweep", "--config", spec)
+        assert code == 0, err
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            f"cell n=12 lambda=4 chi=0.5 {name}" for name in names]
 
     @pytest.mark.parametrize("command", ["sweep", "trajectory"])
     @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -434,7 +467,7 @@ class TestSweepAndPlots:
         "emit-plots": "6a444a7153c8a9105beb166f53c6f3f35e247287d569721b9cd3b78dca1c5ba0",
         "trajectory": "218c7028541cdb983902dfbbaac7057e60c7266477fc7b9b6805e89759a71bbf",
         "bound-table": "dc379f3db59cb4122ae492609803980c6a2a1ce8d98f5c4de118cb2f003c624d",
-        "lemma-checks": "033c492c05a26f162271e230c65de2ef744ff5e8d02b55ed3e1dd128bdc4f7f2",
+        "check": "924b0d6ab23c9f1dd1a13f7f404bb5f774e53917f4069e25fbc843a92b61086d",
         "singleton-threshold": "4169f095af0e35848bb1c1de3b1f96b0a626c1c9e601724e7b792c60a138ffbf",
     }
 
@@ -469,8 +502,7 @@ class TestSweepAndPlots:
         monkeypatch.setattr(harness, "CHECK_SUITES", {
             "stub": (lambda: CheckResult("stub-pass", True, "held"),
                      lambda: CheckResult("stub-fail", False, "forced 1/2"))})
-        spec = self.write_spec(tmp_path, kind="lemma-checks", out=tmp_path / "lc")
-        record("lemma-checks", *run_cli(capsys, "sweep", "--config", spec)[:2], "lc.checks.json")
+        record("check", *run_cli(capsys, "check")[:2])
         spec = self.write_spec(tmp_path, kind="error-threshold", n=6, **{"lambda": 6},
                                chi="0.5,1.5", trials=3, budget=60, target="singleton",
                                out=tmp_path / "st")

@@ -95,6 +95,6 @@ class TestEngineHitTimes:
     def test_rejects_a_wrong_selection(self, small_chain, monkeypatch):
         # keeping the first drawn pair always is uniform selection, which
         # the exact law of pairwise dominance tells apart
-        monkeypatch.setattr(pdcoea, "_winner_mask",
-                            lambda x1, y1, x2, y2, oracle: np.ones(len(x1), dtype=bool))
+        monkeypatch.setattr(pdcoea.BilinearGame, "dominates_counts",
+                            lambda self, cx1, *_: np.ones(len(cx1), dtype=bool))
         assert hit_p_value(small_chain, SMALL, 0.7, bilinear_target(SMALL), 100) < 1e-6

@@ -291,13 +291,13 @@ class TestPilot:
         assert pilot_budget(resolve_cells(spec)[0], spec, 0) == budget
 
     def test_wrong_selection_changes_the_pilot_budget(self, monkeypatch):
-        # the pilots select through the engine's `_winner_mask`, so keeping the
+        # the pilots select through the engine's dominance call, so keeping the
         # first drawn pair always (uniform selection) reaches them too
         spec = tiny_spec(beta=(0.2,), budget="pilot")
         cell = resolve_cells(spec)[0]
         assert pilot_budget(cell, spec, 0) == 330
-        monkeypatch.setattr(pdcoea, "_winner_mask",
-                            lambda x1, y1, x2, y2, oracle: np.ones(len(x1), dtype=bool))
+        monkeypatch.setattr(pdcoea.BilinearGame, "dominates_counts",
+                            lambda self, cx1, *_: np.ones(len(cx1), dtype=bool))
         assert pilot_budget(cell, spec, 0) == 2345
 
     def test_pilot_failure_raises(self):
@@ -444,14 +444,6 @@ class TestPhaseOneDescent:
 
 
 class TestAnalyticKinds:
-    def test_lemma_checks_kind(self, tmp_path):
-        spec = ExperimentSpec(kind="lemma-checks", out=str(tmp_path / "rep"))
-        from coevo.harness import experiment_lemma_checks
-
-        results, report = experiment_lemma_checks(spec)
-        assert report["all_passed"]
-        assert (tmp_path / "rep.checks.json").exists()
-
     def test_bound_table_kind(self, tmp_path):
         from coevo.harness import experiment_bound_table
 
@@ -496,8 +488,8 @@ class TestCheckRegistry:
         # keeping the first drawn pair always is uniform selection: the exact
         # sums read the selection law and still hold, the engine's (X', Y')
         # do not fit them
-        monkeypatch.setattr(pdcoea, "_winner_mask",
-                            lambda x1, y1, x2, y2, oracle: np.ones(len(x1), dtype=bool))
+        monkeypatch.setattr(pdcoea.BilinearGame, "dominates_counts",
+                            lambda self, cx1, *_: np.ones(len(cx1), dtype=bool))
         result = harness.check_product_space()
         assert not result.passed
         exact, engine = result.detail.split("; engine ")
