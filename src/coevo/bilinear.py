@@ -20,6 +20,7 @@ the strict sense, and intransitive (four-cycles exist near the saddle).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,14 +138,33 @@ def dominates_by_onecounts(cx1: int, cy1: int, cx2: int, cy2: int,
     return bool(_dominates_counts_arrays(cx1, cy1, cx2, cy2, params))
 
 
+@functools.lru_cache(maxsize=16)
+def _count_signs(params: BilinearParams):
+    """sign(c - beta*n) and sign(c - alpha*n) of every count c in [0, n], as
+    two read-only int64 tables of n+1 entries, cached per game.
+
+    An int minus a float is correctly rounded, so each sign is exact for any
+    alpha and beta.  Dominance, the exact winner law and the target's R0
+    table all read their signs here.
+    """
+    counts = np.arange(params.n + 1)
+    tables = tuple(np.sign(counts - pivot).astype(np.int64)
+                   for pivot in (params.beta_n, params.alpha_n))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _dominates_counts_arrays(cx1, cy1, cx2, cy2, params: BilinearParams):
     """Vectorised Definition-2 dominance on one-count arrays (no validation).
 
     g12 - g11 = (cx1 - beta*n)(cy2 - cy1) and g11 - g21 = (cy1 - alpha*n)(cx1 - cx2);
-    each sign is exact, so ties are decided exactly for any alpha and beta.
+    both are >= 0 iff their smaller one is, and only the sign of each first
+    factor matters, which `_count_signs` holds exactly, so ties are decided
+    exactly for any alpha and beta.
     """
-    beta_n, alpha_n = params.beta_n, params.alpha_n
-    return ((cx1 - beta_n) * (cy2 - cy1) >= 0) & ((cy1 - alpha_n) * (cx1 - cx2) >= 0)
+    sx, sy = _count_signs(params)
+    return np.minimum(sx[cx1] * (cy2 - cy1), sy[cy1] * (cx1 - cx2)) >= 0
 
 
 class BilinearGame:
@@ -233,9 +253,9 @@ def bilinear_target(params: BilinearParams):
     and of the prey band from a boolean table over [0, n], so counts must lie
     in [0, n]; its `n` is the genome length it is for.
     """
-    counts = np.arange(params.n + 1)
-    in_r0 = counts < params.beta_n
-    in_band = (counts >= params.target_lo) & (counts < params.alpha_n)
+    sx, sy = _count_signs(params)
+    in_r0 = sx < 0
+    in_band = (np.arange(params.n + 1) >= params.target_lo) & (sy < 0)
 
     def predicate(cx: np.ndarray, cy: np.ndarray):
         hit = in_r0[cx].any(axis=-1)

@@ -199,6 +199,13 @@ def resolve_cells(spec: ExperimentSpec) -> list[Cell]:
         else:
             cells.append(Cell(int(n), int(lam), float(chi),
                               float(alpha), float(beta), float(eps), float(r), None))
+    seen = set()
+    for cell in cells:
+        key = tuple(cell.columns().values())
+        if key in seen:  # two runs of one cell would merge into one aggregate
+            raise ValueError("grid values must be distinct; repeated cell " + ", ".join(
+                f"{col}={value}" for col, value in cell.columns().items()))
+        seen.add(key)
     return cells
 
 
@@ -475,13 +482,11 @@ def experiment_error_threshold(spec: ExperimentSpec, workers: int = 1):
     the success rate collapse to zero.
     """
     table = run_experiment(spec, workers=workers)
-    by_chi: dict[float, list] = {}
-    for agg in table.aggregates():
-        by_chi.setdefault(agg["chi"], []).append(agg["success_rate"])
-    curve = [
-        {"chi": chi, "success_rate": float(np.mean(rates))}
-        for chi, rates in sorted(by_chi.items())
-    ]
+    aggs = table.aggregates()
+    # the curve reads the cells that share every other cell column with the
+    # first aggregate, as the scaling fits do; aggregates come sorted by chi there
+    curve = [{"chi": a["chi"], "success_rate": a["success_rate"]} for a in aggs
+             if all(a[c] == aggs[0][c] for c in CELL_COLUMNS if c != "chi")]
     nonzero = [pt["chi"] for pt in curve if pt["success_rate"] > 0]
     zero = [pt["chi"] for pt in curve if pt["success_rate"] == 0]
     summary = {

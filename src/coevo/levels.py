@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bilinear import BilinearParams, _check_region_params, _one_counts
+from .bilinear import BilinearParams, _check_region_params, _count_signs, _one_counts
 
 # ---------------------------------------------------------------------------
 # Level sequences
@@ -182,19 +182,18 @@ _DOMINATES = ((np.outer(_PIVOT_SIGN, _REF_SIGN) <= 0)
               & (np.outer(_REF_SIGN, _PIVOT_SIGN) >= 0)).astype(np.int64)
 
 
-def _class_pairs(ones: np.ndarray, n: int, pivot: float):
-    """Sign of each count 0..n against the pivot, and the (n+1, 9) int64 table
-    whose entry [r, k] counts the ordered member pairs (c, r) of one side
-    with c in sign class k against r."""
+def _class_pairs(ones: np.ndarray, sign: np.ndarray):
+    """The (n+1, 9) int64 table whose entry [r, k] counts the ordered member
+    pairs (c, r) of one side with c in sign class k against r, for `sign`
+    the side's table of `_count_signs`."""
     if ones.size**4 >= 2**63:
         raise ValueError(f"lambda={ones.size}: lambda^4 draws overflow int64 (lambda <= 55108)")
-    hist = np.bincount(ones, minlength=n + 1)
-    sign = np.sign(np.arange(n + 1) - pivot).astype(np.int64)
+    hist = np.bincount(ones, minlength=sign.size)
     members = hist * (sign == _SIGNS[:, None])                    # (3, n+1)
     below = np.cumsum(members, axis=1) - members                  # c < r
     above = members.sum(axis=1, keepdims=True) - below - members  # c > r
     table = np.stack([below, members, above], axis=-1).transpose(1, 0, 2)
-    return sign, hist[:, None] * table.reshape(n + 1, 9)
+    return hist[:, None] * table.reshape(sign.size, 9)
 
 
 def winner_table(cx, cy, params: BilinearParams) -> np.ndarray:
@@ -208,8 +207,8 @@ def winner_table(cx, cy, params: BilinearParams) -> np.ndarray:
     (the sign-class contraction).  Every intermediate stays within lambda^4.
     """
     cx, cy = _one_counts(cx, cy, params.n)
-    x_sign, px = _class_pairs(cx, params.n, params.beta_n)
-    y_sign, py = _class_pairs(cy, params.n, params.alpha_n)
+    x_sign, y_sign = _count_signs(params)
+    px, py = _class_pairs(cx, x_sign), _class_pairs(cy, y_sign)
     # pairs (c, a) with sign(b - alpha*n) * sign(a - c) >= 0, by that first sign
     beaten_x = px.reshape(-1, 3, 3).sum(axis=1) @ (np.outer(_SIGNS, _SIGNS) <= 0)
     # pairs (d, b) with sign(a - beta*n) * sign(d - b) >= 0, by that first sign
@@ -266,8 +265,8 @@ def half_prob_conditionals(cx, cy, params: BilinearParams):
     Each non-null entry is at least 1/2.
     """
     cx, cy = _one_counts(cx, cy, params.n)
-    x_sign, px = _class_pairs(cx, params.n, params.beta_n)
-    y_sign, py = _class_pairs(cy, params.n, params.alpha_n)
+    x_sign, y_sign = _count_signs(params)
+    px, py = _class_pairs(cx, x_sign), _class_pairs(cy, y_sign)
     events = (
         (px[x_sign > 0].sum(0) * (_PIVOT_SIGN > 0), py.sum(0) * (_REF_SIGN <= 0)),
         (px[x_sign < 0].sum(0) * (_PIVOT_SIGN < 0), py.sum(0) * (_REF_SIGN >= 0)),

@@ -20,7 +20,7 @@ from coevo import (
     target_hit,
     worst_case_f,
 )
-from coevo.bilinear import _dominates_by_payoffs
+from coevo.bilinear import _count_signs, _dominates_by_payoffs, _dominates_counts_arrays
 
 from conftest import count_vector
 
@@ -264,6 +264,35 @@ class TestDominanceTies:
                     got = dominates(*(vectors[c] for c in quad), params)
                     mismatches += got != exact_dominates(*quad, params)
         assert mismatches == 0
+
+
+
+class TestCountSigns:
+    """Dominance reads each count's sign against beta*n and alpha*n from two
+    cached tables; the form must stay exact where float pivots could bite."""
+
+    @pytest.mark.parametrize("alpha", [0.625, 0.5, 1.0])   # alpha*n = 7.5, 6, 12
+    @pytest.mark.parametrize("beta", [0.275, 0.25, 0.0])   # beta*n = 3.3, 3, 0
+    def test_sign_table_form_matches_exact_payoffs(self, alpha, beta):
+        n = 12
+        params = BilinearParams(n=n, alpha=alpha, beta=beta, epsilon=1.0)
+        if beta == 0.275:  # the payoff route needs the 2**51 denominator here
+            assert params.beta_n.as_integer_ratio()[1] == 2**51
+        c = np.arange(n + 1)
+        quads = np.meshgrid(c, c, c, c, indexing="ij")
+        exact = _dominates_by_payoffs(*(q.astype(object) for q in quads), params)
+        assert np.array_equal(_dominates_counts_arrays(*quads, params), exact.astype(bool))
+
+    def test_tables_are_cached_and_read_only(self):
+        params = BilinearParams(n=12, alpha=0.625, beta=0.275, epsilon=1.0)
+        sx, sy = signs = _count_signs(params)
+        assert _count_signs(params) is signs
+        assert sx.tolist() == [-1] * 4 + [1] * 9
+        assert sy.tolist() == [-1] * 8 + [1] * 5
+        for table in signs:
+            assert table.dtype == np.int64 and not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
 
 
 class TestGenomeLength:

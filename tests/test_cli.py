@@ -460,6 +460,44 @@ class TestSweepAndPlots:
         assert err.startswith(f"error: {key} must be") and "Traceback" not in err
         assert out == "" and calls == []
 
+    @pytest.mark.parametrize("chi, repeated", [
+        ("0.5,0.5", "chi=0.5"),
+        # "auto" resolves to the recipe chi at delta = 0.01, the same cell
+        ("auto,0.007073610362946216", "chi=0.007073610362946216"),
+    ])
+    def test_repeated_grid_values_fail_before_any_run(self, capsys, tmp_path, monkeypatch,
+                                                      chi, repeated):
+        # two runs of one cell would merge into one aggregate of twice the
+        # trials, with trial numbers repeated
+        from coevo import harness
+
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(harness, "run_trials", lambda *args, **kw: calls.append(args))
+        spec = self.write_spec(tmp_path, kind="sweep", n=8, **{"lambda": 6}, chi=chi, beta=0.1,
+                               delta=0.01, seed=3, budget=50, target="singleton",
+                               out=tmp_path / "rep")
+        code, out, err = run_cli(capsys, "sweep", "--config", spec)
+        assert code == 1 and out == "" and calls == []
+        assert err == (f"error: grid values must be distinct; repeated cell n=8, lambda=6, "
+                       f"{repeated}, alpha=0.9, beta=0.1, epsilon=0.2, r=1.0\n")
+        assert not list(tmp_path.glob("rep*"))
+
+    def test_threshold_curve_reads_one_size(self, capsys, tmp_path):
+        # cells n=6 (1/4 hits) and n=30 (0/4) share chi; the curve reads only
+        # the cells that share every other column with the first, so 0.25
+        spec = self.write_spec(tmp_path, kind="error-threshold", n="6,30", **{"lambda": 6},
+                               alpha=1.0, trials=4, seed=3, budget=60, target="singleton",
+                               out=tmp_path / "th")
+        code, out, err = run_cli(capsys, "threshold", "--config", spec)
+        assert code == 0, err
+        assert [line.split(":")[1] for line in out.splitlines() if line.startswith("cell ")] == [
+            " success 1/4, median T = 252", " success 0/4"]
+        summary = json.loads(out[:out.index("\ncell ")])
+        assert summary["curve"] == [{"chi": 0.5, "success_rate": 0.25}]
+        sidecar = json.loads((tmp_path / "th.aggregates.json").read_text())
+        assert sidecar["threshold_summary"] == summary
+
     # sha256 of each output, with the wall_ms column cut and the output directory
     # written as TMP; recorded before the CSV and JSON writers were merged
     GOLDEN = {
