@@ -52,6 +52,7 @@ from .pdcoea import (
     RECORD_BLOCK,
     PdcoeaConfig,
     PdcoeaDistribution,
+    _ReadAhead,
     run_trial,
     run_trials,
     singleton_target,
@@ -819,7 +820,7 @@ def check_product_space(seed: int = theory.DEFAULT_CHECK_SEED) -> CheckResult:
 
     pops = PairedPopulations(Population(n, cx), Population(n, cy))
     dist = PdcoeaDistribution(BilinearGame(params), chi=0.0)
-    rng = spawn_stream(seed, 2)
+    rng = _ReadAhead([spawn_stream(seed, 2)], lam)
     pred, prey = np.empty((2, reps, lam), dtype=np.int64)
     for i in range(reps):
         child = step_generation(pops, dist, rng)

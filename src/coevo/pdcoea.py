@@ -4,11 +4,11 @@ Each generation replaces both populations with lambda offspring pairs drawn
 i.i.d. given the current state: each pair comes from two uniform
 predator-prey pairs, keeping the dominating one (second pair on failure),
 and mutating both members by independent bit flips with probability chi/n.
-`_step_rows` is the only sampler: it draws all lambda pairs of a run at
-once, for one run (`step_generation`) or for the rows of several runs
-(`run_trials`), each row on its own stream.  A run reads its stream ahead
-(`_ReadAhead`): one `random_raw` call per block of generations, decoded into
-exactly the draws the `Generator` would make.
+`_step_rows` is the only sampler: it steps all lambda pairs of B runs held
+as rows (one for `step_generation`, several for `run_trials`) on the draws
+each run takes from its own stream (`_generator_draws`).  A batch reads its
+streams ahead (`_ReadAhead`): one `random_raw` block per run, decoded for
+every run at once into exactly the draws the `Generator`s would make.
 Since the payoff, the dominance relation and the shipped targets see a
 genome only through its one-count, the engine evolves one-counts: the pair
 of one-count vectors is an exact lumping of the process, and mutation moves
@@ -29,13 +29,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .bilinear import BilinearGame, BilinearParams, bilinear_target
-from .core import (
-    PairedPopulations,
-    Population,
-    RandomStream,
-    paired_uniform,
-    spawn_stream,
-)
+from .core import PairedPopulations, Population, paired_uniform, spawn_stream
 
 
 # ---------------------------------------------------------------------------
@@ -113,17 +107,14 @@ def _offspring_guide(n: int, chi: float) -> np.ndarray:
     return guide
 
 
-def _mutate_counts(counts: np.ndarray, uniforms: np.ndarray, n: int, chi: float) -> np.ndarray:
-    """Offspring one-counts of `counts` under bitwise mutation at rate chi/n.
-
-    One uniform per entry: a uniform is k / 2**53 for a uniform integer k, so
-    truncating its product with _SCALE = 2**50 is an exact uniform integer r
-    on [0, _SCALE).  The key c*_SCALE + r shifted right by _GUIDE_SHIFT is
-    the guide index (c << GUIDE_BITS) | (r >> _GUIDE_SHIFT); the keys whose
-    bucket holds a threshold are searched in `_offspring_table`, so each key
-    gets the count its `searchsorted` gives.
-    """
-    keys = counts * _SCALE + (uniforms * _SCALE).astype(np.int64)
+def _mutate_counts(counts: np.ndarray, r: np.ndarray, n: int, chi: float) -> np.ndarray:
+    """Offspring one-counts of `counts` under bitwise mutation at rate chi/n,
+    given one int64 key offset r uniform on [0, _SCALE) per entry.  The key
+    c*_SCALE + r shifted right by _GUIDE_SHIFT is the guide index
+    (c << GUIDE_BITS) | (r >> _GUIDE_SHIFT); the keys whose bucket holds a
+    threshold are searched in `_offspring_table`, so each key gets the count
+    its `searchsorted` gives."""
+    keys = counts * _SCALE + r
     children = _offspring_guide(n, chi)[keys >> _GUIDE_SHIFT]
     miss = (children < 0).nonzero()[0]
     children = children.astype(np.int64)
@@ -156,118 +147,132 @@ def _draw_offsets(runs: int, lam: int) -> np.ndarray:
     return offsets
 
 
-def _step_rows(cx: np.ndarray, cy: np.ndarray, n: int, dist: PdcoeaDistribution, rngs):
-    """One generation of len(rngs) runs held as flat one-count arrays.
+def _generator_draws(rngs, lam: int, high: Optional[int] = None):
+    """One generation's draws of each run from its own `Generator`, the law
+    `_ReadAhead` reproduces: `integers(0, high, (lam, 4))` slots (high
+    defaults to lam), then 2*lam uniforms u, the predators' first, as exact
+    uniform key offsets r = floor(u * _SCALE) on [0, _SCALE).  Returned as
+    `_step_rows` takes them: int64 slot indices (4, runs*lam) into cx and cy
+    concatenated (`_draw_offsets`); every run's predators' r, then prey's."""
+    draws = [(rng.integers(0, high or lam, (lam, 4)), rng.random(2 * lam)) for rng in rngs]
+    slots, uniforms = map(np.array, zip(*draws))
+    idx = slots.transpose(2, 0, 1).reshape(4, -1) + _draw_offsets(len(rngs), lam)
+    r = (uniforms * _SCALE).astype(np.int64).reshape(-1, 2, lam).swapaxes(0, 1).ravel()
+    return idx, r
 
-    Run b's predators are cx[b*lam:(b+1)*lam] and its prey the same slice of
-    cy.  Run b draws from rngs[b] alone, in `step_generation`'s order, so
-    each row evolves exactly as its run would on its own.  The drawn pairs'
+
+def _step_rows(cx: np.ndarray, cy: np.ndarray, n: int, dist: PdcoeaDistribution,
+               idx: np.ndarray, r: np.ndarray):
+    """One generation of B runs held as flat one-count arrays: run b's
+    predators are cx[b*lam:(b+1)*lam], its prey the same slice of cy, and
+    (idx, r) the generation's draws (`_generator_draws`).  The drawn pairs'
     one-counts are gathered once, as the rows (x1, y1, x2, y2) of one array,
     and each winner's counts are picked from them: the first pair where it
-    dominates the second, else the second.  Returns the offspring one-counts
-    (cx, cy) in the same layout.
-    """
+    dominates the second, else the second.  Returns the offspring (cx, cy)."""
     size = cx.shape[0]
-    lam = size // len(rngs)
-    if len(rngs) == 1:  # one run: no reordering
-        idx = rngs[0].integers(0, lam, size=(lam, 4))
-        uniforms = rngs[0].random(2 * lam)
-    else:
-        idx = np.concatenate([rng.integers(0, lam, size=(lam, 4)) for rng in rngs])
-        # each run's 2*lam uniforms (its predators' first), reordered to the
-        # parents below: every run's predators, then every run's prey
-        uniforms = np.array([rng.random(2 * lam) for rng in rngs])
-        uniforms = uniforms.reshape(-1, 2, lam).swapaxes(0, 1).ravel()
-    drawn = np.concatenate((cx, cy))[idx.T + _draw_offsets(len(rngs), lam)]
+    drawn = np.concatenate((cx, cy))[idx]
     win1 = dist.oracle.dominates_counts(drawn[0], drawn[1], drawn[2], drawn[3])
     parents = np.where(win1, drawn[:2], drawn[2:]).ravel()
-    children = _mutate_counts(parents, uniforms, n, dist.chi)
+    children = _mutate_counts(parents, r, n, dist.chi)
     return children[:size], children[size:]
 
 
-_READ_AHEAD_WORDS = 4096  # raw 64-bit words a run's stream reads per block
+_READ_AHEAD_WORDS = 16384  # raw 64-bit words a batch reads per block, over all its runs
 
 
 class _ReadAhead:
-    """A run's `Generator`, read ahead: serves `_step_rows`'s two calls of a
-    generation, `integers(0, high, size=(lam, 4))` then `random(2 * lam)`,
-    from one `random_raw` call per block of generations.
+    """The streams of a batch of runs, read ahead: `draws()` returns the next
+    generation's `_generator_draws(rngs, lam, high)`, and `drop(rows)` takes
+    runs out.  One `random_raw` block per run is decoded for every run in one
+    pass, by numpy's rules on PCG64: the slots take the halves of 2*lam words,
+    low first, by numpy's buffered 32-bit Lemire rule (Lemire, ACM TOMACS
+    29(1), 2019), slot (half * high) >> 32 and the half rejected when its low
+    32 bits are below (2**32 - high) % high (high = 1 uses no words); a run
+    whose bit generator buffers a half (`has_uint32`) takes it first and
+    carries its last half on (`has`, `half`).  The key offsets are word >> 14
+    = floor((word >> 11) * 2**-53 * _SCALE) of the next 2*lam words.  A block
+    stops before its first generation with a rejected half and rewinds to it;
+    `_generator_draws` draws that generation once the carried halves are
+    written back.  So each stream is where its `Generator` would be, apart
+    from the unread generations of the block."""
 
-    A block is decoded by numpy's rules for these calls on PCG64.  The slots
-    take the halves of 2*lam words, low half first, by numpy's buffered
-    32-bit Lemire rule (Lemire, ACM TOMACS 29(1), 2019): slot
-    (half * high) >> 32, the half rejected when its low 32 bits fall below
-    (2**32 - high) % high; with high = 1 they use no words.  The uniforms
-    are (word >> 11) * 2**-53 of the next 2*lam words.  A block stops before
-    its first generation with a rejected half and rewinds the bit generator
-    to it, so the next block is empty and the `Generator` draws that
-    generation; it also draws every generation while a half word is
-    buffered (`has_uint32`).  So each call returns what the `Generator`
-    would, and leaves the stream where it would, apart from the read-ahead
-    of the current block.  Slots are held as uint32; `high` defaults to lam.
-    """
+    def __init__(self, rngs, lam: int, high: Optional[int] = None):
+        self.rngs, self.lam, self.high = list(rngs), lam, lam if high is None else high
+        self.width = 4 * lam if self.high > 1 else 2 * lam  # words per run and generation
+        self.block = max(1, _READ_AHEAD_WORDS // (len(self.rngs) * self.width))
+        self.rejected = False  # the generation after the decoded ones has a rejected half
+        self._load_halves()
+        self._read()
 
-    def __init__(self, rng: RandomStream, lam: int, high: Optional[int] = None):
-        self.rng, self.bitgen, self.lam = rng, rng.bit_generator, lam
-        self.high = lam if high is None else high
-        self.slot_words = 2 * lam if self.high > 1 else 0
-        self.block = max(1, _READ_AHEAD_WORDS // (self.slot_words + 2 * lam))
-        self.at = self.ready = 0  # the next decoded generation; how many there are
-        self.buffered = self.bitgen.state["has_uint32"]  # a half word is buffered
+    def _load_halves(self):
+        states = [rng.bit_generator.state for rng in self.rngs]
+        self.has = np.array([s["has_uint32"] for s in states], dtype=bool)
+        self.half = np.array([s["uinteger"] for s in states], dtype=np.uint32)
 
-    def integers(self, low, high, size):
-        if self.at == self.ready and not self.buffered:
+    def draws(self):
+        if self.at == self.ready and not self.rejected:
             self._read()
         if self.at < self.ready:
-            return self.slots[self.at]
-        return self.rng.integers(low, high, size)
-
-    def random(self, size):
-        if self.at < self.ready:
             self.at += 1
-            return self.uniforms[self.at - 1]
-        uniforms = self.rng.random(size)
-        self.buffered = self.bitgen.state["has_uint32"]
-        return uniforms
+            return self.idx[self.at - 1], self.r[self.at - 1]
+        for rng, has, half in zip(self.rngs, self.has.tolist(), self.half.tolist()):
+            rng.bit_generator.state = dict(rng.bit_generator.state, has_uint32=has, uinteger=half)
+        draws, self.rejected = _generator_draws(self.rngs, self.lam, self.high), False
+        self._load_halves()
+        return draws
+
+    def drop(self, rows: np.ndarray):
+        """Take the runs flagged in the bool array `rows` out of the batch."""
+        keep, runs, lam, left = ~rows, rows.size, self.lam, self.ready - self.at
+        kept = int(keep.sum())
+        idx = (self.idx[self.at:] - _draw_offsets(runs, lam)).reshape(left, 4, runs, lam)
+        self.idx = idx[:, :, keep].reshape(left, 4, kept * lam) + _draw_offsets(kept, lam)
+        r = self.r[self.at:].reshape(left, 2, runs, lam)[:, :, keep]
+        self.r, self.at, self.ready = r.reshape(left, 2 * kept * lam), 0, left
+        self.rngs = [rng for rng, k in zip(self.rngs, keep) if k]
+        self.has, self.half = self.has[keep], self.half[keep]
 
     def _read(self):
-        g, lam, high = self.block, self.lam, self.high
-        words = self.bitgen.random_raw((g, self.slot_words + 2 * lam))
-        if self.slot_words:
-            # each word's halves, low first, on either byte order; then the
-            # 64-bit products as (low 32 bits, slot) pairs
-            halves = words[:, :self.slot_words].astype("<u8", copy=False).view("<u4")
-            pairs = (halves.astype(np.uint64) * np.uint64(high)).astype("<u8", copy=False)
-            pairs = pairs.view("<u4")
-            leftover, slots = pairs[:, 0::2], pairs[:, 1::2]
-        else:
-            leftover = slots = np.zeros((g, 4 * lam), dtype=np.uint32)
-        threshold, ready = (2**32 - high) % high, g
-        if leftover.min() < threshold:
-            ready = int((leftover < threshold).any(axis=1).argmax())
-            self.bitgen.advance((ready - g) * words.shape[1])
-        self.slots = slots[:ready].reshape(ready, lam, 4).astype(np.uint32)
-        # the 53-bit integers fit int64, which converts to float much faster than uint64
-        uniforms = (words[:ready, self.slot_words:] >> 11).view(np.int64).astype(np.float64)
-        uniforms *= 2.0**-53
-        self.uniforms, self.at, self.ready = uniforms, 0, ready
+        runs, g, lam, slot_words = len(self.rngs), self.block, self.lam, self.width - 2 * self.lam
+        words = np.stack([rng.bit_generator.random_raw((g, self.width)) for rng in self.rngs])
+        ready, slots = g, np.zeros((g, 4, runs, lam), dtype=np.uint32)
+        if slot_words:
+            # each run's slot halves, low first on either byte order, after its
+            # carried half; then the 64-bit products as (low 32 bits, slot) pairs
+            raw = words[:, :, :slot_words].astype("<u8", copy=False).view("<u4").reshape(runs, -1)
+            halves = raw if not self.has.any() else np.where(
+                self.has[:, None], np.concatenate((self.half[:, None], raw[:, :-1]), axis=1), raw)
+            pairs = np.multiply(halves, np.uint64(self.high), dtype="<u8").view("<u4")
+            pairs = pairs.reshape(runs, g, lam, 4, 2)
+            low, threshold = pairs[..., 0], (2**32 - self.high) % self.high
+            if low.min() < threshold:
+                ready, self.rejected = int((low < threshold).any(axis=(0, 2, 3)).argmax()), True
+                for rng in self.rngs:
+                    rng.bit_generator.advance((ready - g) * self.width)
+            if ready:
+                self.half[self.has] = raw[self.has, ready * 4 * lam - 1]
+            slots = pairs[..., 1].transpose(1, 3, 0, 2)
+        self.idx = slots[:ready].reshape(ready, 4, runs * lam) + _draw_offsets(runs, lam)
+        r = (words[:, :ready, slot_words:] >> 14).view(np.int64).reshape(runs, ready, 2, lam)
+        self.r = r.transpose(1, 2, 0, 3).reshape(ready, 2 * runs * lam)
+        self.at, self.ready = 0, ready
 
 
 def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
-                    rng: RandomStream) -> PairedPopulations:
+                    rng) -> PairedPopulations:
     """Replace both populations with lambda i.i.d. offspring pairs.
 
     Offspring slot i of the predator and prey populations come from the same
     interaction (they may be dependent); distinct slots are independent.
     Mutation moves each selected one-count by the exact law of independent
-    bit flips (`_offspring_table`).
-    Draw order: the 4*lambda selection slots, then 2*lambda mutation draws,
-    the predators' first.
+    bit flips (`_offspring_table`).  `rng` is a `Generator` or a one-run
+    `_ReadAhead`; both give the draws `_generator_draws` defines.
     """
     n = pops.n
     if not 0.0 <= dist.chi <= n:
         raise ValueError(f"chi must be in [0, n] = [0, {n}], got {dist.chi}")
-    cx, cy = _step_rows(pops.predators.ones, pops.prey.ones, n, dist, (rng,))
+    idx, r = rng.draws() if isinstance(rng, _ReadAhead) else _generator_draws((rng,), pops.lam)
+    cx, cy = _step_rows(pops.predators.ones, pops.prey.ones, n, dist, idx, r)
     return PairedPopulations(Population(n, cx), Population(n, cy))
 
 
@@ -417,42 +422,36 @@ def run_trial(cfg: PdcoeaConfig, record: bool = False) -> TrialRecord:
     rng = spawn_stream(cfg.seed, 0)
     cx, cy = paired_uniform(cfg.lam, cfg.n, rng)
     pops = PairedPopulations(Population(cfg.n, cx), Population(cfg.n, cy))
-    rng = _ReadAhead(rng, cfg.lam)
+    rng = _ReadAhead([rng], cfg.lam)
     dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
     target = cfg.target if cfg.target is not None else bilinear_target(cfg.game)
     blocks = []  # (RECORD_BLOCK, 2, lambda) int16 arrays, one generation a row
 
-    hit = False
-    generations = cfg.budget_generations
+    hit, generations = False, cfg.budget_generations
     for t in range(cfg.budget_generations):
         if record:
             if not t % RECORD_BLOCK:
                 blocks.append(np.empty((RECORD_BLOCK, 2, cfg.lam), dtype=np.int16))
             blocks[-1][t % RECORD_BLOCK] = pops.predators.ones, pops.prey.ones
         if target(pops.predators.ones, pops.prey.ones):
-            hit = True
-            generations = t
+            hit, generations = True, t
             break
         pops = step_generation(pops, dist, rng)
 
-    return TrialRecord(
-        hit=hit,
-        T_interactions=generations * cfg.lam,
-        generations_run=generations,
-        seed=cfg.seed,
-        counts=np.concatenate(blocks)[:generations + hit] if record else None,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    counts = np.concatenate(blocks)[:generations + hit] if record else None
+    return TrialRecord(hit=hit, T_interactions=generations * cfg.lam, generations_run=generations,
+                       seed=cfg.seed, counts=counts, wall_ms=(time.perf_counter() - t0) * 1e3)
 
 
 def run_trials(cfgs) -> list:
     """`[run_trial(cfg) for cfg in cfgs]`, for configs that differ in their
     seeds only, run together as the rows of one array.
 
-    Each run draws from its own stream exactly as `run_trial` does
-    (`_step_rows`), so the records are equal; a run leaves the array at its
-    first hit.  A record's wall_ms is the time from the start of the batch
-    to the end of its run.  Nothing is recorded.
+    Each run draws from its own stream exactly as `run_trial` does (one
+    `_ReadAhead` serves them all), so the records are equal; a run leaves
+    the array and the read-ahead at its first hit.  A record's wall_ms is
+    the time from the start of the batch to the end of its run.  Nothing is
+    recorded.
     """
     if not cfgs:
         return []
@@ -463,7 +462,7 @@ def run_trials(cfgs) -> list:
     lam, n = cfg.lam, cfg.n
     rngs = [spawn_stream(c.seed, 0) for c in cfgs]
     cx, cy = map(np.concatenate, zip(*[paired_uniform(lam, n, rng) for rng in rngs]))
-    rngs = [_ReadAhead(rng, lam) for rng in rngs]
+    stream = _ReadAhead(rngs, lam)
     dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
     target = cfg.target if cfg.target is not None else bilinear_target(cfg.game)
     live = list(range(len(cfgs)))  # the config of each row
@@ -481,10 +480,10 @@ def run_trials(cfgs) -> list:
                 finish(live[row], True, t)
             cx, cy = cx.reshape(-1, lam)[~hits].ravel(), cy.reshape(-1, lam)[~hits].ravel()
             live = [i for i, h in zip(live, hits) if not h]
-            rngs = [rng for rng, h in zip(rngs, hits) if not h]
             if not live:
                 break
-        cx, cy = _step_rows(cx, cy, n, dist, rngs)
+            stream.drop(hits)
+        cx, cy = _step_rows(cx, cy, n, dist, *stream.draws())
     for i in live:
         finish(i, False, cfg.budget_generations)
     return records

@@ -28,7 +28,10 @@ from coevo.pdcoea import (
     _SCALE,
     GUIDE_BITS,
     MAX_N,
+    _READ_AHEAD_WORDS,
     _ReadAhead,
+    _draw_offsets,
+    _generator_draws,
     _mutate_counts,
     _offspring_cdf,
     _offspring_guide,
@@ -472,7 +475,7 @@ class TestRunTrials:
         dist = PdcoeaDistribution(game, 1.5)
         cx, cy = _step_rows(np.concatenate([p.predators.ones for p in starts]),
                             np.concatenate([p.prey.ones for p in starts]), 10, dist,
-                            [spawn_stream(41, i) for i in range(5)])
+                            *_generator_draws([spawn_stream(41, i) for i in range(5)], 6))
         for i, pops in enumerate(starts):
             child = step_generation(pops, dist, spawn_stream(41, i))
             assert np.array_equal(cx[6 * i: 6 * i + 6], child.predators.ones)
@@ -535,45 +538,79 @@ def plain_run(cfg):
 
 
 class TestReadAhead:
-    def assert_draws_equal(self, stream, rng, lam, high, generations):
-        # the engine's two calls of each generation, against the Generator
+    def assert_draws_equal(self, stream, twins, lam, high, generations, leave=()):
+        # each run's draws of every generation against its twin Generator's
+        # two calls; at a generation in `leave`, one run leaves the batch
         for t in range(generations):
-            slots = stream.integers(0, high, size=(lam, 4))
-            assert slots.shape == (lam, 4)
-            assert np.array_equal(slots, rng.integers(0, high, size=(lam, 4))), t
-            assert np.array_equal(stream.random(2 * lam), rng.random(2 * lam)), t
-        # the stream is ahead by the unread generations of its block, no more
-        unread = (stream.ready - stream.at) * (stream.slot_words + 2 * lam)
-        if unread:
-            rng.bit_generator.advance(unread)
-        assert pcg_position(stream.bitgen) == pcg_position(rng.bit_generator)
+            if t in leave and len(twins) > 1:
+                rows = np.arange(len(twins)) == t % len(twins)
+                stream.drop(rows)
+                del twins[t % len(twins)]
+            idx, r = stream.draws()
+            runs = len(twins)
+            assert idx.shape == (4, runs * lam) and r.shape == (2 * runs * lam,)
+            slots = (idx - _draw_offsets(runs, lam)).reshape(4, runs, lam)
+            keys = r.reshape(2, runs, lam)
+            for b, twin in enumerate(twins):
+                assert np.array_equal(slots[:, b].T, twin.integers(0, high, size=(lam, 4))), (t, b)
+                want = (twin.random(2 * lam) * _SCALE).astype(np.int64)
+                assert np.array_equal(keys[:, b].ravel(), want), (t, b)
+        # each stream is ahead by the unread generations of its block, no
+        # more, and carries the half word its twin buffers after them
+        for b, twin in enumerate(twins):
+            for _ in range(stream.ready - stream.at):
+                twin.integers(0, high, size=(lam, 4)), twin.random(2 * lam)
+            has, half = stream.has[b], stream.half[b]
+            mine = stream.rngs[b].bit_generator.state["state"], has, half * has
+            assert mine == pcg_position(twin.bit_generator)
 
+    @staticmethod
+    def twin_streams(seed, runs, lam, buffered):
+        # two equal lists of streams; with `buffered`, every other one (the
+        # first included) holds a buffered half word
+        pairs = [(spawn_stream(seed + b, lam), spawn_stream(seed + b, lam)) for b in range(runs)]
+        for mine, theirs in pairs[::2] if buffered else ():
+            mine.integers(0, 5), theirs.integers(0, 5)
+        return map(list, zip(*pairs))
+
+    @pytest.mark.parametrize("runs", [1, 3, 10])
     @pytest.mark.parametrize("lam", [1, 2, 3, 7, 100])
     @pytest.mark.parametrize("buffered", [False, True], ids=["aligned", "buffered-half"])
-    def test_draws_equal_the_generator(self, lam, buffered):
-        # two blocks and a few generations more, from a stream with or
-        # without a buffered half word
-        mine, theirs = spawn_stream(90, lam), spawn_stream(90, lam)
-        if buffered:
-            mine.integers(0, 5), theirs.integers(0, 5)
+    def test_draws_equal_the_generator(self, runs, lam, buffered):
+        # two blocks and a few generations more, with runs leaving mid-block
+        mine, twins = self.twin_streams(90, runs, lam, buffered)
         stream = _ReadAhead(mine, lam)
+        assert stream.block * runs * stream.width <= max(_READ_AHEAD_WORDS, runs * stream.width)
         generations = max(30, 2 * stream.block + 3)
-        self.assert_draws_equal(stream, theirs, lam, lam, generations)
+        self.assert_draws_equal(stream, twins, lam, lam, generations,
+                                leave=(5, stream.block + 1))
 
+    @pytest.mark.parametrize("runs", [1, 3, 10])
     @pytest.mark.parametrize("lam", [1, 2, 3])
     @pytest.mark.parametrize("buffered", [False, True], ids=["aligned", "buffered-half"])
-    def test_rejections_and_buffered_runs(self, lam, buffered):
+    def test_rejections_and_buffered_runs(self, runs, lam, buffered):
         # the range 3 * 2**30 rejects a quarter of the halves: blocks stop
         # at rejected draws, and odd rejection counts leave a half buffered
         high = 3 * 2**30
-        mine = CountingGenerator(spawn_stream(91, lam))
-        theirs = spawn_stream(91, lam)
-        if buffered:
-            mine.rng.integers(0, 5), theirs.integers(0, 5)
-        stream = _ReadAhead(mine, lam, high)
+        mine, twins = self.twin_streams(91, runs, lam, buffered)
+        stream = _ReadAhead(map(CountingGenerator, mine), lam, high)
         generations = 400
-        self.assert_draws_equal(stream, theirs, lam, high, generations)
-        assert 0 < mine.calls < generations  # blocks and the Generator both drew
+        self.assert_draws_equal(stream, twins, lam, high, generations, leave=(5, 150))
+        # a run that stayed in the batch sees each Generator-drawn generation;
+        # a share (3/4)**(4 * runs * lam) of generations has no rejected half
+        calls = stream.rngs[0].calls
+        assert 0 < calls <= generations
+        if runs * lam <= 3:
+            assert calls < generations  # blocks and the Generator both drew
+
+    def test_a_carried_half_keeps_the_stream_on_blocks(self):
+        # this stream's one rejected half at lambda = 100 leaves a half word
+        # buffered: the Generator draws that generation only
+        lam = 100
+        assert first_rejected_generation(5, lam, 3000) == 1676
+        stream = _ReadAhead([CountingGenerator(spawn_stream(5, 0))], lam)
+        self.assert_draws_equal(stream, [spawn_stream(5, 0)], lam, lam, 3000)
+        assert stream.rngs[0].calls == 1
 
     @pytest.mark.parametrize("game, lam, chi, budget", [
         pytest.param(BilinearParams(n=10, alpha=0.9, beta=0.1, epsilon=0.2), 1, 0.5, 3000,
@@ -593,20 +630,20 @@ class TestReadAhead:
             assert (record.hit, record.generations_run) == (hit, generations)
             assert np.array_equal(record.counts, history)
         assert run_trials(cfgs) == records
-        block = _ReadAhead(spawn_stream(0), lam).block
+        block = _ReadAhead([spawn_stream(0)], lam).block
         assert any(r.hit and r.generations_run % block for r in records)
         assert not all(r.hit for r in records)
 
     @pytest.mark.parametrize("seed, rejected", [(8, 35), (38, 51), (58, 123), (35, 170)])
     def test_engine_scale_rejected_slot_words(self, seed, rejected):
         # lambda = 1000 rejects a half below (2**32 - 1000) % 1000 = 296:
-        # rare, but these streams hold one; the generations after it stay exact
+        # rare, but these streams hold one; the Generator draws exactly the
+        # generation that holds it, and the ones after it stay exact
         lam = 1000
         assert first_rejected_generation(seed, lam, rejected + 1) == rejected
-        mine = CountingGenerator(spawn_stream(seed, 0))
-        stream = _ReadAhead(mine, lam)
-        self.assert_draws_equal(stream, spawn_stream(seed, 0), lam, lam, rejected + 12)
-        assert mine.calls >= 1
+        stream = _ReadAhead([CountingGenerator(spawn_stream(seed, 0))], lam)
+        self.assert_draws_equal(stream, [spawn_stream(seed, 0)], lam, lam, rejected + 12)
+        assert stream.rngs[0].calls == 1
 
 
 class TestSingletonTarget:
@@ -693,7 +730,15 @@ class TestOffspringLaw:
         inside = (r >= 0) & (r < _SCALE)
         c, r = c[inside], r[inside]
         want = table.searchsorted(c * _SCALE + r, side="right") % (n + 1)
-        assert np.array_equal(_mutate_counts(c, r / _SCALE, n, chi), want)
+        assert np.array_equal(_mutate_counts(c, r, n, chi), want)
+
+    def test_key_offsets_of_raw_words_equal_the_uniforms(self):
+        # r = word >> 14 is floor(u * _SCALE) for the uniform u = (word >> 11) * 2**-53
+        words = spawn_stream(72, 0).bit_generator.random_raw(10**5)
+        edges = np.array([0, 2**14 - 1, 2**14, 2**63, 2**64 - 2**14, 2**64 - 1], dtype=np.uint64)
+        words = np.concatenate((words, edges))
+        uniforms = (words >> 11) * 2.0**-53
+        assert np.array_equal((uniforms * _SCALE).astype(np.int64), (words >> 14).astype(np.int64))
 
     def test_guide_is_cached_read_only_int16(self):
         guide = _offspring_guide(100, 0.7)
