@@ -155,15 +155,15 @@ def _count_signs(params: BilinearParams):
     return tables
 
 
-def _dominates_counts_arrays(cx1, cy1, cx2, cy2, params: BilinearParams):
+def _dominates_counts_arrays(cx1, cy1, cx2, cy2, params: BilinearParams, signs=None):
     """Vectorised Definition-2 dominance on one-count arrays (no validation).
 
     g12 - g11 = (cx1 - beta*n)(cy2 - cy1) and g11 - g21 = (cy1 - alpha*n)(cx1 - cx2);
     both are >= 0 iff their smaller one is, and only the sign of each first
-    factor matters, which `_count_signs` holds exactly, so ties are decided
-    exactly for any alpha and beta.
+    factor matters, which `_count_signs` holds exactly (`signs`, when given,
+    are its tables), so ties are decided exactly for any alpha and beta.
     """
-    sx, sy = _count_signs(params)
+    sx, sy = _count_signs(params) if signs is None else signs
     return np.minimum(sx[cx1] * (cy2 - cy1), sy[cy1] * (cx1 - cx2)) >= 0
 
 
@@ -171,15 +171,15 @@ class BilinearGame:
     """Dominance oracle for the bilinear payoff, as the engine calls it.
 
     `dominates_counts` decides dominance for whole arrays of one-count
-    quadruples at once; the engine needs nothing else, since populations
-    store one-counts only, and the exact selection law reads `params`.
+    quadruples at once, on the game's `_count_signs` tables; the engine needs
+    nothing else, and the exact selection law reads `params`.
     """
 
     def __init__(self, params: BilinearParams):
-        self.params = params
+        self.params, self.signs = params, _count_signs(params)
 
     def dominates_counts(self, cx1, cy1, cx2, cy2):
-        return _dominates_counts_arrays(cx1, cy1, cx2, cy2, self.params)
+        return _dominates_counts_arrays(cx1, cy1, cx2, cy2, self.params, self.signs)
 
 
 # ---------------------------------------------------------------------------
@@ -244,24 +244,29 @@ def target_hit(cx, cy, params: BilinearParams) -> bool:
     return bool(bilinear_target(params)(*_one_counts(cx, cy, params.n)))
 
 
+def _any_last(flags: np.ndarray):
+    """`flags.any(axis=-1)`; one state's is read at `argmax`, without a reduction."""
+    return flags[flags.argmax()] if flags.ndim == 1 else flags.any(axis=-1)
+
+
 def bilinear_target(params: BilinearParams):
     """`target_hit` as the predicate of run configurations.
 
     The predicate takes the predators' and the prey's one-counts, of one
     state (shape (lambda,)) or of a batch of runs (shape (runs, lambda)),
-    and reduces over the last axis.  It reads each count's membership of R0
-    and of the prey band from a boolean table over [0, n], so counts must lie
-    in [0, n]; its `n` is the genome length it is for.
+    and reduces over the last axis (`_any_last`).  It reads each count's
+    membership of R0 and of the prey band from a boolean table over [0, n],
+    so counts must lie in [0, n]; its `n` is the genome length it is for.
     """
     sx, sy = _count_signs(params)
     in_r0 = sx < 0
     in_band = (np.arange(params.n + 1) >= params.target_lo) & (sy < 0)
 
     def predicate(cx: np.ndarray, cy: np.ndarray):
-        hit = in_r0[cx].any(axis=-1)
+        hit = _any_last(in_r0[cx])
         if not hit.ndim and not hit:  # one state with no predator in R0: skip the prey
             return hit
-        return hit & in_band[cy].any(axis=-1)
+        return hit & _any_last(in_band[cy])
 
     predicate.__name__ = f"bilinear_target_a{params.alpha}_b{params.beta}_e{params.epsilon}"
     predicate.n = params.n

@@ -14,8 +14,6 @@ version.  Generators are single-owner: parallel work gets one stream each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # A RandomStream is simply a numpy Generator; the alias names the contract.
@@ -108,29 +106,26 @@ class Population:
 
     def __init__(self, n: int, ones):
         counts = np.asarray(ones, dtype=np.int64)
-        if counts.ndim != 1 or counts.shape[0] < 1:
+        if counts.ndim != 1 or not len(counts):
             raise ValueError("population needs a 1-d one-count vector with lambda >= 1")
         counts.setflags(write=False)
-        self.ones = counts
-        self.n = int(n)
-        self.lam = int(counts.shape[0])
+        self.ones, self.n, self.lam = counts, int(n), len(counts)
 
     def __repr__(self):
         return f"Population(lambda={self.lam}, n={self.n})"
 
 
-@dataclass(frozen=True)
 class PairedPopulations:
     """Algorithm state: the predator and prey populations."""
 
-    predators: Population
-    prey: Population
+    __slots__ = ("predators", "prey")
 
-    def __post_init__(self):
-        if self.predators.lam != self.prey.lam:
+    def __init__(self, predators: Population, prey: Population):
+        if predators.lam != prey.lam:
             raise ValueError("predator and prey populations must have equal size")
-        if self.predators.n != self.prey.n:
+        if predators.n != prey.n:
             raise ValueError("predator and prey genomes must have equal length")
+        self.predators, self.prey = predators, prey
 
     @property
     def lam(self) -> int:

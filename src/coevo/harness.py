@@ -53,6 +53,7 @@ from .pdcoea import (
     PdcoeaConfig,
     PdcoeaDistribution,
     _ReadAhead,
+    _is_int,
     run_trial,
     run_trials,
     singleton_target,
@@ -126,10 +127,6 @@ class ExperimentSpec:
         for key, attr in SPEC_GRIDS.items():
             _check_grid(key, getattr(self, attr))
         object.__setattr__(self, "budget", _check_budget(self.budget))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bilinear import BilinearGame, BilinearParams, bilinear_target
+from .bilinear import BilinearGame, BilinearParams, _any_last, bilinear_target
 from .core import PairedPopulations, Population, paired_uniform, spawn_stream
 
 
@@ -40,7 +40,7 @@ from .core import PairedPopulations, Population, paired_uniform, spawn_stream
 # MAX_N); a uniform's 53 random bits give the sampler exact integers on
 # [0, _SCALE), and every table entry stays below (MAX_N + 1) * _SCALE < 2**63.
 MAX_N = 2048
-_SCALE = 1 << 50
+_SCALE = np.int64(1 << 50)  # numpy scalars, like _GUIDE_SHIFT: no conversion per call
 
 
 def _offspring_cdf(n: int, chi: float) -> np.ndarray:
@@ -87,7 +87,7 @@ def _offspring_table(n: int, chi: float) -> np.ndarray:
 # A guide over each row of the offspring table (indexed search, Chen and
 # Asau 1974): bucket k of row c covers r in [k, k+1) * 2**_GUIDE_SHIFT.
 GUIDE_BITS = 8
-_GUIDE_SHIFT = _SCALE.bit_length() - 1 - GUIDE_BITS
+_GUIDE_SHIFT = np.int64(int(_SCALE).bit_length() - 1 - GUIDE_BITS)
 
 
 @functools.lru_cache(maxsize=8)
@@ -107,19 +107,18 @@ def _offspring_guide(n: int, chi: float) -> np.ndarray:
     return guide
 
 
-def _mutate_counts(counts: np.ndarray, r: np.ndarray, n: int, chi: float) -> np.ndarray:
-    """Offspring one-counts of `counts` under bitwise mutation at rate chi/n,
-    given one int64 key offset r uniform on [0, _SCALE) per entry.  The key
-    c*_SCALE + r shifted right by _GUIDE_SHIFT is the guide index
+def _mutate_counts(counts: np.ndarray, r: np.ndarray, dist: PdcoeaDistribution) -> np.ndarray:
+    """Offspring one-counts of `counts` under bitwise mutation at dist's rate
+    chi/n, given one int64 key offset r uniform on [0, _SCALE) per entry.  The
+    key c*_SCALE + r shifted right by _GUIDE_SHIFT is the guide index
     (c << GUIDE_BITS) | (r >> _GUIDE_SHIFT); the keys whose bucket holds a
     threshold are searched in `_offspring_table`, so each key gets the count
     its `searchsorted` gives."""
     keys = counts * _SCALE + r
-    children = _offspring_guide(n, chi)[keys >> _GUIDE_SHIFT]
+    children = dist.guide[keys >> _GUIDE_SHIFT]
     miss = (children < 0).nonzero()[0]
-    children = children.astype(np.int64)
     if miss.size:
-        children[miss] = _offspring_table(n, chi).searchsorted(keys[miss], side="right") % (n + 1)
+        children[miss] = dist.table.searchsorted(keys[miss], side="right") % dist.width
     return children
 
 
@@ -127,12 +126,17 @@ def _mutate_counts(counts: np.ndarray, r: np.ndarray, n: int, chi: float) -> np.
 # Generations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PdcoeaDistribution:
-    """Pairwise-dominance selection followed by independent bitwise mutation."""
+    """Pairwise-dominance selection followed by independent bitwise mutation,
+    prepared once per run: chi is checked against the game's n, and the
+    offspring table and its guide, as int64, are held for `_mutate_counts`."""
 
-    oracle: BilinearGame
-    chi: float
+    def __init__(self, oracle: BilinearGame, chi: float):
+        n = oracle.params.n
+        if not 0.0 <= chi <= n:
+            raise ValueError(f"chi must be in [0, n] = [0, {n}], got {chi}")
+        self.oracle, self.chi, self.n, self.width = oracle, chi, n, np.int64(n + 1)
+        self.table, self.guide = _offspring_table(n, chi), _offspring_guide(n, chi).astype(np.int64)
 
 
 @functools.lru_cache(maxsize=16)
@@ -161,7 +165,7 @@ def _generator_draws(rngs, lam: int, high: Optional[int] = None):
     return idx, r
 
 
-def _step_rows(cx: np.ndarray, cy: np.ndarray, n: int, dist: PdcoeaDistribution,
+def _step_rows(cx: np.ndarray, cy: np.ndarray, dist: PdcoeaDistribution,
                idx: np.ndarray, r: np.ndarray):
     """One generation of B runs held as flat one-count arrays: run b's
     predators are cx[b*lam:(b+1)*lam], its prey the same slice of cy, and
@@ -173,7 +177,7 @@ def _step_rows(cx: np.ndarray, cy: np.ndarray, n: int, dist: PdcoeaDistribution,
     drawn = np.concatenate((cx, cy))[idx]
     win1 = dist.oracle.dominates_counts(drawn[0], drawn[1], drawn[2], drawn[3])
     parents = np.where(win1, drawn[:2], drawn[2:]).ravel()
-    children = _mutate_counts(parents, r, n, dist.chi)
+    children = _mutate_counts(parents, r, dist)
     return children[:size], children[size:]
 
 
@@ -234,7 +238,8 @@ class _ReadAhead:
 
     def _read(self):
         runs, g, lam, slot_words = len(self.rngs), self.block, self.lam, self.width - 2 * self.lam
-        words = np.stack([rng.bit_generator.random_raw((g, self.width)) for rng in self.rngs])
+        words = [rng.bit_generator.random_raw((g, self.width)) for rng in self.rngs]
+        words = words[0][None] if runs == 1 else np.stack(words)  # one run: no copy
         ready, slots = g, np.zeros((g, 4, runs, lam), dtype=np.uint32)
         if slot_words:
             # each run's slot halves, low first on either byte order, after its
@@ -265,15 +270,17 @@ def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
     Offspring slot i of the predator and prey populations come from the same
     interaction (they may be dependent); distinct slots are independent.
     Mutation moves each selected one-count by the exact law of independent
-    bit flips (`_offspring_table`).  `rng` is a `Generator` or a one-run
-    `_ReadAhead`; both give the draws `_generator_draws` defines.
+    bit flips (`_offspring_table`) on a state of the game's n.  `rng` is a
+    `Generator` or a one-run `_ReadAhead`: both give `_generator_draws`.
     """
-    n = pops.n
-    if not 0.0 <= dist.chi <= n:
-        raise ValueError(f"chi must be in [0, n] = [0, {n}], got {dist.chi}")
-    idx, r = rng.draws() if isinstance(rng, _ReadAhead) else _generator_draws((rng,), pops.lam)
-    cx, cy = _step_rows(pops.predators.ones, pops.prey.ones, n, dist, idx, r)
-    return PairedPopulations(Population(n, cx), Population(n, cy))
+    if pops.n != dist.n:
+        raise ValueError(f"state genome length {pops.n} does not match game n={dist.n}")
+    try:
+        idx, r = rng.draws()
+    except AttributeError:  # a plain Generator
+        idx, r = _generator_draws((rng,), pops.lam)
+    cx, cy = _step_rows(pops.predators.ones, pops.prey.ones, dist, idx, r)
+    return PairedPopulations(Population(dist.n, cx), Population(dist.n, cy))
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +294,8 @@ def singleton_target(cx_star: int, cy_star: int, n: int):
     (all-zeros) or n (all-ones): such a count names one genome, so the
     predicate compares one-counts and is exact.  Any other count is shared
     by several genomes and is rejected.  Like `bilinear_target`'s, the
-    predicate takes one-count arrays and reduces over the last axis; its
-    `n` is the genome length it is for.
+    predicate takes one-count arrays and reduces over the last axis
+    (`_any_last`); its `n` is the genome length it is for.
     """
     if any(c not in (0, n) for c in (cx_star, cy_star)):
         raise ValueError(f"singleton target genomes must be all-zeros or all-ones (one-count "
@@ -296,10 +303,10 @@ def singleton_target(cx_star: int, cy_star: int, n: int):
                          "stores one-counts, which name no other genome")
 
     def predicate(cx: np.ndarray, cy: np.ndarray):
-        hit = (cx == cx_star).any(axis=-1)
+        hit = _any_last(cx == cx_star)
         if not hit.ndim and not hit:  # one state without the predator: skip the prey
             return hit
-        return hit & (cy == cy_star).any(axis=-1)
+        return hit & _any_last(cy == cy_star)
 
     predicate.__name__ = "singleton_target"
     predicate.n = n
@@ -309,6 +316,10 @@ def singleton_target(cx_star: int, cy_star: int, n: int):
 # ---------------------------------------------------------------------------
 # Trials
 # ---------------------------------------------------------------------------
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class PdcoeaConfig:
@@ -333,15 +344,17 @@ class PdcoeaConfig:
         return self.game.n
 
     def __post_init__(self):
-        if self.lam < 1:
-            raise ValueError(f"lambda must be >= 1, got {self.lam}")
+        if not _is_int(self.lam) or self.lam < 1:
+            raise ValueError(f"lambda must be an integer >= 1, got {self.lam!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.n > MAX_N:
             raise ValueError(f"n must be <= MAX_N = {MAX_N} (the offspring table has "
                              f"(n+1)^2 entries), got {self.n}")
         if not 0.0 < self.chi <= self.n:
             raise ValueError(f"chi must be in (0, n] = (0, {self.n}], got {self.chi}")
-        if self.budget_generations < 1:
-            raise ValueError(f"budget must be >= 1 generation, got {self.budget_generations}")
+        if not _is_int(self.budget_generations) or self.budget_generations < 1:
+            raise ValueError(f"budget must be an integer >= 1, got {self.budget_generations!r}")
         if getattr(self.target, "n", self.n) != self.n:
             raise ValueError(f"target genome length {self.target.n} does not match game "
                              f"n={self.n}")
@@ -483,7 +496,7 @@ def run_trials(cfgs) -> list:
             if not live:
                 break
             stream.drop(hits)
-        cx, cy = _step_rows(cx, cy, n, dist, *stream.draws())
+        cx, cy = _step_rows(cx, cy, dist, *stream.draws())
     for i in live:
         finish(i, False, cfg.budget_generations)
     return records

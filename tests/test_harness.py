@@ -484,6 +484,19 @@ class TestCheckRegistry:
         result = harness.check_product_space(seed)
         assert result.passed, result.detail
 
+    def test_product_space_steps_through_step_generation(self, monkeypatch):
+        # the `checks` benchmark counts the engine's interactions on
+        # harness.step_generation: one call per generation, lambda = 20 each
+        lams, step = [], harness.step_generation
+
+        def counted(pops, dist, rng):
+            lams.append(pops.lam)
+            return step(pops, dist, rng)
+
+        monkeypatch.setattr(harness, "step_generation", counted)
+        assert harness.check_product_space().passed
+        assert len(lams) == 4000 and set(lams) == {20}
+
     def test_product_space_flags_a_wrong_selection(self, monkeypatch):
         # keeping the first drawn pair always is uniform selection: the exact
         # sums read the selection law and still hold, the engine's (X', Y')
@@ -517,7 +530,7 @@ class TestCheckRegistry:
         # payoff route, at least on every reflexive quadruple
         import coevo.bilinear as bilinear
 
-        def strict(cx1, cy1, cx2, cy2, params):
+        def strict(cx1, cy1, cx2, cy2, params, signs=None):
             return (((cx1 - params.beta_n) * (cy2 - cy1) > 0)
                     & ((cy1 - params.alpha_n) * (cx1 - cx2) > 0))
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -139,10 +140,17 @@ class TestMutate:
         assert np.array_equal(pops.prey.ones, np.full(20, 5))
 
     def test_chi_out_of_range(self):
-        with pytest.raises(ValueError, match="chi"):
-            mutants(1, 4, 4.5, spawn_stream(1, 0), 3)
-        with pytest.raises(ValueError, match="chi"):
-            mutants(1, 4, -0.5, spawn_stream(1, 0), 3)
+        # the distribution is prepared for its game's n once, before any step
+        game = BilinearGame(BilinearParams(n=4, alpha=0.5, beta=0.5, epsilon=0.25))
+        for chi in (4.5, -0.5):
+            with pytest.raises(ValueError, match=r"chi must be in \[0, n\] = \[0, 4\]"):
+                PdcoeaDistribution(game, chi)
+        assert PdcoeaDistribution(game, 4.0).n == 4 and PdcoeaDistribution(game, 0.0).chi == 0.0
+
+    def test_state_of_another_n_rejected(self):
+        # one-counts do not carry n: a step checks the state's against the game's
+        with pytest.raises(ValueError, match="state genome length 6 does not match game n=4"):
+            step_generation(clones(1, 6, 3), dist_for(4, 1.0), spawn_stream(1, 0))
 
     def test_mean_flip_count_chi_one(self):
         # E[c'] = c + chi*(n - 2c)/n = 40.2; the bound is about 10 standard errors
@@ -424,6 +432,32 @@ class TestRunTrial:
         counts = np.ascontiguousarray(record.counts, dtype="<i2")
         assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("seed, generations, digest", [
+        (17, 590, "8ec9e13b06da45ba220d3f2f2d26eef386cc92f303f0b19959712bb07dd7f055"),
+        (2, 741, "8394a1a909883e9c5bb062cd5cc3be2a0ef3d4a51f926c062cd0ff2480997f7f"),
+    ])
+    def test_trajectory_cell_golden(self, seed, generations, digest):
+        # the benchmark's trajectory cell (recipe chi at delta = 0.01, bilinear
+        # target), recorded before the prepared distribution: every one-count
+        # of every generation stays the same
+        game = BilinearParams(n=50, alpha=0.9, beta=0.05, epsilon=0.1)
+        record = run_trial(PdcoeaConfig(lam=100, chi=recipe_mutation_rate(0.01), seed=seed,
+                                        budget_generations=3000, game=game), record=True)
+        assert (record.hit, record.generations_run) == (True, generations)
+        counts = np.ascontiguousarray(record.counts, dtype="<i2")
+        assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("field", ["lam", "seed", "budget_generations"])
+    def test_non_integral_config_field_rejected(self, field):
+        # a float or a bool where a whole number belongs fails at construction,
+        # not later in the run (lam, budget) or on another seed's stream (seed)
+        game = BilinearParams(n=10, alpha=0.4, beta=0.6, epsilon=0.1)
+        base = dict(lam=3, chi=0.5, seed=1, budget_generations=5, game=game)
+        for value in ({"lam": 3.0, "seed": 1.5, "budget_generations": 2.5}[field], True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                PdcoeaConfig(**dict(base, **{field: value}))
+        assert PdcoeaConfig(**base).lam == 3
+
 
 class TestRunTrials:
     BILINEAR = BilinearParams(n=20, alpha=0.9, beta=0.05, epsilon=0.2)
@@ -474,22 +508,49 @@ class TestRunTrials:
         starts = [paired(*paired_uniform(6, 10, spawn_stream(40, i)), 10) for i in range(5)]
         dist = PdcoeaDistribution(game, 1.5)
         cx, cy = _step_rows(np.concatenate([p.predators.ones for p in starts]),
-                            np.concatenate([p.prey.ones for p in starts]), 10, dist,
+                            np.concatenate([p.prey.ones for p in starts]), dist,
                             *_generator_draws([spawn_stream(41, i) for i in range(5)], 6))
         for i, pops in enumerate(starts):
             child = step_generation(pops, dist, spawn_stream(41, i))
             assert np.array_equal(cx[6 * i: 6 * i + 6], child.predators.ones)
             assert np.array_equal(cy[6 * i: 6 * i + 6], child.prey.ones)
 
-    def test_targets_answer_per_row(self, fig_params):
-        corner = singleton_target(0, 10, 10)
-        rng = spawn_stream(42, 0)
-        cx, cy = rng.integers(0, 11, (2, 300, 4))
-        cx[::7, 0], cy[::5, 1], cy[::3, 2] = 0, 10, 3  # hits of either target
-        for target in (bilinear_target(fig_params), corner):
-            rows = target(cx, cy)
-            assert rows.shape == (300,) and 0 < rows.sum() < 300
-            assert list(rows) == [bool(target(a, b)) for a, b in zip(cx, cy)]
+    TARGET_GAMES = [
+        BilinearParams(n=20, alpha=0.9, beta=0.05, epsilon=0.2),   # integer edges
+        BilinearParams(n=10, alpha=0.35, beta=0.33, epsilon=0.1),  # off-grid edges
+    ]
+
+    @pytest.mark.parametrize("params", TARGET_GAMES, ids=["on-grid", "off-grid"])
+    @pytest.mark.parametrize("kind", ["bilinear", "singleton-corner", "singleton-swapped"])
+    @pytest.mark.parametrize("lam", [1, 3, 10])
+    def test_targets_answer_per_row(self, params, kind, lam):
+        # each state's one-state answer (argmax) equals its row of the batch
+        # answer (any) and the definition; the counts mix random ones with the
+        # edges 0, n, beta*n +- 1, (alpha - epsilon)*n and alpha*n - 1
+        n = params.n
+        target = {"bilinear": bilinear_target(params),
+                  "singleton-corner": singleton_target(0, n, n),
+                  "singleton-swapped": singleton_target(n, 0, n)}[kind]
+        edges = np.clip([0, n, math.floor(params.beta_n) - 1, math.ceil(params.beta_n) + 1,
+                         math.ceil(params.target_lo), math.ceil(params.alpha_n) - 1], 0, n)
+        rng = spawn_stream(43, lam)
+        cx, cy = rng.integers(0, n + 1, (2, 400, lam))
+        pick = rng.random((2, 400, lam)) < 0.5
+        cx = np.where(pick[0], rng.choice(edges, (400, lam)), cx)
+        cy = np.where(pick[1], rng.choice(edges, (400, lam)), cy)
+        rows = target(cx, cy)
+        if kind == "bilinear":
+            want = [any(x < params.beta_n for x in xs)
+                    and any(params.target_lo <= y < params.alpha_n for y in ys)
+                    for xs, ys in zip(cx.tolist(), cy.tolist())]
+        else:
+            x_star, y_star = (0, n) if kind == "singleton-corner" else (n, 0)
+            want = [x_star in xs and y_star in ys for xs, ys in zip(cx.tolist(), cy.tolist())]
+        assert rows.shape == (400,) and 0 < rows.sum() < 400
+        assert list(rows) == want
+        for xs, ys, row in zip(cx, cy, rows):
+            one = target(xs, ys)
+            assert one.shape == () and one.dtype == bool and bool(one) == row
 
 
 class CountingGenerator:
@@ -730,7 +791,7 @@ class TestOffspringLaw:
         inside = (r >= 0) & (r < _SCALE)
         c, r = c[inside], r[inside]
         want = table.searchsorted(c * _SCALE + r, side="right") % (n + 1)
-        assert np.array_equal(_mutate_counts(c, r, n, chi), want)
+        assert np.array_equal(_mutate_counts(c, r, dist_for(n, chi)), want)
 
     def test_key_offsets_of_raw_words_equal_the_uniforms(self):
         # r = word >> 14 is floor(u * _SCALE) for the uniform u = (word >> 11) * 2**-53
