@@ -124,6 +124,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown target {self.target!r}")
         if not _is_number(self.gamma0) or not 0.0 < self.gamma0 < 1.0:
             raise ValueError(f"gamma0 must be a number in (0, 1), got {self.gamma0!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be an output prefix (text) or None, got {self.out!r}")
         for key, attr in SPEC_GRIDS.items():
             _check_grid(key, getattr(self, attr))
         object.__setattr__(self, "budget", _check_budget(self.budget))
@@ -225,7 +227,7 @@ def parse_spec_file(path: str) -> ExperimentSpec:
     """Flat key = value format; comma lists give grids, '#' starts a comment.
 
     Keys: kind, n, lambda, chi, delta, alpha, beta, epsilon, r, trials,
-    seed, budget, target, gamma0, out; each at most once.
+    seed, budget, target, gamma0, out (read as text); each at most once.
     """
     scalars = {"kind": "kind", "delta": "delta", "trials": "trials", "seed": "master_seed",
                "budget": "budget", "target": "target", "gamma0": "gamma0", "out": "out"}
@@ -243,8 +245,8 @@ def parse_spec_file(path: str) -> ExperimentSpec:
             seen[key] = lineno
             if key in SPEC_GRIDS:
                 kwargs[SPEC_GRIDS[key]] = tuple(_parse_value(v) for v in value.split(","))
-            elif key in scalars:
-                kwargs[scalars[key]] = _parse_value(value)
+            elif key in scalars:  # an output prefix is text, whatever it looks like
+                kwargs[scalars[key]] = value if key == "out" else _parse_value(value)
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     if "kind" not in kwargs:

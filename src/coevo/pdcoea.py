@@ -4,11 +4,13 @@ Each generation replaces both populations with lambda offspring pairs drawn
 i.i.d. given the current state: each pair comes from two uniform
 predator-prey pairs, keeping the dominating one (second pair on failure),
 and mutating both members by independent bit flips with probability chi/n.
-`_step_rows` is the only sampler: it steps all lambda pairs of B runs held
-as rows (one for `step_generation`, several for `run_trials`) on the draws
-each run takes from its own stream (`_generator_draws`).  A batch reads its
-streams ahead (`_ReadAhead`): one `random_raw` block per run, decoded for
-every run at once into exactly the draws the `Generator`s would make.
+`step_generation` is the one generation step: it steps all lambda pairs of
+one run, or of B runs held run-major as one state of B*lambda members, on
+the draws each run takes from its own stream (`_generator_draws`).
+`run_trials` is the one trial loop, and `run_trial` its one-row case.  A
+batch reads its streams ahead (`_ReadAhead`): one `random_raw` block per
+run, decoded for every run at once into exactly the draws the `Generator`s
+would make.
 Since the payoff, the dominance relation and the shipped targets see a
 genome only through its one-count, the engine evolves one-counts: the pair
 of one-count vectors is an exact lumping of the process, and mutation moves
@@ -156,29 +158,14 @@ def _generator_draws(rngs, lam: int, high: Optional[int] = None):
     `_ReadAhead` reproduces: `integers(0, high, (lam, 4))` slots (high
     defaults to lam), then 2*lam uniforms u, the predators' first, as exact
     uniform key offsets r = floor(u * _SCALE) on [0, _SCALE).  Returned as
-    `_step_rows` takes them: int64 slot indices (4, runs*lam) into cx and cy
-    concatenated (`_draw_offsets`); every run's predators' r, then prey's."""
+    `step_generation` takes them: int64 slot indices (4, runs*lam) into cx
+    and cy concatenated (`_draw_offsets`); every run's predators' r, then
+    prey's."""
     draws = [(rng.integers(0, high or lam, (lam, 4)), rng.random(2 * lam)) for rng in rngs]
     slots, uniforms = map(np.array, zip(*draws))
     idx = slots.transpose(2, 0, 1).reshape(4, -1) + _draw_offsets(len(rngs), lam)
     r = (uniforms * _SCALE).astype(np.int64).reshape(-1, 2, lam).swapaxes(0, 1).ravel()
     return idx, r
-
-
-def _step_rows(cx: np.ndarray, cy: np.ndarray, dist: PdcoeaDistribution,
-               idx: np.ndarray, r: np.ndarray):
-    """One generation of B runs held as flat one-count arrays: run b's
-    predators are cx[b*lam:(b+1)*lam], its prey the same slice of cy, and
-    (idx, r) the generation's draws (`_generator_draws`).  The drawn pairs'
-    one-counts are gathered once, as the rows (x1, y1, x2, y2) of one array,
-    and each winner's counts are picked from them: the first pair where it
-    dominates the second, else the second.  Returns the offspring (cx, cy)."""
-    size = cx.shape[0]
-    drawn = np.concatenate((cx, cy))[idx]
-    win1 = dist.oracle.dominates_counts(drawn[0], drawn[1], drawn[2], drawn[3])
-    parents = np.where(win1, drawn[:2], drawn[2:]).ravel()
-    children = _mutate_counts(parents, r, dist)
-    return children[:size], children[size:]
 
 
 _READ_AHEAD_WORDS = 16384  # raw 64-bit words a batch reads per block, over all its runs
@@ -265,22 +252,35 @@ class _ReadAhead:
 
 def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
                     rng) -> PairedPopulations:
-    """Replace both populations with lambda i.i.d. offspring pairs.
+    """Replace both populations of each run the state holds with lambda
+    i.i.d. offspring pairs.
 
-    Offspring slot i of the predator and prey populations come from the same
-    interaction (they may be dependent); distinct slots are independent.
-    Mutation moves each selected one-count by the exact law of independent
-    bit flips (`_offspring_table`) on a state of the game's n.  `rng` is a
-    `Generator` or a one-run `_ReadAhead`: both give `_generator_draws`.
+    The state is one run, or B runs held run-major (run b's members are
+    [b*lambda, (b+1)*lambda) of both sides).  `rng` is a plain `Generator`
+    (one run) or the batch's `_ReadAhead`: both give one generation's draws
+    (`_generator_draws`), which must cover the state's members.  The drawn
+    pairs' one-counts are gathered once, as the rows (x1, y1, x2, y2) of one
+    array, and each winner's are picked from them: the first pair where it
+    dominates the second, else the second.  Offspring slot i of the
+    predators and the prey come from the same interaction (they may be
+    dependent); distinct slots are independent.  Mutation moves each one-count
+    by the exact law of the bit flips (`_offspring_table`) of the game's n.
     """
     if pops.n != dist.n:
         raise ValueError(f"state genome length {pops.n} does not match game n={dist.n}")
+    size = len(pops.predators.ones)
     try:
         idx, r = rng.draws()
-    except AttributeError:  # a plain Generator
-        idx, r = _generator_draws((rng,), pops.lam)
-    cx, cy = _step_rows(pops.predators.ones, pops.prey.ones, dist, idx, r)
-    return PairedPopulations(Population(dist.n, cx), Population(dist.n, cy))
+    except AttributeError:  # a plain Generator: one run
+        idx, r = _generator_draws((rng,), size)
+    if idx.shape[1] != size:
+        raise ValueError(f"draws for {idx.shape[1]} members do not cover a state of "
+                         f"{size} members")
+    drawn = np.concatenate((pops.predators.ones, pops.prey.ones))[idx]
+    win1 = dist.oracle.dominates_counts(drawn[0], drawn[1], drawn[2], drawn[3])
+    children = _mutate_counts(np.where(win1, drawn[:2], drawn[2:]).ravel(), r, dist)
+    return PairedPopulations(Population(dist.n, children[:size]),
+                             Population(dist.n, children[size:]))
 
 
 # ---------------------------------------------------------------------------
@@ -419,52 +419,20 @@ def trajectory_columns(cx: np.ndarray, cy: np.ndarray, params: BilinearParams,
 RECORD_BLOCK = 64  # generations per int16 block of a recorded one-count history
 
 
-def run_trial(cfg: PdcoeaConfig, record: bool = False) -> TrialRecord:
-    """Run one seeded trial until the target is hit or the budget expires.
+def run_trials(cfgs, record: bool = False) -> list:
+    """Run seeded trials of one cell (configs that differ in their seeds
+    only) together, as the rows of one state, until each hits its target or
+    the budget expires.
 
     The target is evaluated at t = 0, 1, 2, ... before offspring are
-    produced.  With `record`, each evaluated state (the hit generation
-    included) is copied into int16 blocks of RECORD_BLOCK generations, which
-    become the record's `counts`; recording draws no random numbers, so the
-    record is otherwise the same.
-
-    Identical (seed, config) pairs produce identical records on every
-    platform; wall_ms is the only nondeterministic field.
-    """
-    t0 = time.perf_counter()
-    rng = spawn_stream(cfg.seed, 0)
-    cx, cy = paired_uniform(cfg.lam, cfg.n, rng)
-    pops = PairedPopulations(Population(cfg.n, cx), Population(cfg.n, cy))
-    rng = _ReadAhead([rng], cfg.lam)
-    dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
-    target = cfg.target if cfg.target is not None else bilinear_target(cfg.game)
-    blocks = []  # (RECORD_BLOCK, 2, lambda) int16 arrays, one generation a row
-
-    hit, generations = False, cfg.budget_generations
-    for t in range(cfg.budget_generations):
-        if record:
-            if not t % RECORD_BLOCK:
-                blocks.append(np.empty((RECORD_BLOCK, 2, cfg.lam), dtype=np.int16))
-            blocks[-1][t % RECORD_BLOCK] = pops.predators.ones, pops.prey.ones
-        if target(pops.predators.ones, pops.prey.ones):
-            hit, generations = True, t
-            break
-        pops = step_generation(pops, dist, rng)
-
-    counts = np.concatenate(blocks)[:generations + hit] if record else None
-    return TrialRecord(hit=hit, T_interactions=generations * cfg.lam, generations_run=generations,
-                       seed=cfg.seed, counts=counts, wall_ms=(time.perf_counter() - t0) * 1e3)
-
-
-def run_trials(cfgs) -> list:
-    """`[run_trial(cfg) for cfg in cfgs]`, for configs that differ in their
-    seeds only, run together as the rows of one array.
-
-    Each run draws from its own stream exactly as `run_trial` does (one
-    `_ReadAhead` serves them all), so the records are equal; a run leaves
-    the array and the read-ahead at its first hit.  A record's wall_ms is
-    the time from the start of the batch to the end of its run.  Nothing is
-    recorded.
+    produced; a run leaves the state and the read-ahead at its first hit.
+    Each run draws from its own stream (one `_ReadAhead` serves them all),
+    so its record is the same in any batch, on every platform.  With
+    `record`, the live rows' evaluated states (the hit generation included)
+    are copied into int16 blocks of RECORD_BLOCK generations, and run i's
+    `counts` is its column slice [i*lambda, (i+1)*lambda) of them; recording
+    draws no random numbers.  A record's wall_ms, its only nondeterministic
+    field, is the time from the start of the batch to the end of its run.
     """
     if not cfgs:
         return []
@@ -472,31 +440,47 @@ def run_trials(cfgs) -> list:
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
         raise ValueError("run_trials needs configs that differ in their seeds only")
-    lam, n = cfg.lam, cfg.n
+    lam, n, budget = cfg.lam, cfg.n, cfg.budget_generations
     rngs = [spawn_stream(c.seed, 0) for c in cfgs]
     cx, cy = map(np.concatenate, zip(*[paired_uniform(lam, n, rng) for rng in rngs]))
+    pops = PairedPopulations(Population(n, cx), Population(n, cy))
     stream = _ReadAhead(rngs, lam)
     dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
     target = cfg.target if cfg.target is not None else bilinear_target(cfg.game)
-    live = list(range(len(cfgs)))  # the config of each row
-    records = [None] * len(cfgs)
+    live, cols, ends = list(range(len(cfgs))), slice(None), {}  # each row's run; their columns
+    blocks = []  # (RECORD_BLOCK, 2, B*lambda) int16 arrays, one generation a row
 
-    def finish(i, hit, generations):
-        records[i] = TrialRecord(hit=hit, T_interactions=generations * lam,
-                                 generations_run=generations, seed=cfgs[i].seed,
-                                 wall_ms=(time.perf_counter() - t0) * 1e3)
-
-    for t in range(cfg.budget_generations):
-        hits = target(cx.reshape(-1, lam), cy.reshape(-1, lam))
-        if hits.any():
-            for row in np.flatnonzero(hits):
-                finish(live[row], True, t)
-            cx, cy = cx.reshape(-1, lam)[~hits].ravel(), cy.reshape(-1, lam)[~hits].ravel()
-            live = [i for i, h in zip(live, hits) if not h]
+    for t in range(budget):
+        cx, cy = pops.predators.ones, pops.prey.ones
+        if record:
+            if not t % RECORD_BLOCK:
+                blocks.append(np.empty((RECORD_BLOCK, 2, len(cfgs) * lam), dtype=np.int16))
+            blocks[-1][t % RECORD_BLOCK][:, cols] = cx, cy
+        single = len(live) == 1  # one row's answer is a scalar, and tested as one
+        hits = target(cx, cy) if single else target(cx.reshape(-1, lam), cy.reshape(-1, lam))
+        if hits if single else hits.any():
+            hits, wall_ms = np.reshape(hits, -1), (time.perf_counter() - t0) * 1e3
+            ends.update((live[row], (True, t, wall_ms)) for row in np.flatnonzero(hits))
+            live = [i for i, hit in zip(live, hits) if not hit]
             if not live:
                 break
             stream.drop(hits)
-        cx, cy = _step_rows(cx, cy, dist, *stream.draws())
-    for i in live:
-        finish(i, False, cfg.budget_generations)
-    return records
+            pops = PairedPopulations(*(Population(n, side.reshape(-1, lam)[~hits].ravel())
+                                       for side in (cx, cy)))
+            cols = (np.array(live)[:, None] * lam + np.arange(lam)).ravel()
+        pops = step_generation(pops, dist, stream)
+
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    ends.update((i, (False, budget, wall_ms)) for i in live)  # the censored runs
+    history = np.concatenate(blocks) if record else None
+    return [TrialRecord(hit=hit, T_interactions=g * lam, generations_run=g, seed=cfgs[i].seed,
+                        counts=history[:g + hit, :, i * lam:(i + 1) * lam] if record else None,
+                        wall_ms=ms) for i, (hit, g, ms) in sorted(ends.items())]
+
+
+def run_trial(cfg: PdcoeaConfig, record: bool = False) -> TrialRecord:
+    """Run one seeded trial until the target is hit or the budget expires:
+    `run_trials([cfg], record)[0]`, so with `record` its `counts` is the
+    run's one-count history, an int16 (generations_run + hit, 2, lambda)
+    array."""
+    return run_trials([cfg], record)[0]

@@ -151,12 +151,23 @@ class TestSpecParsing:
 
     @pytest.mark.parametrize("field, value", [
         ("trials", True), ("trials", 2.5), ("master_seed", False), ("master_seed", "7"),
-        ("delta", None), ("delta", True),
+        ("delta", None), ("delta", True), ("out", 5), ("out", True),
     ])
     def test_non_numeric_scalars_rejected(self, field, value):
         key = "seed" if field == "master_seed" else field
         with pytest.raises(ValueError, match=key):
             tiny_spec(**{field: value})
+
+    def test_numeric_out_is_an_output_prefix(self, tmp_path, monkeypatch, capsys):
+        # `out = 5` names the files 5.csv and 5.aggregates.json
+        cfg = tmp_path / "spec.txt"
+        cfg.write_text("kind = sweep\nn = 10\nlambda = 4\nchi = 0.5\nbudget = 5\n"
+                       "trials = 1\nout = 5\n")
+        assert parse_spec_file(str(cfg)).out == "5"
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert "wrote 5.csv" in capsys.readouterr().out
+        assert (tmp_path / "5.csv").is_file() and (tmp_path / "5.aggregates.json").is_file()
 
     def test_unknown_kind_lists_the_kinds(self):
         with pytest.raises(ValueError, match="sweep, runtime-scaling"):

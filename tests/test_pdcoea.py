@@ -23,6 +23,7 @@ from coevo import (
     spawn_stream,
     step_generation,
 )
+from coevo import pdcoea
 from coevo.core import popcount_rows
 from coevo.pdcoea import (
     _GUIDE_SHIFT,
@@ -32,12 +33,10 @@ from coevo.pdcoea import (
     _READ_AHEAD_WORDS,
     _ReadAhead,
     _draw_offsets,
-    _generator_draws,
     _mutate_counts,
     _offspring_cdf,
     _offspring_guide,
     _offspring_table,
-    _step_rows,
     trajectory_columns,
 )
 
@@ -151,6 +150,14 @@ class TestMutate:
         # one-counts do not carry n: a step checks the state's against the game's
         with pytest.raises(ValueError, match="state genome length 6 does not match game n=4"):
             step_generation(clones(1, 6, 3), dist_for(4, 1.0), spawn_stream(1, 0))
+
+    @pytest.mark.parametrize("drawn, members", [(10, 20), (20, 10)])
+    def test_draws_for_another_lambda_rejected(self, drawn, members):
+        # a read-ahead's draws must cover the state's members, either way round
+        with pytest.raises(ValueError, match=f"draws for {drawn} members do not cover a "
+                                             f"state of {members} members"):
+            step_generation(clones(1, 4, members), dist_for(4, 1.0),
+                            _ReadAhead([spawn_stream(1, 0)], drawn))
 
     def test_mean_flip_count_chi_one(self):
         # E[c'] = c + chi*(n - 2c)/n = 40.2; the bound is about 10 standard errors
@@ -507,13 +514,57 @@ class TestRunTrials:
         # row i of one step of five runs is step_generation of run i on its stream
         starts = [paired(*paired_uniform(6, 10, spawn_stream(40, i)), 10) for i in range(5)]
         dist = PdcoeaDistribution(game, 1.5)
-        cx, cy = _step_rows(np.concatenate([p.predators.ones for p in starts]),
-                            np.concatenate([p.prey.ones for p in starts]), dist,
-                            *_generator_draws([spawn_stream(41, i) for i in range(5)], 6))
+        batch = paired(np.concatenate([p.predators.ones for p in starts]),
+                       np.concatenate([p.prey.ones for p in starts]), 10)
+        child = step_generation(batch, dist, _ReadAhead([spawn_stream(41, i) for i in range(5)], 6))
         for i, pops in enumerate(starts):
-            child = step_generation(pops, dist, spawn_stream(41, i))
-            assert np.array_equal(cx[6 * i: 6 * i + 6], child.predators.ones)
-            assert np.array_equal(cy[6 * i: 6 * i + 6], child.prey.ones)
+            one = step_generation(pops, dist, spawn_stream(41, i))
+            assert np.array_equal(child.predators.ones[6 * i: 6 * i + 6], one.predators.ones)
+            assert np.array_equal(child.prey.ones[6 * i: 6 * i + 6], one.prey.ones)
+
+    # runs of this cell end in every way a 64-generation record block can see:
+    # a hit at t = 64 (seed 226), at t = 0 (41, 46), at t = 63 (180, 239) and
+    # inside the first block (0, 1), and censored at the budget (7, 9, 17)
+    RECORD_CELL = PdcoeaConfig(lam=2, chi=0.5, seed=0, budget_generations=100,
+                               game=BilinearParams(n=12, alpha=0.75, beta=0.25, epsilon=0.25))
+    RECORD_SEEDS = (226, 41, 7, 180, 0, 46, 9, 1, 239, 17)
+
+    @pytest.mark.parametrize("runs", [1, 3, 10])
+    def test_batch_records_equal_run_trial(self, runs):
+        # a batch records each row's history as its own run does, counts included
+        cfgs = [replace(self.RECORD_CELL, seed=seed) for seed in self.RECORD_SEEDS[:runs]]
+        expected = [run_trial(cfg, record=True) for cfg in cfgs]
+        records = run_trials(cfgs, record=True)
+        assert records == expected
+        for record, want in zip(records, expected):
+            assert record.counts.dtype == np.int16 and np.array_equal(record.counts, want.counts)
+        ends = {(record.hit, record.generations_run) for record in expected}
+        if runs >= 3:
+            assert {(True, 64), (True, 0), (False, 100)} <= ends
+        if runs == 10:
+            assert (True, 63) in ends and any(r.hit and 0 < r.generations_run < 63 for r in expected)
+            for record, (hit, generations, history) in zip(records, map(plain_run, cfgs)):
+                assert (record.hit, record.generations_run) == (hit, generations)
+                assert np.array_equal(record.counts, history)
+
+    def test_one_step_call_per_generation(self, monkeypatch):
+        # the one loop steps each generation once: a run alone on lambda
+        # members, a batch on the live rows' members
+        sizes, step = [], pdcoea.step_generation
+
+        def counted(pops, dist, rng):
+            sizes.append(pops.lam)
+            return step(pops, dist, rng)
+
+        monkeypatch.setattr(pdcoea, "step_generation", counted)
+        cfgs = [replace(self.RECORD_CELL, seed=seed) for seed in self.RECORD_SEEDS]
+        for cfg in cfgs[:3]:
+            sizes.clear()
+            record = run_trial(cfg)
+            assert sizes == [2] * record.generations_run
+        sizes.clear()
+        gens = [record.generations_run for record in run_trials(cfgs)]
+        assert sizes == [2 * sum(g > t for g in gens) for t in range(max(gens))]
 
     TARGET_GAMES = [
         BilinearParams(n=20, alpha=0.9, beta=0.05, epsilon=0.2),   # integer edges
