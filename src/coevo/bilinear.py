@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BitVector, ones
+
+_ZERO = np.array(0, dtype=np.int64)  # the engine's sign-test operand (see pdcoea._SCALE)
 
 
 def _snap(x: float) -> float:
@@ -50,8 +53,8 @@ class BilinearParams:
     epsilon: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool) or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
@@ -164,7 +167,7 @@ def _dominates_counts_arrays(cx1, cy1, cx2, cy2, params: BilinearParams, signs=N
     are its tables), so ties are decided exactly for any alpha and beta.
     """
     sx, sy = _count_signs(params) if signs is None else signs
-    return np.minimum(sx[cx1] * (cy2 - cy1), sy[cy1] * (cx1 - cx2)) >= 0
+    return np.minimum(sx[cx1] * (cy2 - cy1), sy[cy1] * (cx1 - cx2)) >= _ZERO
 
 
 class BilinearGame:

@@ -116,16 +116,24 @@ class Population:
 
 
 class PairedPopulations:
-    """Algorithm state: the predator and prey populations."""
+    """Algorithm state: the predator and prey populations.
 
-    __slots__ = ("predators", "prey")
+    `flat` is both sides' one-counts, predators first, as one read-only int64
+    array: given (its halves must be the two sides, as `step_generation`'s
+    children are), or else concatenated once, when the state is built.
+    """
 
-    def __init__(self, predators: Population, prey: Population):
+    __slots__ = ("predators", "prey", "flat")
+
+    def __init__(self, predators: Population, prey: Population, flat=None):
         if predators.lam != prey.lam:
             raise ValueError("predator and prey populations must have equal size")
         if predators.n != prey.n:
             raise ValueError("predator and prey genomes must have equal length")
-        self.predators, self.prey = predators, prey
+        if flat is None:
+            flat = np.concatenate((predators.ones, prey.ones))
+            flat.setflags(write=False)
+        self.predators, self.prey, self.flat = predators, prey, flat
 
     @property
     def lam(self) -> int:

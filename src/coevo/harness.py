@@ -124,8 +124,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown target {self.target!r}")
         if not _is_number(self.gamma0) or not 0.0 < self.gamma0 < 1.0:
             raise ValueError(f"gamma0 must be a number in (0, 1), got {self.gamma0!r}")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ValueError(f"out must be an output prefix (text) or None, got {self.out!r}")
+        if self.out is not None and not (isinstance(self.out, str) and self.out.strip()):
+            raise ValueError(f"out must be an output prefix (non-blank text) or None, "
+                             f"got {self.out!r}")
         for key, attr in SPEC_GRIDS.items():
             _check_grid(key, getattr(self, attr))
         object.__setattr__(self, "budget", _check_budget(self.budget))

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bilinear import BilinearGame, BilinearParams, _any_last, bilinear_target
+from .bilinear import _ZERO, BilinearGame, BilinearParams, _any_last, bilinear_target
 from .core import PairedPopulations, Population, paired_uniform, spawn_stream
 
 
@@ -41,8 +41,11 @@ from .core import PairedPopulations, Population, paired_uniform, spawn_stream
 # The offspring law is tabulated as (n+1)^2 int64 thresholds (34 MB at
 # MAX_N); a uniform's 53 random bits give the sampler exact integers on
 # [0, _SCALE), and every table entry stays below (MAX_N + 1) * _SCALE < 2**63.
+# The constants an array op meets every generation are 0-d int64 arrays: a
+# Python int or numpy scalar operand is converted on each call, and under
+# NEP 50 a 0-d int64 array promotes as an np.int64 scalar does.
 MAX_N = 2048
-_SCALE = np.int64(1 << 50)  # numpy scalars, like _GUIDE_SHIFT: no conversion per call
+_SCALE = np.array(1 << 50, dtype=np.int64)
 
 
 def _offspring_cdf(n: int, chi: float) -> np.ndarray:
@@ -89,7 +92,7 @@ def _offspring_table(n: int, chi: float) -> np.ndarray:
 # A guide over each row of the offspring table (indexed search, Chen and
 # Asau 1974): bucket k of row c covers r in [k, k+1) * 2**_GUIDE_SHIFT.
 GUIDE_BITS = 8
-_GUIDE_SHIFT = np.int64(int(_SCALE).bit_length() - 1 - GUIDE_BITS)
+_GUIDE_SHIFT = np.array(int(_SCALE).bit_length() - 1 - GUIDE_BITS, dtype=np.int64)
 
 
 @functools.lru_cache(maxsize=8)
@@ -118,7 +121,7 @@ def _mutate_counts(counts: np.ndarray, r: np.ndarray, dist: PdcoeaDistribution) 
     its `searchsorted` gives."""
     keys = counts * _SCALE + r
     children = dist.guide[keys >> _GUIDE_SHIFT]
-    miss = (children < 0).nonzero()[0]
+    miss = (children < _ZERO).nonzero()[0]
     if miss.size:
         children[miss] = dist.table.searchsorted(keys[miss], side="right") % dist.width
     return children
@@ -131,13 +134,14 @@ def _mutate_counts(counts: np.ndarray, r: np.ndarray, dist: PdcoeaDistribution) 
 class PdcoeaDistribution:
     """Pairwise-dominance selection followed by independent bitwise mutation,
     prepared once per run: chi is checked against the game's n, and the
-    offspring table and its guide, as int64, are held for `_mutate_counts`."""
+    offspring table and its guide, as int64, and the row width n+1 (0-d) are
+    held for `_mutate_counts`."""
 
     def __init__(self, oracle: BilinearGame, chi: float):
         n = oracle.params.n
         if not 0.0 <= chi <= n:
             raise ValueError(f"chi must be in [0, n] = [0, {n}], got {chi}")
-        self.oracle, self.chi, self.n, self.width = oracle, chi, n, np.int64(n + 1)
+        self.oracle, self.chi, self.n, self.width = oracle, chi, n, np.array(n + 1, dtype=np.int64)
         self.table, self.guide = _offspring_table(n, chi), _offspring_guide(n, chi).astype(np.int64)
 
 
@@ -259,12 +263,14 @@ def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
     [b*lambda, (b+1)*lambda) of both sides).  `rng` is a plain `Generator`
     (one run) or the batch's `_ReadAhead`: both give one generation's draws
     (`_generator_draws`), which must cover the state's members.  The drawn
-    pairs' one-counts are gathered once, as the rows (x1, y1, x2, y2) of one
-    array, and each winner's are picked from them: the first pair where it
-    dominates the second, else the second.  Offspring slot i of the
-    predators and the prey come from the same interaction (they may be
-    dependent); distinct slots are independent.  Mutation moves each one-count
-    by the exact law of the bit flips (`_offspring_table`) of the game's n.
+    pairs' one-counts are gathered once from the state's `flat` array, as
+    the rows (x1, y1, x2, y2) of one array, and each winner's are picked from
+    them: the first pair where it dominates the second, else the second.
+    Offspring slot i of the predators and the prey come from the same
+    interaction (they may be dependent); distinct slots are independent.
+    Mutation moves each one-count by the exact law of the bit flips
+    (`_offspring_table`) of the game's n, and the children, predators first,
+    are the next state's `flat` array, without a copy.
     """
     if pops.n != dist.n:
         raise ValueError(f"state genome length {pops.n} does not match game n={dist.n}")
@@ -276,11 +282,12 @@ def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
     if idx.shape[1] != size:
         raise ValueError(f"draws for {idx.shape[1]} members do not cover a state of "
                          f"{size} members")
-    drawn = np.concatenate((pops.predators.ones, pops.prey.ones))[idx]
+    drawn = pops.flat[idx]
     win1 = dist.oracle.dominates_counts(drawn[0], drawn[1], drawn[2], drawn[3])
     children = _mutate_counts(np.where(win1, drawn[:2], drawn[2:]).ravel(), r, dist)
+    children.setflags(write=False)  # the next state's flat array, taken over
     return PairedPopulations(Population(dist.n, children[:size]),
-                             Population(dist.n, children[size:]))
+                             Population(dist.n, children[size:]), children)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +302,14 @@ def singleton_target(cx_star: int, cy_star: int, n: int):
     predicate compares one-counts and is exact.  Any other count is shared
     by several genomes and is rejected.  Like `bilinear_target`'s, the
     predicate takes one-count arrays and reduces over the last axis
-    (`_any_last`); its `n` is the genome length it is for.
+    (`_any_last`); its `n` is the genome length it is for.  The two counts
+    are held as 0-d int64 arrays, like the sampler's constants (`_SCALE`).
     """
     if any(c not in (0, n) for c in (cx_star, cy_star)):
         raise ValueError(f"singleton target genomes must be all-zeros or all-ones (one-count "
                          f"0 or n = {n}), got one-counts {cx_star} and {cy_star}; a population "
                          "stores one-counts, which name no other genome")
+    cx_star, cy_star = np.array(cx_star, dtype=np.int64), np.array(cy_star, dtype=np.int64)
 
     def predicate(cx: np.ndarray, cy: np.ndarray):
         hit = _any_last(cx == cx_star)

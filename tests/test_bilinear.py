@@ -40,6 +40,16 @@ class TestParams:
         with pytest.raises(ValueError, match="epsilon must be finite"):
             BilinearParams(n=10, alpha=0.9, beta=0.05, epsilon=epsilon)
 
+    @pytest.mark.parametrize("n", [10.5, 10.0, "10", True, None, 0, np.float64(10)])
+    def test_non_integral_n_rejected(self, n):
+        # a float n used to pass, then fail in `paired_uniform` with a TypeError
+        with pytest.raises(ValueError, match="n must be an integer"):
+            BilinearParams(n=n, alpha=0.9, beta=0.05, epsilon=0.2)
+
+    @pytest.mark.parametrize("n", [10, np.int64(10), np.uint16(10)])
+    def test_integer_n_accepted(self, n):
+        assert BilinearParams(n=n, alpha=0.9, beta=0.05, epsilon=0.2).alpha_n == 9.0
+
     def test_snapped_products_are_integral_on_grid(self):
         p = BilinearParams(n=80, alpha=0.9, beta=0.05, epsilon=0.1)
         assert p.alpha_n == 72.0 and p.beta_n == 4.0 and p.target_lo == 64.0

@@ -155,6 +155,13 @@ class TestPopulations:
         pop = Population(10, counts)
         assert np.shares_memory(pop.ones, counts) and not counts.flags.writeable
 
+    def test_hand_built_state_concatenates_once(self):
+        # the flat state is both sides, predators first, read-only, built once
+        pops = PairedPopulations(Population(10, [3, 0, 10]), Population(10, [1, 2, 4]))
+        flat = pops.flat
+        assert flat is pops.flat and flat.dtype == np.int64 and not flat.flags.writeable
+        assert flat.tolist() == [3, 0, 10, 1, 2, 4]
+
     def test_paired_validation(self):
         a = Population(10, paired_uniform(3, 10, spawn_stream(1, 0))[0])
         b = Population(10, paired_uniform(4, 10, spawn_stream(1, 1))[0])

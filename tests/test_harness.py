@@ -151,7 +151,8 @@ class TestSpecParsing:
 
     @pytest.mark.parametrize("field, value", [
         ("trials", True), ("trials", 2.5), ("master_seed", False), ("master_seed", "7"),
-        ("delta", None), ("delta", True), ("out", 5), ("out", True),
+        ("delta", None), ("delta", True), ("out", 5), ("out", True), ("out", ""),
+        ("out", "  "),
     ])
     def test_non_numeric_scalars_rejected(self, field, value):
         key = "seed" if field == "master_seed" else field
@@ -168,6 +169,22 @@ class TestSpecParsing:
         assert main(["sweep", "--config", str(cfg)]) == 0
         assert "wrote 5.csv" in capsys.readouterr().out
         assert (tmp_path / "5.csv").is_file() and (tmp_path / "5.aggregates.json").is_file()
+
+    def test_empty_out_fails_before_any_run(self, tmp_path, monkeypatch, capsys):
+        # an empty `out =` line asks for output under no name: exit 1, nothing run
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(harness, "run_trials", lambda *args, **kw: calls.append(args))
+        cfg = tmp_path / "spec.txt"
+        cfg.write_text("kind = sweep\nn = 10\nlambda = 4\nchi = 0.5\nbudget = 5\n"
+                       "trials = 1\nout =\n")
+        with pytest.raises(ValueError, match="out"):
+            parse_spec_file(str(cfg))
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert "out" in err and out == ""
+        assert calls == [] and sorted(p.name for p in tmp_path.iterdir()) == ["spec.txt"]
 
     def test_unknown_kind_lists_the_kinds(self):
         with pytest.raises(ValueError, match="sweep, runtime-scaling"):

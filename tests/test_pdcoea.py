@@ -217,6 +217,30 @@ class TestStepGeneration:
             assert side.ones.dtype == np.int64 and not side.ones.flags.writeable
             assert side.ones.min() >= 0 and side.ones.max() <= 10
 
+    def test_children_are_the_next_flat_state(self, fig_params, game):
+        # the children, predators first, are the next state's read-only flat
+        # array, and its two sides are views of it
+        child = step_generation(paired([4, 5, 1], [9, 2, 6], 10),
+                                PdcoeaDistribution(game, 0.5), spawn_stream(38, 4))
+        flat = child.flat
+        assert flat.dtype == np.int64 and not flat.flags.writeable
+        assert np.array_equal(flat, np.concatenate((child.predators.ones, child.prey.ones)))
+        assert all(np.shares_memory(side.ones, flat) for side in (child.predators, child.prey))
+
+    def test_carried_and_hand_built_states_step_alike(self, fig_params, game):
+        # a state returned by a step and a hand-built copy of it give equal
+        # children on the same draws, generation after generation
+        dist = PdcoeaDistribution(game, 1.5)
+        carried = step_generation(paired([3, 6, 2, 9], [7, 1, 5, 0], 10), dist,
+                                  spawn_stream(38, 5))
+        a, b = spawn_stream(38, 6), spawn_stream(38, 6)
+        for _ in range(5):
+            hand = paired(carried.predators.ones.copy(), carried.prey.ones.copy(), 10)
+            carried, built = step_generation(carried, dist, a), step_generation(hand, dist, b)
+            assert np.array_equal(carried.flat, built.flat)
+            assert np.array_equal(carried.predators.ones, built.predators.ones)
+            assert np.array_equal(carried.prey.ones, built.prey.ones)
+
     def test_offspring_fraction_matches_exact_enumeration(self, fig_params, game):
         # chi = 0 and two clone blocks, one strictly dominating: the offspring
         # share of the dominant pair converges to the enumerated probability
@@ -589,7 +613,6 @@ class TestRunTrials:
         pick = rng.random((2, 400, lam)) < 0.5
         cx = np.where(pick[0], rng.choice(edges, (400, lam)), cx)
         cy = np.where(pick[1], rng.choice(edges, (400, lam)), cy)
-        rows = target(cx, cy)
         if kind == "bilinear":
             want = [any(x < params.beta_n for x in xs)
                     and any(params.target_lo <= y < params.alpha_n for y in ys)
@@ -597,11 +620,15 @@ class TestRunTrials:
         else:
             x_star, y_star = (0, n) if kind == "singleton-corner" else (n, 0)
             want = [x_star in xs and y_star in ys for xs, ys in zip(cx.tolist(), cy.tolist())]
-        assert rows.shape == (400,) and 0 < rows.sum() < 400
-        assert list(rows) == want
-        for xs, ys, row in zip(cx, cy, rows):
-            one = target(xs, ys)
-            assert one.shape == () and one.dtype == bool and bool(one) == row
+        assert 0 < sum(want) < 400
+        # narrower counts too (a recorded history is int16): the targets'
+        # 0-d int64 operands must not change an answer through promotion
+        for dtype in (np.int64, np.int16, np.uint8):
+            rows = target(cx.astype(dtype), cy.astype(dtype))
+            assert rows.shape == (400,) and list(rows) == want
+            for xs, ys, row in zip(cx.astype(dtype), cy.astype(dtype), rows):
+                one = target(xs, ys)
+                assert one.shape == () and one.dtype == bool and bool(one) == row
 
 
 class CountingGenerator:
