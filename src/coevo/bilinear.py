@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BitVector, ones
+from .core import BitVector, _count_vector, ones
 
 _ZERO = np.array(0, dtype=np.int64)  # the engine's sign-test operand (see pdcoea._SCALE)
 
@@ -221,21 +221,13 @@ def classify_prey(y: BitVector, l: int, params: BilinearParams) -> str:
 
 
 def _one_counts(cx, cy, n: int):
-    """The predators' and the prey's one-counts of one state as int64 arrays.
-
-    The two sides must be non-empty, 1-d and equally long, and every count a
-    whole number in [0, n]; anything else raises a `ValueError` naming n.
-    """
-    sides = [np.asarray(cx), np.asarray(cy)]
-    if sides[0].ndim != 1 or sides[0].shape != sides[1].shape or not sides[0].size:
-        raise ValueError(f"one-counts for n = {n} must be two non-empty 1-d sides of equal "
-                         f"length, got {sides[0].tolist()} and {sides[1].tolist()}")
-    exact = [side.astype(np.int64) for side in sides]
-    for given, ints in zip(sides, exact):
-        if ((ints != given) | (ints < 0) | (ints > n)).any():
-            raise ValueError(f"one-counts must be whole numbers in [0, n] = [0, {n}], "
-                             f"got {given.tolist()}")
-    return exact
+    """The predators' and the prey's one-counts of one state as int64 arrays:
+    two equally long sides, each checked by `core._count_vector`."""
+    cx, cy = _count_vector(cx, n), _count_vector(cy, n)
+    if cx.shape != cy.shape:
+        raise ValueError(f"one-counts for n = {n} must be two sides of equal length, "
+                         f"got {cx.tolist()} and {cy.tolist()}")
+    return cx, cy
 
 
 def target_hit(cx, cy, params: BilinearParams) -> bool:

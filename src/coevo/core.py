@@ -91,23 +91,30 @@ def ones(v: BitVector) -> int:
     return v._ones
 
 
+def _count_vector(counts, n: int) -> np.ndarray:
+    """One side's one-counts as int64 (an int64 array is not copied): 1-d,
+    non-empty and whole numbers in [0, n], else a `ValueError` names n."""
+    given = np.asarray(counts)
+    with np.errstate(invalid="ignore"):  # NaN, inf and huge counts are rejected below
+        ints = given.astype(np.int64, copy=False)
+    if given.ndim != 1 or not given.size or ((ints != given) | (ints < 0) | (ints > n)).any():
+        raise ValueError(f"one-counts for n = {n} must be a non-empty 1-d array of whole "
+                         f"numbers in [0, n] = [0, {n}], got {given.tolist()}")
+    return ints
+
+
 class Population:
     """An array of lambda members of common genome length n.
 
     The state is the read-only int64 vector of per-member one-counts, which
-    is all the bilinear game and the shipped targets depend on.  An int64
-    array is taken over without a copy and made read-only.  The vector must
-    be 1-d with lambda >= 1 entries; the counts themselves are stored as
-    given, and the exact oracles of `levels` and `bilinear.target_hit`
-    take one-count arrays from outside the program and check those instead.
+    is all the bilinear game and the shipped targets depend on, checked by
+    `_count_vector`.  An int64 array is taken over and made read-only.
     """
 
     __slots__ = ("ones", "n", "lam")
 
     def __init__(self, n: int, ones):
-        counts = np.asarray(ones, dtype=np.int64)
-        if counts.ndim != 1 or not len(counts):
-            raise ValueError("population needs a 1-d one-count vector with lambda >= 1")
+        counts = _count_vector(ones, n)
         counts.setflags(write=False)
         self.ones, self.n, self.lam = counts, int(n), len(counts)
 
@@ -116,32 +123,30 @@ class Population:
 
 
 class PairedPopulations:
-    """Algorithm state: the predator and prey populations.
+    """Algorithm state: `flat`, the predators' then the prey's one-counts (lam
+    each) as one read-only int64 array.  `predators` and `prey` are
+    `Population` views of its halves, built on each read."""
 
-    `flat` is both sides' one-counts, predators first, as one read-only int64
-    array: given (its halves must be the two sides, as `step_generation`'s
-    children are), or else concatenated once, when the state is built.
-    """
+    __slots__ = ("flat", "n", "lam")
 
-    __slots__ = ("predators", "prey", "flat")
-
-    def __init__(self, predators: Population, prey: Population, flat=None):
+    def __init__(self, predators: Population, prey: Population):
         if predators.lam != prey.lam:
             raise ValueError("predator and prey populations must have equal size")
         if predators.n != prey.n:
             raise ValueError("predator and prey genomes must have equal length")
-        if flat is None:
-            flat = np.concatenate((predators.ones, prey.ones))
-            flat.setflags(write=False)
-        self.predators, self.prey, self.flat = predators, prey, flat
+        flat = np.concatenate((predators.ones, prey.ones))
+        flat.setflags(write=False)
+        self.flat, self.n, self.lam = flat, predators.n, predators.lam
 
-    @property
-    def lam(self) -> int:
-        return self.predators.lam
+    @classmethod
+    def _carry(cls, flat: np.ndarray, n: int) -> "PairedPopulations":
+        """The unchecked state of `flat`, the engine's children (in [0, n])."""
+        pops = cls.__new__(cls)
+        pops.flat, pops.n, pops.lam = flat, n, len(flat) // 2
+        return pops
 
-    @property
-    def n(self) -> int:
-        return self.predators.n
+    predators = property(lambda self: Population(self.n, self.flat[:self.lam]))
+    prey = property(lambda self: Population(self.n, self.flat[self.lam:]))
 
 
 def paired_uniform(lam: int, n: int, rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:

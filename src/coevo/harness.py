@@ -36,7 +36,7 @@ from .bilinear import (
     payoff_by_onecounts,
     _dominates_by_payoffs,
 )
-from .core import PairedPopulations, Population, derive_seed, spawn_stream
+from .core import derive_seed, spawn_stream
 from .levels import (
     LevelFunctionParams,
     build_bilinear_levels,
@@ -54,6 +54,7 @@ from .pdcoea import (
     PdcoeaDistribution,
     _ReadAhead,
     _is_int,
+    _start_state,
     run_trial,
     run_trials,
     singleton_target,
@@ -818,13 +819,12 @@ def check_product_space(seed: int = theory.DEFAULT_CHECK_SEED) -> CheckResult:
     ok = (mean_z >= bound1 - slack and mgf <= bound2 + slack and tail <= bound3 + slack
           and inv_r < bound4)
 
-    pops = PairedPopulations(Population(n, cx), Population(n, cy))
+    pops = _start_state(n, cx, cy)
     dist = PdcoeaDistribution(BilinearGame(params), chi=0.0)
     rng = _ReadAhead([spawn_stream(seed, 2)], lam)
     pred, prey = np.empty((2, reps, lam), dtype=np.int64)
     for i in range(reps):
-        child = step_generation(pops, dist, rng)
-        pred[i], prey[i] = child.predators.ones, child.prey.ones
+        pred[i], prey[i] = step_generation(pops, dist, rng).flat.reshape(2, lam)
     seen = np.bincount(in_a(pred).sum(axis=1) * (lam + 1) + in_b(prey).sum(axis=1),
                        minlength=law.size)
     expected = reps * law.ravel()

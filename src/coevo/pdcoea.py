@@ -269,25 +269,23 @@ def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
     Offspring slot i of the predators and the prey come from the same
     interaction (they may be dependent); distinct slots are independent.
     Mutation moves each one-count by the exact law of the bit flips
-    (`_offspring_table`) of the game's n, and the children, predators first,
-    are the next state's `flat` array, without a copy.
+    (`_offspring_table`) of the game's n; the children, predators first, are
+    the next state's `flat`, with no copy and no `Population` built.
     """
     if pops.n != dist.n:
         raise ValueError(f"state genome length {pops.n} does not match game n={dist.n}")
-    size = len(pops.predators.ones)
     try:
         idx, r = rng.draws()
     except AttributeError:  # a plain Generator: one run
-        idx, r = _generator_draws((rng,), size)
-    if idx.shape[1] != size:
+        idx, r = _generator_draws((rng,), pops.lam)
+    if idx.shape[1] != pops.lam:
         raise ValueError(f"draws for {idx.shape[1]} members do not cover a state of "
-                         f"{size} members")
+                         f"{pops.lam} members")
     drawn = pops.flat[idx]
     win1 = dist.oracle.dominates_counts(drawn[0], drawn[1], drawn[2], drawn[3])
     children = _mutate_counts(np.where(win1, drawn[:2], drawn[2:]).ravel(), r, dist)
-    children.setflags(write=False)  # the next state's flat array, taken over
-    return PairedPopulations(Population(dist.n, children[:size]),
-                             Population(dist.n, children[size:]), children)
+    children.setflags(write=False)
+    return PairedPopulations._carry(children, dist.n)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +426,12 @@ def trajectory_columns(cx: np.ndarray, cy: np.ndarray, params: BilinearParams,
 RECORD_BLOCK = 64  # generations per int16 block of a recorded one-count history
 
 
+def _start_state(n: int, cx, cy) -> PairedPopulations:
+    """The state of the one-count arrays cx and cy, checked as two
+    `Population`s: every state the engine starts from is built here."""
+    return PairedPopulations(Population(n, cx), Population(n, cy))
+
+
 def run_trials(cfgs, record: bool = False) -> list:
     """Run seeded trials of one cell (configs that differ in their seeds
     only) together, as the rows of one state, until each hits its target or
@@ -452,7 +456,7 @@ def run_trials(cfgs, record: bool = False) -> list:
     lam, n, budget = cfg.lam, cfg.n, cfg.budget_generations
     rngs = [spawn_stream(c.seed, 0) for c in cfgs]
     cx, cy = map(np.concatenate, zip(*[paired_uniform(lam, n, rng) for rng in rngs]))
-    pops = PairedPopulations(Population(n, cx), Population(n, cy))
+    pops = _start_state(n, cx, cy)
     stream = _ReadAhead(rngs, lam)
     dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
     target = cfg.target if cfg.target is not None else bilinear_target(cfg.game)
@@ -460,13 +464,13 @@ def run_trials(cfgs, record: bool = False) -> list:
     blocks = []  # (RECORD_BLOCK, 2, B*lambda) int16 arrays, one generation a row
 
     for t in range(budget):
-        cx, cy = pops.predators.ones, pops.prey.ones
+        sides = pops.flat.reshape(2, -1)  # the predators' and the prey's counts
         if record:
             if not t % RECORD_BLOCK:
                 blocks.append(np.empty((RECORD_BLOCK, 2, len(cfgs) * lam), dtype=np.int16))
-            blocks[-1][t % RECORD_BLOCK][:, cols] = cx, cy
+            blocks[-1][t % RECORD_BLOCK][:, cols] = sides
         single = len(live) == 1  # one row's answer is a scalar, and tested as one
-        hits = target(cx, cy) if single else target(cx.reshape(-1, lam), cy.reshape(-1, lam))
+        hits = target(sides[0], sides[1]) if single else target(*sides.reshape(2, -1, lam))
         if hits if single else hits.any():
             hits, wall_ms = np.reshape(hits, -1), (time.perf_counter() - t0) * 1e3
             ends.update((live[row], (True, t, wall_ms)) for row in np.flatnonzero(hits))
@@ -474,8 +478,7 @@ def run_trials(cfgs, record: bool = False) -> list:
             if not live:
                 break
             stream.drop(hits)
-            pops = PairedPopulations(*(Population(n, side.reshape(-1, lam)[~hits].ravel())
-                                       for side in (cx, cy)))
+            pops = _start_state(n, *sides.reshape(2, -1, lam)[:, ~hits].reshape(2, -1))
             cols = (np.array(live)[:, None] * lam + np.arange(lam)).ravel()
         pops = step_generation(pops, dist, stream)
 

@@ -18,7 +18,8 @@ def count_vector(c, n):
 
 
 def paired(pred, prey, n):
-    """An engine state with the given one-counts, unchecked."""
+    """An engine state with the given one-counts, which are checked when it is
+    built: whole numbers in [0, n], one 1-d side each."""
     return PairedPopulations(Population(n, pred), Population(n, prey))
 
 

@@ -150,17 +150,38 @@ class TestPopulations:
         with pytest.raises(ValueError):
             Population(10, [[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize("bad", [
+        pytest.param([-3, -1, 2], id="negative"),
+        pytest.param([0, 11, 2], id="above-n"),
+        pytest.param([1.7, 2.2, 3], id="non-integral"),
+        pytest.param([float("nan"), 1, 2], id="nan"),
+        pytest.param([1e30, 1, 2], id="huge"),
+        pytest.param([[1, 2, 3]], id="2-d"),
+    ])
+    @pytest.mark.parametrize("side", ["predators", "prey"])
+    def test_counts_checked_when_a_state_is_built(self, bad, side):
+        # unchecked, a negative count would wrap round the sign tables and the
+        # guide, a count above n fail inside the step, and a fraction truncate
+        state = [[0, 1, 2], [0, 1, 2]]
+        state[side == "prey"] = bad
+        with pytest.raises(ValueError, match=r"n = 10 .*\[0, n\] = \[0, 10\]"):
+            PairedPopulations(*(Population(10, counts) for counts in state))
+
     def test_int64_counts_taken_over_without_a_copy(self):
         counts = np.array([3, 0, 10], dtype=np.int64)
         pop = Population(10, counts)
         assert np.shares_memory(pop.ones, counts) and not counts.flags.writeable
 
     def test_hand_built_state_concatenates_once(self):
-        # the flat state is both sides, predators first, read-only, built once
+        # the flat state is both sides, predators first, read-only, built once;
+        # the sides are views of it
         pops = PairedPopulations(Population(10, [3, 0, 10]), Population(10, [1, 2, 4]))
         flat = pops.flat
         assert flat is pops.flat and flat.dtype == np.int64 and not flat.flags.writeable
         assert flat.tolist() == [3, 0, 10, 1, 2, 4]
+        assert (pops.n, pops.lam) == (10, 3)
+        assert pops.predators.ones.tolist() == [3, 0, 10] and pops.prey.ones.tolist() == [1, 2, 4]
+        assert all(np.shares_memory(side.ones, flat) for side in (pops.predators, pops.prey))
 
     def test_paired_validation(self):
         a = Population(10, paired_uniform(3, 10, spawn_stream(1, 0))[0])

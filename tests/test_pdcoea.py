@@ -227,6 +227,18 @@ class TestStepGeneration:
         assert np.array_equal(flat, np.concatenate((child.predators.ones, child.prey.ones)))
         assert all(np.shares_memory(side.ones, flat) for side in (child.predators, child.prey))
 
+    def test_only_the_start_state_builds_populations(self, fig_params, monkeypatch):
+        # a generation carries its children on as the flat array: over a run
+        # of 300 recorded generations, only the start state builds Populations
+        built, init = [], pdcoea.Population.__init__
+        monkeypatch.setattr(pdcoea.Population, "__init__",
+                            lambda pop, n, ones: built.append(n) or init(pop, n, ones))
+        cfg = PdcoeaConfig(lam=10, chi=1.0, seed=5, budget_generations=300, game=fig_params,
+                           target=lambda cx, cy: False)
+        record = run_trial(cfg, record=True)
+        assert record.generations_run == 300 and record.counts.shape == (300, 2, 10)
+        assert built == [10, 10]
+
     def test_carried_and_hand_built_states_step_alike(self, fig_params, game):
         # a state returned by a step and a hand-built copy of it give equal
         # children on the same draws, generation after generation
