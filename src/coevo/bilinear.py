@@ -122,12 +122,18 @@ def _dominates_by_payoffs(cx1, cy1, cx2, cy2, params: BilinearParams):
 
     Each payoff times d, the power-of-two denominator of the floats alpha*n
     and beta*n, is an integer, so ties are decided exactly for any alpha and
-    beta.  d can be 2**51 (beta*n = 3.3), so pass Python ints or object-dtype
-    arrays, not int64.  This is the cross-check of the engine's factored form.
+    beta.  With m the largest |count| (at least 1) of the integer counts,
+    every intermediate is at most m*(m*d + b) + a*m: below 2**62 they are
+    int64, beyond (d can be 2**51: beta*n = 3.3) Python ints.  This is the
+    cross-check of the engine's factored form.
     """
     alpha_n, beta_n = params.alpha_n, params.beta_n
     d = max(alpha_n.as_integer_ratio()[1], beta_n.as_integer_ratio()[1])
     a, b = int(alpha_n * d), int(beta_n * d)  # exact: d is a power of two
+    counts = [np.asarray(c) for c in (cx1, cy1, cx2, cy2)]
+    m = max(1, *(int(np.abs(c).max()) for c in counts))
+    exact = np.int64 if m * (m * d + b) + a * m < 2**62 else object
+    cx1, cy1, cx2, cy2 = (c.astype(exact, copy=False) for c in counts)
     g = lambda cx, cy: cy * (cx * d - b) - a * cx  # d * payoff
     return (g(cx1, cy2) >= g(cx1, cy1)) & (g(cx1, cy1) >= g(cx2, cy1))
 

@@ -93,14 +93,19 @@ def ones(v: BitVector) -> int:
 
 def _count_vector(counts, n: int) -> np.ndarray:
     """One side's one-counts as int64 (an int64 array is not copied): 1-d,
-    non-empty and whole numbers in [0, n], else a `ValueError` names n."""
+    non-empty and whole numbers in [0, n], else a `ValueError` names n.
+    Bools, strings and ints beyond int64 are not counts; numpy reads
+    [True, 1] as ints, so a list (not an array) is scanned for bools."""
     given = np.asarray(counts)
-    with np.errstate(invalid="ignore"):  # NaN, inf and huge counts are rejected below
-        ints = given.astype(np.int64, copy=False)
-    if given.ndim != 1 or not given.size or ((ints != given) | (ints < 0) | (ints > n)).any():
-        raise ValueError(f"one-counts for n = {n} must be a non-empty 1-d array of whole "
-                         f"numbers in [0, n] = [0, {n}], got {given.tolist()}")
-    return ints
+    listed_bools = (given.ndim and not isinstance(counts, np.ndarray)
+                    and any(isinstance(c, (bool, np.bool_)) for c in counts))
+    if given.dtype.kind in "iuf" and not listed_bools:
+        with np.errstate(invalid="ignore"):  # NaN, inf and huge counts are rejected below
+            ints = given.astype(np.int64, copy=False)
+        if given.ndim == 1 and given.size and not ((ints != given) | (ints < 0) | (ints > n)).any():
+            return ints
+    raise ValueError(f"one-counts for n = {n} must be a non-empty 1-d array of whole "
+                     f"numbers in [0, n] = [0, {n}], got {given.tolist()}")
 
 
 class Population:

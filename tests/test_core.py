@@ -167,6 +167,18 @@ class TestPopulations:
         with pytest.raises(ValueError, match=r"n = 10 .*\[0, n\] = \[0, 10\]"):
             PairedPopulations(*(Population(10, counts) for counts in state))
 
+    @pytest.mark.parametrize("bad", [
+        pytest.param([2**70, 1], id="beyond-int64"),
+        pytest.param(["a", 1], id="string"),
+        pytest.param([True, 1], id="bool-in-a-list"),
+        pytest.param(np.array([True, False]), id="bool-array"),
+    ])
+    def test_bools_strings_and_huge_ints_are_not_counts(self, bad):
+        # these once escaped as an OverflowError, numpy's parse error, or the
+        # counts [1 1] and [1 0]
+        with pytest.raises(ValueError, match=r"n = 10 .*\[0, n\] = \[0, 10\]"):
+            Population(10, bad)
+
     def test_int64_counts_taken_over_without_a_copy(self):
         counts = np.array([3, 0, 10], dtype=np.int64)
         pop = Population(10, counts)

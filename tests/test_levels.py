@@ -27,9 +27,10 @@ from coevo import (
     target_hit,
     validate_level_function,
 )
+from coevo.bilinear import _count_signs
 from coevo.core import derive_seed, paired_uniform
 from coevo.harness import GROWTH_CHECK_CONFIGS
-from coevo.levels import _psel_counts, winner_table
+from coevo.levels import _class_pairs, _half_prob_counts, _psel_counts, winner_table
 
 import selection_reference as reference
 from conftest import paired
@@ -533,6 +534,33 @@ class TestHalfProbConditionals:
                     assert prob >= Fraction(1, 2)
         assert evaluated > 50
 
+    @pytest.mark.parametrize("lam", [1, 2, 6])
+    def test_block_rows_equal_the_one_state_oracles(self, lam, fig_params):
+        # one pass over a block gives every row's four conditionals; row 0
+        # (every predator below beta*n) has null events, as small rows often do
+        cx, cy = spawn_stream(57, lam).integers(0, 11, size=(2, 40, lam))
+        cx[0] = 0
+        dominating, drawn = _half_prob_counts(cx, cy, fig_params)
+        assert dominating.shape == drawn.shape == (40, 4)
+        nulls = 0
+        for row in range(40):
+            state = counts(cx[row], cy[row])
+            probs = tuple(Fraction(k, total) if total else None
+                          for k, total in zip(dominating[row].tolist(), drawn[row].tolist()))
+            assert probs == half_prob_conditionals(*state, fig_params)
+            assert probs == reference.half_prob_conditionals(*state, fig_params)
+            nulls += probs.count(None)
+        assert nulls > 0
+
+    def test_class_pairs_of_a_block_are_each_states(self, fig_params):
+        # (..., lambda) one-counts give (..., n+1, 9) tables, one per state
+        ones = spawn_stream(58, 0).integers(0, 11, size=(2, 3, 5))
+        sign = _count_signs(fig_params)[0]
+        tables = _class_pairs(ones, sign)
+        assert tables.shape == (2, 3, 11, 9) and tables.dtype == np.int64
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(tables[index], _class_pairs(ones[index], sign))
+
     def test_null_events_reported_as_none(self, fig_params):
         # all predators below beta*n: conditions 1 and 3 are null
         state = counts([0, 1], [0, 1])
@@ -606,10 +634,10 @@ class TestOneCountInput:
             assert np.array_equal(result, expected) if oracle == "winner_table" else result == expected
 
     @pytest.mark.parametrize("side", ["predators", "prey"])
-    @pytest.mark.parametrize("bad", [11, -1, 2.5])
+    @pytest.mark.parametrize("bad", [11, -1, 2.5, 2**70, "a", True])
     @pytest.mark.parametrize("oracle", ORACLES)
     def test_counts_outside_zero_to_n_rejected(self, oracle, bad, side, fig_params):
-        # rejected, never clamped or truncated to some other count
+        # rejected, never clamped, truncated or read as some other count
         state = [[1, 2], [3, 4]]
         state[side == "prey"][0] = bad
         with pytest.raises(ValueError, match=r"\[0, n\] = \[0, 10\]"):
