@@ -132,6 +132,9 @@ class ExperimentSpec:
                              f"got {self.out!r}")
         for key, attr in SPEC_GRIDS.items():
             _check_grid(key, getattr(self, attr))
+        # Python floats: a numpy float's repr (numpy >= 2) would reach the CSV
+        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "gamma0", float(self.gamma0))
         object.__setattr__(self, "budget", _check_budget(self.budget))
 
 
@@ -819,9 +822,10 @@ def check_product_space(seed: int = theory.DEFAULT_CHECK_SEED) -> CheckResult:
     pops = _start_state(n, cx, cy)
     dist = PdcoeaDistribution(BilinearGame(params), chi=0.0)
     rng = _ReadAhead([spawn_stream(seed, 2)], lam)
-    pred, prey = np.empty((2, reps, lam), dtype=np.int64)
+    states = np.empty((reps, 2 * lam), dtype=np.int64)  # one row per step, predators first
     for i in range(reps):
-        pred[i], prey[i] = step_generation(pops, dist, rng).flat.reshape(2, lam)
+        states[i] = step_generation(pops, dist, rng).flat
+    pred, prey = states[:, :lam], states[:, lam:]
     seen = np.bincount(in_a(pred).sum(axis=1) * (lam + 1) + in_b(prey).sum(axis=1),
                        minlength=law.size)
     expected = reps * law.ravel()

@@ -138,6 +138,32 @@ class CheckResult:
 
 
 _FLOAT_SLACK = 1e-12  # absorbs rounding on mathematically non-strict bounds
+_SQRT_GRID_POINTS = 1000
+
+
+def _sqrt_sandwich_blocks():
+    """Yield (dd, frac, mid, lower, upper) for each 50-row block of the
+    sqrt-sandwich grid: d = dd (a column) and d1 = dd*frac.  mid, lower and
+    upper take their expressions' float operations in order, written into
+    buffers the next block overwrites, so blocks and reused buffers bound the
+    peak memory."""
+    points, rows = _SQRT_GRID_POINTS, 50
+    d = (np.arange(points, dtype=np.float64) + 1.0) / (points + 1)
+    frac = np.arange(points, dtype=np.float64) / points
+    d1, mid, lower, upper = np.empty((4, rows, points))
+    for dd in np.split(d[:, None], points // rows):
+        np.multiply(dd, frac, out=d1)
+        np.add(1.0, d1, out=mid)
+        mid /= 1.0 + dd
+        np.sqrt(mid, out=mid)
+        np.subtract(1.0, mid, out=mid)
+        np.multiply(4.0, d1, out=lower)
+        np.subtract(3.0 * dd, lower, out=lower)
+        lower /= 11.0
+        np.multiply(3.0, d1, out=upper)
+        np.subtract(4.0 * dd, upper, out=upper)
+        upper /= 8.0
+        yield dd, frac, mid, lower, upper
 
 
 def check_sqrt_bound() -> CheckResult:
@@ -145,20 +171,13 @@ def check_sqrt_bound() -> CheckResult:
 
     Dense grid over d in (0, 1) and d1 in [0, d), 1000 x 1000 values.
     """
-    points = 1000
-    d = (np.arange(points, dtype=np.float64) + 1.0) / (points + 1)
-    frac = np.arange(points, dtype=np.float64) / points
     bad = 0
-    for dd in np.split(d[:, None], points // 50):  # 50-row blocks bound the peak memory
-        d1 = dd * frac[None, :]
-        mid = 1.0 - np.sqrt((1.0 + d1) / (1.0 + dd))
-        lower = (3.0 * dd - 4.0 * d1) / 11.0
-        upper = (4.0 * dd - 3.0 * d1) / 8.0
-        bad += int((lower >= mid).sum() + (mid >= upper).sum())
+    for _, _, mid, lower, upper in _sqrt_sandwich_blocks():
+        bad += np.count_nonzero(lower >= mid) + np.count_nonzero(mid >= upper)
     return CheckResult(
         "sqrt-sandwich",
         bad == 0,
-        f"{points * points} grid points, {bad} violations",
+        f"{_SQRT_GRID_POINTS ** 2} grid points, {bad} violations",
     )
 
 

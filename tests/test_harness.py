@@ -232,6 +232,16 @@ class TestRunExperiment:
         b = run_experiment(tiny_spec(trials=3)).to_csv()
         assert strip_wall(a) == strip_wall(b)
 
+    def test_numpy_float_delta_writes_a_plain_float(self):
+        # under numpy >= 2 a numpy float's repr is "np.float64(0.01)"
+        spec = tiny_spec(chi=("auto",), delta=np.float64(0.01), gamma0=np.float64(0.36))
+        assert type(spec.delta) is float and type(spec.gamma0) is float
+        text = run_experiment(spec).to_csv()
+        rows = list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
+        assert [row["delta"] for row in rows] == ["0.01", "0.01"]
+        plain = run_experiment(tiny_spec(chi=("auto",), delta=0.01, gamma0=0.36)).to_csv()
+        assert strip_wall(text) == strip_wall(plain)
+
     def test_worker_count_does_not_change_output(self):
         spec = tiny_spec(n=(15, 20), trials=2)
         serial = run_experiment(spec, workers=1).to_csv()

@@ -20,6 +20,7 @@ from coevo.theory import (
     check_product_mgf,
     check_sqrt_bound,
     occupancy_law,
+    _sqrt_sandwich_blocks,
 )
 
 
@@ -220,6 +221,20 @@ class TestInequalityCheckers:
         result = check_sqrt_bound()
         assert result.passed, result.detail
         assert "1000000 grid points" in result.detail
+
+    def test_sqrt_bound_blocks_equal_the_plain_expressions(self):
+        # the check's in-place blocks, bit for bit, on the check's own grid: a
+        # buffer overwritten too early would still leave "0 violations"
+        dds = []
+        for dd, frac, mid, lower, upper in _sqrt_sandwich_blocks():
+            d1 = dd * frac[None, :]
+            assert np.array_equal(mid, 1.0 - np.sqrt((1.0 + d1) / (1.0 + dd)))
+            assert np.array_equal(lower, (3.0 * dd - 4.0 * d1) / 11.0)
+            assert np.array_equal(upper, (4.0 * dd - 3.0 * d1) / 8.0)
+            dds.append(dd.ravel().copy())
+        assert len(dds) == 20
+        assert np.array_equal(np.concatenate(dds), (np.arange(1000) + 1.0) / 1001)
+        assert np.array_equal(frac, np.arange(1000) / 1000.0)
 
     def test_sqrt_bound_degenerate_slice(self):
         # the zero lower-parameter slice: 3d/11 < 1 - 1/sqrt(1+d) < d/2
