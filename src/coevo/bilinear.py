@@ -250,28 +250,34 @@ def _any_last(flags: np.ndarray):
     return flags[flags.argmax()] if flags.ndim == 1 else flags.any(axis=-1)
 
 
-def bilinear_target(params: BilinearParams):
-    """`target_hit` as the predicate of run configurations.
+def _table_target(in_x: np.ndarray, in_y: np.ndarray, n: int, name: str):
+    """The predicate "some predator's count is flagged in `in_x` and some
+    prey's in `in_y`", for boolean tables over [0, n].
 
-    The predicate takes the predators' and the prey's one-counts, of one
-    state (shape (lambda,)) or of a batch of runs (shape (runs, lambda)),
-    and reduces over the last axis (`_any_last`).  It reads each count's
-    membership of R0 and of the prey band from a boolean table over [0, n],
-    so counts must lie in [0, n]; its `n` is the genome length it is for.
+    It takes the predators' and the prey's one-counts, of one state (shape
+    (lambda,)) or of a batch of runs (shape (runs, lambda)), and reduces over
+    the last axis (`_any_last`); counts must lie in [0, n].  Its `n` is the
+    genome length it is for.
     """
-    sx, sy = _count_signs(params)
-    in_r0 = sx < 0
-    in_band = (np.arange(params.n + 1) >= params.target_lo) & (sy < 0)
 
     def predicate(cx: np.ndarray, cy: np.ndarray):
-        hit = _any_last(in_r0[cx])
-        if not hit.ndim and not hit:  # one state with no predator in R0: skip the prey
+        hit = _any_last(in_x[cx])
+        if not hit.ndim and not hit:  # one state with no flagged predator: skip the prey
             return hit
-        return hit & _any_last(in_band[cy])
+        return hit & _any_last(in_y[cy])
 
-    predicate.__name__ = f"bilinear_target_a{params.alpha}_b{params.beta}_e{params.epsilon}"
-    predicate.n = params.n
+    predicate.__name__ = name
+    predicate.n = n
     return predicate
+
+
+def bilinear_target(params: BilinearParams):
+    """`target_hit` as the predicate of run configurations: the table
+    predicate (`_table_target`) of R0 and of the prey band."""
+    sx, sy = _count_signs(params)
+    in_band = (np.arange(params.n + 1) >= params.target_lo) & (sy < 0)
+    return _table_target(sx < 0, in_band, params.n,
+                         f"bilinear_target_a{params.alpha}_b{params.beta}_e{params.epsilon}")
 
 
 # ---------------------------------------------------------------------------

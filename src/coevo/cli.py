@@ -2,7 +2,7 @@
 
 Subcommands: run (single trial), sweep (experiment from a config file),
 threshold / scaling / trajectory (named experiments), bound (calculators),
-check (verification suites), emit-plots (long-format data for plotting).
+check (verification suites).
 
 Exit codes: 0 success, 1 usage error, 2 check-suite failure, 3 I/O error,
 4 pilot failure (too few pilot runs of a `budget = pilot` cell hit).
@@ -203,11 +203,6 @@ def _cmd_check(args) -> int:
     return 0 if all(res.passed for res in results) else 2
 
 
-def _cmd_emit_plots(args) -> int:
-    print(f"wrote {harness.emit_plot_data(args.infile, args.out)}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = _Parser(prog="coevo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -220,9 +215,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("check", help="run verification suites")
     p.add_argument("--suite", action="append",
                    help=f"suite name ({', '.join(sorted(harness.CHECK_SUITES))}); repeatable")
-    p = sub.add_parser("emit-plots", help="rewrite a results CSV in long format")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
 
     try:
         args = parser.parse_args(argv)
@@ -238,8 +230,6 @@ def main(argv=None) -> int:
             return _cmd_bound(args)
         if args.command == "check":
             return _cmd_check(args)
-        if args.command == "emit-plots":
-            return _cmd_emit_plots(args)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -91,6 +91,11 @@ def ones(v: BitVector) -> int:
     return v._ones
 
 
+def _is_int(value) -> bool:
+    """A whole number given as a Python int; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _count_vector(counts, n: int) -> np.ndarray:
     """One side's one-counts as int64 (an int64 array is not copied): 1-d,
     non-empty and whole numbers in [0, n], else a `ValueError` names n.

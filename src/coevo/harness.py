@@ -15,7 +15,6 @@ wall_ms column is the only field exempt from determinism.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import math
 import numbers
@@ -37,7 +36,7 @@ from .bilinear import (
     _dominates_by_payoffs,
     _one_counts,
 )
-from .core import derive_seed, spawn_stream
+from .core import _is_int, derive_seed, spawn_stream
 from .levels import (
     LevelFunctionParams,
     build_bilinear_levels,
@@ -55,7 +54,6 @@ from .pdcoea import (
     PdcoeaConfig,
     PdcoeaDistribution,
     _ReadAhead,
-    _is_int,
     _start_state,
     run_trial,
     run_trials,
@@ -614,25 +612,6 @@ def write_series(series, path: str):
     return path
 
 
-def emit_plot_data(in_csv: str, out_csv: str) -> str:
-    """Rewrite a results CSV as tidy long-format (one metric per row), keyed by
-    the columns before `seed` and copying each cell's text as it stands."""
-    keys = CSV_COLUMNS[:CSV_COLUMNS.index("seed")]
-    metrics = ("hit", "T_interactions", "generations")
-    with open(in_csv, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        rows = list(reader)
-    missing = [col for col in (*keys, *metrics) if col not in (reader.fieldnames or ())]
-    if missing:
-        raise ValueError(f"{in_csv} is not a results CSV: missing columns {', '.join(missing)}")
-    with _create(out_csv) as fh:
-        fh.write(_csv_line((*keys, "metric", "value")))
-        for row in rows:
-            for metric in metrics:
-                fh.write(_csv_line((*(row[k] for k in keys), metric, row[metric])))
-    return out_csv
-
-
 # ---------------------------------------------------------------------------
 # Check suites
 # ---------------------------------------------------------------------------
@@ -820,7 +799,7 @@ def check_product_space(seed: int = theory.DEFAULT_CHECK_SEED) -> CheckResult:
           and inv_r < bound4)
 
     pops = _start_state(n, cx, cy)
-    dist = PdcoeaDistribution(BilinearGame(params), chi=0.0)
+    dist = PdcoeaDistribution(params, chi=0.0)
     rng = _ReadAhead([spawn_stream(seed, 2)], lam)
     states = np.empty((reps, 2 * lam), dtype=np.int64)  # one row per step, predators first
     for i in range(reps):

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bilinear import BilinearParams, _check_region_params, _count_signs, _one_counts
+from .core import _is_int
 
 # ---------------------------------------------------------------------------
 # Level sequences
@@ -429,16 +430,16 @@ class LevelFunctionParams:
     m: int
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and positive, got {self.eta}")
         if not 0.0 < self.phi < 1.0:
             raise ValueError("phi must be in (0, 1)")
+        if not (_is_int(self.lam) and _is_int(self.m)) or self.lam < 1 or self.m < 1:
+            raise ValueError(f"lambda and m must be integers >= 1, got {self.lam!r} and {self.m!r}")
         if len(self.z) != self.m - 1:
             raise ValueError(f"need m-1 = {self.m - 1} z values, got {len(self.z)}")
         if any(not 0.0 < zi <= 1.0 for zi in self.z):
             raise ValueError("every z_i must be in (0, 1]")
-        if self.lam < 1 or self.m < 1:
-            raise ValueError("lambda and m must be positive")
 
     @property
     def q(self) -> tuple:

@@ -30,8 +30,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bilinear import _ZERO, BilinearGame, BilinearParams, _any_last, bilinear_target
-from .core import PairedPopulations, Population, paired_uniform, spawn_stream
+from .bilinear import _ZERO, BilinearGame, BilinearParams, _table_target, bilinear_target
+from .core import PairedPopulations, Population, _is_int, paired_uniform, spawn_stream
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +133,17 @@ def _mutate_counts(counts: np.ndarray, r: np.ndarray, dist: PdcoeaDistribution) 
 
 class PdcoeaDistribution:
     """Pairwise-dominance selection followed by independent bitwise mutation,
-    prepared once per run: chi is checked against the game's n, and the
-    offspring table and its guide, as int64, and the row width n+1 (0-d) are
-    held for `_mutate_counts`."""
+    prepared once per run from the game's params: chi is checked against its
+    n, the `BilinearGame` decides dominance, and the offspring table and its
+    guide, as int64, and the row width n+1 (0-d) are held for
+    `_mutate_counts`."""
 
-    def __init__(self, oracle: BilinearGame, chi: float):
-        n = oracle.params.n
+    def __init__(self, params: BilinearParams, chi: float):
+        n = params.n
         if not 0.0 <= chi <= n:
             raise ValueError(f"chi must be in [0, n] = [0, {n}], got {chi}")
-        self.oracle, self.chi, self.n, self.width = oracle, chi, n, np.array(n + 1, dtype=np.int64)
+        self.game, self.chi, self.n = BilinearGame(params), chi, n
+        self.width = np.array(n + 1, dtype=np.int64)
         self.table, self.guide = _offspring_table(n, chi), _offspring_guide(n, chi).astype(np.int64)
 
 
@@ -282,7 +284,7 @@ def step_generation(pops: PairedPopulations, dist: PdcoeaDistribution,
         raise ValueError(f"draws for {idx.shape[1]} members do not cover a state of "
                          f"{pops.lam} members")
     drawn = pops.flat[idx]
-    win1 = dist.oracle.dominates_counts(drawn[0], drawn[1], drawn[2], drawn[3])
+    win1 = dist.game.dominates_counts(drawn[0], drawn[1], drawn[2], drawn[3])
     children = _mutate_counts(np.where(win1, drawn[:2], drawn[2:]).ravel(), r, dist)
     children.setflags(write=False)
     return PairedPopulations._carry(children, dist.n)
@@ -298,35 +300,20 @@ def singleton_target(cx_star: int, cy_star: int, n: int):
     The predator and prey genomes are given by their one-counts, each 0
     (all-zeros) or n (all-ones): such a count names one genome, so the
     predicate compares one-counts and is exact.  Any other count is shared
-    by several genomes and is rejected.  Like `bilinear_target`'s, the
-    predicate takes one-count arrays and reduces over the last axis
-    (`_any_last`); its `n` is the genome length it is for.  The two counts
-    are held as 0-d int64 arrays, like the sampler's constants (`_SCALE`).
+    by several genomes and is rejected.  Like `bilinear_target`, it is the
+    table predicate (`bilinear._table_target`), here of the two counts.
     """
     if any(c not in (0, n) for c in (cx_star, cy_star)):
         raise ValueError(f"singleton target genomes must be all-zeros or all-ones (one-count "
                          f"0 or n = {n}), got one-counts {cx_star} and {cy_star}; a population "
                          "stores one-counts, which name no other genome")
-    cx_star, cy_star = np.array(cx_star, dtype=np.int64), np.array(cy_star, dtype=np.int64)
-
-    def predicate(cx: np.ndarray, cy: np.ndarray):
-        hit = _any_last(cx == cx_star)
-        if not hit.ndim and not hit:  # one state without the predator: skip the prey
-            return hit
-        return hit & _any_last(cy == cy_star)
-
-    predicate.__name__ = "singleton_target"
-    predicate.n = n
-    return predicate
+    counts = np.arange(n + 1)
+    return _table_target(counts == cx_star, counts == cy_star, n, "singleton_target")
 
 
 # ---------------------------------------------------------------------------
 # Trials
 # ---------------------------------------------------------------------------
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
 
 @dataclass(frozen=True)
 class PdcoeaConfig:
@@ -458,7 +445,7 @@ def run_trials(cfgs, record: bool = False) -> list:
     cx, cy = map(np.concatenate, zip(*[paired_uniform(lam, n, rng) for rng in rngs]))
     pops = _start_state(n, cx, cy)
     stream = _ReadAhead(rngs, lam)
-    dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
+    dist = PdcoeaDistribution(cfg.game, cfg.chi)
     target = cfg.target if cfg.target is not None else bilinear_target(cfg.game)
     live, cols, ends = list(range(len(cfgs))), slice(None), {}  # each row's run; their columns
     blocks = []  # (RECORD_BLOCK, 2, B*lambda) int16 arrays, one generation a row

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _is_int
+
 DEFAULT_CHECK_SEED = 20260808
 C_PP = 1.000001  # default c'' of both calculators (any value above 1 is admissible)
 
@@ -48,8 +50,8 @@ def level_process_bound(m: int, lam: int, delta: float, z: tuple = (),
     z must hold the m-1 per-level floors, each in (0, 1] (empty for m = 1,
     where the bound collapses to c''*lambda^3/delta).
     """
-    if m < 1 or lam < 1:
-        raise ValueError("m and lambda must be positive integers")
+    if not (_is_int(m) and _is_int(lam)) or m < 1 or lam < 1:
+        raise ValueError(f"m and lambda must be positive integers, got {m!r} and {lam!r}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     if not 1.0 < c_pp < math.inf:
@@ -92,8 +94,8 @@ def solvable_regime_budget(n: int, lam: int, chi: float, alpha: float, beta: flo
     lower-order terms; the calculator exposes only the explicit leading
     expression.
     """
-    if n < 1 or lam < 1:
-        raise ValueError("n and lambda must be positive integers")
+    if not (_is_int(n) and _is_int(lam)) or n < 1 or lam < 1:
+        raise ValueError(f"n and lambda must be positive integers, got {n!r} and {lam!r}")
     if not 1.0 < c_pp < math.inf:
         raise ValueError(f"c'' must exceed 1 and be finite, got {c_pp}")
     if not 0.0 < r < math.inf:

@@ -388,15 +388,6 @@ class TestSweepAndPlots:
         code, out, _ = run_cli(capsys, "scaling", "--config", spec)
         assert code == 0 and "fits" in out
 
-    def test_emit_plots_round_trip(self, capsys, tmp_path):
-        spec = self.write_spec(tmp_path)
-        prefix = str(tmp_path / "res")
-        assert run_cli(capsys, "sweep", "--config", spec, "--out", prefix)[0] == 0
-        code, out, _ = run_cli(
-            capsys, "emit-plots", "--in", prefix + ".csv", "--out", str(tmp_path / "long.csv"))
-        assert code == 0
-        assert (tmp_path / "long.csv").exists()
-
     def test_unbounded_bound_factor_is_usage_error(self, capsys, tmp_path, monkeypatch):
         # bound:1e308 prices the cell at an infinite number of generations
         from coevo import harness
@@ -502,7 +493,6 @@ class TestSweepAndPlots:
     # written as TMP; recorded before the CSV and JSON writers were merged
     GOLDEN = {
         "sweep": "6a4bdb9417c1857d2c3f19557b77b34fea3e03f152a4e11d2683f1920e39966f",
-        "emit-plots": "6a444a7153c8a9105beb166f53c6f3f35e247287d569721b9cd3b78dca1c5ba0",
         "trajectory": "218c7028541cdb983902dfbbaac7057e60c7266477fc7b9b6805e89759a71bbf",
         "bound-table": "dc379f3db59cb4122ae492609803980c6a2a1ce8d98f5c4de118cb2f003c624d",
         "check": "924b0d6ab23c9f1dd1a13f7f404bb5f774e53917f4069e25fbc843a92b61086d",
@@ -515,7 +505,7 @@ class TestSweepAndPlots:
 
         def text(path):
             content = Path(path).read_text()
-            if path.endswith(".csv") and not path.endswith((".series.csv", ".long.csv")):
+            if path.endswith(".csv") and not path.endswith(".series.csv"):
                 content = re.sub(r"^([^#].*),[^,\n]*$", r"\1", content, flags=re.M)
             return content
 
@@ -528,8 +518,6 @@ class TestSweepAndPlots:
         spec = self.write_spec(tmp_path, kind="sweep", chi="0.5,1.5,auto", out=tmp_path / "sw")
         record("sweep", *run_cli(capsys, "sweep", "--config", spec)[:2], "sw.csv",
                "sw.aggregates.json")
-        record("emit-plots", *run_cli(capsys, "emit-plots", "--in", str(tmp_path / "sw.csv"),
-                                      "--out", str(tmp_path / "sw.long.csv"))[:2], "sw.long.csv")
         spec = self.write_spec(tmp_path, kind="trajectory", n=10, **{"lambda": 6}, budget=40,
                                out=tmp_path / "tr")
         record("trajectory", *run_cli(capsys, "trajectory", "--config", spec)[:2], "tr.csv",
@@ -548,20 +536,10 @@ class TestSweepAndPlots:
                "st.csv", "st.aggregates.json")
         assert got == self.GOLDEN
 
-    def test_emit_plots_missing_input_is_io_error(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "emit-plots", "--in", str(tmp_path / "absent.csv"),
-            "--out", str(tmp_path / "x.csv"))
-        assert code == 3 and "i/o error" in err
-
-    def test_emit_plots_without_result_columns_writes_nothing(self, capsys, tmp_path):
-        # the header is checked before the output file is opened
-        (tmp_path / "x.csv").write_text("a,b\n1,2\n")
-        code, out, err = run_cli(capsys, "emit-plots", "--in", str(tmp_path / "x.csv"),
-                                 "--out", str(tmp_path / "long.csv"))
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and "missing columns kind, n, lambda" in err
-        assert "Traceback" not in err and not (tmp_path / "long.csv").exists()
+    def test_missing_config_is_io_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "absent.spec"))
+        assert code == 3 and out == ""
+        assert err.startswith("i/o error: ") and "Traceback" not in err
 
 
 class TestUsage:

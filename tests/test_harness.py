@@ -14,7 +14,6 @@ from coevo.cli import main
 from coevo.core import derive_seed
 from coevo.harness import (
     ExperimentSpec,
-    emit_plot_data,
     experiment_error_threshold,
     experiment_runtime_scaling,
     experiment_trajectory,
@@ -493,17 +492,6 @@ class TestAnalyticKinds:
         assert all(r["budget_interactions"] > 0 for r in rows)
         assert rows[0]["budget_interactions"] < rows[1]["budget_interactions"]
         assert (tmp_path / "b.bounds.json").exists()
-
-
-class TestEmitPlots:
-    def test_long_format(self, tmp_path):
-        spec = tiny_spec(trials=2, out=str(tmp_path / "t"))
-        table = run_experiment(spec)
-        csv_path, _ = table.write(spec.out)
-        out = emit_plot_data(csv_path, str(tmp_path / "long.csv"))
-        lines = Path(out).read_text().splitlines()
-        assert lines[0].endswith("metric,value")
-        assert len(lines) == 1 + 3 * len(table.rows)
 
 
 class TestCheckRegistry:

@@ -747,3 +747,16 @@ class TestLevelFunctions:
             LevelFunctionParams(eta=0.1, phi=0.5, z=(0.5, 0.5), lam=5, m=2)
         with pytest.raises(ValueError):
             LevelFunctionParams(eta=0.1, phi=0.5, z=(0.0,), lam=5, m=2)
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"eta": math.nan}, "eta must be finite and positive"),
+        ({"eta": math.inf}, "eta must be finite and positive"),
+        ({"lam": 2.5}, "lambda and m must be integers"),
+        ({"lam": True}, "lambda and m must be integers"),
+        ({"m": 2.0, "z": (0.5,)}, "lambda and m must be integers"),
+        ({"m": True}, "lambda and m must be integers"),
+    ])
+    def test_rejects_non_finite_eta_and_non_integral_sizes(self, kw, message):
+        # each of these once constructed
+        with pytest.raises(ValueError, match=message):
+            LevelFunctionParams(**{"eta": 0.1, "phi": 0.5, "z": (), "lam": 2, "m": 1, **kw})

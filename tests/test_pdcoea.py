@@ -75,7 +75,7 @@ def on_state(target, pops):
 
 def dist_for(n, chi):
     game = BilinearGame(BilinearParams(n=n, alpha=0.5, beta=0.5, epsilon=1.0 / n))
-    return PdcoeaDistribution(game, chi)
+    return PdcoeaDistribution(game.params, chi)
 
 
 def mutants(c, n, chi, rng, draws):
@@ -143,8 +143,9 @@ class TestMutate:
         game = BilinearGame(BilinearParams(n=4, alpha=0.5, beta=0.5, epsilon=0.25))
         for chi in (4.5, -0.5):
             with pytest.raises(ValueError, match=r"chi must be in \[0, n\] = \[0, 4\]"):
-                PdcoeaDistribution(game, chi)
-        assert PdcoeaDistribution(game, 4.0).n == 4 and PdcoeaDistribution(game, 0.0).chi == 0.0
+                PdcoeaDistribution(game.params, chi)
+        assert (PdcoeaDistribution(game.params, 4.0).n == 4
+                and PdcoeaDistribution(game.params, 0.0).chi == 0.0)
 
     def test_state_of_another_n_rejected(self):
         # one-counts do not carry n: a step checks the state's against the game's
@@ -174,12 +175,12 @@ class TestMutate:
 class TestInteraction:
     def test_chi_zero_singletons_fixed_point(self, fig_params, game):
         pops = paired([3], [7], 10)
-        child = step_generation(pops, PdcoeaDistribution(game, 0.0), spawn_stream(35, 0))
+        child = step_generation(pops, PdcoeaDistribution(game.params, 0.0), spawn_stream(35, 0))
         assert child.predators.ones[0] == 3 and child.prey.ones[0] == 7
 
     def test_deterministic_given_stream(self, fig_params, game):
         pops = paired([3, 6, 2], [7, 1, 5], 10)
-        dist = PdcoeaDistribution(game, 0.8)
+        dist = PdcoeaDistribution(game.params, 0.8)
         a = step_generation(pops, dist, spawn_stream(36, 4))
         b = step_generation(pops, dist, spawn_stream(36, 4))
         assert np.array_equal(a.predators.ones, b.predators.ones)
@@ -199,7 +200,7 @@ class TestStepGeneration:
         # first), each read through its parent's row of the tabulated CDF
         pops = paired([3, 6, 2, 9], [7, 1, 5, 0], 10)
         stream = spawn_stream(38, 0)
-        child = step_generation(pops, PdcoeaDistribution(game, 1.5), stream)
+        child = step_generation(pops, PdcoeaDistribution(game.params, 1.5), stream)
         rng = spawn_stream(38, 0)
         pred_slots, prey_slots = select_slots(pops, game, rng, pops.lam)
         rows = _offspring_table(10, 1.5).reshape(11, 11) - np.arange(11)[:, None] * _SCALE
@@ -211,7 +212,7 @@ class TestStepGeneration:
 
     def test_offspring_are_count_only(self, fig_params, game):
         pops = paired([4, 5], [9, 2], 10)
-        child = step_generation(pops, PdcoeaDistribution(game, 0.5), spawn_stream(38, 3))
+        child = step_generation(pops, PdcoeaDistribution(game.params, 0.5), spawn_stream(38, 3))
         assert child.lam == pops.lam and child.n == pops.n
         for side in (child.predators, child.prey):
             assert side.ones.dtype == np.int64 and not side.ones.flags.writeable
@@ -221,7 +222,7 @@ class TestStepGeneration:
         # the children, predators first, are the next state's read-only flat
         # array, and its two sides are views of it
         child = step_generation(paired([4, 5, 1], [9, 2, 6], 10),
-                                PdcoeaDistribution(game, 0.5), spawn_stream(38, 4))
+                                PdcoeaDistribution(game.params, 0.5), spawn_stream(38, 4))
         flat = child.flat
         assert flat.dtype == np.int64 and not flat.flags.writeable
         assert np.array_equal(flat, np.concatenate((child.predators.ones, child.prey.ones)))
@@ -242,7 +243,7 @@ class TestStepGeneration:
     def test_carried_and_hand_built_states_step_alike(self, fig_params, game):
         # a state returned by a step and a hand-built copy of it give equal
         # children on the same draws, generation after generation
-        dist = PdcoeaDistribution(game, 1.5)
+        dist = PdcoeaDistribution(game.params, 1.5)
         carried = step_generation(paired([3, 6, 2, 9], [7, 1, 5, 0], 10), dist,
                                   spawn_stream(38, 5))
         a, b = spawn_stream(38, 6), spawn_stream(38, 6)
@@ -263,7 +264,7 @@ class TestStepGeneration:
         pops = paired(pred, prey, 10)
         exact = exact_selection_distribution(
             pred, prey, fig_params, lambda cx, cy: (cx, cy) == (2, 1))
-        dist = PdcoeaDistribution(game, 0.0)
+        dist = PdcoeaDistribution(game.params, 0.0)
         rng = spawn_stream(39, 0)
         reps = 2000
         hits = 0
@@ -277,7 +278,7 @@ class TestStepGeneration:
     def test_slot_exchangeability(self, fig_params, game):
         # slot-wise marginals of a region event agree across slots
         pops = paired([2, 3, 7, 8], [1, 2, 3, 9], 10)
-        dist = PdcoeaDistribution(game, 0.3)
+        dist = PdcoeaDistribution(game.params, 0.3)
         rng = spawn_stream(40, 0)
         reps = 3000
         lam = pops.lam
@@ -293,7 +294,7 @@ class TestStepGeneration:
     def test_shape_preserved_under_any_chi(self, fig_params, game):
         pops = paired([0, 10, 5], [5, 0, 10], 10)
         for chi in (0.01, 1.0, 9.5, 10.0):
-            child = step_generation(pops, PdcoeaDistribution(game, chi), spawn_stream(41, 0))
+            child = step_generation(pops, PdcoeaDistribution(game.params, chi), spawn_stream(41, 0))
             assert child.n == 10 and child.predators.ones.shape == pops.predators.ones.shape
             assert child.prey.ones.shape == pops.prey.ones.shape
 
@@ -393,7 +394,7 @@ class TestRunTrial:
         # row 0 is the uniform start on the trial's stream, row t + 1 one step from row t
         rng = spawn_stream(cfg.seed, 0)
         pops = paired(*paired_uniform(cfg.lam, cfg.n, rng), cfg.n)
-        dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
+        dist = PdcoeaDistribution(cfg.game, cfg.chi)
         for state in record.counts:
             assert np.array_equal(state, [pops.predators.ones, pops.prey.ones])
             pops = step_generation(pops, dist, rng)
@@ -549,7 +550,7 @@ class TestRunTrials:
     def test_kernel_rows_equal_step_generation(self, fig_params, game):
         # row i of one step of five runs is step_generation of run i on its stream
         starts = [paired(*paired_uniform(6, 10, spawn_stream(40, i)), 10) for i in range(5)]
-        dist = PdcoeaDistribution(game, 1.5)
+        dist = PdcoeaDistribution(game.params, 1.5)
         batch = paired(np.concatenate([p.predators.ones for p in starts]),
                        np.concatenate([p.prey.ones for p in starts]), 10)
         child = step_generation(batch, dist, _ReadAhead([spawn_stream(41, i) for i in range(5)], 6))
@@ -678,7 +679,7 @@ def plain_run(cfg):
     (hit, generations run, the one-count history)."""
     rng = spawn_stream(cfg.seed, 0)
     pops = paired(*paired_uniform(cfg.lam, cfg.n, rng), cfg.n)
-    dist = PdcoeaDistribution(BilinearGame(cfg.game), cfg.chi)
+    dist = PdcoeaDistribution(cfg.game, cfg.chi)
     target, history = bilinear_target(cfg.game), []
     for t in range(cfg.budget_generations):
         history.append((pops.predators.ones, pops.prey.ones))

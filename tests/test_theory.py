@@ -91,6 +91,14 @@ class TestLevelProcessBound:
         with pytest.raises(ValueError, match="c'' must exceed 1 and be finite"):
             level_process_bound(2, 10, 0.4, (0.5,), math.inf)
 
+    @pytest.mark.parametrize("m, lam, z", [
+        (2.5, 3, (0.5,)), (1, 2.5, ()), (True, 3, ()), (2, True, (0.5,)),
+    ])
+    def test_rejects_non_integral_sizes(self, m, lam, z):
+        # a float size once failed on the z count or priced a bound; a bool was a size
+        with pytest.raises(ValueError, match="m and lambda must be positive integers"):
+            level_process_bound(m, lam, 0.5, z)
+
 
 class TestChiRecipe:
     def test_small_delta_limit(self):
@@ -168,6 +176,14 @@ class TestSolvableRegimeBudget:
         # or divided by zero
         with pytest.raises(ValueError, match=message):
             self.budget(**{field: value})
+
+    @pytest.mark.parametrize("sizes", [
+        {"n": 2.5, "lam": 3}, {"n": 100, "lam": 2.5}, {"n": True, "lam": True},
+    ])
+    def test_rejects_non_integral_sizes(self, sizes):
+        # each of these once priced a budget
+        with pytest.raises(ValueError, match="n and lambda must be positive integers"):
+            self.budget(**sizes)
 
     def test_rejects_nonpositive_log_argument(self):
         with pytest.raises(ValueError):
