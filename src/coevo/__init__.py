@@ -25,7 +25,6 @@ from .core import (
     BitVector,
     PairedPopulations,
     Population,
-    RandomStream,
     derive_seed,
     ones,
     paired_uniform,

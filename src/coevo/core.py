@@ -6,37 +6,36 @@ members' one-counts: the bilinear game and the shipped targets see a genome
 through nothing else.
 
 Randomness flows through ``numpy.random.Generator`` instances backed by the
-PCG64 bit generator.  Child streams are derived from a (seed, index) pair via
-``numpy.random.SeedSequence(seed, spawn_key=(index,))``, numpy's documented
-splitting mechanism, whose output is platform independent for a fixed numpy
-version.  Generators are single-owner: parallel work gets one stream each.
+PCG64 bit generator.  Child streams come from a (seed, index) pair of Python
+ints, index >= 0, as ``SeedSequence(seed % 2**64, spawn_key=(index,))``
+(`_seed_sequence`), numpy's documented splitting, platform independent for a
+fixed numpy version.  Generators are single-owner: one stream per parallel job.
 """
 
-from __future__ import annotations
+import numbers
 
 import numpy as np
 
-# A RandomStream is simply a numpy Generator; the alias names the contract.
-RandomStream = np.random.Generator
+
+def _seed_sequence(seed: int, index: int) -> np.random.SeedSequence:
+    if not (_is_int(seed) and _is_int(index) and index >= 0):
+        raise ValueError(f"seed and index must be integers, index >= 0, got {seed!r}, {index!r}")
+    return np.random.SeedSequence(seed % 2**64, spawn_key=(index,))
 
 
-def spawn_stream(seed: int, index: int = 0) -> RandomStream:
+def spawn_stream(seed: int, index: int = 0) -> np.random.Generator:
     """Deterministic child stream for (seed, index).
 
     Distinct indices give streams that are independent for all practical
     purposes (SeedSequence spawn keys).  Identical (seed, index) pairs give
     byte-identical output sequences on every platform and in every process.
     """
-    if index < 0:
-        raise ValueError(f"stream index must be non-negative, got {index}")
-    ss = np.random.SeedSequence(int(seed) % 2**64, spawn_key=(int(index),))
-    return np.random.Generator(np.random.PCG64(ss))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, index)))
 
 
 def derive_seed(seed: int, index: int) -> int:
     """64-bit child seed for work unit `index`, same mixing as spawn_stream."""
-    ss = np.random.SeedSequence(int(seed) % 2**64, spawn_key=(int(index),))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, index).generate_state(1, np.uint64)[0])
 
 
 def popcount_rows(bits) -> np.ndarray:
@@ -94,6 +93,11 @@ def ones(v: BitVector) -> int:
 def _is_int(value) -> bool:
     """A whole number given as a Python int; a bool is not one."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A real number, a numpy one included; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _count_vector(counts, n: int) -> np.ndarray:
@@ -159,7 +163,7 @@ class PairedPopulations:
     prey = property(lambda self: Population(self.n, self.flat[self.lam:]))
 
 
-def paired_uniform(lam: int, n: int, rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+def paired_uniform(lam: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The one-counts (cx, cy) of two uniform populations of lambda genomes
     with i.i.d. fair bits: int64 row sums of two (lambda, n) bit-matrix
     draws, predators first."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -36,7 +35,7 @@ from .bilinear import (
     _dominates_by_payoffs,
     _one_counts,
 )
-from .core import _is_int, derive_seed, spawn_stream
+from .core import _is_int, _is_number, derive_seed, spawn_stream
 from .levels import (
     LevelFunctionParams,
     build_bilinear_levels,
@@ -134,10 +133,6 @@ class ExperimentSpec:
         object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "gamma0", float(self.gamma0))
         object.__setattr__(self, "budget", _check_budget(self.budget))
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_grid(key: str, values) -> None:

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .bilinear import _ZERO, BilinearGame, BilinearParams, _table_target, bilinear_target
-from .core import PairedPopulations, Population, _is_int, paired_uniform, spawn_stream
+from .core import PairedPopulations, Population, _is_int, _is_number, paired_uniform, spawn_stream
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,9 @@ def _mutate_counts(counts: np.ndarray, r: np.ndarray, dist: PdcoeaDistribution) 
     key c*_SCALE + r shifted right by _GUIDE_SHIFT is the guide index
     (c << GUIDE_BITS) | (r >> _GUIDE_SHIFT); the keys whose bucket holds a
     threshold are searched in `_offspring_table`, so each key gets the count
-    its `searchsorted` gives."""
+    its `searchsorted` gives: c at chi = 0, so `counts` is returned as given."""
+    if dist.chi == 0:
+        return counts
     keys = counts * _SCALE + r
     children = dist.guide[keys >> _GUIDE_SHIFT]
     miss = (children < _ZERO).nonzero()[0]
@@ -140,7 +142,7 @@ class PdcoeaDistribution:
 
     def __init__(self, params: BilinearParams, chi: float):
         n = params.n
-        if not 0.0 <= chi <= n:
+        if not (_is_number(chi) and 0.0 <= chi <= n):
             raise ValueError(f"chi must be in [0, n] = [0, {n}], got {chi}")
         self.game, self.chi, self.n = BilinearGame(params), chi, n
         self.width = np.array(n + 1, dtype=np.int64)
@@ -233,7 +235,7 @@ class _ReadAhead:
         runs, g, lam, slot_words = len(self.rngs), self.block, self.lam, self.width - 2 * self.lam
         words = [rng.bit_generator.random_raw((g, self.width)) for rng in self.rngs]
         words = words[0][None] if runs == 1 else np.stack(words)  # one run: no copy
-        ready, slots = g, np.zeros((g, 4, runs, lam), dtype=np.uint32)
+        ready, slots = g, None if slot_words else np.zeros((g, 4, runs, lam), dtype=np.uint32)
         if slot_words:
             # each run's slot halves, low first on either byte order, after its
             # carried half; then the 64-bit products as (low 32 bits, slot) pairs
@@ -345,7 +347,7 @@ class PdcoeaConfig:
         if self.n > MAX_N:
             raise ValueError(f"n must be <= MAX_N = {MAX_N} (the offspring table has "
                              f"(n+1)^2 entries), got {self.n}")
-        if not 0.0 < self.chi <= self.n:
+        if not (_is_number(self.chi) and 0.0 < self.chi <= self.n):
             raise ValueError(f"chi must be in (0, n] = (0, {self.n}], got {self.chi}")
         if not _is_int(self.budget_generations) or self.budget_generations < 1:
             raise ValueError(f"budget must be an integer >= 1, got {self.budget_generations!r}")

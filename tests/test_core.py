@@ -102,6 +102,15 @@ class TestSpawnStream:
         with pytest.raises(ValueError):
             spawn_stream(1, -1)
 
+    @pytest.mark.parametrize("derive", [spawn_stream, derive_seed])
+    @pytest.mark.parametrize("seed, index", [(1.9, 0), (True, 0), (1, True), (1, 2.9),
+                                             (np.int64(1), 0), ("1", 0), (1, -1)])
+    def test_seed_and_index_must_be_python_ints(self, derive, seed, index):
+        # truncated, 1.9 and True would name seed 1's stream and 2.9 index 2's;
+        # derive_seed checks the index's sign as spawn_stream does
+        with pytest.raises(ValueError, match="seed and index must be integers"):
+            derive(seed, index)
+
     def test_derive_seed_deterministic_and_distinct(self):
         seeds = [derive_seed(99, i) for i in range(100)]
         assert seeds == [derive_seed(99, i) for i in range(100)]

@@ -510,6 +510,13 @@ class TestCheckRegistry:
         result = harness.check_product_space(seed)
         assert result.passed, result.detail
 
+    @pytest.mark.parametrize("check, seed", [("check_product_space", 2.5),
+                                             ("check_half_probabilities", 20260808.7)])
+    def test_check_seed_must_be_an_int(self, check, seed):
+        # a truncated seed would report another seed's result as this one's
+        with pytest.raises(ValueError, match="seed and index must be integers"):
+            getattr(harness, check)(seed=seed)
+
     def test_product_space_steps_through_step_generation(self, monkeypatch):
         # the `checks` benchmark counts the engine's interactions on
         # harness.step_generation: one call per generation, lambda = 20 each

@@ -33,6 +33,7 @@ from coevo.pdcoea import (
     _READ_AHEAD_WORDS,
     _ReadAhead,
     _draw_offsets,
+    _generator_draws,
     _mutate_counts,
     _offspring_cdf,
     _offspring_guide,
@@ -298,6 +299,50 @@ class TestStepGeneration:
             assert child.n == 10 and child.predators.ones.shape == pops.predators.ones.shape
             assert child.prey.ones.shape == pops.prey.ones.shape
 
+    @staticmethod
+    def table_children(flat, idx, r, game, n):
+        """The children of state `flat` on draws (idx, r), each winner's count
+        searched in the rate-0 offspring table."""
+        drawn = flat[idx]
+        win1 = game.dominates_counts(drawn[0], drawn[1], drawn[2], drawn[3])
+        winners = np.where(win1, drawn[:2], drawn[2:]).ravel()
+        return _offspring_table(n, 0.0).searchsorted(winners * _SCALE + r, side="right") % (n + 1)
+
+    def test_chi_zero_children_equal_the_table_search(self, fig_params, game):
+        # one run on a plain Generator: the children of each step are the
+        # table search's on its twin's draws, and both streams end together
+        pops = paired([3, 6, 2, 9, 0], [7, 1, 5, 0, 10], 10)
+        dist = PdcoeaDistribution(game.params, 0.0)
+        rng, twin = spawn_stream(44, 0), spawn_stream(44, 0)
+        for _ in range(20):
+            child = step_generation(pops, dist, rng)
+            want = self.table_children(pops.flat, *_generator_draws((twin,), pops.lam), game, 10)
+            assert np.array_equal(child.flat, want)
+            pops = child
+        assert pcg_position(rng.bit_generator) == pcg_position(twin.bit_generator)
+
+    def test_chi_zero_batch_children_equal_the_table_search(self, fig_params, game):
+        # three runs in different states on one read-ahead: each step equals
+        # the table search on the twins' draws, and once the twins draw the
+        # rest of the block, every stream is where its twin is
+        lam, n = 6, 10
+        cx, cy = map(np.concatenate, zip(*[paired_uniform(lam, n, spawn_stream(45, b))
+                                           for b in range(3)]))
+        pops = paired(cx, cy, n)
+        assert len({tuple(cx[b * lam:(b + 1) * lam]) for b in range(3)}) == 3
+        dist = PdcoeaDistribution(game.params, 0.0)
+        stream = _ReadAhead([spawn_stream(46, b) for b in range(3)], lam)
+        twins = [spawn_stream(46, b) for b in range(3)]
+        for _ in range(30):
+            child = step_generation(pops, dist, stream)
+            want = self.table_children(pops.flat, *_generator_draws(twins, lam), game, n)
+            assert np.array_equal(child.flat, want)
+            pops = child
+        for _ in range(stream.ready - stream.at):
+            _generator_draws(twins, lam)
+        for rng, twin in zip(stream.rngs, twins):
+            assert pcg_position(rng.bit_generator) == pcg_position(twin.bit_generator)
+
 
 class TestReproductiveRate:
     def test_slot_selection_probability_bounded(self, fig_params):
@@ -501,6 +546,19 @@ class TestRunTrial:
             with pytest.raises(ValueError, match="must be an integer"):
                 PdcoeaConfig(**dict(base, **{field: value}))
         assert PdcoeaConfig(**base).lam == 3
+
+    @pytest.mark.parametrize("chi", [True, False, np.True_, "1", None])
+    def test_chi_must_be_a_real_number(self, chi):
+        # a bool is not a rate, and a string or None is refused by the range
+        # message, not by a TypeError from the comparison
+        game = BilinearParams(n=10, alpha=0.4, beta=0.6, epsilon=0.1)
+        with pytest.raises(ValueError, match=r"chi must be in \(0, n\] = \(0, 10\]"):
+            PdcoeaConfig(lam=3, chi=chi, seed=1, budget_generations=5, game=game)
+        with pytest.raises(ValueError, match=r"chi must be in \[0, n\] = \[0, 10\]"):
+            PdcoeaDistribution(game, chi)
+        for rate in (1, np.float64(0.5), np.int64(2)):
+            cfg = PdcoeaConfig(lam=3, chi=rate, seed=1, budget_generations=5, game=game)
+            assert cfg.chi == PdcoeaDistribution(game, rate).chi == rate
 
 
 class TestRunTrials:
@@ -863,6 +921,15 @@ class TestOffspringLaw:
         assert (MAX_N + 1) * _SCALE < 2**63 and _SCALE <= 2**53
         assert not table.flags.writeable
         assert _offspring_table(50, 0.7) is table
+
+    @pytest.mark.parametrize("n", [1, 10, 100])
+    def test_rate_zero_table_is_the_identity(self, n):
+        # at chi = 0 every key c*_SCALE + r finds count c, which is why the
+        # sampler returns the winners' counts unsearched at that rate
+        r = np.concatenate(([0, 2**50 - 1], spawn_stream(73, n).integers(0, _SCALE, 1000)))
+        c = np.arange(n + 1)[:, None]
+        found = _offspring_table(n, 0.0).searchsorted(c * 2**50 + r, side="right") % (n + 1)
+        assert np.array_equal(found, np.broadcast_to(c, found.shape))
 
     @pytest.mark.parametrize("n, chi", [
         (1, 0.5), (1, 1.0), (10, 1.5), (10, 10.0), (50, recipe_mutation_rate(0.01)),
