@@ -11,7 +11,7 @@ reference drift potential, and prices the generic runtime bound.
 Run:  python3 demos/level_machinery_tour.py
 """
 
-from fractions import Fraction
+import numpy as np
 
 from coevo import (
     BilinearParams,
@@ -22,9 +22,9 @@ from coevo import (
     current_level,
     eta_window,
     exact_selection_distribution,
-    fraction_stats,
     reference_g1_g2,
     run_trial,
+    trajectory_columns,
     level_process_bound,
     recipe_mutation_rate,
     validate_level_function,
@@ -51,8 +51,8 @@ print(f"  hit after {record.generations_run} generations "
 
 print("\nexact selection distribution on a 4-member toy state:")
 pred, prey = [0, 1, 16, 19], [2, 3, 17, 18]
-stats = fraction_stats(pred, prey, k=0, l=0, params=params)
-print(f"  p0={stats.p0} (predators below beta*n), q0={stats.q0} (prey at alpha*n or above)")
+row = trajectory_columns(np.array(pred), np.array(prey), params, 0)
+print(f"  p0={row.p0:g} (predators below beta*n), q0={row.q0:g} (prey at alpha*n or above)")
 prob = exact_selection_distribution(pred, prey, params, lambda cx, cy: cx < params.beta_n)
 print(f"  P(selected predator lands below beta*n) = {prob} = {float(prob):.4f}")
 print("  (counts the lambda^4 = 256 equally likely draw outcomes in closed form,\n"

@@ -18,7 +18,6 @@ from .bilinear import (
     intransitivity_witness,
     payoff,
     payoff_by_onecounts,
-    target_hit,
     worst_case_f,
 )
 from .core import (
@@ -31,7 +30,6 @@ from .core import (
     spawn_stream,
 )
 from .levels import (
-    FractionStats,
     GrowthLemmaReport,
     LevelFunctionParams,
     LevelSequence,
@@ -40,7 +38,6 @@ from .levels import (
     current_level,
     eta_window,
     exact_selection_distribution,
-    fraction_stats,
     half_prob_conditionals,
     level_pair_counts,
     reference_g1_g2,

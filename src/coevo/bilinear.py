@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BitVector, _count_vector, ones
+from .core import BitVector, _count_vector, _is_number, ones
 
 _ZERO = np.array(0, dtype=np.int64)  # the engine's sign-test operand (see pdcoea._SCALE)
 
@@ -55,13 +55,13 @@ class BilinearParams:
     def __post_init__(self):
         if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 1.0 / self.n):
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not (_is_number(value) and 0.0 <= value <= 1.0):
+                raise ValueError(f"{name} must be a real number in [0, 1], got {value!r}")
+        if not (_is_number(self.epsilon) and math.isfinite(self.epsilon)
+                and self.epsilon >= 1.0 / self.n):
             raise ValueError(f"epsilon must be finite and >= 1/n = {1.0 / self.n}, "
-                             f"got {self.epsilon}")
+                             f"got {self.epsilon!r}")
 
     @property
     def alpha_n(self) -> float:
@@ -236,15 +236,6 @@ def _one_counts(cx, cy, n: int):
     return cx, cy
 
 
-def target_hit(cx, cy, params: BilinearParams) -> bool:
-    """Some predator in R0 and some prey in S1((alpha-epsilon)*n), for the
-    predators' and the prey's one-counts of one state.
-
-    This is the epsilon-approximation of the saddle; O(lambda) on one-counts.
-    """
-    return bool(bilinear_target(params)(*_one_counts(cx, cy, params.n)))
-
-
 def _any_last(flags: np.ndarray):
     """`flags.any(axis=-1)`; one state's is read at `argmax`, without a reduction."""
     return flags[flags.argmax()] if flags.ndim == 1 else flags.any(axis=-1)
@@ -272,8 +263,9 @@ def _table_target(in_x: np.ndarray, in_y: np.ndarray, n: int, name: str):
 
 
 def bilinear_target(params: BilinearParams):
-    """`target_hit` as the predicate of run configurations: the table
-    predicate (`_table_target`) of R0 and of the prey band."""
+    """The epsilon-approximation of the saddle, some predator in R0 and some
+    prey in S1((alpha-epsilon)*n), as the predicate of run configurations:
+    the table predicate (`_table_target`) of R0 and of the prey band."""
     sx, sy = _count_signs(params)
     in_band = (np.arange(params.n + 1) >= params.target_lo) & (sy < 0)
     return _table_target(sx < 0, in_band, params.n,

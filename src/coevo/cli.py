@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: run (single trial), sweep (experiment from a config file),
-threshold / scaling / trajectory (named experiments), bound (calculators),
-check (verification suites).
+Subcommands: run (single trial), sweep (experiment from a config file, any
+kind), threshold / trajectory (sweep with the kind forced), bound
+(calculators), check (verification suites).
 
 Exit codes: 0 success, 1 usage error, 2 check-suite failure, 3 I/O error,
 4 pilot failure (too few pilot runs of a `budget = pilot` cell hit).
@@ -94,15 +94,8 @@ def _add_experiment(sub, name, help_text):
 
 def _load_spec(args, kind=None) -> harness.ExperimentSpec:
     spec = harness.parse_spec_file(args.config)
-    overrides = {}
-    if kind is not None:
-        overrides["kind"] = kind
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
+    given = {"kind": kind, "out": args.out, "trials": args.trials, "master_seed": args.seed}
+    overrides = {key: value for key, value in given.items() if value is not None}
     return replace(spec, **overrides) if overrides else spec
 
 
@@ -209,7 +202,6 @@ def main(argv=None) -> int:
     _add_run(sub)
     _add_experiment(sub, "sweep", "run the experiment described by a config file")
     _add_experiment(sub, "threshold", "error-threshold experiment (kind forced)")
-    _add_experiment(sub, "scaling", "runtime-scaling experiment (kind forced)")
     _add_experiment(sub, "trajectory", "trajectory experiment (kind forced)")
     _add_bound(sub)
     p = sub.add_parser("check", help="run verification suites")
@@ -222,9 +214,8 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "sweep":
             return _cmd_sweep_with_spec(_load_spec(args), args.workers)
-        if args.command in ("threshold", "scaling", "trajectory"):
-            kind = {"threshold": "error-threshold", "scaling": "runtime-scaling",
-                    "trajectory": "trajectory"}[args.command]
+        if args.command in ("threshold", "trajectory"):
+            kind = {"threshold": "error-threshold", "trajectory": "trajectory"}[args.command]
             return _cmd_sweep_with_spec(_load_spec(args, kind=kind), args.workers)
         if args.command == "bound":
             return _cmd_bound(args)

@@ -150,27 +150,14 @@ def current_level(cx: np.ndarray, cy: np.ndarray, seq: LevelSequence, gamma0: fl
 # Fraction statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FractionStats:
-    """Exact population fractions in R0, R1(k), S0, S1(l) (rationals over lambda)."""
-
-    p0: Fraction
-    p_k: Fraction
-    q0: Fraction
-    q_l: Fraction
-
-
-def fraction_stats(cx, cy, k: int, l: int, params: BilinearParams) -> FractionStats:
-    n = params.n
+def _region_fractions(cx, cy, k: int, l: int, params: BilinearParams) -> tuple:
+    """Exact population fractions (p0, p(k), q0, q(l)) of R0, R1(k), S0 and
+    S1(l), as rationals over lambda, of one state's one-counts."""
     _check_region_params(params, k=k, l=l)
-    cx, cy = _one_counts(cx, cy, n)
-    lam = cx.size
-    return FractionStats(
-        p0=Fraction(int((cx < params.beta_n).sum()), lam),
-        p_k=Fraction(int(((cx >= params.beta_n) & (cx < n - k)).sum()), lam),
-        q0=Fraction(int((cy >= params.alpha_n).sum()), lam),
-        q_l=Fraction(int(((cy >= l) & (cy < params.alpha_n)).sum()), lam),
-    )
+    cx, cy = _one_counts(cx, cy, params.n)
+    share = lambda flags: Fraction(int(flags.sum()), cx.size)
+    return (share(cx < params.beta_n), share((cx >= params.beta_n) & (cx < params.n - k)),
+            share(cy >= params.alpha_n), share((cy >= l) & (cy < params.alpha_n)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +325,7 @@ def check_growth_lemmas(case: int, cx, cy, params: BilinearParams,
     """
     if case not in (15, 16, 17, 18, 19):
         raise ValueError(f"unknown growth case {case}")
-    stats = fraction_stats(cx, cy, k, l, params)
-    p0, p, q0, q = stats.p0, stats.p_k, stats.q0, stats.q_l
+    p0, p, q0, q = _region_fractions(cx, cy, k, l, params)
     bn, an = params.beta_n, params.alpha_n
     n = params.n
 

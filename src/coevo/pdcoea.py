@@ -182,23 +182,24 @@ _READ_AHEAD_WORDS = 16384  # raw 64-bit words a batch reads per block, over all 
 class _ReadAhead:
     """The streams of a batch of runs, read ahead: `draws()` returns the next
     generation's `_generator_draws(rngs, lam, high)`, and `drop(rows)` takes
-    runs out.  One `random_raw` block per run is decoded for every run in one
-    pass, by numpy's rules on PCG64: the slots take the halves of 2*lam words,
-    low first, by numpy's buffered 32-bit Lemire rule (Lemire, ACM TOMACS
-    29(1), 2019), slot (half * high) >> 32 and the half rejected when its low
-    32 bits are below (2**32 - high) % high (high = 1 uses no words); a run
-    whose bit generator buffers a half (`has_uint32`) takes it first and
-    carries its last half on (`has`, `half`).  The key offsets are word >> 14
-    = floor((word >> 11) * 2**-53 * _SCALE) of the next 2*lam words.  A block
-    stops before its first generation with a rejected half and rewinds to it;
-    `_generator_draws` draws that generation once the carried halves are
-    written back.  So each stream is where its `Generator` would be, apart
-    from the unread generations of the block."""
+    runs out.  A block holds `block` generations, as many as _READ_AHEAD_WORDS
+    words give the runs left at that read.  One `random_raw` block per run is
+    decoded for every run in one pass, by numpy's rules on PCG64: the slots
+    take the halves of 2*lam words, low first, by numpy's buffered 32-bit
+    Lemire rule (Lemire, ACM TOMACS 29(1), 2019), slot (half * high) >> 32
+    and the half rejected when its low 32 bits are below (2**32 - high) %
+    high (high = 1 uses no words); a run whose bit generator buffers a half
+    (`has_uint32`) takes it first and carries its last half on (`has`,
+    `half`).  The key offsets are word >> 14 = floor((word >> 11) * 2**-53 *
+    _SCALE) of the next 2*lam words.  A block stops before its first
+    generation with a rejected half and rewinds to it; `_generator_draws`
+    draws that generation once the carried halves are written back.  So each
+    stream is where its `Generator` would be, apart from the unread
+    generations of the block."""
 
     def __init__(self, rngs, lam: int, high: Optional[int] = None):
         self.rngs, self.lam, self.high = list(rngs), lam, lam if high is None else high
         self.width = 4 * lam if self.high > 1 else 2 * lam  # words per run and generation
-        self.block = max(1, _READ_AHEAD_WORDS // (len(self.rngs) * self.width))
         self.rejected = False  # the generation after the decoded ones has a rejected half
         self._load_halves()
         self._read()
@@ -232,7 +233,8 @@ class _ReadAhead:
         self.has, self.half = self.has[keep], self.half[keep]
 
     def _read(self):
-        runs, g, lam, slot_words = len(self.rngs), self.block, self.lam, self.width - 2 * self.lam
+        runs, lam, slot_words = len(self.rngs), self.lam, self.width - 2 * self.lam
+        g = self.block = max(1, _READ_AHEAD_WORDS // (runs * self.width))
         words = [rng.bit_generator.random_raw((g, self.width)) for rng in self.rngs]
         words = words[0][None] if runs == 1 else np.stack(words)  # one run: no copy
         ready, slots = g, None if slot_words else np.zeros((g, 4, runs, lam), dtype=np.uint32)

@@ -9,6 +9,7 @@ from coevo import (
     BilinearGame,
     BilinearParams,
     BitVector,
+    bilinear_target,
     classify_predator,
     classify_prey,
     dominates,
@@ -17,7 +18,6 @@ from coevo import (
     payoff,
     payoff_by_onecounts,
     spawn_stream,
-    target_hit,
     worst_case_f,
 )
 from coevo.bilinear import _count_signs, _dominates_by_payoffs, _dominates_counts_arrays
@@ -35,11 +35,25 @@ class TestParams:
         with pytest.raises(ValueError):
             BilinearParams(n=10, alpha=0.5, beta=0.5, epsilon=0.05)  # epsilon < 1/n
 
-    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, "0.2", None, True, np.bool_(True)])
     def test_non_finite_epsilon_rejected(self, epsilon):
-        # both pass `epsilon < 1/n` unnoticed; inf then overflows in `_snap`
+        # nan and inf pass `epsilon < 1/n` unnoticed (inf then overflows in
+        # `_snap`); a string or None fails the comparison, and a bool is no number
         with pytest.raises(ValueError, match="epsilon must be finite"):
             BilinearParams(n=10, alpha=0.9, beta=0.05, epsilon=epsilon)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", ["0.5", None, True, False, np.bool_(True), math.nan, 1.5])
+    def test_slope_that_is_no_number_in_unit_interval_rejected(self, field, value):
+        # a bool used to be accepted and a string or None to raise a TypeError
+        slopes = {"alpha": 0.9, "beta": 0.05, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a real number in"):
+            BilinearParams(n=10, epsilon=0.2, **slopes)
+
+    @pytest.mark.parametrize("value", [0, 1, 0.5, np.float32(0.5), np.int64(1)])
+    def test_numpy_and_integer_slopes_accepted(self, value):
+        params = BilinearParams(n=10, alpha=value, beta=value, epsilon=0.2)
+        assert params.alpha_n == params.beta_n == float(value) * 10
 
     @pytest.mark.parametrize("n", [10.5, 10.0, "10", True, None, 0, np.float64(10)])
     def test_non_integral_n_rejected(self, n):
@@ -416,16 +430,16 @@ class TestRegions:
 
 class TestTarget:
     def test_all_ones_predators_never_hit(self, fig_params):
-        assert not target_hit([10, 10, 10], [4, 4, 4], fig_params)
+        assert not bilinear_target(fig_params)(np.array([10, 10, 10]), np.array([4, 4, 4]))
 
     def test_zero_predator_plus_band_prey_hits(self):
         params = BilinearParams(n=10, alpha=0.4, beta=0.6, epsilon=0.1)
         # ceil((alpha-epsilon)*n) = 3 < alpha*n = 4
-        assert target_hit([0, 9, 9], [3, 10, 10], params)
+        assert bilinear_target(params)(np.array([0, 9, 9]), np.array([3, 10, 10]))
 
     def test_empty_r0_when_beta_zero(self):
         params = BilinearParams(n=10, alpha=0.5, beta=0.0, epsilon=0.25)
-        assert not target_hit([0], [3], params)
+        assert not bilinear_target(params)(np.array([0]), np.array([3]))
 
 
 class TestIntransitivity:

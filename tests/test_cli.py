@@ -306,7 +306,7 @@ class TestSweepAndPlots:
         # column) with the first cell, here chi = 0.3
         spec = self.write_spec(tmp_path, n="10,14,20", **{"lambda": 8}, chi="0.3,1.0", beta=0.1,
                                trials=4, seed=3, budget=400, out=tmp_path / "sc")
-        code, out, err = run_cli(capsys, "scaling", "--config", spec)
+        code, out, err = run_cli(capsys, "sweep", "--config", spec)
         assert code == 0 and "Traceback" not in err
         sidecar = json.loads((tmp_path / "sc.aggregates.json").read_text())
         aggs = sidecar["aggregates"]
@@ -382,11 +382,6 @@ class TestSweepAndPlots:
                 (line.split(",") for line in outputs[0][1].splitlines()[4:])]
         assert {gens for chi, hit, gens in rows if chi == "1.0" and hit == "0"} == {1}
         assert any(chi == "1.2" and hit == "1" and 1 <= gens < 10 for chi, hit, gens in rows)
-
-    def test_scaling_command_forces_kind(self, capsys, tmp_path):
-        spec = self.write_spec(tmp_path)
-        code, out, _ = run_cli(capsys, "scaling", "--config", spec)
-        assert code == 0 and "fits" in out
 
     def test_unbounded_bound_factor_is_usage_error(self, capsys, tmp_path, monkeypatch):
         # bound:1e308 prices the cell at an infinite number of generations

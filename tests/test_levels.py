@@ -11,12 +11,12 @@ from coevo import (
     LevelFunctionParams,
     LevelSequence,
     PdcoeaConfig,
+    bilinear_target,
     build_bilinear_levels,
     check_growth_lemmas,
     current_level,
     eta_window,
     exact_selection_distribution,
-    fraction_stats,
     half_prob_conditionals,
     level_pair_counts,
     recipe_mutation_rate,
@@ -24,13 +24,18 @@ from coevo import (
     run_trial,
     selection_slot_rates,
     spawn_stream,
-    target_hit,
     validate_level_function,
 )
 from coevo.bilinear import _count_signs
 from coevo.core import derive_seed, paired_uniform
 from coevo.harness import GROWTH_CHECK_CONFIGS
-from coevo.levels import _class_pairs, _half_prob_counts, _psel_counts, winner_table
+from coevo.levels import (
+    _class_pairs,
+    _half_prob_counts,
+    _psel_counts,
+    _region_fractions,
+    winner_table,
+)
 
 import selection_reference as reference
 from conftest import paired
@@ -97,7 +102,7 @@ class TestBuildLevels:
             state = counts(
                 rng.integers(0, 11, size=4), rng.integers(0, 11, size=4))
             last = level_pair_counts(*state, seq)[-1]
-            assert (last > 0) == target_hit(*state, solvable_params)
+            assert (last > 0) == bilinear_target(solvable_params)(*state)
 
     def test_level_count_bound(self):
         for n in (8, 10, 20, 50):
@@ -337,11 +342,11 @@ class TestBlockForm:
                                    for x, y in zip(cx, cy)]
 
 
-class TestFractionStats:
+class TestRegionFractions:
     def test_all_zero_predators(self, fig_params):
         state = counts([0, 0, 0, 0], [5, 5, 5, 5])
-        stats = fraction_stats(*state, 0, 0, fig_params)
-        assert stats.p0 == 1
+        p0, p_k, q0, q_l = _region_fractions(*state, 0, 0, fig_params)
+        assert p0 == 1
 
     def test_partition_sums_to_one_exactly(self, fig_params):
         rng = spawn_stream(53, 0)
@@ -352,28 +357,28 @@ class TestFractionStats:
                 rng.integers(0, n + 1, size=lam), rng.integers(0, n + 1, size=lam))
             for k in (0, 2, 4):
                 for l in (0, 1, 3):
-                    stats = fraction_stats(*state, k, l, fig_params)
+                    p0, p_k, q0, q_l = _region_fractions(*state, k, l, fig_params)
                     r2 = Fraction(int((state[0] >= n - k).sum()), lam)
                     s2 = Fraction(int((state[1] < l).sum()), lam)
-                    assert stats.p0 + stats.p_k + r2 == 1
-                    assert stats.q0 + stats.q_l + s2 == 1
+                    assert p0 + p_k + r2 == 1
+                    assert q0 + q_l + s2 == 1
 
     def test_uniform_population_matches_binomial_tail(self):
         params = BilinearParams(n=100, alpha=0.4, beta=0.6, epsilon=0.1)
         lam = 1000
         rng = spawn_stream(54, 0)
         state = paired_uniform(lam, 100, rng)
-        stats = fraction_stats(*state, 0, 0, params)
+        p0, p_k, q0, q_l = _region_fractions(*state, 0, 0, params)
         expected = float(scipy.stats.binom.sf(39, 100, 0.5))  # P(ones >= 40)
         se = math.sqrt(expected * (1 - expected) / lam)
-        assert abs(float(stats.q0) - expected) <= 6 * se
+        assert abs(float(q0) - expected) <= 6 * se
 
     def test_threshold_validation(self, fig_params):
         state = counts([0], [0])
         with pytest.raises(ValueError):
-            fraction_stats(*state, 5, 0, fig_params)
+            _region_fractions(*state, 5, 0, fig_params)
         with pytest.raises(ValueError):
-            fraction_stats(*state, 0, 4, fig_params)
+            _region_fractions(*state, 0, 4, fig_params)
 
 
 class TestExactSelection:
@@ -613,10 +618,9 @@ ORACLES = {
         lambda cx, cy, params: exact_selection_distribution(cx, cy, params, lambda a, b: a < 6),
     "selection_slot_rates": selection_slot_rates,
     "half_prob_conditionals": half_prob_conditionals,
-    "fraction_stats": lambda cx, cy, params: fraction_stats(cx, cy, 0, 2, params),
+    "_region_fractions": lambda cx, cy, params: _region_fractions(cx, cy, 0, 2, params),
     "_psel_counts": lambda cx, cy, params: _psel_counts(cx, cy, params, lambda c: c < 6),
     "check_growth_lemmas": lambda cx, cy, params: check_growth_lemmas(17, cx, cy, params),
-    "target_hit": target_hit,
 }
 
 

@@ -844,6 +844,31 @@ class TestReadAhead:
         assert any(r.hit and r.generations_run % block for r in records)
         assert not all(r.hit for r in records)
 
+    def test_block_is_sized_from_the_live_runs(self, monkeypatch):
+        # a pilot-sized batch (ten runs at lambda = 100) reads 4 generations a
+        # block; as its runs hit and leave, each read sizes its block from the
+        # runs still in it, up to 40 generations for the last one, and every
+        # record equals the run's alone and plain Generator stepping
+        reads = []
+
+        class Counted(_ReadAhead):
+            def _read(self):
+                super()._read()
+                reads.append((len(self.rngs), self.block))
+
+        base = PdcoeaConfig(lam=100, chi=0.5, seed=0, budget_generations=300,
+                            game=BilinearParams(n=20, alpha=0.9, beta=0.05, epsilon=0.2))
+        cfgs = [replace(base, seed=derive_seed(0, i)) for i in range(10)]
+        expected = [run_trial(cfg, record=True) for cfg in cfgs]
+        monkeypatch.setattr(pdcoea, "_ReadAhead", Counted)
+        records = run_trials(cfgs, record=True)
+        assert records == expected and all(record.hit for record in records)
+        for record, want, (hit, generations, history) in zip(records, expected, map(plain_run, cfgs)):
+            assert np.array_equal(record.counts, want.counts)
+            assert (record.generations_run, np.array_equal(record.counts, history)) == (generations, True)
+        assert reads[0] == (10, 4) and reads[-1] == (1, 40)
+        assert all(block == _READ_AHEAD_WORDS // (runs * 4 * 100) for runs, block in reads)
+
     @pytest.mark.parametrize("seed, rejected", [(8, 35), (38, 51), (58, 123), (35, 170)])
     def test_engine_scale_rejected_slot_words(self, seed, rejected):
         # lambda = 1000 rejects a half below (2**32 - 1000) % 1000 = 296:
