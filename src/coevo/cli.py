@@ -2,7 +2,8 @@
 
 Subcommands: run (single trial), sweep (experiment from a config file, any
 kind), threshold / trajectory (sweep with the kind forced), bound
-(calculators), check (verification suites).
+(calculators, one cell at a time), check (verification suites).  The spec
+file sets trials and seed; --out only replaces its output prefix.
 
 Exit codes: 0 success, 1 usage error, 2 check-suite failure, 3 I/O error,
 4 pilot failure (too few pilot runs of a `budget = pilot` cell hit).
@@ -86,17 +87,13 @@ def _add_experiment(sub, name, help_text):
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", required=True, help="flat key=value spec file")
     p.add_argument("--out", default=None, help="output prefix (overrides the spec)")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=_worker_count, default=1,
                    help="worker processes, at least 1 (the output is the same for any count)")
 
 
 def _load_spec(args, kind=None) -> harness.ExperimentSpec:
     spec = harness.parse_spec_file(args.config)
-    given = {"kind": kind, "out": args.out, "trials": args.trials, "master_seed": args.seed}
-    overrides = {key: value for key, value in given.items() if value is not None}
-    return replace(spec, **overrides) if overrides else spec
+    return replace(spec, kind=kind or spec.kind, out=spec.out if args.out is None else args.out)
 
 
 def _write_table(table) -> None:
@@ -107,10 +104,6 @@ def _write_table(table) -> None:
 
 
 def _cmd_sweep_with_spec(spec, workers) -> int:
-    if spec.kind == "bound-table":
-        for row in harness.experiment_bound_table(spec):
-            print(json.dumps(row, sort_keys=True))
-        return 0
     if spec.kind == "error-threshold":
         table, summary = harness.experiment_error_threshold(spec, workers=workers)
         print(json.dumps(summary, indent=2, sort_keys=True))

@@ -82,7 +82,7 @@ CSV_COLUMNS = (
 SPEC_GRIDS = {"n": "n", "lambda": "lam", "chi": "chi", "alpha": "alpha",
               "beta": "beta", "epsilon": "epsilon", "r": "r"}
 
-EXPERIMENT_KINDS = ("sweep", "runtime-scaling", "error-threshold", "trajectory", "bound-table")
+EXPERIMENT_KINDS = ("sweep", "runtime-scaling", "error-threshold", "trajectory")
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +474,12 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
 # Named experiments
 # ---------------------------------------------------------------------------
 
+def _line(aggs: list[dict], col: str) -> list[dict]:
+    """The aggregates that share every cell column but `col` with the first:
+    one line through the grid along `col`, in order, as aggregates come sorted."""
+    return [a for a in aggs if all(a[c] == aggs[0][c] for c in CELL_COLUMNS if c != col)]
+
+
 def experiment_error_threshold(spec: ExperimentSpec, workers: int = 1):
     """Success-rate-vs-chi curve with an empirical transition summary.
 
@@ -482,11 +488,8 @@ def experiment_error_threshold(spec: ExperimentSpec, workers: int = 1):
     the success rate collapse to zero.
     """
     table = run_experiment(spec, workers=workers)
-    aggs = table.aggregates()
-    # the curve reads the cells that share every other cell column with the
-    # first aggregate, as the scaling fits do; aggregates come sorted by chi there
-    curve = [{"chi": a["chi"], "success_rate": a["success_rate"]} for a in aggs
-             if all(a[c] == aggs[0][c] for c in CELL_COLUMNS if c != "chi")]
+    curve = [{"chi": a["chi"], "success_rate": a["success_rate"]}
+             for a in _line(table.aggregates(), "chi")]
     nonzero = [pt["chi"] for pt in curve if pt["success_rate"] > 0]
     zero = [pt["chi"] for pt in curve if pt["success_rate"] == 0]
     summary = {
@@ -503,26 +506,21 @@ def experiment_runtime_scaling(spec: ExperimentSpec, workers: int = 1):
     """Median hit time against n (and against lambda when swept).
 
     Reports log-log slope estimates plus the closed-form budget reference for
-    each cell; censored trials never enter the medians.
+    each cell; censored trials never enter the medians.  A fit is None when
+    one of its cells has no median (every run censored) or a median of 0,
+    which has no logarithm.
     """
     table = run_experiment(spec, workers=workers)
     aggs = table.aggregates()
 
-    def slope(points):
-        if len(points) < 2 or any(p[1] is None for p in points):
+    def slope(line, col):
+        medians = [a["median_T"] for a in line]
+        if any(m is None or m <= 0 for m in medians):
             return None
-        xs = np.log([p[0] for p in points])
-        ys = np.log([p[1] for p in points])
-        return float(np.polyfit(xs, ys, 1)[0])
+        return float(np.polyfit(np.log([a[col] for a in line]), np.log(medians), 1)[0])
 
-    # each fit reads the cells that share every other cell column with the
-    # first aggregate; aggregates come sorted, so its points are in order
-    fits = {}
-    for col in ("n", "lambda"):
-        if len({a[col] for a in aggs}) > 1:
-            pts = [(a[col], a["median_T"]) for a in aggs
-                   if all(a[c] == aggs[0][c] for c in CELL_COLUMNS if c != col)]
-            fits[f"slope_T_vs_{col}"] = slope(pts)
+    fits = {f"slope_T_vs_{col}": slope(_line(aggs, col), col)
+            for col in ("n", "lambda") if len({a[col] for a in aggs}) > 1}
 
     references = []
     for agg in aggs:
@@ -575,29 +573,6 @@ def experiment_trajectory(spec: ExperimentSpec, workers: int = 1):
     table.sort()
     table.extra["series_columns"] = list(SERIES_COLUMNS)
     return table, series
-
-
-def experiment_bound_table(spec: ExperimentSpec):
-    """Closed-form budget references for every grid cell (no runs).
-
-    Each row carries the recipe mutation rate's implied slack, the
-    interaction budget with its term breakdown, and the error-threshold
-    reference for the cell's slack when it is in range.
-    """
-    rows = []
-    for cell in resolve_cells(spec):
-        row = cell.columns()
-        try:
-            bound = _solvable_budget(cell)
-            row.update(budget_interactions=bound.value, budget_generations=bound.value / cell.lam,
-                       slack=bound.terms["delta"], pop_term=bound.terms["pop_term"],
-                       mutation_term=bound.terms["mutation_term"])
-        except ValueError as exc:
-            row.update(budget_interactions=None, note=str(exc))
-        rows.append(row)
-    if spec.out:
-        _write_json(spec.out + ".bounds.json", rows)
-    return rows
 
 
 def write_series(series, path: str):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _is_int
+from .bilinear import BilinearParams
+from .core import _is_int, _is_number
 
 DEFAULT_CHECK_SEED = 20260808
 C_PP = 1.000001  # default c'' of both calculators (any value above 1 is admissible)
@@ -52,13 +53,13 @@ def level_process_bound(m: int, lam: int, delta: float, z: tuple = (),
     """
     if not (_is_int(m) and _is_int(lam)) or m < 1 or lam < 1:
         raise ValueError(f"m and lambda must be positive integers, got {m!r} and {lam!r}")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
-    if not 1.0 < c_pp < math.inf:
-        raise ValueError(f"c'' must exceed 1 and be finite, got {c_pp}")
+    if not (_is_number(delta) and 0.0 < delta <= 1.0):
+        raise ValueError(f"delta must be in (0, 1], got {delta!r}")
+    if not (_is_number(c_pp) and 1.0 < c_pp < math.inf):
+        raise ValueError(f"c'' must exceed 1 and be finite, got {c_pp!r}")
     if len(z) != m - 1:
         raise ValueError(f"need m-1 = {m - 1} z values, got {len(z)}")
-    if not all(0.0 < zi <= 1.0 for zi in z):
+    if not all(_is_number(zi) and 0.0 < zi <= 1.0 for zi in z):
         raise ValueError(f"every z_i must be in (0, 1], got {z}")
     prefactor = c_pp * _real(lam) / delta
     level_term = _real(m * lam**2)
@@ -92,16 +93,17 @@ def solvable_regime_budget(n: int, lam: int, chi: float, alpha: float, beta: flo
     delta is derived from chi via `chi_slack` (the inverse of the chi
     recipe).  A run exceeds this budget with probability at most (1/r) up to
     lower-order terms; the calculator exposes only the explicit leading
-    expression.
+    expression.  The game is checked as `BilinearParams` checks it.
     """
     if not (_is_int(n) and _is_int(lam)) or n < 1 or lam < 1:
         raise ValueError(f"n and lambda must be positive integers, got {n!r} and {lam!r}")
-    if not 1.0 < c_pp < math.inf:
-        raise ValueError(f"c'' must exceed 1 and be finite, got {c_pp}")
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"r must be positive and finite, got {r}")
-    if not chi > 0:
-        raise ValueError(f"chi must be positive, got {chi}")
+    BilinearParams(n=n, alpha=alpha, beta=beta, epsilon=epsilon)
+    if not (_is_number(c_pp) and 1.0 < c_pp < math.inf):
+        raise ValueError(f"c'' must exceed 1 and be finite, got {c_pp!r}")
+    if not (_is_number(r) and 0.0 < r < math.inf):
+        raise ValueError(f"r must be positive and finite, got {r!r}")
+    if not (_is_number(chi) and chi > 0):
+        raise ValueError(f"chi must be positive, got {chi!r}")
     delta = chi_slack(chi)
     if delta <= 0:
         raise ValueError(f"chi={chi} too large: implied slack delta={delta} is not positive")

@@ -57,29 +57,18 @@ class TestBound:
         assert run_cli(capsys, "bound", "--theorem", "chi", "--delta", "0")[0] == 1
         assert run_cli(capsys, *argv)[1] == run_cli(capsys, *argv, "--delta", "0.01")[1]
 
-    def test_bound_table_ignores_delta_with_explicit_chi(self, capsys, tmp_path):
-        def rows(delta):
-            path = tmp_path / f"bounds_{delta}.txt"
-            path.write_text("kind = bound-table\nn = 50,100\nlambda = 20\nchi = 0.005\n"
-                            "alpha = 0.9\nbeta = 0.05\nepsilon = 0.1\n"
-                            f"delta = {delta}\n")
-            code, out, err = run_cli(capsys, "sweep", "--config", str(path))
-            assert code == 0, err
-            return [json.loads(line) for line in out.splitlines()]
-
-        at_zero = rows(0)
-        assert len(at_zero) == 2
-        assert all(row["budget_interactions"] is not None for row in at_zero)
-        assert at_zero == rows(0.01)
-
     @pytest.mark.parametrize("flag, value, message", [
         ("--r", "-2", "r must be positive"), ("--r", "0", "r must be positive"),
         ("--n", "0", "n and lambda must be positive"), ("--chi", "-0.1", "chi must be positive"),
         ("--chi", "0", "chi must be positive"), ("--cpp", "nan", "c'' must exceed 1"),
+        ("--alpha", "2", "alpha must be a real number in [0, 1]"),
+        # n = 100 here, so 1/n = 0.01 is the smallest epsilon of a game
+        ("--epsilon", "0.005", "epsilon must be finite and >= 1/n = 0.01"),
     ])
     def test_solvable_budget_rejects_out_of_range_inputs(self, capsys, flag, value, message):
         # these once printed a negative, zero or NaN budget and exited 0, or
-        # (chi = 0) a ZeroDivisionError traceback
+        # (chi = 0) a ZeroDivisionError traceback; a game that is no game
+        # (alpha = 2, epsilon below 1/n) was priced too
         code, out, err = run_cli(
             capsys, "bound", "--theorem", "9", "--n", "100", "--lambda", "100", "--chi", "0.005",
             "--alpha", "0.9", "--beta", "0.05", "--epsilon", "0.1", flag, value)
@@ -109,41 +98,12 @@ class TestBound:
         assert code == 1 and out == ""
         assert err.startswith(f"error: the bound overflows: {term} = inf")
 
-    def test_bound_table_notes_an_overflowing_bound(self, capsys, tmp_path):
-        # the row used to carry `Infinity`, which is not JSON
-        path = tmp_path / "bounds.txt"
-        path.write_text("kind = bound-table\nn = 10\nlambda = 4\nchi = 1e-307\n"
-                        f"alpha = 0.9\nbeta = 0.05\nepsilon = 0.2\nout = {tmp_path / 'bt'}\n")
-        code, _, err = run_cli(capsys, "sweep", "--config", str(path))
-        assert code == 0, err
-
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        with open(tmp_path / "bt.bounds.json") as fh:
-            (row,) = json.load(fh, parse_constant=reject)
-        assert row["budget_interactions"] is None
-        assert row["note"] == "the bound overflows: mutation_term = inf on these inputs"
-
     @pytest.mark.parametrize("z", ["abc", "0.5,"])
     def test_unparsable_z_names_the_flag(self, capsys, z):
         code, out, err = run_cli(capsys, "bound", "--theorem", "3", "--m", "2", "--lambda", "4",
                                  "--delta", "0.5", "--z", z)
         assert code == 1 and out == ""
         assert err == f"error: --z must be a comma list of numbers, got {z!r}\n"
-
-    def test_bound_table_notes_nonpositive_chi(self, capsys, tmp_path):
-        # a bound-table row with chi = 0 is priced as None with the reason,
-        # like a chi beyond the recipe range, rather than ending the table
-        path = tmp_path / "bounds.txt"
-        path.write_text("kind = bound-table\nn = 50\nlambda = 20\nchi = 0,0.005\n"
-                        "alpha = 0.9\nbeta = 0.05\nepsilon = 0.1\n")
-        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
-        assert code == 0, err
-        zero, positive = (json.loads(line) for line in out.splitlines())
-        assert zero["budget_interactions"] is None
-        assert zero["note"] == "chi must be positive, got 0.0"
-        assert positive["budget_interactions"] > 0
 
     def test_chi_and_threshold(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--theorem", "chi", "--delta", "0.01")
@@ -265,39 +225,22 @@ class TestSweepAndPlots:
         assert run_cli(capsys, "sweep", "--config", spec, "--out", out)[0] == 0
         assert strip(out) == first
 
-    def test_sweep_kind_with_trials_and_seed_overrides(self, capsys, tmp_path):
-        # kind = sweep runs the plain grid; --trials and --seed replace the
-        # spec's values, so the rows equal those of a spec file that sets them
-        def rows(prefix):
-            lines = Path(prefix + ".csv").read_text().splitlines()
-            return [",".join(l.split(",")[:-1]) for l in lines if not l.startswith("#")]
-
-        spec = self.write_spec(tmp_path, kind="sweep")
-        overridden = str(tmp_path / "overridden")
-        code, out, err = run_cli(capsys, "sweep", "--config", spec, "--trials", "3",
-                                 "--seed", "5", "--out", overridden)
-        assert code == 0, err
-        assert out.startswith("cell n=15 lambda=10 chi=0.5: success ")
-        spec = self.write_spec(tmp_path, kind="sweep", trials=3, seed=5)
-        direct = str(tmp_path / "direct")
-        assert run_cli(capsys, "sweep", "--config", spec, "--out", direct)[0] == 0
-        assert len(rows(overridden)) == 1 + 3
-        assert all(row.startswith("sweep,") for row in rows(overridden)[1:])
-        assert rows(overridden) == rows(direct)
-
-    def test_lemma_checks_kind_is_unknown(self, capsys, tmp_path, monkeypatch):
-        # the check suites have one route, `coevo check`; the spec kind that
-        # repeated it is rejected before any check runs
-        from coevo import harness
+    @pytest.mark.parametrize("kind", ["lemma-checks", "bound-table"])
+    def test_lemma_checks_kind_is_unknown(self, capsys, tmp_path, monkeypatch, kind):
+        # the check suites have one route, `coevo check`, and a cell's budget
+        # one, `coevo bound`; the spec kinds that repeated them are rejected
+        # before any check or bound runs
+        from coevo import harness, theory
 
         calls = []
         monkeypatch.setattr(harness, "run_checks", lambda *args: calls.append(args))
+        monkeypatch.setattr(theory, "solvable_regime_budget", lambda *args: calls.append(args))
         path = tmp_path / "checks.txt"
-        path.write_text("kind = lemma-checks\n")
+        path.write_text(f"kind = {kind}\n")
         code, out, err = run_cli(capsys, "sweep", "--config", str(path),
                                  "--out", str(tmp_path / "report"))
         assert code == 1 and out == "" and calls == []
-        assert err.startswith("error: unknown experiment kind 'lemma-checks'; choose from ")
+        assert err.startswith(f"error: unknown experiment kind '{kind}'; choose from ")
         assert "Traceback" not in err and not list(tmp_path.glob("report*"))
 
     def test_scaling_fits_over_a_chi_grid(self, capsys, tmp_path):
@@ -469,6 +412,23 @@ class TestSweepAndPlots:
                        f"{repeated}, alpha=0.9, beta=0.1, epsilon=0.2, r=1.0\n")
         assert not list(tmp_path.glob("rep*"))
 
+    def test_scaling_slope_through_a_zero_median_is_null(self, capsys, tmp_path):
+        # at n = 2 every run hits at T = 0, whose logarithm once made the
+        # slope NaN, which is not JSON
+        spec = self.write_spec(tmp_path, n="2,4", **{"lambda": 20}, chi=0.3, alpha=1.0, beta=0.5,
+                               epsilon=0.5, budget=50, trials=3, target="singleton",
+                               out=tmp_path / "z")
+        code, out, err = run_cli(capsys, "sweep", "--config", spec)
+        assert code == 0, err
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads(out[:out.index("\ncell ")], parse_constant=reject)
+        sidecar = json.loads((tmp_path / "z.aggregates.json").read_text(), parse_constant=reject)
+        assert sidecar["aggregates"][0]["median_T"] == 0.0
+        assert summary["fits"] == sidecar["scaling_summary"]["fits"] == {"slope_T_vs_n": None}
+
     def test_threshold_curve_reads_one_size(self, capsys, tmp_path):
         # cells n=6 (1/4 hits) and n=30 (0/4) share chi; the curve reads only
         # the cells that share every other column with the first, so 0.25
@@ -489,9 +449,10 @@ class TestSweepAndPlots:
     GOLDEN = {
         "sweep": "6a4bdb9417c1857d2c3f19557b77b34fea3e03f152a4e11d2683f1920e39966f",
         "trajectory": "218c7028541cdb983902dfbbaac7057e60c7266477fc7b9b6805e89759a71bbf",
-        "bound-table": "dc379f3db59cb4122ae492609803980c6a2a1ce8d98f5c4de118cb2f003c624d",
         "check": "924b0d6ab23c9f1dd1a13f7f404bb5f774e53917f4069e25fbc843a92b61086d",
         "singleton-threshold": "4169f095af0e35848bb1c1de3b1f96b0a626c1c9e601724e7b792c60a138ffbf",
+        # recorded before the two scaling fits and the threshold curve shared one helper
+        "runtime-scaling": "89f098184dfc062a0d9fc028c8bba9fb58fb2d93cbd99a4d0d90f2fb10f39d31",
     }
 
     def test_golden_outputs(self, capsys, tmp_path, monkeypatch):
@@ -517,9 +478,6 @@ class TestSweepAndPlots:
                                out=tmp_path / "tr")
         record("trajectory", *run_cli(capsys, "trajectory", "--config", spec)[:2], "tr.csv",
                "tr.aggregates.json", "tr.series.csv")
-        spec = self.write_spec(tmp_path, kind="bound-table", n="20,40", chi="0,0.3,auto",
-                               delta=0.01, out=tmp_path / "bt")
-        record("bound-table", *run_cli(capsys, "sweep", "--config", spec)[:2], "bt.bounds.json")
         monkeypatch.setattr(harness, "CHECK_SUITES", {
             "stub": (lambda: CheckResult("stub-pass", True, "held"),
                      lambda: CheckResult("stub-fail", False, "forced 1/2"))})
@@ -529,6 +487,11 @@ class TestSweepAndPlots:
                                out=tmp_path / "st")
         record("singleton-threshold", *run_cli(capsys, "threshold", "--config", spec)[:2],
                "st.csv", "st.aggregates.json")
+        # every median positive and every reference priced; both n and lambda vary
+        spec = self.write_spec(tmp_path, n="6,8", **{"lambda": "6,10"}, chi=0.01, trials=3,
+                               budget=3000, out=tmp_path / "rs")
+        record("runtime-scaling", *run_cli(capsys, "sweep", "--config", spec)[:2], "rs.csv",
+               "rs.aggregates.json")
         assert got == self.GOLDEN
 
     def test_missing_config_is_io_error(self, capsys, tmp_path):
@@ -541,6 +504,10 @@ class TestUsage:
     def test_unknown_flag(self, capsys):
         code, _, err = run_cli(capsys, "run", "--frobnicate")
         assert code == 1 and "usage" in err.lower()
+        # a spec file's `trials` and `seed` keys have no sweep flag
+        for flag, value in (("--trials", "3"), ("--seed", "5")):
+            code, out, err = run_cli(capsys, "sweep", "--config", "spec.txt", flag, value)
+            assert code == 1 and out == "" and f"unrecognized arguments: {flag} {value}" in err
 
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "transmogrify")

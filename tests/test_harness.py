@@ -480,20 +480,6 @@ class TestPhaseOneDescent:
         assert descended / hits >= 0.9
 
 
-class TestAnalyticKinds:
-    def test_bound_table_kind(self, tmp_path):
-        from coevo.harness import experiment_bound_table
-
-        spec = ExperimentSpec(
-            kind="bound-table", n=(50, 100), lam=(100,), chi=("auto",), delta=0.01,
-            alpha=(0.9,), beta=(0.05,), epsilon=(0.1,), out=str(tmp_path / "b"))
-        rows = experiment_bound_table(spec)
-        assert len(rows) == 2
-        assert all(r["budget_interactions"] > 0 for r in rows)
-        assert rows[0]["budget_interactions"] < rows[1]["budget_interactions"]
-        assert (tmp_path / "b.bounds.json").exists()
-
-
 class TestCheckRegistry:
     def test_fast_suites_pass(self):
         for suite in ("dominance", "intransitivity", "half-prob", "growth", "levels"):

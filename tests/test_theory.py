@@ -91,6 +91,15 @@ class TestLevelProcessBound:
         with pytest.raises(ValueError, match="c'' must exceed 1 and be finite"):
             level_process_bound(2, 10, 0.4, (0.5,), math.inf)
 
+    @pytest.mark.parametrize("delta, z, c_pp, field", [
+        (True, (0.5,), 2.0, "delta"), ("0.5", (0.5,), 2.0, "delta"), (None, (0.5,), 2.0, "delta"),
+        (0.5, (True,), 2.0, "z_i"), (0.5, (0.5,), True, "c''"), (0.5, (0.5,), "2", "c''"),
+    ])
+    def test_rejects_values_that_are_no_number(self, delta, z, c_pp, field):
+        # a bool was priced as 1, and a string failed with a TypeError
+        with pytest.raises(ValueError, match=field):
+            level_process_bound(2, 5, delta, z, c_pp)
+
     @pytest.mark.parametrize("m, lam, z", [
         (2.5, 3, (0.5,)), (1, 2.5, ()), (True, 3, ()), (2, True, (0.5,)),
     ])
@@ -170,10 +179,14 @@ class TestSolvableRegimeBudget:
         ("c_pp", math.nan, "c''"), ("c_pp", math.inf, "c'' must exceed 1 and be finite"),
         ("chi", 0.0, "chi must be positive"),
         ("chi", -0.1, "chi must be positive"), ("chi", math.nan, "chi must be positive"),
+        ("chi", True, "chi must be positive"), ("r", True, "r must be positive"),
+        ("c_pp", True, "c''"), ("alpha", True, r"alpha must be a real number in \[0, 1\]"),
+        ("alpha", 2.0, "alpha must be"), ("beta", -1.0, "beta must be"),
+        ("epsilon", 0.005, "epsilon must be finite and >= 1/n = 0.01"),
     ])
     def test_rejects_out_of_range_scale(self, field, value, message):
         # each of these once priced a negative, zero, NaN or infinite budget,
-        # or divided by zero
+        # divided by zero, or priced a game BilinearParams rejects (n = 100)
         with pytest.raises(ValueError, match=message):
             self.budget(**{field: value})
 
