@@ -29,6 +29,8 @@ from coevo import (
     recipe_mutation_rate,
     validate_level_function,
 )
+from coevo.harness import GAMMA0
+
 params = BilinearParams(n=20, alpha=0.9, beta=0.05, epsilon=0.1)
 seq = build_bilinear_levels(params)
 print(f"level sequence for n={params.n}: {seq.m1} descent levels + {seq.m2} ascent levels "
@@ -37,12 +39,11 @@ for j in (1, 2, seq.m1, seq.m1 + 1, seq.m):
     (a_lo, a_hi), (b_lo, b_hi) = seq[j]
     print(f"  level {j:2d}: predators in [{a_lo}, {a_hi}) ones, prey in [{b_lo}, {b_hi})")
 
-print("\ncurrent level along a run (gamma0 = 9/25):")
-gamma0 = 9 / 25
+print(f"\ncurrent level along a run (gamma0 = {GAMMA0}, the trajectory experiment's):")
 cfg = PdcoeaConfig(lam=30, chi=recipe_mutation_rate(0.01), seed=7,
                    budget_generations=20_000, game=params)
 record = run_trial(cfg, record=True)
-levels = current_level(record.counts[:, 0], record.counts[:, 1], seq, gamma0)  # one per generation
+levels = current_level(record.counts[:, 0], record.counts[:, 1], seq, GAMMA0)  # one per generation
 marks = sorted(set([0, 1, 2, 5] + list(range(0, len(levels), max(1, len(levels) // 10)))))
 for i in marks:
     print(f"  gen {i:5d}: level {levels[i]:2d} / {seq.m}")

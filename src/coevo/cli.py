@@ -118,7 +118,7 @@ def _cmd_sweep_with_spec(spec, workers) -> int:
         table = harness.run_experiment(spec, workers=workers)
     aggs = table.aggregates()
     # a game column the grid varies is named, so that no two cells' lines read alike
-    varied = [col for col in ("alpha", "beta", "epsilon", "r") if len({a[col] for a in aggs}) > 1]
+    varied = [col for col in ("alpha", "beta", "epsilon") if len({a[col] for a in aggs}) > 1]
     for agg in aggs:
         print(
             f"cell n={agg['n']} lambda={agg['lambda']} chi={agg['chi']:.6g}"

@@ -7,9 +7,9 @@ Every work unit (cell, trial) draws its seed from the master seed and its
 global unit index, which makes sweeps reproducible and embarrassingly
 parallel.
 
-Persistence: UTF-8 CSV with a '#'-prefixed header block (spec echo, master
-seed, schema version) plus a JSON sidecar holding per-cell aggregates.  The
-wall_ms column is the only field exempt from determinism.
+Persistence: UTF-8 CSV with a '#'-prefixed header block (schema version,
+spec echo) plus a JSON sidecar holding per-cell aggregates.  The wall_ms
+column is the only field exempt from determinism.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ from .pdcoea import (
 )
 from .theory import CheckResult
 
-SCHEMA_VERSION = 1
-GAMMA0_DEFAULT = 9.0 / 25.0
+SCHEMA_VERSION = 2
+GAMMA0 = 9.0 / 25.0  # the trajectory's phase and level threshold
 PILOT_STREAM_OFFSET = 1_000_000_007  # pilot seeds never collide with trial units
 PILOTS = 10
 PILOT_CAP_FACTOR = 200
@@ -72,15 +72,15 @@ PILOT_MIN_HITS = 6  # with fewer, a censored pilot would sit at the median of th
 # arithmetic of a "bound:<factor>" budget is no longer exact, and no run could finish.
 MAX_INTERACTIONS = 2 ** 53
 
-CELL_COLUMNS = ("n", "lambda", "chi", "alpha", "beta", "epsilon", "r")
+CELL_COLUMNS = ("n", "lambda", "chi", "alpha", "beta", "epsilon")
 CSV_COLUMNS = (
-    "kind", "n", "lambda", "chi", "alpha", "beta", "epsilon", "delta", "r",
+    "n", "lambda", "chi", "alpha", "beta", "epsilon", "delta",
     "trial", "seed", "hit", "T_interactions", "generations", "wall_ms",
 )
 
 # spec-file key -> ExperimentSpec field of every grid
 SPEC_GRIDS = {"n": "n", "lambda": "lam", "chi": "chi", "alpha": "alpha",
-              "beta": "beta", "epsilon": "epsilon", "r": "r"}
+              "beta": "beta", "epsilon": "epsilon"}
 
 EXPERIMENT_KINDS = ("sweep", "runtime-scaling", "error-threshold", "trajectory")
 
@@ -101,13 +101,11 @@ class ExperimentSpec:
     alpha: tuple = (0.9,)
     beta: tuple = (0.05,)
     epsilon: tuple = (0.1,)
-    r: tuple = (1.0,)
     delta: float = 0.01           # slack used when chi = "auto"
     trials: int = 10
     master_seed: int = 1
     budget: object = "pilot"      # generations, "pilot", or "bound:<factor>"
     target: str = "bilinear"      # "bilinear" or "singleton"
-    gamma0: float = GAMMA0_DEFAULT
     out: str | None = None
 
     def __post_init__(self):
@@ -122,8 +120,6 @@ class ExperimentSpec:
             raise ValueError(f"delta must be a finite number, got {self.delta!r}")
         if self.target not in ("bilinear", "singleton"):
             raise ValueError(f"unknown target {self.target!r}")
-        if not _is_number(self.gamma0) or not 0.0 < self.gamma0 < 1.0:
-            raise ValueError(f"gamma0 must be a number in (0, 1), got {self.gamma0!r}")
         if self.out is not None and not (isinstance(self.out, str) and self.out.strip()):
             raise ValueError(f"out must be an output prefix (non-blank text) or None, "
                              f"got {self.out!r}")
@@ -131,15 +127,13 @@ class ExperimentSpec:
             _check_grid(key, getattr(self, attr))
         # Python floats: a numpy float's repr (numpy >= 2) would reach the CSV
         object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "gamma0", float(self.gamma0))
         object.__setattr__(self, "budget", _check_budget(self.budget))
 
 
 def _check_grid(key: str, values) -> None:
     """Grid values are finite numbers (chi may be "auto"), so no NaN or
     infinity reaches a run or a JSON file; n and lambda are whole numbers, so
-    `n = 20.7` is rejected rather than run as n = 20, and r, the budget's
-    confidence factor, is positive."""
+    `n = 20.7` is rejected rather than run as n = 20."""
     for value in values:
         if key == "chi" and value == "auto":
             continue
@@ -148,8 +142,6 @@ def _check_grid(key: str, values) -> None:
             raise ValueError(f"{key} must be {expected}, got {value!r}")
         if key in ("n", "lambda") and value != int(value):
             raise ValueError(f"{key} must be a whole number, got {value!r}")
-        if key == "r" and value <= 0:
-            raise ValueError(f"r must be positive, got {value!r}")
 
 
 def _check_budget(budget):
@@ -175,7 +167,6 @@ class Cell:
     alpha: float
     beta: float
     epsilon: float
-    r: float
     delta: float | None  # slack behind an "auto" chi, None for explicit chi
 
     @property
@@ -185,20 +176,18 @@ class Cell:
     def columns(self) -> dict:
         """The cell's CELL_COLUMNS values (delta only explains an "auto" chi)."""
         return dict(zip(CELL_COLUMNS, (self.n, self.lam, self.chi, self.alpha, self.beta,
-                                       self.epsilon, self.r)))
+                                       self.epsilon)))
 
 
 def resolve_cells(spec: ExperimentSpec) -> list[Cell]:
     cells = []
-    for n, lam, chi, alpha, beta, eps, r in product(
-        spec.n, spec.lam, spec.chi, spec.alpha, spec.beta, spec.epsilon, spec.r
+    for n, lam, chi, alpha, beta, eps in product(
+        spec.n, spec.lam, spec.chi, spec.alpha, spec.beta, spec.epsilon
     ):
-        if chi == "auto":
-            cells.append(Cell(int(n), int(lam), theory.recipe_mutation_rate(spec.delta),
-                              float(alpha), float(beta), float(eps), float(r), spec.delta))
-        else:
-            cells.append(Cell(int(n), int(lam), float(chi),
-                              float(alpha), float(beta), float(eps), float(r), None))
+        auto = chi == "auto"
+        cells.append(Cell(int(n), int(lam),
+                          theory.recipe_mutation_rate(spec.delta) if auto else float(chi),
+                          float(alpha), float(beta), float(eps), spec.delta if auto else None))
     seen = set()
     for cell in cells:
         key = tuple(cell.columns().values())
@@ -226,11 +215,11 @@ def _parse_value(text: str):
 def parse_spec_file(path: str) -> ExperimentSpec:
     """Flat key = value format; comma lists give grids, '#' starts a comment.
 
-    Keys: kind, n, lambda, chi, delta, alpha, beta, epsilon, r, trials,
-    seed, budget, target, gamma0, out (read as text); each at most once.
+    Keys: kind, n, lambda, chi, delta, alpha, beta, epsilon, trials, seed,
+    budget, target, out (read as text); each at most once.
     """
     scalars = {"kind": "kind", "delta": "delta", "trials": "trials", "seed": "master_seed",
-               "budget": "budget", "target": "target", "gamma0": "gamma0", "out": "out"}
+               "budget": "budget", "target": "target", "out": "out"}
     kwargs, seen = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -299,7 +288,6 @@ class ResultTable:
     def to_csv(self) -> str:
         return "".join([
             f"# coevo-results schema={SCHEMA_VERSION}\n",
-            f"# master_seed={self.spec.master_seed}\n",
             f"# spec={self._spec_json()}\n",
             _csv_line(CSV_COLUMNS),
             *(_csv_line(row[col] for col in CSV_COLUMNS) for row in self.rows),
@@ -398,9 +386,10 @@ def pilot_budget(cell: Cell, spec: ExperimentSpec, cell_index: int) -> int:
 
 
 def _solvable_budget(cell: Cell) -> theory.BoundValue:
-    """Closed-form solvable-regime interaction budget of one cell (slack from chi)."""
+    """Closed-form solvable-regime interaction budget of one cell (slack from chi),
+    at the calculator's confidence factor r = 1; a `bound:<factor>` budget scales it."""
     return theory.solvable_regime_budget(cell.n, cell.lam, cell.chi, cell.alpha, cell.beta,
-                                         cell.epsilon, cell.r)
+                                         cell.epsilon)
 
 
 def _budget_for(cell: Cell, spec: ExperimentSpec, cell_index: int) -> int:
@@ -421,9 +410,9 @@ def _budget_for(cell: Cell, spec: ExperimentSpec, cell_index: int) -> int:
     return generations
 
 
-def _result_row(spec: ExperimentSpec, cell: Cell, trial: int, record) -> dict:
+def _result_row(cell: Cell, trial: int, record) -> dict:
     return {
-        "kind": spec.kind, **cell.columns(), "delta": cell.delta, "trial": trial,
+        **cell.columns(), "delta": cell.delta, "trial": trial,
         "seed": record.seed, "hit": record.hit, "T_interactions": record.T_interactions,
         "generations": record.generations_run, "wall_ms": record.wall_ms,
     }
@@ -465,7 +454,7 @@ def _run_units(spec: ExperimentSpec, workers: int):
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     """Execute all cells x trials; rows come back canonically sorted and are
     identical for any worker count."""
-    table = ResultTable(spec, [_result_row(spec, *unit) for unit in _run_units(spec, workers)])
+    table = ResultTable(spec, [_result_row(*unit) for unit in _run_units(spec, workers)])
     table.sort()
     return table
 
@@ -546,30 +535,31 @@ def experiment_trajectory(spec: ExperimentSpec, workers: int = 1):
     """Per-generation population series with level and phase annotation.
 
     Phase 2 starts at the first generation where the predator fraction below
-    beta*n reaches gamma0.  Every trial records its one-counts; its series
-    rows, levels and phases come from `trajectory_columns` and
-    `current_level` over RECORD_BLOCK generations at a time, and the output
-    is identical for any worker count.  Every cell's level sequence is built
-    before the first run, so a cell without one fails before any work.
+    beta*n reaches GAMMA0 = 9/25, the current level's threshold too.  Every
+    trial records its one-counts; its series rows, levels and phases come
+    from `trajectory_columns` and `current_level` over RECORD_BLOCK
+    generations at a time, and the output is identical for any worker count.
+    Every cell's level sequence is built before the first run, so a cell
+    without one fails before any work.
     """
     table = ResultTable(spec=spec)
     series = []
     levels = {cell: build_bilinear_levels(cell.game) for cell in resolve_cells(spec)}
     for cell, trial, record in _run_units(spec, workers):
-        table.rows.append(_result_row(spec, cell, trial, record))
+        table.rows.append(_result_row(cell, trial, record))
         game = cell.game
         reached = False  # phase 2 began in an earlier block
         for start in range(0, len(record.counts), RECORD_BLOCK):
             block = record.counts[start:start + RECORD_BLOCK]
             cx, cy = block[:, 0], block[:, 1]
             rows = trajectory_columns(cx, cy, game, range(start, start + len(block)))
-            phase = 1 + (np.logical_or.accumulate(rows.p0 >= spec.gamma0) | reached)
+            phase = 1 + (np.logical_or.accumulate(rows.p0 >= GAMMA0) | reached)
             reached = bool(phase[-1] == 2)
             series.extend(zip(
                 repeat(cell.n), repeat(cell.lam), repeat(cell.chi), repeat(trial), rows.generation,
                 rows.pred_mean.tolist(), rows.prey_mean.tolist(), rows.p0.tolist(),
                 rows.q0.tolist(), rows.prey_in_s0.tolist(),
-                current_level(cx, cy, levels[cell], spec.gamma0).tolist(), phase.tolist()))
+                current_level(cx, cy, levels[cell], GAMMA0).tolist(), phase.tolist()))
     table.sort()
     table.extra["series_columns"] = list(SERIES_COLUMNS)
     return table, series

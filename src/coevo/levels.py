@@ -17,13 +17,14 @@ the process from above.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .bilinear import BilinearParams, _check_region_params, _count_signs, _one_counts
-from .core import _is_int
+from .core import _is_int, _is_number
 
 # ---------------------------------------------------------------------------
 # Level sequences
@@ -139,8 +140,8 @@ def current_level(cx: np.ndarray, cy: np.ndarray, seq: LevelSequence, gamma0: fl
     """Largest 1-based j whose level holds at least gamma0 * lambda^2 pairs,
     by `level_pair_counts`: an int for one state, an int64 array with one
     level per row for a block of states."""
-    if not 0.0 < gamma0 < 1.0:
-        raise ValueError(f"gamma0 must be in (0, 1), got {gamma0}")
+    if not (_is_number(gamma0) and 0.0 < gamma0 < 1.0):
+        raise ValueError(f"gamma0 must be a number in (0, 1), got {gamma0!r}")
     held = level_pair_counts(cx, cy, seq) >= gamma0 * np.shape(cx)[-1] ** 2
     level = np.maximum((held * np.arange(1, seq.m + 1)).max(axis=-1), 1)
     return int(level) if level.ndim == 0 else level
@@ -416,16 +417,16 @@ class LevelFunctionParams:
     m: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ValueError(f"eta must be finite and positive, got {self.eta}")
-        if not 0.0 < self.phi < 1.0:
-            raise ValueError("phi must be in (0, 1)")
+        if not (_is_number(self.eta) and math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
+        if not (_is_number(self.phi) and 0.0 < self.phi < 1.0):
+            raise ValueError(f"phi must be in (0, 1), got {self.phi!r}")
         if not (_is_int(self.lam) and _is_int(self.m)) or self.lam < 1 or self.m < 1:
             raise ValueError(f"lambda and m must be integers >= 1, got {self.lam!r} and {self.m!r}")
-        if len(self.z) != self.m - 1:
-            raise ValueError(f"need m-1 = {self.m - 1} z values, got {len(self.z)}")
-        if any(not 0.0 < zi <= 1.0 for zi in self.z):
-            raise ValueError("every z_i must be in (0, 1]")
+        if not isinstance(self.z, Sequence) or len(self.z) != self.m - 1:
+            raise ValueError(f"z must be a sequence of m-1 = {self.m - 1} values, got {self.z!r}")
+        if not all(_is_number(zi) and 0.0 < zi <= 1.0 for zi in self.z):
+            raise ValueError(f"every z_i must be in (0, 1], got {self.z!r}")
 
     @property
     def q(self) -> tuple:
@@ -434,6 +435,9 @@ class LevelFunctionParams:
 
 def eta_window(delta: float, lam: int):
     """Admissible (lo, hi) range for eta at slack delta and population lambda."""
+    if not (_is_number(delta) and _is_int(lam) and lam >= 1):
+        raise ValueError(f"delta must be a number and lambda an integer >= 1, "
+                         f"got {delta!r} and {lam!r}")
     return 3.0 * delta / (11.0 * lam), delta / (2.0 * lam)
 
 

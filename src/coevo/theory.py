@@ -76,13 +76,15 @@ def recipe_mutation_rate(delta: float) -> float:
 
     Positive exactly on delta in (0, 1/41).
     """
-    if not 0.0 < delta < 1.0 / 41.0:
-        raise ValueError(f"delta must be in (0, 1/41), got {delta}")
+    if not (_is_number(delta) and 0.0 < delta < 1.0 / 41.0):
+        raise ValueError(f"delta must be in (0, 1/41), got {delta!r}")
     return 0.5 * math.log(42.0 / (41.0 * (1.0 + delta)))
 
 
 def chi_slack(chi: float) -> float:
     """Slack delta implied by a mutation rate: delta = (42/41) e^(-2 chi) - 1."""
+    if not _is_number(chi):
+        raise ValueError(f"chi must be a real number, got {chi!r}")
     return (42.0 / 41.0) * math.exp(-2.0 * chi) - 1.0
 
 
@@ -122,8 +124,8 @@ def solvable_regime_budget(n: int, lam: int, chi: float, alpha: float, beta: flo
 
 def error_threshold(delta: float) -> float:
     """Mutation rate ln(2)/(1 - 2*delta) above which runs need exponential time."""
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must be in (0, 1/2), got {delta}")
+    if not (_is_number(delta) and 0.0 < delta < 0.5):
+        raise ValueError(f"delta must be in (0, 1/2), got {delta!r}")
     return math.log(2.0) / (1.0 - 2.0 * delta)
 
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import re
@@ -264,7 +265,6 @@ class TestSweepAndPlots:
         ("beta", "0.1,0.2", ["beta=0.1", "beta=0.2"]),
         ("alpha", "0.8,0.9", ["alpha=0.8", "alpha=0.9"]),
         ("epsilon", "0.1,0.2", ["epsilon=0.1", "epsilon=0.2"]),
-        ("r", "1,2", ["r=1", "r=2"]),
     ])
     def test_sweep_lines_name_a_varied_game_column(self, capsys, tmp_path, key, values, names):
         # cells that differ only in a game column print that column, so no
@@ -321,8 +321,9 @@ class TestSweepAndPlots:
         assert outputs[0] == outputs[1]
         # (chi, hit, generations): the first cell censors at 1 generation, and
         # the second has hits that a budget of 1 would have censored
-        rows = [(row[3], row[11], int(row[13])) for row in
-                (line.split(",") for line in outputs[0][1].splitlines()[4:])]
+        table = csv.DictReader(line for line in outputs[0][1].splitlines()
+                               if not line.startswith("#"))
+        rows = [(row["chi"], row["hit"], int(row["generations"])) for row in table]
         assert {gens for chi, hit, gens in rows if chi == "1.0" and hit == "0"} == {1}
         assert any(chi == "1.2" and hit == "1" and 1 <= gens < 10 for chi, hit, gens in rows)
 
@@ -374,7 +375,7 @@ class TestSweepAndPlots:
 
     @pytest.mark.parametrize("key, value", [
         ("n", "20.7"), ("lambda", "10.5"), ("n", "15,abc"), ("n", "abc"),
-        ("chi", "x"), ("alpha", "y"), ("n", "15,3000"), ("r", "0"), ("r", "-1"),
+        ("chi", "x"), ("alpha", "y"), ("n", "15,3000"),
     ])
     def test_bad_grid_value_fails_before_any_run(self, capsys, tmp_path, monkeypatch,
                                                  key, value):
@@ -409,7 +410,7 @@ class TestSweepAndPlots:
         code, out, err = run_cli(capsys, "sweep", "--config", spec)
         assert code == 1 and out == "" and calls == []
         assert err == (f"error: grid values must be distinct; repeated cell n=8, lambda=6, "
-                       f"{repeated}, alpha=0.9, beta=0.1, epsilon=0.2, r=1.0\n")
+                       f"{repeated}, alpha=0.9, beta=0.1, epsilon=0.2\n")
         assert not list(tmp_path.glob("rep*"))
 
     def test_scaling_slope_through_a_zero_median_is_null(self, capsys, tmp_path):
@@ -445,14 +446,16 @@ class TestSweepAndPlots:
         assert sidecar["threshold_summary"] == summary
 
     # sha256 of each output, with the wall_ms column cut and the output directory
-    # written as TMP; recorded before the CSV and JSON writers were merged
+    # written as TMP; "check" recorded before the CSV and JSON writers were
+    # merged, the four experiment outputs at schema 2, each equal to the
+    # schema-1 output with the kind and r columns, the master_seed line, the
+    # spec's r and gamma0 and each aggregate's r removed
     GOLDEN = {
-        "sweep": "6a4bdb9417c1857d2c3f19557b77b34fea3e03f152a4e11d2683f1920e39966f",
-        "trajectory": "218c7028541cdb983902dfbbaac7057e60c7266477fc7b9b6805e89759a71bbf",
+        "sweep": "8653f0d410d14e7e66084cb6e84f02d0b0702be439200f8dd451ff496cc21c47",
+        "trajectory": "ae6d0bc8e57973f16ea4ceeb5a29642a98948098237a47633fa08929f567e89e",
         "check": "924b0d6ab23c9f1dd1a13f7f404bb5f774e53917f4069e25fbc843a92b61086d",
-        "singleton-threshold": "4169f095af0e35848bb1c1de3b1f96b0a626c1c9e601724e7b792c60a138ffbf",
-        # recorded before the two scaling fits and the threshold curve shared one helper
-        "runtime-scaling": "89f098184dfc062a0d9fc028c8bba9fb58fb2d93cbd99a4d0d90f2fb10f39d31",
+        "singleton-threshold": "5da9764d99f88006ac0092e7dfcd192eeae1c63331a20db0817e0e3a51e6449b",
+        "runtime-scaling": "b387577ba89889ed6e6c1d18c4f1f5e9378daeabe178287169a0326b77ddee50",
     }
 
     def test_golden_outputs(self, capsys, tmp_path, monkeypatch):

@@ -39,7 +39,7 @@ def tiny_spec(**kw):
 def strip_wall(csv_text):
     lines = []
     for line in csv_text.splitlines():
-        if line.startswith("#") or line.startswith("kind,"):
+        if line.startswith("#") or line.startswith("n,"):
             lines.append(line)
         else:
             lines.append(",".join(line.split(",")[:-1]))
@@ -107,9 +107,10 @@ class TestSpecParsing:
             parse_spec_file(str(cfg))
 
     @pytest.mark.parametrize("lines, key, at_parse", [
-        pytest.param("gamma0 = 1.5", "gamma0", True, id="1.5"),
-        pytest.param("gamma0 = 0", "gamma0", True, id="0"),
-        pytest.param("gamma0 = abc", "gamma0", True, id="abc"),
+        # schema 1's r grid and gamma0 keys: bound:<factor> scales the budget,
+        # and the trajectory's gamma0 is harness.GAMMA0 = 9/25
+        pytest.param("r = 2", "unknown key 'r'", True, id="r"),
+        pytest.param("gamma0 = 0.5", "unknown key 'gamma0'", True, id="gamma0"),
         pytest.param("trials = x", "trials", True, id="trials-x"),
         pytest.param("trials = 2.5", "trials", True, id="trials-2.5"),
         pytest.param("seed = x", "seed", True, id="seed-x"),
@@ -132,8 +133,8 @@ class TestSpecParsing:
         pytest.param("alpha = 0.05\nepsilon = 0.1", "alpha < epsilon", False,
                      id="no-levels-pilot-budget"),
     ])
-    def test_bad_gamma0_fails_before_any_run(self, tmp_path, monkeypatch, capsys,
-                                             lines, key, at_parse):
+    def test_bad_spec_fails_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                           lines, key, at_parse):
         calls = []
         monkeypatch.setattr(harness, "run_trial", lambda *args, **kw: calls.append(args))
         monkeypatch.setattr(harness, "run_trials", lambda *args, **kw: calls.append(args))
@@ -233,12 +234,12 @@ class TestRunExperiment:
 
     def test_numpy_float_delta_writes_a_plain_float(self):
         # under numpy >= 2 a numpy float's repr is "np.float64(0.01)"
-        spec = tiny_spec(chi=("auto",), delta=np.float64(0.01), gamma0=np.float64(0.36))
-        assert type(spec.delta) is float and type(spec.gamma0) is float
+        spec = tiny_spec(chi=("auto",), delta=np.float64(0.01))
+        assert type(spec.delta) is float
         text = run_experiment(spec).to_csv()
         rows = list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
         assert [row["delta"] for row in rows] == ["0.01", "0.01"]
-        plain = run_experiment(tiny_spec(chi=("auto",), delta=0.01, gamma0=0.36)).to_csv()
+        plain = run_experiment(tiny_spec(chi=("auto",), delta=0.01)).to_csv()
         assert strip_wall(text) == strip_wall(plain)
 
     def test_worker_count_does_not_change_output(self):
@@ -255,10 +256,18 @@ class TestRunExperiment:
             lines = fh.read().splitlines()
         header = [line for line in lines if line.startswith("#")]
         rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
-        assert any("schema=1" in line for line in header)
-        assert any("master_seed=77" in line for line in header)
+        # schema 2: the spec echo alone holds the kind and the master seed
+        assert header == lines[:2] and header[0] == "# coevo-results schema=2"
+        assert header[1].startswith("# spec=")
+        echo = json.loads(header[1][len("# spec="):])
+        assert echo["kind"] == "runtime-scaling" and echo["master_seed"] == 77
+        assert "r" not in echo and "gamma0" not in echo
+        assert tuple(lines[2].split(",")) == harness.CSV_COLUMNS and len(harness.CSV_COLUMNS) == 13
+        assert "kind" not in harness.CSV_COLUMNS and "r" not in harness.CSV_COLUMNS
         assert len(rows) == len(table.rows)
         sidecar = json.loads(Path(json_path).read_text())
+        assert sidecar["schema"] == 2 and sidecar["spec"] == echo
+        assert all("r" not in a for a in sidecar["aggregates"])
         # aggregates recomputable from raw rows
         hits = [int(r["T_interactions"]) for r in rows if r["hit"] == "1"]
         agg = sidecar["aggregates"][0]

@@ -759,8 +759,14 @@ class TestLevelFunctions:
         ({"lam": True}, "lambda and m must be integers"),
         ({"m": 2.0, "z": (0.5,)}, "lambda and m must be integers"),
         ({"m": True}, "lambda and m must be integers"),
+        ({"m": 2, "z": (True,)}, r"every z_i must be in \(0, 1\]"),
+        # these once raised a TypeError
+        ({"eta": "0.01"}, "eta must be finite and positive"),
+        ({"phi": "0.5"}, r"phi must be in \(0, 1\)"),
+        ({"m": 2, "z": ("0.5",)}, r"every z_i must be in \(0, 1\]"),
+        ({"m": 2, "z": 0.5}, "z must be a sequence of m-1 = 1 values"),
     ])
     def test_rejects_non_finite_eta_and_non_integral_sizes(self, kw, message):
-        # each of these once constructed
+        # each of these once constructed or raised a TypeError
         with pytest.raises(ValueError, match=message):
             LevelFunctionParams(**{"eta": 0.1, "phi": 0.5, "z": (), "lam": 2, "m": 1, **kw})

@@ -7,8 +7,12 @@ import pytest
 import scipy.stats
 
 from coevo import (
+    BilinearParams,
+    build_bilinear_levels,
     chi_slack,
+    current_level,
     error_threshold,
+    eta_window,
     spawn_stream,
     level_process_bound,
     solvable_regime_budget,
@@ -226,6 +230,26 @@ class TestErrorThreshold:
             error_threshold(0.0)
         with pytest.raises(ValueError):
             error_threshold(0.5)
+
+
+_LEVELS = build_bilinear_levels(BilinearParams(n=10, alpha=0.9, beta=0.05, epsilon=0.1))
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (recipe_mutation_rate, ("0.01",), r"delta must be in \(0, 1/41\)"),
+    (error_threshold, ("0.1",), r"delta must be in \(0, 1/2\)"),
+    (chi_slack, ("x",), "chi must be a real number"),
+    (eta_window, (0.3, 0), "lambda an integer >= 1"),
+    (eta_window, (0.3, 2.5), "lambda an integer >= 1"),
+    (eta_window, ("0.3", 4), "delta must be a number"),
+    (current_level, (np.array([0]), np.array([0]), _LEVELS, "0.5"),
+     r"gamma0 must be a number in \(0, 1\)"),
+], ids=lambda value: value.__name__ if callable(value) else None)
+def test_scalar_helpers_reject_non_numbers(fn, args, message):
+    # each of these once raised a TypeError, a ZeroDivisionError (lambda = 0)
+    # or, at lambda = 2.5, returned a window
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
 
 
 class TestCalculatorsArePure:
