@@ -134,6 +134,8 @@ def _check_grid(key: str, values) -> None:
     """Grid values are finite numbers (chi may be "auto"), so no NaN or
     infinity reaches a run or a JSON file; n and lambda are whole numbers, so
     `n = 20.7` is rejected rather than run as n = 20."""
+    if not isinstance(values, (tuple, list)):
+        raise ValueError(f"{key} must be a tuple or list of grid values, got {values!r}")
     for value in values:
         if key == "chi" and value == "auto":
             continue

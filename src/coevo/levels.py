@@ -310,6 +310,13 @@ def _psel_counts(cx, cy, params, pred_x=None, pred_y=None) -> Fraction:
     return Fraction(int(table.sum()), len(cx)**4)
 
 
+def _rational(case: int, name: str, value) -> Fraction:
+    try:  # a missing or non-rational parameter is named with its case
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ValueError(f"growth case {case} needs a rational {name}, got {value!r}") from None
+
+
 def check_growth_lemmas(case: int, cx, cy, params: BilinearParams,
                         k: int = 0, l: int = 0, delta1=None, rho=None) -> GrowthLemmaReport:
     """Exact check of one selection growth inequality (cases 15 through 19).
@@ -341,7 +348,7 @@ def check_growth_lemmas(case: int, cx, cy, params: BilinearParams,
         return _psel_counts(cx, cy, params, pred_y=in_s1) / q
 
     if case == 15:
-        d1 = Fraction(delta1)
+        d1 = _rational(case, "delta1", delta1)
         if not (0 < d1 < 1 and Fraction(1, 3) < p0 < 1 - d1):
             return GrowthLemmaReport(15, False, f"needs 1/3 < p0 < 1-delta1, got p0={p0}")
         if q == 0:
@@ -349,7 +356,7 @@ def check_growth_lemmas(case: int, cx, cy, params: BilinearParams,
         ratio = ratio_r0() * ratio_s1()
         bound = 1 + min(d1 / 2 - 8 * q0, Fraction(1, 10) - 12 * q0)
     elif case == 16:
-        r = Fraction(rho)
+        r = _rational(case, "rho", rho)
         if not (0 < r < 1 and p0 * q < 1 - r and p0 >= 1 - r / 10 and q0 < r / 90):
             return GrowthLemmaReport(
                 16, False, f"needs p0*q < 1-rho, p0 >= 1-rho/10, q0 < rho/90; got p0={p0} q={q} q0={q0}")
@@ -368,7 +375,7 @@ def check_growth_lemmas(case: int, cx, cy, params: BilinearParams,
         ratio = ratio_s1()
         bound = Fraction(3, 2) * (2 - p0) * p0 * (1 - q) + q - 4 * q0
     else:  # case 19
-        r = Fraction(rho)
+        r = _rational(case, "rho", rho)
         # q0 <= sqrt(2(1-rho)) - 1, compared exactly as (q0+1)^2 <= 2(1-rho)
         if not (0 < r < 1 and (q0 + 1) ** 2 <= 2 * (1 - r)):
             return GrowthLemmaReport(19, False, f"needs q0 <= sqrt(2(1-rho))-1, got q0={q0}")
@@ -392,6 +399,8 @@ def validate_level_function(g, lam: int, m: int) -> bool:
     that grid.  Conditions: non-increasing in the level index, non-increasing
     in the count, and g(lambda^2, j) >= g(0, j+1) so levels glue together.
     """
+    if not (_is_int(lam) and _is_int(m) and lam >= 1 and m >= 1):
+        raise ValueError(f"lambda and m must be integers >= 1, got {lam!r} and {m!r}")
     top = lam * lam
     k, j = np.arange(top + 1)[:, None], np.arange(1, m + 1)[None, :]
     grid = np.broadcast_to(np.asarray(g(k, j), dtype=float), (top + 1, m))

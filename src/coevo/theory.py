@@ -9,6 +9,7 @@ tables can compare empirical quantiles against individual terms.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,8 @@ def level_process_bound(m: int, lam: int, delta: float, z: tuple = (),
         raise ValueError(f"delta must be in (0, 1], got {delta!r}")
     if not (_is_number(c_pp) and 1.0 < c_pp < math.inf):
         raise ValueError(f"c'' must exceed 1 and be finite, got {c_pp!r}")
-    if len(z) != m - 1:
-        raise ValueError(f"need m-1 = {m - 1} z values, got {len(z)}")
+    if not isinstance(z, Sequence) or len(z) != m - 1:
+        raise ValueError(f"z must be a sequence of m-1 = {m - 1} values, got {z!r}")
     if not all(_is_number(zi) and 0.0 < zi <= 1.0 for zi in z):
         raise ValueError(f"every z_i must be in (0, 1], got {z}")
     prefactor = c_pp * _real(lam) / delta

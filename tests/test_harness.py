@@ -159,6 +159,18 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match=key):
             tiny_spec(**{field: value})
 
+    @pytest.mark.parametrize("field, key, value", [
+        ("n", "n", 10), ("lam", "lambda", 4.0), ("chi", "chi", "auto"), ("chi", "chi", None),
+        ("beta", "beta", {0.05}),
+    ])
+    def test_grid_that_is_no_tuple_or_list_rejected(self, field, key, value):
+        # an int once failed with a TypeError, and "auto" was read letter by letter
+        with pytest.raises(ValueError, match=f"{key} must be a tuple or list"):
+            tiny_spec(**{field: value})
+
+    def test_list_grid_accepted(self):
+        assert resolve_cells(tiny_spec(n=[15], chi=[0.5, "auto"]))[0].chi == 0.5
+
     def test_numeric_out_is_an_output_prefix(self, tmp_path, monkeypatch, capsys):
         # `out = 5` names the files 5.csv and 5.aggregates.json
         cfg = tmp_path / "spec.txt"

@@ -606,6 +606,15 @@ class TestGrowthLemmas:
         assert isinstance(report.ratio, Fraction) and isinstance(report.bound, Fraction)
         assert report.passed
 
+    @pytest.mark.parametrize("case, kw, name", [
+        (15, {}, "delta1"), (15, dict(delta1="two fifths"), "delta1"),
+        (16, {}, "rho"), (19, dict(rho=None), "rho"), (19, dict(rho=[1, 2]), "rho"),
+    ])
+    def test_missing_or_irrational_parameter_named(self, fig_params, case, kw, name):
+        # None once failed with a TypeError from Fraction
+        with pytest.raises(ValueError, match=f"growth case {case} needs a rational {name}"):
+            check_growth_lemmas(case, *counts([0, 9], [0, 5]), fig_params, **kw)
+
     def test_unknown_case_rejected(self, fig_params):
         state = counts([0], [0])
         with pytest.raises(ValueError):
@@ -675,6 +684,12 @@ class TestLevelFunctions:
         # monotone in k and in j, but g(lambda^2, j) = 3 - j < g(0, j+1) = 4 - j
         assert not validate_level_function(lambda k, j: (5 - j) - 2 * k / 16, 4, 5)
         assert validate_level_function(lambda k, j: (5 - j) - k / 16, 4, 5)
+
+    @pytest.mark.parametrize("lam, m", [(0, 5), (4, 0), (-1, 5), (4.0, 5), (4, True), (4, None)])
+    def test_sizes_that_are_no_positive_int_rejected(self, lam, m):
+        # lambda = 0 once validated the count-increasing g = k, and m = 0 an empty grid
+        with pytest.raises(ValueError, match="lambda and m must be integers >= 1"):
+            validate_level_function(lambda k, j: k, lam, m)
 
     def test_reference_potential_validates(self):
         for lam, m in ((6, 3), (12, 6), (20, 10)):

@@ -98,9 +98,10 @@ class TestLevelProcessBound:
     @pytest.mark.parametrize("delta, z, c_pp, field", [
         (True, (0.5,), 2.0, "delta"), ("0.5", (0.5,), 2.0, "delta"), (None, (0.5,), 2.0, "delta"),
         (0.5, (True,), 2.0, "z_i"), (0.5, (0.5,), True, "c''"), (0.5, (0.5,), "2", "c''"),
+        (0.5, 0.5, 2.0, "z must be a sequence of m-1 = 1 values"),
     ])
     def test_rejects_values_that_are_no_number(self, delta, z, c_pp, field):
-        # a bool was priced as 1, and a string failed with a TypeError
+        # a bool was priced as 1, and a string or a bare z failed with a TypeError
         with pytest.raises(ValueError, match=field):
             level_process_bound(2, 5, delta, z, c_pp)
 
